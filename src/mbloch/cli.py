@@ -27,20 +27,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_trajectory_csv(path, traj: Trajectory):
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for t, s, c in zip(traj.times, traj.states, traj.conserved):
-            row = [t, *s, *c]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_orbit_csv(path, times, states):
-    cons = np.array([conserved(s) for s in states])
+def _write_csv(path, times, states, cons):
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for t, s, c in zip(times, states, cons):
             fh.write(",".join(_fmt(v) for v in [t, *s, *c]) + "\n")
+
+
+def write_trajectory_csv(path, traj: Trajectory):
+    _write_csv(path, traj.times, traj.states, traj.conserved)
+
+
+def write_orbit_csv(path, times, states):
+    _write_csv(path, times, states, np.column_stack(conserved(states)))
 
 
 def _emit(obj):
@@ -58,8 +57,10 @@ def _parse_tuple(text, n, label):
 
 
 def cmd_simulate(args, parser):
-    if args.t_end <= 0:
-        parser.error("--t-end must be positive")
+    if not (math.isfinite(args.t_end) and args.t_end > 0):
+        parser.error("--t-end must be positive and finite")
+    if args.stride < 1:
+        parser.error("--stride must be a positive integer")
     if args.dt is not None and args.dt <= 0:
         parser.error("--dt must be positive")
     if args.tol is not None and args.tol <= 0:
@@ -80,6 +81,7 @@ def cmd_simulate(args, parser):
         _emit({"error": "integration stalled", "t_reached": exc.time})
         return 1
     except StateOverflowError as exc:
+        write_trajectory_csv(args.out, exc.trajectory)
         _emit({"error": "state overflow", "t_reached": exc.time})
         return 1
     write_trajectory_csv(args.out, traj)
@@ -114,12 +116,14 @@ def cmd_classify(args, parser):
     return 0
 
 
-def _closed_form_run(args, parser, times, states, deriv, tol, extra):
-    field = np.array([vector_field(s) for s in states])
-    resid = float(np.abs(deriv - field).max())
+def _closed_form_run(args, times, states, deriv, level, tol):
+    """Check a sampled closed-form orbit against the field and the conserved
+    level, write it as CSV and report."""
+    resid = float(np.abs(deriv - vector_field(states)).max())
+    dev = float(np.abs(np.column_stack(conserved(states)) - level).max())
     write_orbit_csv(args.out, times, states)
-    summary = {"max_ode_residual": resid, **extra, "tolerance": tol,
-               "passed": resid < tol and extra["max_conserved_deviation"] < tol}
+    summary = {"max_ode_residual": resid, "max_conserved_deviation": dev,
+               "tolerance": tol, "passed": resid < tol and dev < tol}
     _emit(summary)
     return 0 if summary["passed"] else 1
 
@@ -135,11 +139,9 @@ def cmd_homoclinic(args, parser):
     times = np.linspace(args.t_min, args.t_max, n)
     states = solutions.homoclinic(par, times)
     deriv = solutions.homoclinic_derivative(par, times)
-    cons = np.array([conserved(s) for s in states])
-    dev = float(np.abs(cons - [args.c ** 2 / 2, 0.0, args.c]).max())
     tol = 1e-10 * (1 + args.c ** 2)
-    return _closed_form_run(args, parser, times, states, deriv, tol,
-                            {"max_conserved_deviation": dev})
+    return _closed_form_run(args, times, states, deriv,
+                            [args.c ** 2 / 2, 0.0, args.c], tol)
 
 
 def cmd_periodic(args, parser):
@@ -152,12 +154,9 @@ def cmd_periodic(args, parser):
     times = np.linspace(0.0, args.t_max, n)
     states = solutions.periodic_solution(par, times)
     deriv = solutions.periodic_derivative(par, times)
-    cons = np.array([conserved(s) for s in states])
-    dev = float(np.abs(cons - cons[0]).max())
     w, f1 = par.omega, par.x1_0 ** 2 + par.x2_0 ** 2
     tol = 1e-12 * (1 + w * w) * (1 + f1)
-    return _closed_form_run(args, parser, times, states, deriv, tol,
-                            {"max_conserved_deviation": dev})
+    return _closed_form_run(args, times, states, deriv, conserved(states[0]), tol)
 
 
 def cmd_rank(args, parser):
@@ -169,8 +168,8 @@ def cmd_rank(args, parser):
 
 
 def cmd_invariant_probe(args, parser):
-    if args.t_end <= 0:
-        parser.error("--t-end must be positive")
+    if not (math.isfinite(args.t_end) and args.t_end > 0):
+        parser.error("--t-end must be positive and finite")
     x1, y1, x2 = args.m1
     if x2 == 0:
         parser.error("--m1 requires x2 != 0")

@@ -34,20 +34,34 @@ class ComplexState(NamedTuple):
     Z: float
 
 
-def as_state(p) -> np.ndarray:
-    """Coerce to a finite float64 5-vector, raising DomainError otherwise."""
+def _components(p) -> np.ndarray:
+    """Finite float64 states (..., 5), component axis first; DomainError otherwise."""
     arr = np.asarray(p, dtype=float)
-    if arr.shape != (5,):
+    if arr.ndim == 0 or arr.shape[-1] != 5:
         raise DomainError(f"state must have 5 components, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DomainError(f"state has non-finite components: {arr}")
+    return arr.transpose(-1, *range(arr.ndim - 1))
+
+
+def as_state(p) -> np.ndarray:
+    """Coerce to a finite float64 5-vector, raising DomainError otherwise."""
+    arr = _components(p)
+    if arr.ndim != 1:
+        raise DomainError(f"state must have 5 components, got shape {np.shape(p)}")
     return arr
 
 
+def field_components(x1, y1, x2, y2, z):
+    """The five right-hand sides, unchecked; broadcasts over floats and
+    arrays, so the integrators call it on states they have already checked."""
+    return y1, x1 * z, y2, x2 * z, -(x1 * y1 + x2 * y2)
+
+
 def vector_field(p) -> np.ndarray:
-    """Right-hand side of the 5-component system at p."""
-    x1, y1, x2, y2, z = as_state(p)
-    return np.array([y1, x1 * z, y2, x2 * z, -(x1 * y1 + x2 * y2)])
+    """Right-hand side of the 5-component system at p, shape (5,) or (..., 5)."""
+    comps = _components(p)
+    return np.array(field_components(*comps)).transpose(*range(1, comps.ndim), 0)
 
 
 def poisson_tensor(p) -> np.ndarray:
@@ -65,8 +79,11 @@ def poisson_tensor(p) -> np.ndarray:
 
 
 def conserved(p) -> ConservedTriple:
-    """Values (H, I, C) of the three constants of motion at p."""
-    x1, y1, x2, y2, z = as_state(p)
+    """Values (H, I, C) of the three constants of motion at p.
+
+    For states of shape (..., 5) each field is an array of shape (...).
+    """
+    x1, y1, x2, y2, z = _components(p)
     return ConservedTriple(
         H=0.5 * (y1 * y1 + y2 * y2 + z * z),
         I=x2 * y1 - x1 * y2,

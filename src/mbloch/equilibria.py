@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_state, conserved, vector_field
+from .core import (DomainError, as_state, conserved, field_components,
+                   vector_field)
 
 CENTER_CENTER = "center-center"
 CENTER_SADDLE = "center-saddle"
@@ -75,20 +76,6 @@ def is_equilibrium(p, tol: float) -> bool:
     return float(np.abs(vector_field(p)).max()) <= tol
 
 
-def identify_family(p, tol: float = 0.0) -> EquilibriumFamily:
-    """Match p against the three families; DomainError if none fits."""
-    x1, y1, x2, y2, z = as_state(p)
-    if max(abs(y1), abs(y2)) > tol:
-        raise DomainError(f"{p} is not an equilibrium of any family")
-    if max(abs(x1), abs(x2)) <= tol:
-        if abs(z) <= tol:
-            return EquilibriumFamily("E3")
-        return EquilibriumFamily("E1", M=z)
-    if abs(z) <= tol:
-        return EquilibriumFamily("E2", M=x1, N=x2)
-    raise DomainError(f"{p} is not an equilibrium of any family")
-
-
 def k_split(e: EquilibriumFamily, c: float) -> str:
     """Classify an equilibrium on the leaf C = c as K0 or K1.
 
@@ -116,7 +103,7 @@ def reduced_hamiltonian_field(u, c: float) -> np.ndarray:
     """Leaf flow of H in the chart z = c - (x1^2 + x2^2)/2."""
     x1, y1, x2, y2 = u
     z = c - 0.5 * (x1 * x1 + x2 * x2)
-    return np.array([y1, x1 * z, y2, x2 * z])
+    return np.array(field_components(x1, y1, x2, y2, z)[:4])
 
 
 def reduced_invariant_field(u, c: float = 0.0) -> np.ndarray:
@@ -330,14 +317,14 @@ def origin_stability_certificate(box_half_width: float, grid_n: int,
         raise ValueError("grid_n must be at least 3")
     axis = np.linspace(-box_half_width, box_half_width, grid_n)
     x1, y1, x2, y2 = np.meshgrid(axis, axis, axis, axis, indexing="ij")
+    points = np.stack([x1, y1, x2, y2, np.zeros_like(x1)], axis=-1)
     eps_values = sorted(eps_values, reverse=True)
     max_norms = {eps: 0.0 for eps in eps_values}
     offenders = {eps: None for eps in eps_values}
     for z in axis:  # slice the 5th axis to bound memory
-        h = 0.5 * (y1 ** 2 + y2 ** 2 + z ** 2)
-        i_val = np.abs(x2 * y1 - x1 * y2)
-        c_val = np.abs(0.5 * (x1 ** 2 + x2 ** 2) + z)
-        level = np.maximum(np.maximum(h, i_val), c_val)
+        points[..., 4] = z
+        h, i_val, c_val = conserved(points)
+        level = np.maximum(np.maximum(h, np.abs(i_val)), np.abs(c_val))
         norm2 = x1 ** 2 + y1 ** 2 + x2 ** 2 + y2 ** 2 + z ** 2
         for eps in eps_values:
             mask = level <= eps

@@ -10,15 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_state
+from .core import DomainError, as_state, conserved, field_components
 
 
 class StateOverflowError(RuntimeError):
-    """A step produced a non-finite state."""
+    """A step produced a non-finite state; carries the partial trajectory
+    (None when a single ``rk4_step`` overflows)."""
 
-    def __init__(self, time: float):
+    def __init__(self, time: float, trajectory: "Trajectory | None" = None):
         super().__init__(f"non-finite state encountered at t={time}")
         self.time = time
+        self.trajectory = trajectory
 
 
 class IntegrationStalledError(RuntimeError):
@@ -80,20 +82,27 @@ class DriftReport:
     max_abs_dC: float
 
 
-def _rhs(x1, y1, x2, y2, z):
-    return y1, x1 * z, y2, x2 * z, -(x1 * y1 + x2 * y2)
+def _component_form(field):
+    """The field as the kernels call it: five components in, five out.
+
+    None selects the built-in field; a custom field p -> 5-vector is adapted.
+    """
+    if field is None:
+        return field_components
+    return lambda *s: np.asarray(field(np.array(s)), dtype=float)
 
 
-def _rk4_raw(x1, y1, x2, y2, z, h):
-    # classical RK4 on plain floats; the hot path of long fixed-step runs
-    a1, b1, c1, d1, e1 = _rhs(x1, y1, x2, y2, z)
+def _rk4_raw(x1, y1, x2, y2, z, h, f):
+    # classical RK4 on the five components; plain floats for the built-in
+    # field, so this is the hot path of long fixed-step runs
+    a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)
     h2 = 0.5 * h
-    a2, b2, c2, d2, e2 = _rhs(x1 + h2 * a1, y1 + h2 * b1, x2 + h2 * c1,
-                              y2 + h2 * d1, z + h2 * e1)
-    a3, b3, c3, d3, e3 = _rhs(x1 + h2 * a2, y1 + h2 * b2, x2 + h2 * c2,
-                              y2 + h2 * d2, z + h2 * e2)
-    a4, b4, c4, d4, e4 = _rhs(x1 + h * a3, y1 + h * b3, x2 + h * c3,
-                              y2 + h * d3, z + h * e3)
+    a2, b2, c2, d2, e2 = f(x1 + h2 * a1, y1 + h2 * b1, x2 + h2 * c1,
+                           y2 + h2 * d1, z + h2 * e1)
+    a3, b3, c3, d3, e3 = f(x1 + h2 * a2, y1 + h2 * b2, x2 + h2 * c2,
+                           y2 + h2 * d2, z + h2 * e2)
+    a4, b4, c4, d4, e4 = f(x1 + h * a3, y1 + h * b3, x2 + h * c3,
+                           y2 + h * d3, z + h * e3)
     s = h / 6.0
     return (x1 + s * (a1 + 2.0 * (a2 + a3) + a4),
             y1 + s * (b1 + 2.0 * (b2 + b3) + b4),
@@ -106,15 +115,7 @@ def rk4_step(p, h: float, field=None) -> np.ndarray:
     """One classical Runge-Kutta step of size h (local error O(h^5))."""
     if h == 0:
         raise DomainError("step size must be nonzero")
-    point = as_state(p)
-    if field is None:
-        new = np.array(_rk4_raw(*point, h))
-    else:
-        k1 = np.asarray(field(point), dtype=float)
-        k2 = np.asarray(field(point + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(field(point + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(field(point + h * k3), dtype=float)
-        new = point + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    new = np.array(_rk4_raw(*as_state(p), h, _component_form(field)))
     if not np.isfinite(new).all():
         raise StateOverflowError(h)
     return new
@@ -135,20 +136,15 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _dp_step(field, y, h):
+def _dp_step(f, y, h):
     k = np.empty((7, 5))
-    k[0] = field(y)
+    k[0] = f(*y.tolist())
     for i in range(1, 7):
         acc = y + h * (np.asarray(_DP_A[i]) @ k[:i])
-        k[i] = field(acc)
+        k[i] = f(*acc.tolist())
     y5 = y + h * (_DP_B5 @ k)
     y4 = y + h * (_DP_B4 @ k)
     return y5, y5 - y4
-
-
-def _np_field_default(p):
-    x1, y1, x2, y2, z = p
-    return np.array([y1, x1 * z, y2, x2 * z, -(x1 * y1 + x2 * y2)])
 
 
 class _Recorder:
@@ -167,12 +163,8 @@ class _Recorder:
 
     def trajectory(self):
         states = np.array(self.states)
-        cons = np.column_stack([
-            0.5 * (states[:, 1] ** 2 + states[:, 3] ** 2 + states[:, 4] ** 2),
-            states[:, 2] * states[:, 1] - states[:, 0] * states[:, 3],
-            0.5 * (states[:, 0] ** 2 + states[:, 2] ** 2) + states[:, 4],
-        ])
-        return Trajectory(np.array(self.times), states, cons)
+        return Trajectory(np.array(self.times), states,
+                          np.column_stack(conserved(states)))
 
 
 def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
@@ -188,35 +180,26 @@ def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
     rec = _Recorder(cfg.sample_stride)
     rec.record(0.0, y0, force=True)
 
+    f = _component_form(field)
     if cfg.method == "rk4":
-        return _integrate_rk4(y0, cfg, field, rec)
-    return _integrate_rk45(y0, cfg, field, rec)
+        return _integrate_rk4(y0, cfg, f, rec)
+    return _integrate_rk45(y0, cfg, f, rec)
 
 
-def _integrate_rk4(y0, cfg, field, rec):
+def _integrate_rk4(y0, cfg, f, rec):
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-12))
     h = cfg.t_end / n_steps
-    if field is None:
-        x1, y1, x2, y2, z = y0
-        for i in range(1, n_steps + 1):
-            x1, y1, x2, y2, z = _rk4_raw(x1, y1, x2, y2, z, h)
-            if not math.isfinite(x1 + y1 + x2 + y2 + z):
-                raise StateOverflowError(i * h)
-            rec.accepted += 1
-            rec.record(i * h, (x1, y1, x2, y2, z), force=i == n_steps)
-    else:
-        y = y0
-        for i in range(1, n_steps + 1):
-            y = rk4_step(y, h, field=field)
-            if not np.isfinite(y).all():
-                raise StateOverflowError(i * h)
-            rec.accepted += 1
-            rec.record(i * h, y, force=i == n_steps)
+    x1, y1, x2, y2, z = y0.tolist()
+    for i in range(1, n_steps + 1):
+        x1, y1, x2, y2, z = _rk4_raw(x1, y1, x2, y2, z, h, f)
+        if not math.isfinite(x1 + y1 + x2 + y2 + z):
+            raise StateOverflowError(i * h, rec.trajectory())
+        rec.accepted += 1
+        rec.record(i * h, (x1, y1, x2, y2, z), force=i == n_steps)
     return rec.trajectory()
 
 
-def _integrate_rk45(y0, cfg, field, rec):
-    f = _np_field_default if field is None else field
+def _integrate_rk45(y0, cfg, f, rec):
     t = 0.0
     y = y0
     dt = min(cfg.dt_initial, cfg.t_end)
@@ -225,7 +208,7 @@ def _integrate_rk45(y0, cfg, field, rec):
         h = min(dt, cfg.t_end - t)
         y_new, err_vec = _dp_step(f, y, h)
         if not np.isfinite(y_new).all():
-            raise StateOverflowError(t + h)
+            raise StateOverflowError(t + h, rec.trajectory())
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         if err <= 1.0:

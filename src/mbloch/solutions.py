@@ -194,25 +194,27 @@ def m1_solution(params: PeriodicParams, t):
 
 @dataclass
 class PunctureSchedule:
-    """Times t_k where the orbit crosses x2 = y1 = 0 (leaves the x2 != 0 piece)."""
+    """Times t_0 < t_1 < ... after t = 0 where the orbit crosses x2 = y1 = 0
+    (leaves the x2 != 0 piece).
+
+    Along the orbit x2 = r sin(vartheta - omega t), so the crossings are the
+    times t = ratio * vartheta (mod pi |ratio|), whatever the signs of x2_0
+    and y1_0.
+    """
 
     vartheta: float  # in [0, 2 pi): the phase with sin = x2_0/r, cos = x1_0/r
     ratio: float  # x2_0 / y1_0
 
     def t_k(self, k: int) -> float:
-        return self.ratio * self.vartheta + k * math.pi * self.ratio
+        spacing = math.pi * abs(self.ratio)
+        return (self.ratio * self.vartheta) % spacing + k * spacing
 
     def count_in(self, t_end: float) -> int:
         """Number of punctures with 0 < t_k <= t_end."""
-        count, k = 0, 0
-        while True:
-            t = self.t_k(k)
-            if t > t_end:
-                break
-            if t > 0:
-                count += 1
-            k += 1
-        return count
+        first = self.t_k(0)
+        if t_end < first:
+            return 0
+        return int((t_end - first) // (math.pi * abs(self.ratio))) + 1
 
 
 def puncture_times(params: PeriodicParams) -> PunctureSchedule:

@@ -1,10 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mbloch
 from mbloch.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(mbloch.__file__)))
+
+
+def run_process(args, timeout):
+    """Run a fresh interpreter that imports mbloch from this source tree."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 def run(capsys, argv):
@@ -70,6 +83,30 @@ class TestSimulate:
     def test_missing_flag_usage_error(self, capsys, tmp_path):
         code, _ = run(capsys, ["simulate", "--x1", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [["--stride", "0"], ["--t-end", "nan"],
+                                       ["--t-end", "inf", "--method", "rk4"]])
+    def test_bad_value_usage_error(self, capsys, tmp_path, extra):
+        argv = ["simulate", "--x1", "1", "--y1", "0", "--x2", "0", "--y2", "0",
+                "--z", "1", "--t-end", "1", "--out", str(tmp_path / "x.csv")]
+        code, _ = run(capsys, argv + extra)
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_overflow_writes_partial_csv(self, capsys, tmp_path):
+        out_path = tmp_path / "traj.csv"
+        code, out = run(capsys, [
+            "simulate", "--x1", "1", "--y1", "1", "--x2", "0", "--y2", "0",
+            "--z", "1e200", "--t-end", "10", "--method", "rk4", "--dt", "1",
+            "--out", str(out_path)])
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "state overflow"
+        assert rep["t_reached"] == 1.0
+        lines = out_path.read_text().strip().split("\n")
+        assert lines[0] == "t,x1,y1,x2,y2,z,H,I,C"
+        assert len(lines) == 2
+        assert lines[1].startswith("0.0,1.0,1.0,0.0,0.0,1e+200,")
 
 
 class TestClassify:
@@ -160,6 +197,14 @@ class TestRankAndProbe:
         assert rep["puncture_count"] == rep["predicted_punctures"] == 6
         assert rep["max_distance_to_union"] < 1e-6
 
+    def test_probe_with_negative_ratio_terminates(self):
+        # x2/y1 < 0: the puncture prediction once looped forever here
+        proc = run_process(["-m", "mbloch.cli", "invariant-probe",
+                            "--m1", "0.3,-1.2,0.7", "--t-end", "20"], timeout=120)
+        assert proc.returncode == 0
+        rep = json.loads(proc.stdout)
+        assert rep["puncture_count"] == rep["predicted_punctures"]
+
     def test_probe_zero_x2_rejected(self, capsys):
         code, _ = run(capsys, ["invariant-probe", "--m1", "1,1,0",
                                "--t-end", "5"])
@@ -184,3 +229,10 @@ class TestVerify:
         rep = json.loads(out)
         keys = [(r["suite"], r["name"]) for r in rep["results"]]
         assert keys == sorted(keys)
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = run_process(["-c", "import sys, mbloch.cli; print('scipy' in sys.modules)"],
+                       timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -27,6 +27,21 @@ class TestVectorField:
         with pytest.raises(core.DomainError):
             core.vector_field([0, np.inf, 0, 0, 0])
 
+    def test_array_input_matches_rows(self):
+        pts = random_points(60, seed=5).reshape(3, 20, 5)
+        rows = np.array([core.vector_field(p) for p in pts.reshape(-1, 5)])
+        assert core.vector_field(pts).shape == (3, 20, 5)
+        assert np.array_equal(core.vector_field(pts).reshape(-1, 5), rows)
+
+    def test_array_input_checked(self):
+        pts = random_points(4, seed=6)
+        pts[2, 3] = np.nan
+        for bad in (pts, np.zeros((4, 3)), 1.0):
+            with pytest.raises(core.DomainError):
+                core.vector_field(bad)
+            with pytest.raises(core.DomainError):
+                core.conserved(bad)
+
 
 class TestPoissonTensor:
     def test_origin_matrix(self):
@@ -72,6 +87,14 @@ class TestConserved:
 
     def test_homoclinic_anchor_point(self):
         assert core.conserved([2, 0, 0, 0, -1]) == (0.5, 0.0, 1.0)
+
+    def test_array_input_matches_rows(self):
+        pts = random_points(60, seed=7).reshape(3, 20, 5)
+        rows = np.array([core.conserved(p) for p in pts.reshape(-1, 5)])
+        triple = core.conserved(pts)
+        assert isinstance(triple, core.ConservedTriple)
+        assert triple.H.shape == (3, 20)
+        assert np.array_equal(np.stack(triple, axis=-1).reshape(-1, 3), rows)
 
     def test_h_nonnegative(self):
         for p in random_points(200, seed=4, half_width=5.0):

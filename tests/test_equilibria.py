@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from mbloch import equilibria
 from mbloch.core import DomainError, conserved, grad_I
@@ -11,6 +10,7 @@ from mbloch.equilibria import (ALPHA_GRID, EquilibriumFamily, QuarticPoly,
                                k_split, leaf_linearization,
                                origin_stability_certificate, pencil_char_poly,
                                quartic_roots)
+from mbloch.verify import root_match_error
 
 C_GRID = (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0)
 
@@ -111,9 +111,7 @@ class TestPencilPolynomial:
         assert np.array_equal(poly.as_array(), [1, 0, 0, 0, 4])
         roots = quartic_roots(poly)
         expected = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-        cost = np.abs(np.subtract.outer(np.asarray(roots), expected))
-        rows, cols = linear_sum_assignment(cost)
-        assert cost[rows, cols].max() < 1e-12
+        assert root_match_error(roots, expected) < 1e-12
 
     def test_negative_leaf_alpha_zero(self):
         poly = pencil_char_poly(-1.0, 0.0)
@@ -137,22 +135,24 @@ class TestPencilPolynomial:
 
 
 class TestQuarticRoots:
-    def match(self, got, expected):
-        cost = np.abs(np.subtract.outer(np.asarray(got), np.asarray(expected)))
-        rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].max())
+    def test_root_match_pairs_by_least_total_distance(self):
+        want = [1 + 1j, 1 - 1j, -2.0, 3.0]
+        got = [3.1, -2.0, 1 - 1j, 1 + 1.2j]
+        assert root_match_error(got, want) == pytest.approx(0.2)
+        assert root_match_error(got[::-1], want) == pytest.approx(0.2)
+        assert root_match_error(want, want) == 0.0
 
     def test_biquadratic_complex(self):
         roots = quartic_roots(QuarticPoly(0, 0, 0, 4))
-        assert self.match(roots, [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) < 1e-12
+        assert root_match_error(roots, [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) < 1e-12
 
     def test_repeated_imaginary_pair(self):
         roots = quartic_roots(QuarticPoly(0, 2, 0, 1))
-        assert self.match(roots, [1j, 1j, -1j, -1j]) < 1e-12
+        assert root_match_error(roots, [1j, 1j, -1j, -1j]) < 1e-12
 
     def test_biquadratic_real(self):
         roots = quartic_roots(QuarticPoly(0, -5, 0, 4))
-        assert self.match(roots, [1, -1, 2, -2]) < 1e-12
+        assert root_match_error(roots, [1, -1, 2, -2]) < 1e-12
 
     def test_conjugate_pairing_bit_exact(self):
         rng = np.random.default_rng(13)
@@ -178,7 +178,7 @@ class TestQuarticRoots:
                 continue
             coeffs = np.real(np.poly(arr))
             got = quartic_roots(QuarticPoly(*[float(v) for v in coeffs[1:]]))
-            assert self.match(got, arr) < 1e-8
+            assert root_match_error(got, arr) < 1e-8
 
     def test_char_poly_matches_numpy(self):
         rng = np.random.default_rng(15)

@@ -97,6 +97,31 @@ class TestIntegrate:
                 method="rk4", t_end=10.0, dt=0.1), field=blow_up)
         assert info.value.time > 0
 
+    def test_overflow_reports_time_reached_and_partial_trajectory(self):
+        # constant unit field until x1 reaches 2.5: steps 1 and 2 stay
+        # finite, the second stage of step 3 returns inf
+        def field(p):
+            return np.full(5, 1.0 if p[0] < 2.5 else np.inf)
+
+        with pytest.raises(StateOverflowError) as info:
+            integrate(np.zeros(5), IntegratorConfig(method="rk4", t_end=10.0,
+                                                    dt=1.0), field=field)
+        assert info.value.time == 3.0
+        partial = info.value.trajectory
+        assert np.array_equal(partial.times, [0.0, 1.0, 2.0])
+        assert np.array_equal(partial.states[:, 0], [0.0, 1.0, 2.0])
+
+    def test_custom_field_takes_the_same_kernels(self):
+        p0 = [1, 1, 0.5, -0.5, 0.2]
+        for cfg in (IntegratorConfig(method="rk4", t_end=2.0, dt=0.01),
+                    IntegratorConfig(method="rk45", t_end=2.0, abs_tol=1e-10,
+                                     rel_tol=1e-10)):
+            plain = integrate(p0, cfg)
+            custom = integrate(p0, cfg, field=vector_field)
+            assert np.array_equal(plain.times, custom.times)
+            assert np.array_equal(plain.states, custom.states)
+        assert np.array_equal(rk4_step(p0, 0.1), rk4_step(p0, 0.1, field=vector_field))
+
     def test_stall_returns_partial_trajectory(self):
         jitter = lambda p: np.full(5, 100.0 + 100.0 * math.sin(1e8 * p[0]))
         cfg = IntegratorConfig(method="rk45", t_end=1.0, abs_tol=1e-12,

@@ -222,6 +222,18 @@ class TestPunctures:
         assert math.sin(sched.vartheta) == pytest.approx(par.x2_0 / r, abs=1e-14)
         assert math.cos(sched.vartheta) == pytest.approx(par.x1_0 / r, abs=1e-14)
 
+    @pytest.mark.parametrize("x2_sign,y1_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_count_matches_sign_changes_in_every_quadrant(self, x2_sign, y1_sign):
+        for x1 in (0.3, -0.9):
+            par = PeriodicParams(x1, y1_sign * 1.2, x2_sign * 0.7)
+            grid = np.linspace(0.0, 20.0, 200001)
+            x2 = periodic_solution(par, grid)[:, 2]
+            changes = int(np.sum(np.sign(x2[1:]) * np.sign(x2[:-1]) < 0))
+            sched = puncture_times(par)
+            assert sched.count_in(20.0) == changes
+            assert 0.0 < sched.t_k(0) < sched.t_k(1)
+            assert abs(periodic_solution(par, sched.t_k(0))[2]) < 1e-12
+
     def test_x2_zero_excluded(self):
         with pytest.raises(ValueError):
             PeriodicParams(1.0, 1.0, 0.0)
