@@ -16,11 +16,14 @@ import sys
 import numpy as np
 
 from . import equilibria, invariant_sets, solutions, verify
-from .core import conserved, vector_field
+from .core import DomainError, conserved, vector_field
 from .integrate import (IntegrationStalledError, IntegratorConfig,
                         StateOverflowError, Trajectory, drift_report, integrate)
 
 CSV_HEADER = "t,x1,y1,x2,y2,z,H,I,C"
+# largest CSV that ``homoclinic`` and ``periodic`` write; refused before
+# the sample arrays are allocated
+MAX_CSV_ROWS = 10 ** 6
 
 
 def _fmt(x: float) -> str:
@@ -46,19 +49,36 @@ def _emit(obj):
     print(json.dumps(obj))
 
 
+def _finite(text):
+    """argparse type of every float option: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
+    return value
+
+
 def _parse_tuple(text, n, label):
     parts = text.split(",")
     if len(parts) != n:
         raise argparse.ArgumentTypeError(f"{label} needs {n} comma-separated values")
-    try:
-        return tuple(float(v) for v in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return tuple(_finite(v) for v in parts)
+
+
+def _sample_times(parser, t_min, t_max, dt):
+    """The CSV time grid; a usage error if it has more than MAX_CSV_ROWS rows."""
+    steps = (t_max - t_min) / dt
+    if not steps <= MAX_CSV_ROWS - 1:  # also refuses an infinite span
+        parser.error(f"--dt {dt!r} over [{t_min!r}, {t_max!r}] asks for more "
+                     f"than {MAX_CSV_ROWS} CSV rows")
+    return np.linspace(t_min, t_max, int(round(steps)) + 1)
 
 
 def cmd_simulate(args, parser):
-    if not (math.isfinite(args.t_end) and args.t_end > 0):
-        parser.error("--t-end must be positive and finite")
+    if args.t_end <= 0:
+        parser.error("--t-end must be positive")
     if args.stride < 1:
         parser.error("--stride must be a positive integer")
     if args.dt is not None and args.dt <= 0:
@@ -76,6 +96,8 @@ def cmd_simulate(args, parser):
                                abs_tol=tol, rel_tol=tol, sample_stride=args.stride)
     try:
         traj = integrate(p0, cfg)
+    except DomainError as exc:
+        parser.error(str(exc))
     except IntegrationStalledError as exc:
         write_trajectory_csv(args.out, exc.trajectory)
         _emit({"error": "integration stalled", "t_reached": exc.time})
@@ -92,8 +114,6 @@ def cmd_simulate(args, parser):
 
 
 def cmd_classify(args, parser):
-    if not math.isfinite(args.c):
-        parser.error("--c must be finite")
     res = equilibria.cartan_classify([0, 0, 0, 0, args.c], args.c)
     out = {
         "c": args.c,
@@ -135,8 +155,7 @@ def cmd_homoclinic(args, parser):
         parser.error("need --dt > 0 and --t-max > --t-min")
     sign = {"+": 1, "-": -1}[args.sign]
     par = solutions.HomoclinicParams(c=args.c, theta0=args.theta0, sign=sign)
-    n = int(round((args.t_max - args.t_min) / args.dt)) + 1
-    times = np.linspace(args.t_min, args.t_max, n)
+    times = _sample_times(parser, args.t_min, args.t_max, args.dt)
     states = solutions.homoclinic(par, times)
     deriv = solutions.homoclinic_derivative(par, times)
     tol = 1e-10 * (1 + args.c ** 2)
@@ -147,11 +166,11 @@ def cmd_homoclinic(args, parser):
 def cmd_periodic(args, parser):
     if args.x2 == 0 or args.y1 == 0:
         parser.error("periodic family requires --x2 != 0 and --y1 != 0")
-    if args.dt <= 0 or args.t_max <= 0:
-        parser.error("need --dt > 0 and --t-max > 0")
     par = solutions.PeriodicParams(x1_0=args.x1, y1_0=args.y1, x2_0=args.x2)
-    n = int(round(args.t_max / args.dt)) + 1
-    times = np.linspace(0.0, args.t_max, n)
+    t_max = par.period if args.t_max is None else args.t_max
+    if args.dt <= 0 or t_max <= 0:
+        parser.error("need --dt > 0 and --t-max > 0")
+    times = _sample_times(parser, 0.0, t_max, args.dt)
     states = solutions.periodic_solution(par, times)
     deriv = solutions.periodic_derivative(par, times)
     w, f1 = par.omega, par.x1_0 ** 2 + par.x2_0 ** 2
@@ -168,13 +187,19 @@ def cmd_rank(args, parser):
 
 
 def cmd_invariant_probe(args, parser):
-    if not (math.isfinite(args.t_end) and args.t_end > 0):
-        parser.error("--t-end must be positive and finite")
+    if args.t_end <= 0:
+        parser.error("--t-end must be positive")
     x1, y1, x2 = args.m1
     if x2 == 0:
         parser.error("--m1 requires x2 != 0")
-    rep = invariant_sets.invariance_probe(invariant_sets.M1Point(x1, y1, x2),
-                                          args.t_end)
+    try:
+        rep = invariant_sets.invariance_probe(invariant_sets.M1Point(x1, y1, x2),
+                                              args.t_end)
+    except DomainError as exc:
+        parser.error(str(exc))
+    except StateOverflowError as exc:
+        _emit({"error": "state overflow", "t_reached": exc.time})
+        return 1
     out = {"max_distance_to_union": rep.max_distance_to_union,
            "puncture_count": rep.puncture_count}
     if y1 != 0:
@@ -185,6 +210,8 @@ def cmd_invariant_probe(args, parser):
 
 
 def cmd_verify(args, parser):
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     report = verify.run_all(args.seed, args.level)
     _emit(report)
     return 0 if report["all_passed"] else 1
@@ -199,36 +226,36 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="integrate the system, export CSV")
     for name in ("x1", "y1", "x2", "y2", "z"):
-        p.add_argument(f"--{name}", type=float, required=True)
-    p.add_argument("--t-end", type=float, required=True)
+        p.add_argument(f"--{name}", type=_finite, required=True)
+    p.add_argument("--t-end", type=_finite, required=True)
     p.add_argument("--method", choices=["rk4", "rk45"], default="rk45")
-    p.add_argument("--dt", type=float, help="fixed step size (rk4)")
-    p.add_argument("--tol", type=float, help="abs/rel tolerance (rk45)")
+    p.add_argument("--dt", type=_finite, help="fixed step size (rk4)")
+    p.add_argument("--tol", type=_finite, help="abs/rel tolerance (rk45)")
     p.add_argument("--stride", type=int, default=1,
                    help="record every k-th accepted step")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("classify", help="Cartan type of the leaf equilibrium")
-    p.add_argument("--c", type=float, required=True, help="Casimir leaf value")
+    p.add_argument("--c", type=_finite, required=True, help="Casimir leaf value")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("homoclinic", help="sample a closed-form homoclinic")
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--theta0", type=float, default=0.0, help="angle (radians)")
+    p.add_argument("--c", type=_finite, required=True)
+    p.add_argument("--theta0", type=_finite, default=0.0, help="angle (radians)")
     p.add_argument("--sign", choices=["+", "-"], default="+")
-    p.add_argument("--t-min", type=float, default=-10.0)
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--t-min", type=_finite, default=-10.0)
+    p.add_argument("--t-max", type=_finite, default=10.0)
+    p.add_argument("--dt", type=_finite, default=0.01)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_homoclinic)
 
     p = sub.add_parser("periodic", help="sample a closed-form periodic orbit")
-    p.add_argument("--x1", type=float, required=True)
-    p.add_argument("--y1", type=float, required=True)
-    p.add_argument("--x2", type=float, required=True)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--x1", type=_finite, required=True)
+    p.add_argument("--y1", type=_finite, required=True)
+    p.add_argument("--x2", type=_finite, required=True)
+    p.add_argument("--t-max", type=_finite, default=None)
+    p.add_argument("--dt", type=_finite, default=0.01)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_periodic)
 
@@ -241,7 +268,7 @@ def build_parser():
                        help="integrate from the rank-2 set and measure the defect")
     p.add_argument("--m1", type=lambda s: _parse_tuple(s, 3, "--m1"),
                    required=True, help="x1,y1,x2 with x2 != 0")
-    p.add_argument("--t-end", type=float, required=True)
+    p.add_argument("--t-end", type=_finite, required=True)
     p.set_defaults(func=cmd_invariant_probe)
 
     p = sub.add_parser("verify", help="run the self-verification suites")
@@ -256,11 +283,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "periodic" and args.t_max is None:
-            args.t_max = solutions.PeriodicParams(args.x1, args.y1, args.x2).period \
-                if args.x2 != 0 and args.y1 != 0 else None
-            if args.t_max is None:
-                parser.error("periodic family requires --x2 != 0 and --y1 != 0")
         return args.func(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -14,8 +14,9 @@ from .core import DomainError, as_state, conserved, field_components
 
 
 class StateOverflowError(RuntimeError):
-    """A step produced a non-finite state; carries the partial trajectory
-    (None when a single ``rk4_step`` overflows)."""
+    """A step produced a non-finite state, or a recorded state a non-finite
+    conserved triple; carries the partial trajectory before it (None when a
+    single ``rk4_step`` overflows)."""
 
     def __init__(self, time: float, trajectory: "Trajectory | None" = None):
         super().__init__(f"non-finite state encountered at t={time}")
@@ -115,7 +116,8 @@ def rk4_step(p, h: float, field=None) -> np.ndarray:
     """One classical Runge-Kutta step of size h (local error O(h^5))."""
     if h == 0:
         raise DomainError("step size must be nonzero")
-    new = np.array(_rk4_raw(*as_state(p), h, _component_form(field)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = np.array(_rk4_raw(*as_state(p), h, _component_form(field)))
     if not np.isfinite(new).all():
         raise StateOverflowError(h)
     return new
@@ -162,9 +164,16 @@ class _Recorder:
             self.states.append(tuple(state))
 
     def trajectory(self):
-        states = np.array(self.states)
-        return Trajectory(np.array(self.times), states,
-                          np.column_stack(conserved(states)))
+        """The samples so far.  Raises StateOverflowError at the first sample
+        whose conserved triple overflows, carrying the samples before it."""
+        times, states = np.array(self.times), np.array(self.states)
+        cons = np.column_stack(conserved(states))
+        finite = np.isfinite(cons).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise StateOverflowError(self.times[k],
+                                     Trajectory(times[:k], states[:k], cons[:k]))
+        return Trajectory(times, states, cons)
 
 
 def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
@@ -173,17 +182,22 @@ def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
 
     field defaults to the 5-component vector field; any callable
     p -> 5-vector may be substituted (e.g. its negation for reversal tests).
+    A start state whose conserved triple overflows is a DomainError.
+    Overflow is reported by exception only: NumPy's floating-point warnings
+    are silenced inside.
     """
     if cfg.t_end <= 0:
         raise ValueError("t_end must be positive")
     y0 = as_state(p0)
-    rec = _Recorder(cfg.sample_stride)
-    rec.record(0.0, y0, force=True)
-
-    f = _component_form(field)
-    if cfg.method == "rk4":
-        return _integrate_rk4(y0, cfg, f, rec)
-    return _integrate_rk45(y0, cfg, f, rec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(conserved(y0)).all():
+            raise DomainError(f"conserved quantities overflow at the start state {y0}")
+        rec = _Recorder(cfg.sample_stride)
+        rec.record(0.0, y0, force=True)
+        f = _component_form(field)
+        if cfg.method == "rk4":
+            return _integrate_rk4(y0, cfg, f, rec)
+        return _integrate_rk45(y0, cfg, f, rec)
 
 
 def _integrate_rk4(y0, cfg, f, rec):

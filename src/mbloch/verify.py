@@ -1,11 +1,15 @@
 """Seeded self-verification suites behind the ``verify`` CLI subcommand.
 
-Each suite returns a list of (check name, passed) pairs.  ``run_all``
+Each sampled check of a paper claim is a function named after its report
+entry: it takes its sample (points, parameter sets, finished runs, or an
+rng and a count) and returns a bool, and the suites and the tests all call
+it.  Each suite returns a list of (check name, passed) pairs.  ``run_all``
 assembles them into a deterministic report: identical seeds give identical
 output, and results are sorted by suite and check name rather than by
 completion order.
 """
 
+import dataclasses
 import itertools
 import math
 import zlib
@@ -16,6 +20,14 @@ from . import core, equilibria, integrate, invariant_sets, solutions
 
 QUICK = "quick"
 FULL = "full"
+
+C_GRID = (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0)
+DENSE_ALPHA_GRID = tuple(s * 2.0 ** (k / 2.0) for k in range(-12, 7) for s in (1.0, -1.0))
+NAMED_QUADRATICS = (core.H_QUADRATIC, core.I_QUADRATIC, core.C_QUADRATIC)
+HOMOCLINIC_PARAMS = tuple(
+    solutions.HomoclinicParams(c=c, theta0=theta0, sign=sign)
+    for c in (0.5, 1.0, 2.0) for theta0 in (0.0, math.pi / 3, math.pi / 2)
+    for sign in (1, -1))
 
 
 _PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
@@ -29,121 +41,20 @@ def root_match_error(got, want) -> float:
     return float(paired[np.argmin(paired.sum(axis=1))].max())
 
 
-def _sample_points(rng, n, half_width=2.0):
-    return rng.uniform(-half_width, half_width, size=(n, 5))
+def _signed(rng):
+    """A value in +-[0.1, 2): bounded away from zero, either sign."""
+    return rng.choice([-1, 1]) * rng.uniform(0.1, 2)
 
 
-def structure_suite(rng, level):
-    n = 100
-    points = _sample_points(rng, n)
-    checks = []
-
-    ok = True
-    for p in points:
-        J = core.poisson_tensor(p)
-        ok &= np.array_equal(J, -J.T)
-    checks.append(("antisymmetry_exact", ok))
-
-    norm2 = 1.0 + np.sum(points ** 2, axis=1)
-    norm3 = 1.0 + np.sum(points ** 2, axis=1) ** 1.5
-    ok = all(
-        np.abs(core.poisson_tensor(p) @ core.grad_C(p)).max() < 1e-14 * s
-        for p, s in zip(points, norm2)
-    )
-    checks.append(("casimir_in_kernel", ok))
-
-    ok = all(
-        np.abs(core.vector_field(p) - core.poisson_tensor(p) @ core.grad_H(p)).max()
-        < 1e-14 * s
-        for p, s in zip(points, norm3)
-    )
-    checks.append(("hamiltonian_poisson_form", ok))
-
-    ok = all(
-        abs(core.poisson_bracket(core.grad_H, core.grad_I, p)) < 1e-12 * s
-        for p, s in zip(points, norm3)
-    )
-    checks.append(("bracket_H_I_zero", ok))
-
-    ok = all(core.poisson_bracket(core.grad_H, core.grad_H, p) == 0.0 for p in points)
-    checks.append(("bracket_self_zero", ok))
-
-    ok = all(
-        abs(core.grad_I(p) @ core.vector_field(p)) < 1e-13 * s
-        and abs(core.grad_C(p) @ core.vector_field(p)) < 1e-13 * s
-        for p, s in zip(points, norm3)
-    )
-    checks.append(("invariants_along_flow", ok))
-
-    # Jacobi identity with analytic bracket gradients, for the named
-    # observables and for random quadratic test functions
-    def random_quadratic():
-        A = rng.uniform(-1, 1, size=(5, 5))
-        return core.Quadratic(A + A.T, rng.uniform(-1, 1, size=5))
-
-    triples = [(core.H_QUADRATIC, core.I_QUADRATIC, core.C_QUADRATIC)]
-    triples += [(random_quadratic(), random_quadratic(), random_quadratic())
-                for _ in range(3)]
-    ok = True
-    for p, s2 in zip(points, norm2):
-        scale = s2 ** 3
-        for F, G, K in triples:
-            ok &= abs(core.jacobi_defect(F, G, K, p)) < 1e-12 * scale
-    checks.append(("jacobi_identity_sampled", ok))
-    return checks
+def random_quadratic(rng) -> core.Quadratic:
+    A = rng.uniform(-1, 1, size=(5, 5))
+    return core.Quadratic(A + A.T, rng.uniform(-1, 1, size=5))
 
 
-def equilibria_suite(rng, level):
-    checks = []
-    c_grid = (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0)
-    alpha_grid = (0.1, 0.5, 1.0, 2.0)
-
-    ok = True
-    for c in c_grid:
-        for a in alpha_grid:
-            poly = equilibria.pencil_char_poly(c, a)
-            for got, want in ((poly.c2, 2 * a ** 2 - 2 * c),
-                              (poly.c0, (a ** 2 + c) ** 2)):
-                ok &= abs(got - want) <= 1e-12 * (1 + abs(want))
-            ok &= poly.c3 == 0.0 and poly.c1 == 0.0
-    checks.append(("pencil_closed_form", ok))
-
-    n = 100 if level == QUICK else 1000
-    ok = True
-    for _ in range(n):
-        roots = _random_separated_roots(rng)
-        coeffs = np.real(np.poly(roots))
-        got = equilibria.quartic_roots(
-            equilibria.QuarticPoly(*[float(x) for x in coeffs[1:]]))
-        ok &= root_match_error(got, roots) < 1e-8
-    checks.append(("quartic_root_reconstruction", ok))
-
-    ok = True
-    for c in c_grid:
-        lin = equilibria.leaf_linearization([0, 0, 0, 0, c], c)
-        comm = lin.matrix_H @ lin.matrix_I - lin.matrix_I @ lin.matrix_H
-        ok &= np.abs(comm).max() < 1e-13
-    checks.append(("leaf_flows_commute", ok))
-
-    dense = tuple(s * 2.0 ** (k / 2.0) for k in range(-12, 7) for s in (1.0, -1.0))
-    ok = True
-    for c in c_grid:
-        e = [0, 0, 0, 0, c]
-        ok &= (equilibria.cartan_classify(e, c).kind
-               == equilibria.cartan_classify(e, c, alpha_grid=dense).kind)
-    checks.append(("classification_grid_refinement_stable", ok))
-
-    ok = True
-    for c in (0.25, 1.0, 4.0):
-        res = equilibria.cartan_classify([0, 0, 0, 0, c], c)
-        ok &= res.kind == equilibria.FOCUS_FOCUS and res.discriminant < 0
-    for c in (-0.25, -1.0, -4.0):
-        a = 0.5 * math.sqrt(-c) * 0.9
-        roots = equilibria.quartic_roots(equilibria.pencil_char_poly(c, a))
-        ok &= all(abs(r.real) < 1e-9 * (1 + abs(r)) for r in roots)
-        ok &= equilibria.cartan_classify([0, 0, 0, 0, c], c).kind == equilibria.CENTER_CENTER
-    checks.append(("discriminant_and_type_signs", ok))
-    return checks
+def random_periodic_params(rng, n):
+    """n members of the periodic family with y1, x2 away from zero."""
+    return [solutions.PeriodicParams(x1_0=rng.uniform(-2, 2), y1_0=_signed(rng),
+                                     x2_0=_signed(rng)) for _ in range(n)]
 
 
 def _random_separated_roots(rng, min_sep=0.1):
@@ -162,77 +73,229 @@ def _random_separated_roots(rng, min_sep=0.1):
             return arr
 
 
-def integrate_suite(rng, level):
-    checks = []
+def _norm2(points):
+    return 1.0 + np.sum(points ** 2, axis=1)
+
+
+def _norm3(points):
+    return 1.0 + np.sum(points ** 2, axis=1) ** 1.5
+
+
+def antisymmetry_exact(points) -> bool:
+    return all(np.array_equal(J, -J.T) for J in map(core.poisson_tensor, points))
+
+
+def casimir_in_kernel(points) -> bool:
+    return all(np.abs(core.poisson_tensor(p) @ core.grad_C(p)).max() < 1e-14 * s
+               for p, s in zip(points, _norm2(points)))
+
+
+def hamiltonian_poisson_form(points) -> bool:
+    return all(
+        np.abs(core.vector_field(p) - core.poisson_tensor(p) @ core.grad_H(p)).max()
+        < 1e-14 * s
+        for p, s in zip(points, _norm3(points)))
+
+
+def bracket_H_I_zero(points) -> bool:
+    return all(abs(core.poisson_bracket(core.grad_H, core.grad_I, p)) < 1e-12 * s
+               for p, s in zip(points, _norm3(points)))
+
+
+def bracket_self_zero(points) -> bool:
+    return all(core.poisson_bracket(core.grad_H, core.grad_H, p) == 0.0 for p in points)
+
+
+def invariants_along_flow(points) -> bool:
+    return all(
+        abs(core.grad_I(p) @ core.vector_field(p)) < 1e-13 * s
+        and abs(core.grad_C(p) @ core.vector_field(p)) < 1e-13 * s
+        for p, s in zip(points, _norm3(points)))
+
+
+def jacobi_identity_sampled(points, triples) -> bool:
+    """Cyclic sum of brackets of quadratic observables (analytic gradients)."""
+    return all(abs(core.jacobi_defect(F, G, K, p)) < 1e-12 * s2 ** 3
+               for p, s2 in zip(points, _norm2(points)) for F, G, K in triples)
+
+
+def structure_suite(rng, level):
+    points = rng.uniform(-2.0, 2.0, size=(100, 5))
+    triples = [NAMED_QUADRATICS]
+    triples += [(random_quadratic(rng), random_quadratic(rng), random_quadratic(rng))
+                for _ in range(3)]
+    return [
+        ("antisymmetry_exact", antisymmetry_exact(points)),
+        ("casimir_in_kernel", casimir_in_kernel(points)),
+        ("hamiltonian_poisson_form", hamiltonian_poisson_form(points)),
+        ("bracket_H_I_zero", bracket_H_I_zero(points)),
+        ("bracket_self_zero", bracket_self_zero(points)),
+        ("invariants_along_flow", invariants_along_flow(points)),
+        ("jacobi_identity_sampled", jacobi_identity_sampled(points, triples)),
+    ]
+
+
+def pencil_closed_form(c_grid, alpha_grid) -> bool:
+    """Pencil polynomial t^4 + (2a^2 - 2c) t^2 + (a^2 + c)^2 on the grid."""
+    ok = True
+    for c, a in itertools.product(c_grid, alpha_grid):
+        poly = equilibria.pencil_char_poly(c, a)
+        for got, want in ((poly.c2, 2 * a ** 2 - 2 * c), (poly.c0, (a ** 2 + c) ** 2)):
+            ok &= abs(got - want) <= 1e-12 * (1 + abs(want))
+        ok &= poly.c3 == 0.0 and poly.c1 == 0.0
+    return bool(ok)
+
+
+def quartic_root_reconstruction(rng, n) -> bool:
+    """Roots of np.poly of n random separated root sets come back."""
+    ok = True
+    for _ in range(n):
+        roots = _random_separated_roots(rng)
+        coeffs = np.real(np.poly(roots))
+        got = equilibria.quartic_roots(
+            equilibria.QuarticPoly(*[float(x) for x in coeffs[1:]]))
+        ok &= root_match_error(got, roots) < 1e-8
+    return bool(ok)
+
+
+def leaf_flows_commute(c_grid) -> bool:
+    def commutator(c):
+        lin = equilibria.leaf_linearization([0, 0, 0, 0, c], c)
+        return lin.matrix_H @ lin.matrix_I - lin.matrix_I @ lin.matrix_H
+    return all(np.abs(commutator(c)).max() < 1e-13 for c in c_grid)
+
+
+def classification_grid_refinement_stable(c_grid) -> bool:
+    return all(equilibria.cartan_classify([0, 0, 0, 0, c], c).kind
+               == equilibria.cartan_classify([0, 0, 0, 0, c], c,
+                                             alpha_grid=DENSE_ALPHA_GRID).kind
+               for c in c_grid)
+
+
+def discriminant_and_type_signs(c_grid) -> bool:
+    """Focus-focus with a negative discriminant for c > 0; for c < 0 a pencil
+    member with purely imaginary roots, and center-center."""
+    ok = True
+    for c in c_grid:
+        res = equilibria.cartan_classify([0, 0, 0, 0, c], c)
+        if c > 0:
+            ok &= res.kind == equilibria.FOCUS_FOCUS and res.discriminant < 0
+        else:
+            a = 0.5 * math.sqrt(-c) * 0.9
+            roots = equilibria.quartic_roots(equilibria.pencil_char_poly(c, a))
+            ok &= all(abs(r.real) < 1e-9 * (1 + abs(r)) for r in roots)
+            ok &= res.kind == equilibria.CENTER_CENTER
+    return bool(ok)
+
+
+def equilibria_suite(rng, level):
+    return [
+        ("pencil_closed_form", pencil_closed_form(C_GRID, (0.1, 0.5, 1.0, 2.0))),
+        ("quartic_root_reconstruction",
+         quartic_root_reconstruction(rng, 100 if level == QUICK else 1000)),
+        ("leaf_flows_commute", leaf_flows_commute(C_GRID)),
+        ("classification_grid_refinement_stable",
+         classification_grid_refinement_stable(C_GRID)),
+        ("discriminant_and_type_signs", discriminant_and_type_signs(C_GRID)),
+    ]
+
+
+def _end_state(p0, field=None, **cfg):
+    return integrate.integrate(p0, integrate.IntegratorConfig(
+        sample_stride=10 ** 9, **cfg), field=field).states[-1]
+
+
+def rk4_order_factor() -> bool:
+    """Halving the RK4 step from 1e-2 divides the error at t = 1 by about 16."""
+    p0 = [1.0, 1.0, 0.0, 0.0, 1.0]
+    ref = _end_state(p0, method="rk45", t_end=1.0, abs_tol=1e-13, rel_tol=1e-13)
+    errs = [np.linalg.norm(_end_state(p0, method="rk4", t_end=1.0, dt=dt) - ref)
+            for dt in (1e-2, 5e-3)]
+    return bool(12.0 <= errs[0] / errs[1] <= 20.0)
+
+
+def time_reversal() -> bool:
+    """RK45 to t = 10 and back along the negated field returns to the start."""
     p0 = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
-
-    ref = integrate.integrate(p0, integrate.IntegratorConfig(
-        method="rk45", t_end=1.0, abs_tol=1e-13, rel_tol=1e-13,
-        sample_stride=10 ** 9)).states[-1]
-    errs = []
-    for dt in (1e-2, 5e-3):
-        end = integrate.integrate(p0, integrate.IntegratorConfig(
-            method="rk4", t_end=1.0, dt=dt, sample_stride=10 ** 9)).states[-1]
-        errs.append(np.linalg.norm(end - ref))
-    factor = errs[0] / errs[1]
-    checks.append(("rk4_order_factor", 12.0 <= factor <= 20.0))
-
-    t_rev = 10.0
-    cfg = integrate.IntegratorConfig(method="rk45", t_end=t_rev,
-                                     abs_tol=1e-12, rel_tol=1e-12,
-                                     sample_stride=10 ** 9)
-    fwd = integrate.integrate(p0, cfg).states[-1]
-    back = integrate.integrate(fwd, cfg,
-                               field=lambda p: -core.vector_field(p)).states[-1]
-    checks.append(("time_reversal", bool(np.linalg.norm(back - p0) < 1e-8)))
-
-    t_end = 10.0 if level == QUICK else 100.0
-    q0 = np.array([1.0, 1.0, 0.5, -0.5, 0.2])
-    traj = integrate.integrate(q0, integrate.IntegratorConfig(
-        method="rk4", t_end=t_end, dt=1e-3, sample_stride=100))
-    rep = integrate.drift_report(traj)
-    drift_ok = max(rep.max_abs_dH, rep.max_abs_dI, rep.max_abs_dC) < 1e-7
-    checks.append(("rk4_conserved_drift", drift_ok))
-    checks.append(("samples_all_finite", bool(np.isfinite(traj.states).all())))
-    return checks
+    cfg = dict(method="rk45", t_end=10.0, abs_tol=1e-12, rel_tol=1e-12)
+    back = _end_state(_end_state(p0, **cfg), field=lambda p: -core.vector_field(p), **cfg)
+    return bool(np.linalg.norm(back - p0) < 1e-8)
 
 
-def solutions_suite(rng, level):
-    checks = []
-    ts = np.linspace(-10, 10, 200 if level == QUICK else 1000)
+def rk4_runs(starts, t_end):
+    """Fixed-step RK4 runs (dt 1e-3, every 100th step recorded), one per start;
+    the sample of ``rk4_conserved_drift`` and ``samples_all_finite``."""
+    return [integrate.integrate(p0, integrate.IntegratorConfig(
+        method="rk4", t_end=t_end, dt=1e-3, sample_stride=100)) for p0 in starts]
 
-    resid_ok = level_ok = asym_ok = theta_ok = True
-    for c in (0.5, 1.0, 2.0):
-        for theta0 in (0.0, math.pi / 3, math.pi / 2):
-            for sign in (1, -1):
-                par = solutions.HomoclinicParams(c=c, theta0=theta0, sign=sign)
-                orbit = solutions.homoclinic(par, ts)
-                deriv = solutions.homoclinic_derivative(par, ts)
-                field = core.vector_field(orbit)
-                tol = 1e-12 * (1 + c * c)
-                resid_ok &= float(np.abs(deriv - field).max()) < tol
-                cons = np.column_stack(core.conserved(orbit))
-                level_ok &= float(np.abs(cons - [c * c / 2, 0.0, c]).max()) < tol
-                ec = np.array([0, 0, 0, 0, c])
-                # sech <= 2 exp(-|arg|) bounds the x-parts by 4 sqrt(c) and
-                # the y-parts by 4c times exp(-sqrt(c) T)
-                for T in (1.0, 3.0, 6.0):
-                    gap = np.linalg.norm(solutions.homoclinic(par, -T) - ec)
-                    asym_ok &= gap <= 5 * math.sqrt(c + c * c) * math.exp(-math.sqrt(c) * T)
-                for t in (-2.0, 0.5, 4.0):
-                    pol = solutions.state_to_polar(solutions.homoclinic(par, t), c)
-                    target = (theta0 if sign == 1 else theta0 + math.pi) % solutions.TWO_PI
-                    dth = abs((pol.theta - target + math.pi) % solutions.TWO_PI - math.pi)
-                    theta_ok &= dth < 1e-9
-    checks.append(("homoclinic_solves_system", resid_ok))
-    checks.append(("homoclinic_level_set", level_ok))
-    checks.append(("homoclinic_biasymptotic", asym_ok))
-    checks.append(("homoclinic_theta_frozen", theta_ok))
 
-    # chart pushforward: the polar field maps to the full field through
-    # the Jacobian of the chart
-    push_ok = True
-    for _ in range(20):
+def rk4_conserved_drift(runs) -> bool:
+    return all(max(dataclasses.astuple(integrate.drift_report(traj))) < 1e-7
+               for traj in runs)
+
+
+def samples_all_finite(runs) -> bool:
+    return all(np.isfinite(traj.states).all() for traj in runs)
+
+
+def integrate_suite(rng, level):
+    runs = rk4_runs([[1.0, 1.0, 0.5, -0.5, 0.2]], 10.0 if level == QUICK else 100.0)
+    return [
+        ("rk4_order_factor", rk4_order_factor()),
+        ("time_reversal", time_reversal()),
+        ("rk4_conserved_drift", rk4_conserved_drift(runs)),
+        ("samples_all_finite", samples_all_finite(runs)),
+    ]
+
+
+def _homoclinic_tol(par):
+    return 1e-12 * (1 + par.c * par.c)
+
+
+def homoclinic_solves_system(params, ts) -> bool:
+    return all(
+        float(np.abs(solutions.homoclinic_derivative(par, ts)
+                     - core.vector_field(solutions.homoclinic(par, ts))).max())
+        < _homoclinic_tol(par)
+        for par in params)
+
+
+def homoclinic_level_set(params, ts) -> bool:
+    """(H, I, C) = (c^2/2, 0, c) along the sampled orbit."""
+    def deviation(par):
+        cons = np.column_stack(core.conserved(solutions.homoclinic(par, ts)))
+        return float(np.abs(cons - [par.c * par.c / 2, 0.0, par.c]).max())
+    return all(deviation(par) < _homoclinic_tol(par) for par in params)
+
+
+def homoclinic_biasymptotic(params) -> bool:
+    # sech <= 2 exp(-|arg|) bounds the x-parts by 4 sqrt(c) and the y-parts
+    # by 4c times exp(-sqrt(c) T)
+    ok = True
+    for par in params:
+        c = par.c
+        ec = np.array([0, 0, 0, 0, c])
+        for T in (1.0, 3.0, 6.0):
+            gap = np.linalg.norm(solutions.homoclinic(par, -T) - ec)
+            ok &= gap <= 5 * math.sqrt(c + c * c) * math.exp(-math.sqrt(c) * T)
+    return bool(ok)
+
+
+def homoclinic_theta_frozen(params) -> bool:
+    ok = True
+    for par in params:
+        target = (par.theta0 if par.sign == 1 else par.theta0 + math.pi) % solutions.TWO_PI
+        for t in (-2.0, 0.5, 4.0):
+            pol = solutions.state_to_polar(solutions.homoclinic(par, t), par.c)
+            ok &= abs((pol.theta - target + math.pi) % solutions.TWO_PI - math.pi) < 1e-9
+    return bool(ok)
+
+
+def polar_chart_pushforward(rng, n) -> bool:
+    """The polar field maps to the full field through the chart's Jacobian,
+    at n random chart points."""
+    ok = True
+    for _ in range(n):
         q = solutions.PolarState(r1=rng.uniform(0.2, 2.0),
                                  theta=rng.uniform(0, solutions.TWO_PI),
                                  y1=rng.uniform(-2, 2), y2=rng.uniform(-2, 2),
@@ -247,42 +310,67 @@ def solutions_suite(rng, level):
             -q.r1 * dr,
         ])
         full = core.vector_field(solutions.polar_to_state(q))
-        push_ok &= float(np.abs(pushed - full).max()) < 1e-13 * (1 + np.abs(full).max())
-    checks.append(("polar_chart_pushforward", push_ok))
+        ok &= float(np.abs(pushed - full).max()) < 1e-13 * (1 + np.abs(full).max())
+    return bool(ok)
 
-    per_ok = rel_ok = punct_ok = True
-    for _ in range(10):
-        par = solutions.PeriodicParams(
-            x1_0=rng.uniform(-2, 2),
-            y1_0=rng.choice([-1, 1]) * rng.uniform(0.1, 2),
-            x2_0=rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-        w = par.omega
-        f1 = par.x1_0 ** 2 + par.x2_0 ** 2
-        grid = np.linspace(0.0, par.period, 200)
-        orbit = solutions.periodic_solution(par, grid)
-        deriv = solutions.periodic_derivative(par, grid)
-        field = core.vector_field(orbit)
-        tol = 1e-12 * (1 + w * w) * (1 + f1)
-        per_ok &= float(np.abs(deriv - field).max()) < tol
-        rel_ok &= float(np.abs(orbit[:, 1] - w * orbit[:, 2]).max()) < tol
-        rel_ok &= float(np.abs(orbit[:, 3] + w * orbit[:, 0]).max()) < tol
-        rel_ok &= float(np.abs(orbit[:, 4] + w * w).max()) < tol
+
+def _periodic_tol(par):
+    return 1e-12 * (1 + par.omega ** 2) * (1 + par.x1_0 ** 2 + par.x2_0 ** 2)
+
+
+def periodic_solves_system(params, n_grid) -> bool:
+    def residual(par):
+        grid = np.linspace(0.0, par.period, n_grid)
+        field = core.vector_field(solutions.periodic_solution(par, grid))
+        return float(np.abs(solutions.periodic_derivative(par, grid) - field).max())
+    return all(residual(par) < _periodic_tol(par) for par in params)
+
+
+def periodic_linear_relations(params, n_grid) -> bool:
+    """y1 = w x2, y2 = -w x1 and z = -w^2 along each sampled orbit."""
+    ok = True
+    for par in params:
+        w, tol = par.omega, _periodic_tol(par)
+        orbit = solutions.periodic_solution(par, np.linspace(0.0, par.period, n_grid))
+        ok &= float(np.abs(orbit[:, 1] - w * orbit[:, 2]).max()) < tol
+        ok &= float(np.abs(orbit[:, 3] + w * orbit[:, 0]).max()) < tol
+        ok &= float(np.abs(orbit[:, 4] + w * w).max()) < tol
+    return bool(ok)
+
+
+def punctures_leave_chart(params) -> bool:
+    """At the predicted puncture times x2 = y1 = 0 while x1 stays nonzero."""
+    ok = True
+    for par in params:
+        w, f1 = par.omega, par.x1_0 ** 2 + par.x2_0 ** 2
         sched = solutions.puncture_times(par)
         for k in (0, 1, 5):
             pt = solutions.periodic_solution(par, sched.t_k(k))
-            punct_ok &= abs(pt[2]) < 1e-9 * (1 + f1) and abs(pt[1]) < 1e-9 * (1 + abs(w) * f1)
-            punct_ok &= abs(pt[0]) > 1e-6
-    checks.append(("periodic_solves_system", per_ok))
-    checks.append(("periodic_linear_relations", rel_ok))
-    checks.append(("punctures_leave_chart", punct_ok))
-    return checks
+            ok &= abs(pt[2]) < 1e-9 * (1 + f1) and abs(pt[1]) < 1e-9 * (1 + abs(w) * f1)
+            ok &= abs(pt[0]) > 1e-6
+    return bool(ok)
 
 
-def invariant_suite(rng, level):
-    checks = []
-    n = 100 if level == QUICK else 1000
+def solutions_suite(rng, level):
+    ts = np.linspace(-10, 10, 200 if level == QUICK else 1000)
+    checks = [
+        ("homoclinic_solves_system", homoclinic_solves_system(HOMOCLINIC_PARAMS, ts)),
+        ("homoclinic_level_set", homoclinic_level_set(HOMOCLINIC_PARAMS, ts)),
+        ("homoclinic_biasymptotic", homoclinic_biasymptotic(HOMOCLINIC_PARAMS)),
+        ("homoclinic_theta_frozen", homoclinic_theta_frozen(HOMOCLINIC_PARAMS)),
+        ("polar_chart_pushforward", polar_chart_pushforward(rng, 20)),
+    ]
+    params = random_periodic_params(rng, 10)
+    return checks + [
+        ("periodic_solves_system", periodic_solves_system(params, 200)),
+        ("periodic_linear_relations", periodic_linear_relations(params, 200)),
+        ("punctures_leave_chart", punctures_leave_chart(params)),
+    ]
 
-    generic_ok = True
+
+def rank3_generic(rng, n) -> bool:
+    """Rank 3 at n random points away from M1, M2 and rank-degenerate loci."""
+    ok = True
     count = 0
     while count < n:
         p = rng.uniform(-2, 2, size=5)
@@ -292,49 +380,75 @@ def invariant_suite(rng, level):
         if sv.singular_values[-1] < 1e-3:  # near a rank-degenerate locus
             continue
         count += 1
-        generic_ok &= sv.rank == 3
-    checks.append(("rank3_generic", generic_ok))
+        ok &= sv.rank == 3
+    return bool(ok)
 
-    emb_ok = True
-    for _ in range(n // 2):
-        q1 = invariant_sets.M1Point(rng.uniform(-2, 2),
-                                    rng.choice([-1, 1]) * rng.uniform(0.1, 2),
-                                    rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-        emb_ok &= invariant_sets.rank_F(invariant_sets.m1_embed(q1)).rank == 2
-        q2 = invariant_sets.M2Point(rng.choice([-1, 1]) * rng.uniform(0.1, 2),
-                                    rng.uniform(-2, 2))
-        emb_ok &= invariant_sets.rank_F(invariant_sets.m2_embed(q2)).rank == 2
-    checks.append(("rank2_on_pieces", emb_ok))
 
-    f_ok = ident_ok = True
-    for _ in range(10):
-        par = solutions.PeriodicParams(rng.uniform(-2, 2),
-                                       rng.choice([-1, 1]) * rng.uniform(0.1, 2),
-                                       rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-        grid = np.linspace(0.0, par.period, 150)
-        pts = solutions.m1_solution(par, grid)
+def rank2_on_pieces(m1_points, m2_points) -> bool:
+    """Rank 2 at each embedded point of M1 and of M2."""
+    ranks = [invariant_sets.rank_F(invariant_sets.m1_embed(q)).rank for q in m1_points]
+    ranks += [invariant_sets.rank_F(invariant_sets.m2_embed(q)).rank for q in m2_points]
+    return all(r == 2 for r in ranks)
+
+
+def m1_conserved_pair(params, n_grid) -> bool:
+    """f1 = x1^2 + x2^2 and f2 = y1/x2 (where |x2| > 0.1) stay constant along
+    the closed-form M1 orbits."""
+    ok = True
+    for par in params:
+        pts = solutions.m1_solution(par, np.linspace(0.0, par.period, n_grid))
         keep = np.abs(pts[:, 2]) > 0.1
         f1_0 = par.x1_0 ** 2 + par.x2_0 ** 2
         f2_0 = par.omega
         f1 = pts[:, 0] ** 2 + pts[:, 2] ** 2
         f2 = pts[keep, 1] / pts[keep, 2]
-        f_ok &= float(np.abs(f1 - f1_0).max()) < 1e-12 * (1 + f1_0)
-        f_ok &= float(np.abs(f2 - f2_0).max()) < 1e-11 * (1 + abs(f2_0))
-        q = invariant_sets.M1Point(par.x1_0, par.y1_0, par.x2_0)
+        ok &= float(np.abs(f1 - f1_0).max()) < 1e-12 * (1 + f1_0)
+        ok &= float(np.abs(f2 - f2_0).max()) < 1e-11 * (1 + abs(f2_0))
+    return bool(ok)
+
+
+def invariant_I_factorizes(m1_points) -> bool:
+    """I = f1 * f2 at each embedded M1 point."""
+    ok = True
+    for q in m1_points:
         i_val = core.conserved(invariant_sets.m1_embed(q)).I
         fa, fb = invariant_sets.m1_conserved(q)
-        ident_ok &= abs(i_val - fa * fb) < 1e-13 * (1 + abs(fa * fb))
-    checks.append(("m1_conserved_pair", f_ok))
-    checks.append(("invariant_I_factorizes", ident_ok))
+        ok &= abs(i_val - fa * fb) < 1e-13 * (1 + abs(fa * fb))
+    return bool(ok)
 
-    t_end = 10.0 if level == QUICK else 20.0
-    rep = invariant_sets.invariance_probe(invariant_sets.M1Point(0.0, 1.0, 1.0), t_end)
+
+def union_is_invariant(probe) -> bool:
+    """An ``invariance_probe`` orbit stays within 1e-6 of M1 u M2."""
+    return probe.max_distance_to_union < 1e-6
+
+
+def pieces_not_invariant(probe, q0, t_end) -> bool:
+    """The probe from q0 to t_end leaves M1 as often as the puncture schedule
+    predicts, and at least once."""
     expected = solutions.puncture_times(
-        solutions.PeriodicParams(0.0, 1.0, 1.0)).count_in(t_end)
-    checks.append(("union_is_invariant", rep.max_distance_to_union < 1e-6))
-    checks.append(("pieces_not_invariant", rep.puncture_count >= 1
-                   and rep.puncture_count == expected))
-    return checks
+        solutions.PeriodicParams(q0.x1, q0.y1, q0.x2)).count_in(t_end)
+    return probe.puncture_count >= 1 and probe.puncture_count == expected
+
+
+def invariant_suite(rng, level):
+    n = 100 if level == QUICK else 1000
+    checks = [("rank3_generic", rank3_generic(rng, n))]
+    m1_pieces, m2_pieces = [], []
+    for _ in range(n // 2):
+        m1_pieces.append(invariant_sets.M1Point(rng.uniform(-2, 2), _signed(rng), _signed(rng)))
+        m2_pieces.append(invariant_sets.M2Point(_signed(rng), rng.uniform(-2, 2)))
+    checks.append(("rank2_on_pieces", rank2_on_pieces(m1_pieces, m2_pieces)))
+    params = random_periodic_params(rng, 10)
+    m1_points = [invariant_sets.M1Point(p.x1_0, p.y1_0, p.x2_0) for p in params]
+    q0 = invariant_sets.M1Point(0.0, 1.0, 1.0)
+    t_end = 10.0 if level == QUICK else 20.0
+    probe = invariant_sets.invariance_probe(q0, t_end)
+    return checks + [
+        ("m1_conserved_pair", m1_conserved_pair(params, 150)),
+        ("invariant_I_factorizes", invariant_I_factorizes(m1_points)),
+        ("union_is_invariant", union_is_invariant(probe)),
+        ("pieces_not_invariant", pieces_not_invariant(probe, q0, t_end)),
+    ]
 
 
 SUITES = {

@@ -3,15 +3,13 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
-import pytest
 
-from mbloch import core, equilibria, invariant_sets, solutions
-from mbloch.integrate import IntegratorConfig, drift_report, integrate
+from mbloch import equilibria, invariant_sets, solutions, verify
+from mbloch.integrate import IntegratorConfig, integrate
 
 
 class Criterion:
@@ -39,28 +37,21 @@ class Criterion:
 
 def test_criterion_1_leaf_classification():
     with Criterion(1, "leaf equilibria classified focus-focus / center-center", 1.0):
+        assert verify.discriminant_and_type_signs((0.25, 1.0, 4.0, -0.25, -1.0, -4.0))
         for c in (0.25, 1.0, 4.0):
             res = equilibria.cartan_classify([0, 0, 0, 0, c], c)
-            assert res.kind == equilibria.FOCUS_FOCUS
             assert res.stable == equilibria.UNSTABLE
             want = -16.0 * c * res.alpha ** 2
             assert abs(res.discriminant - want) <= 1e-12 * abs(want)
         for c in (-0.25, -1.0, -4.0):
             res = equilibria.cartan_classify([0, 0, 0, 0, c], c)
-            assert res.kind == equilibria.CENTER_CENTER
             assert res.stable == equilibria.STABLE
 
 
 def test_criterion_2_pencil_polynomial():
     with Criterion(2, "pencil characteristic polynomial closed form", 1.0):
-        for c, a in itertools.product((-4.0, -1.0, -0.25, 0.25, 1.0, 4.0),
-                                      (0.1, 0.5, 1.0, 2.0)):
-            poly = equilibria.pencil_char_poly(c, a)
-            want2 = 2 * a ** 2 - 2 * c
-            want0 = (a ** 2 + c) ** 2
-            assert abs(poly.c2 - want2) <= 1e-12 * (1 + abs(want2))
-            assert abs(poly.c0 - want0) <= 1e-12 * (1 + abs(want0))
-            assert poly.c3 == 0.0 and poly.c1 == 0.0
+        assert verify.pencil_closed_form((-4.0, -1.0, -0.25, 0.25, 1.0, 4.0),
+                                         (0.1, 0.5, 1.0, 2.0))
 
 
 def test_criterion_3_linearization_matrices():
@@ -85,10 +76,7 @@ def test_criterion_4_degenerate_origin():
     with Criterion(4, "origin is degenerate yet stable (algebraic certificate)", 30.0):
         res = equilibria.cartan_classify([0, 0, 0, 0, 0], 0.0)
         assert res.kind == equilibria.DEGENERATE
-        for a in (0.25, 0.5, 1.0, 2.0):
-            poly = equilibria.pencil_char_poly(0.0, a)
-            assert abs(poly.c2 - 2 * a ** 2) <= 1e-12 * (1 + 2 * a ** 2)
-            assert abs(poly.c0 - a ** 4) <= 1e-12 * (1 + a ** 4)
+        assert verify.pencil_closed_form((0.0,), (0.25, 0.5, 1.0, 2.0))
         cert = equilibria.origin_stability_certificate(
             2.0, 21, eps_values=(1e-2, 1e-4, 1e-6))
         assert cert.unique_solution
@@ -97,19 +85,12 @@ def test_criterion_4_degenerate_origin():
 def test_criterion_5_homoclinic_identity():
     with Criterion(5, "closed-form homoclinics solve the system exactly", 5.0):
         ts = np.linspace(-10, 10, 1000)
-        for c, th, sign in itertools.product((0.5, 1.0, 2.0),
-                                             (0.0, math.pi / 3, math.pi / 2),
-                                             (1, -1)):
-            par = solutions.HomoclinicParams(c=c, theta0=th, sign=sign)
-            tol = 1e-12 * (1 + c * c)
-            orbit = solutions.homoclinic(par, ts)
-            deriv = solutions.homoclinic_derivative(par, ts)
-            field = np.array([core.vector_field(s) for s in orbit])
-            assert np.abs(deriv - field).max() < tol
-            cons = np.array([core.conserved(s) for s in orbit])
-            assert np.abs(cons - [c * c / 2, 0.0, c]).max() < tol
-            e_c = np.array([0, 0, 0, 0, c])
-            far = 20.0 / math.sqrt(c)
+        params = verify.HOMOCLINIC_PARAMS
+        assert verify.homoclinic_solves_system(params, ts)
+        assert verify.homoclinic_level_set(params, ts)
+        for par in params:
+            e_c = np.array([0, 0, 0, 0, par.c])
+            far = 20.0 / math.sqrt(par.c)
             for t_far in (far, -far):
                 assert np.linalg.norm(solutions.homoclinic(par, t_far) - e_c) < 1e-6
 
@@ -127,20 +108,9 @@ def test_criterion_6_numerical_homoclinic_tracking():
 
 def test_criterion_7_periodic_family():
     with Criterion(7, "explicit periodic family: residuals and loop closure", 10.0):
-        rng = np.random.default_rng(2024)
-        for _ in range(20):
-            par = solutions.PeriodicParams(
-                x1_0=rng.uniform(-2, 2),
-                y1_0=rng.choice([-1, 1]) * rng.uniform(0.1, 2),
-                x2_0=rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-            w = par.omega
-            f1 = par.x1_0 ** 2 + par.x2_0 ** 2
-            tol = 1e-12 * (1 + w * w) * (1 + f1)
-            ts = np.linspace(0.0, par.period, 1000)
-            orbit = solutions.periodic_solution(par, ts)
-            deriv = solutions.periodic_derivative(par, ts)
-            field = np.array([core.vector_field(s) for s in orbit])
-            assert np.abs(deriv - field).max() < tol
+        params = verify.random_periodic_params(np.random.default_rng(2024), 20)
+        assert verify.periodic_solves_system(params, 1000)
+        for par in params:
             p0 = solutions.periodic_solution(par, 0.0)
             pT = solutions.periodic_solution(par, par.period)
             assert np.abs(pT - p0).max() < 1e-12
@@ -154,79 +124,44 @@ def test_criterion_7_periodic_family():
 def test_criterion_8_conservation_drift():
     with Criterion(8, "fixed-step conservation drift and order factor", 60.0):
         rng = np.random.default_rng(99)
+        starts = []
         for _ in range(20):
             p0 = rng.uniform(-1, 1, size=5)
-            p0 *= rng.uniform(0.2, 2.0) / np.linalg.norm(p0)
-            traj = integrate(p0, IntegratorConfig(method="rk4", t_end=100.0,
-                                                  dt=1e-3, sample_stride=100))
-            rep = drift_report(traj)
-            assert max(rep.max_abs_dH, rep.max_abs_dI, rep.max_abs_dC) < 1e-7
-        ref = integrate([1, 1, 0, 0, 1], IntegratorConfig(
-            method="rk45", t_end=1.0, abs_tol=1e-13, rel_tol=1e-13,
-            sample_stride=10 ** 9)).states[-1]
-        errs = [np.linalg.norm(integrate([1, 1, 0, 0, 1], IntegratorConfig(
-            method="rk4", t_end=1.0, dt=dt, sample_stride=10 ** 9)).states[-1] - ref)
-            for dt in (1e-2, 5e-3)]
-        assert 12.0 <= errs[0] / errs[1] <= 20.0
+            starts.append(p0 * (rng.uniform(0.2, 2.0) / np.linalg.norm(p0)))
+        assert verify.rk4_conserved_drift(verify.rk4_runs(starts, 100.0))
+        assert verify.rk4_order_factor()
 
 
 def test_criterion_9_invariant_set_suite():
     with Criterion(9, "rank dichotomy and invariance of the rank-2 set", 30.0):
         rng = np.random.default_rng(31)
-        count = 0
-        while count < 1000:
-            p = rng.uniform(-2, 2, size=5)
-            if (invariant_sets.m1_defect(p) < 1e-3
-                    or invariant_sets.m2_defect(p) < 1e-3):
-                continue
-            rep = invariant_sets.rank_F(p)
-            if rep.singular_values[-1] < 1e-3:
-                continue
-            count += 1
-            assert rep.rank == 3
+        assert verify.rank3_generic(rng, 1000)
+        m1_points, m2_points = [], []
         for _ in range(200):
-            q1 = invariant_sets.M1Point(rng.uniform(-2, 2), rng.uniform(-2, 2),
-                                        rng.choice([-1, 1]) * rng.uniform(0.05, 2))
-            assert invariant_sets.rank_F(invariant_sets.m1_embed(q1)).rank == 2
-            q2 = invariant_sets.M2Point(rng.choice([-1, 1]) * rng.uniform(0.05, 2),
-                                        rng.uniform(-2, 2))
-            assert invariant_sets.rank_F(invariant_sets.m2_embed(q2)).rank == 2
+            m1_points.append(invariant_sets.M1Point(
+                rng.uniform(-2, 2), rng.uniform(-2, 2),
+                rng.choice([-1, 1]) * rng.uniform(0.05, 2)))
+            m2_points.append(invariant_sets.M2Point(
+                rng.choice([-1, 1]) * rng.uniform(0.05, 2), rng.uniform(-2, 2)))
+        assert verify.rank2_on_pieces(m1_points, m2_points)
 
-        probe = invariant_sets.invariance_probe(
-            invariant_sets.M1Point(0.0, 1.0, 1.0), 20.0)
-        sched = solutions.puncture_times(solutions.PeriodicParams(0.0, 1.0, 1.0))
-        assert probe.max_distance_to_union < 1e-6
-        assert probe.puncture_count == sched.count_in(20.0) == 6
+        q0 = invariant_sets.M1Point(0.0, 1.0, 1.0)
+        probe = invariant_sets.invariance_probe(q0, 20.0)
+        assert verify.union_is_invariant(probe)
+        assert verify.pieces_not_invariant(probe, q0, 20.0)
+        assert probe.puncture_count == 6
 
-        for _ in range(10):
-            par = solutions.PeriodicParams(rng.uniform(-2, 2),
-                                           rng.choice([-1, 1]) * rng.uniform(0.1, 2),
-                                           rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-            f1_0 = par.x1_0 ** 2 + par.x2_0 ** 2
-            f2_0 = par.omega
-            ts = np.linspace(0, par.period, 500)
-            pts = solutions.m1_solution(par, ts)
-            f1 = pts[:, 0] ** 2 + pts[:, 2] ** 2
-            assert np.abs(f1 - f1_0).max() < 1e-12 * (1 + f1_0)
-            keep = np.abs(pts[:, 2]) > 0.1
-            f2 = pts[keep, 1] / pts[keep, 2]
-            assert np.abs(f2 - f2_0).max() < 1e-11 * (1 + abs(f2_0))
+        assert verify.m1_conserved_pair(verify.random_periodic_params(rng, 10), 500)
 
 
 def test_criterion_10_structure_suite():
     with Criterion(10, "Poisson structure identities at seeded random points", 1.0):
-        rng = np.random.default_rng(7)
-        for p in rng.uniform(-2, 2, size=(100, 5)):
-            J = core.poisson_tensor(p)
-            assert np.array_equal(J, -J.T)
-            n2 = 1 + p @ p
-            n3 = 1 + (p @ p) ** 1.5
-            assert np.abs(J @ core.grad_C(p)).max() < 1e-14 * n2
-            assert np.abs(core.vector_field(p) - J @ core.grad_H(p)).max() < 1e-14 * n3
-            assert abs(core.poisson_bracket(core.grad_H, core.grad_I, p)) < 1e-12 * n3
-            defect = core.jacobi_defect(core.H_QUADRATIC, core.I_QUADRATIC,
-                                        core.C_QUADRATIC, p)
-            assert abs(defect) < 1e-12 * n2 ** 3
+        points = np.random.default_rng(7).uniform(-2, 2, size=(100, 5))
+        assert verify.antisymmetry_exact(points)
+        assert verify.casimir_in_kernel(points)
+        assert verify.hamiltonian_poisson_form(points)
+        assert verify.bracket_H_I_zero(points)
+        assert verify.jacobi_identity_sampled(points, [verify.NAMED_QUADRATICS])
 
 
 def test_criterion_11_instability_witness():

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import mbloch
+from mbloch import cli
 from mbloch.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mbloch.__file__)))
+SIMULATE = ["simulate", "--x1", "1", "--y1", "1", "--x2", "0", "--y2", "0", "--z", "1"]
+WRITES_CSV = ("simulate", "homoclinic", "periodic")
 
 
 def run_process(args, timeout):
@@ -84,20 +87,12 @@ class TestSimulate:
         code, _ = run(capsys, ["simulate", "--x1", "0"])
         assert code == 2
 
-    @pytest.mark.parametrize("extra", [["--stride", "0"], ["--t-end", "nan"],
-                                       ["--t-end", "inf", "--method", "rk4"]])
-    def test_bad_value_usage_error(self, capsys, tmp_path, extra):
-        argv = ["simulate", "--x1", "1", "--y1", "0", "--x2", "0", "--y2", "0",
-                "--z", "1", "--t-end", "1", "--out", str(tmp_path / "x.csv")]
-        code, _ = run(capsys, argv + extra)
-        assert code == 2
-        assert not (tmp_path / "x.csv").exists()
-
     def test_overflow_writes_partial_csv(self, capsys, tmp_path):
+        # the start triple is finite (H = 5e199); the step to t = 1 overflows
         out_path = tmp_path / "traj.csv"
         code, out = run(capsys, [
             "simulate", "--x1", "1", "--y1", "1", "--x2", "0", "--y2", "0",
-            "--z", "1e200", "--t-end", "10", "--method", "rk4", "--dt", "1",
+            "--z", "1e100", "--t-end", "10", "--method", "rk4", "--dt", "1",
             "--out", str(out_path)])
         assert code == 1
         rep = json.loads(out)
@@ -106,7 +101,56 @@ class TestSimulate:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "t,x1,y1,x2,y2,z,H,I,C"
         assert len(lines) == 2
-        assert lines[1].startswith("0.0,1.0,1.0,0.0,0.0,1e+200,")
+        assert lines[1] == "0.0,1.0,1.0,0.0,0.0,1e+100,5e+199,0.0,1e+100"
+
+    @pytest.mark.parametrize("extra", [["--method", "rk4", "--dt", "1", "--z", "1e100"],
+                                       ["--method", "rk45", "--z", "1e60"]])
+    def test_overflow_is_silent_on_stderr(self, tmp_path, extra):
+        out_path = tmp_path / "traj.csv"
+        proc = run_process(["-m", "mbloch.cli", *SIMULATE, "--t-end", "10",
+                            "--out", str(out_path), *extra], timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"] == "state overflow"
+        rows = out_path.read_text().strip().split("\n")[1:]
+        assert rows and all("inf" not in r and "nan" not in r for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE + ["--t-end", "1", "--stride", "0"],
+    SIMULATE + ["--t-end", "nan"],
+    SIMULATE + ["--t-end", "inf", "--method", "rk4"],
+    SIMULATE + ["--t-end", "1", "--x1", "nan"],
+    SIMULATE + ["--t-end", "1", "--method", "rk4", "--dt", "nan"],
+    SIMULATE + ["--t-end", "1", "--tol", "nan"],
+    SIMULATE + ["--t-end", "1", "--tol", "inf"],
+    SIMULATE + ["--t-end", "1", "--z", "1e160"],  # H = z^2/2 overflows
+    ["rank", "--point", "1,1,nan,1,1"],
+    ["invariant-probe", "--m1", "0,nan,1", "--t-end", "5"],
+    ["invariant-probe", "--m1", "1e200,1,1", "--t-end", "5"],
+    ["homoclinic", "--c", "inf"],
+    ["homoclinic", "--c", "1", "--theta0", "nan"],
+    ["homoclinic", "--c", "1", "--dt", "1e-9"],  # 2e10 rows
+    ["periodic", "--x1", "1", "--y1", "1", "--x2", "1", "--t-max", "1e9"],
+    ["verify", "--seed", "-1"],
+])
+def test_bad_value_usage_error(capsys, tmp_path, argv):
+    out_path = tmp_path / "x.csv"
+    if argv[0] in WRITES_CSV:
+        argv = argv + ["--out", str(out_path)]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_csv_row_cap_is_inclusive(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CSV_ROWS", 11)
+    argv = ["homoclinic", "--c", "1", "--t-min", "0", "--t-max", "10",
+            "--out", str(tmp_path / "h.csv")]
+    assert run(capsys, argv + ["--dt", "1"])[0] == 0
+    assert len((tmp_path / "h.csv").read_text().strip().split("\n")) == 1 + 11
+    assert run(capsys, argv + ["--dt", "0.9"])[0] == 2
 
 
 class TestClassify:
@@ -204,6 +248,12 @@ class TestRankAndProbe:
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
         assert rep["puncture_count"] == rep["predicted_punctures"]
+
+    def test_probe_overflow_is_a_runtime_failure(self, capsys):
+        code, out = run(capsys, ["invariant-probe", "--m1=1e120,1e-100,1",
+                                 "--t-end", "5"])
+        assert code == 1
+        assert json.loads(out)["error"] == "state overflow"
 
     def test_probe_zero_x2_rejected(self, capsys):
         code, _ = run(capsys, ["invariant-probe", "--m1", "1,1,0",

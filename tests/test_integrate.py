@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mbloch import solutions
+from mbloch import solutions, verify
 from mbloch.core import DomainError, conserved, vector_field
 from mbloch.integrate import (DriftReport, IntegrationStalledError,
                               IntegratorConfig, StateOverflowError, Trajectory,
@@ -111,6 +111,23 @@ class TestIntegrate:
         assert np.array_equal(partial.times, [0.0, 1.0, 2.0])
         assert np.array_equal(partial.states[:, 0], [0.0, 1.0, 2.0])
 
+    def test_start_triple_overflow_is_domain_error(self):
+        # the state is finite but H = z^2/2 is not
+        for method in ("rk4", "rk45"):
+            with pytest.raises(DomainError):
+                integrate([0, 0, 0, 0, 1e160], IntegratorConfig(method=method))
+
+    def test_triple_overflow_stops_at_its_sample(self):
+        # z = 1e154 t: H is finite at t = 1 and overflows at t = 2
+        field = lambda p: np.array([0.0, 0.0, 0.0, 0.0, 1e154])
+        with pytest.raises(StateOverflowError) as info:
+            integrate(np.zeros(5), IntegratorConfig(method="rk4", t_end=5.0, dt=1.0),
+                      field=field)
+        assert info.value.time == 2.0
+        partial = info.value.trajectory
+        assert np.array_equal(partial.times, [0.0, 1.0])
+        assert np.isfinite(partial.conserved).all()
+
     def test_custom_field_takes_the_same_kernels(self):
         p0 = [1, 1, 0.5, -0.5, 0.2]
         for cfg in (IntegratorConfig(method="rk4", t_end=2.0, dt=0.01),
@@ -133,25 +150,10 @@ class TestIntegrate:
         assert np.isfinite(partial.states).all()
 
     def test_time_reversal(self):
-        p0 = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
-        cfg = IntegratorConfig(method="rk45", t_end=10.0, abs_tol=1e-12,
-                               rel_tol=1e-12, sample_stride=10 ** 9)
-        fwd = integrate(p0, cfg).states[-1]
-        back = integrate(fwd, cfg, field=lambda p: -vector_field(p)).states[-1]
-        assert np.linalg.norm(back - p0) < 1e-8
+        assert verify.time_reversal()
 
     def test_rk4_order_factor(self):
-        p0 = [1, 1, 0, 0, 1]
-        ref = integrate(p0, IntegratorConfig(method="rk45", t_end=1.0,
-                                             abs_tol=1e-13, rel_tol=1e-13,
-                                             sample_stride=10 ** 9)).states[-1]
-        errs = []
-        for dt in (1e-2, 5e-3):
-            end = integrate(p0, IntegratorConfig(method="rk4", t_end=1.0,
-                                                 dt=dt,
-                                                 sample_stride=10 ** 9)).states[-1]
-            errs.append(np.linalg.norm(end - ref))
-        assert 12.0 <= errs[0] / errs[1] <= 20.0
+        assert verify.rk4_order_factor()
 
 
 class TestDriftReport:
@@ -172,7 +174,4 @@ class TestDriftReport:
             drift_report(traj)
 
     def test_long_run_drift_small(self):
-        traj = integrate([1, 1, 0.5, -0.5, 0.2], IntegratorConfig(
-            method="rk4", t_end=100.0, dt=1e-3, sample_stride=100))
-        rep = drift_report(traj)
-        assert max(rep.max_abs_dH, rep.max_abs_dI, rep.max_abs_dC) < 1e-7
+        assert verify.rk4_conserved_drift(verify.rk4_runs([[1, 1, 0.5, -0.5, 0.2]], 100.0))

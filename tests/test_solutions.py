@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mbloch import solutions
+from mbloch.verify import homoclinic_solves_system
 from mbloch.core import DomainError, conserved, vector_field
 from mbloch.solutions import (HomoclinicParams, PeriodicParams, PolarState,
                               homoclinic, homoclinic_derivative, m1_solution,
@@ -100,13 +101,9 @@ class TestHomoclinic:
             assert abs(c - 2.0) < 1e-13
 
     def test_derivative_matches_field(self):
-        ts = np.linspace(-10, 10, 1000)
-        for c in (0.5, 1.0, 2.0):
-            for sign in (1, -1):
-                par = HomoclinicParams(c=c, theta0=0.7, sign=sign)
-                deriv = homoclinic_derivative(par, ts)
-                field = np.array([vector_field(s) for s in homoclinic(par, ts)])
-                assert np.abs(deriv - field).max() < 1e-12 * (1 + c * c)
+        params = [HomoclinicParams(c=c, theta0=0.7, sign=sign)
+                  for c in (0.5, 1.0, 2.0) for sign in (1, -1)]
+        assert homoclinic_solves_system(params, np.linspace(-10, 10, 1000))
 
     def test_derivative_anchor_values(self):
         par = HomoclinicParams(c=1.0, theta0=0.0, sign=1)
