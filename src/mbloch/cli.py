@@ -5,7 +5,8 @@ invariant-probe, verify.  Trajectories and sampled orbits go to CSV
 (header ``t,x1,y1,x2,y2,z,H,I,C``, shortest round-trip decimal floats);
 reports go to stdout as single JSON objects with stable key order.
 
-Exit codes: 0 success, 1 numerical/verification failure, 2 usage error.
+Exit codes: 0 success, 1 numerical/verification failure, 2 usage error
+(an argparse error, or a DomainError raised by a subcommand).
 """
 
 import argparse
@@ -67,37 +68,23 @@ def _parse_tuple(text, n, label):
     return tuple(_finite(v) for v in parts)
 
 
-def _sample_times(parser, t_min, t_max, dt):
-    """The CSV time grid; a usage error if it has more than MAX_CSV_ROWS rows."""
+def _sample_times(t_min, t_max, dt):
+    """The CSV time grid; a DomainError unless dt > 0, t_max > t_min and the
+    grid has at most MAX_CSV_ROWS rows."""
+    if not (dt > 0 and t_max > t_min):
+        raise DomainError(f"need --dt > 0 and --t-max above {t_min!r}")
     steps = (t_max - t_min) / dt
     if not steps <= MAX_CSV_ROWS - 1:  # also refuses an infinite span
-        parser.error(f"--dt {dt!r} over [{t_min!r}, {t_max!r}] asks for more "
-                     f"than {MAX_CSV_ROWS} CSV rows")
+        raise DomainError(f"--dt {dt!r} over [{t_min!r}, {t_max!r}] asks for more "
+                          f"than {MAX_CSV_ROWS} CSV rows")
     return np.linspace(t_min, t_max, int(round(steps)) + 1)
 
 
-def cmd_simulate(args, parser):
-    if args.t_end <= 0:
-        parser.error("--t-end must be positive")
-    if args.stride < 1:
-        parser.error("--stride must be a positive integer")
-    if args.dt is not None and args.dt <= 0:
-        parser.error("--dt must be positive")
-    if args.tol is not None and args.tol <= 0:
-        parser.error("--tol must be positive")
-    p0 = [args.x1, args.y1, args.x2, args.y2, args.z]
-    if args.method == "rk4":
-        cfg = IntegratorConfig(method="rk4", t_end=args.t_end,
-                               dt=args.dt if args.dt is not None else 1e-3,
-                               sample_stride=args.stride)
-    else:
-        tol = args.tol if args.tol is not None else 1e-10
-        cfg = IntegratorConfig(method="rk45", t_end=args.t_end,
-                               abs_tol=tol, rel_tol=tol, sample_stride=args.stride)
+def cmd_simulate(args):
+    cfg = IntegratorConfig(method=args.method, t_end=args.t_end, dt=args.dt,
+                           abs_tol=args.tol, rel_tol=args.tol, sample_stride=args.stride)
     try:
-        traj = integrate(p0, cfg)
-    except DomainError as exc:
-        parser.error(str(exc))
+        traj = integrate([args.x1, args.y1, args.x2, args.y2, args.z], cfg)
     except IntegrationStalledError as exc:
         write_trajectory_csv(args.out, exc.trajectory)
         _emit({"error": "integration stalled", "t_reached": exc.time})
@@ -113,7 +100,7 @@ def cmd_simulate(args, parser):
     return 0
 
 
-def cmd_classify(args, parser):
+def cmd_classify(args):
     res = equilibria.cartan_classify([0, 0, 0, 0, args.c], args.c)
     out = {
         "c": args.c,
@@ -148,14 +135,10 @@ def _closed_form_run(args, times, states, deriv, level, tol):
     return 0 if summary["passed"] else 1
 
 
-def cmd_homoclinic(args, parser):
-    if args.c <= 0:
-        parser.error("--c must be positive for homoclinic orbits")
-    if args.dt <= 0 or args.t_max <= args.t_min:
-        parser.error("need --dt > 0 and --t-max > --t-min")
+def cmd_homoclinic(args):
     sign = {"+": 1, "-": -1}[args.sign]
     par = solutions.HomoclinicParams(c=args.c, theta0=args.theta0, sign=sign)
-    times = _sample_times(parser, args.t_min, args.t_max, args.dt)
+    times = _sample_times(args.t_min, args.t_max, args.dt)
     states = solutions.homoclinic(par, times)
     deriv = solutions.homoclinic_derivative(par, times)
     tol = 1e-10 * (1 + args.c ** 2)
@@ -163,14 +146,10 @@ def cmd_homoclinic(args, parser):
                             [args.c ** 2 / 2, 0.0, args.c], tol)
 
 
-def cmd_periodic(args, parser):
-    if args.x2 == 0 or args.y1 == 0:
-        parser.error("periodic family requires --x2 != 0 and --y1 != 0")
+def cmd_periodic(args):
     par = solutions.PeriodicParams(x1_0=args.x1, y1_0=args.y1, x2_0=args.x2)
     t_max = par.period if args.t_max is None else args.t_max
-    if args.dt <= 0 or t_max <= 0:
-        parser.error("need --dt > 0 and --t-max > 0")
-    times = _sample_times(parser, 0.0, t_max, args.dt)
+    times = _sample_times(0.0, t_max, args.dt)
     states = solutions.periodic_solution(par, times)
     deriv = solutions.periodic_derivative(par, times)
     w, f1 = par.omega, par.x1_0 ** 2 + par.x2_0 ** 2
@@ -178,7 +157,7 @@ def cmd_periodic(args, parser):
     return _closed_form_run(args, times, states, deriv, conserved(states[0]), tol)
 
 
-def cmd_rank(args, parser):
+def cmd_rank(args):
     rep = invariant_sets.rank_F(args.point)
     _emit({"point": list(args.point),
            "singular_values": [float(s) for s in rep.singular_values],
@@ -186,17 +165,11 @@ def cmd_rank(args, parser):
     return 0
 
 
-def cmd_invariant_probe(args, parser):
-    if args.t_end <= 0:
-        parser.error("--t-end must be positive")
+def cmd_invariant_probe(args):
     x1, y1, x2 = args.m1
-    if x2 == 0:
-        parser.error("--m1 requires x2 != 0")
     try:
         rep = invariant_sets.invariance_probe(invariant_sets.M1Point(x1, y1, x2),
                                               args.t_end)
-    except DomainError as exc:
-        parser.error(str(exc))
     except StateOverflowError as exc:
         _emit({"error": "state overflow", "t_reached": exc.time})
         return 1
@@ -209,9 +182,9 @@ def cmd_invariant_probe(args, parser):
     return 0
 
 
-def cmd_verify(args, parser):
+def cmd_verify(args):
     if args.seed < 0:
-        parser.error("--seed must be non-negative")
+        raise DomainError("--seed must be non-negative")
     report = verify.run_all(args.seed, args.level)
     _emit(report)
     return 0 if report["all_passed"] else 1
@@ -229,8 +202,8 @@ def build_parser():
         p.add_argument(f"--{name}", type=_finite, required=True)
     p.add_argument("--t-end", type=_finite, required=True)
     p.add_argument("--method", choices=["rk4", "rk45"], default="rk45")
-    p.add_argument("--dt", type=_finite, help="fixed step size (rk4)")
-    p.add_argument("--tol", type=_finite, help="abs/rel tolerance (rk45)")
+    p.add_argument("--dt", type=_finite, default=1e-3, help="fixed step size (rk4)")
+    p.add_argument("--tol", type=_finite, default=1e-10, help="abs/rel tolerance (rk45)")
     p.add_argument("--stride", type=int, default=1,
                    help="record every k-th accepted step")
     p.add_argument("--out", required=True)
@@ -283,7 +256,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        try:
+            return args.func(args)
+        except DomainError as exc:
+            parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

@@ -11,6 +11,7 @@ H = (y1^2 + y2^2 + z^2)/2.  Two further quantities are conserved:
 C = (x1^2 + x2^2)/2 + z (the Casimir of J) and I = x2*y1 - x1*y2.
 """
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,6 +51,16 @@ def as_state(p) -> np.ndarray:
     if arr.ndim != 1:
         raise DomainError(f"state must have 5 components, got shape {np.shape(p)}")
     return arr
+
+
+def leaf_energy(c: float) -> float:
+    """H = c^2/2 at the leaf equilibrium (0, 0, 0, 0, c); DomainError where
+    it is not finite, as every formula on the leaf C = c squares c."""
+    c = float(c)
+    energy = 0.5 * (c * c)
+    if not math.isfinite(energy):
+        raise DomainError(f"the leaf energy c^2/2 overflows at c={c!r}")
+    return energy
 
 
 def field_components(x1, y1, x2, y2, z):

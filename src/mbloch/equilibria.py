@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DomainError, as_state, conserved, field_components,
-                   vector_field)
+                   leaf_energy, vector_field)
 
 CENTER_CENTER = "center-center"
 CENTER_SADDLE = "center-saddle"
@@ -117,6 +117,7 @@ def leaf_linearization(e, c: float) -> LeafLinearization:
     point = as_state(e)
     if np.any(point[:4] != 0) or point[4] != c:
         raise DomainError("leaf linearization is charted at (0,0,0,0,c) only")
+    leaf_energy(c)
     m_h = np.array([
         [0.0, 1.0, 0.0, 0.0],
         [c, 0.0, 0.0, 0.0],

@@ -25,7 +25,7 @@ class StateOverflowError(RuntimeError):
 
 
 class IntegrationStalledError(RuntimeError):
-    """Adaptive step size underflowed dt_min; carries the partial trajectory."""
+    """A step at the DT_MIN floor was rejected; carries the partial trajectory."""
 
     def __init__(self, time: float, trajectory: "Trajectory"):
         super().__init__(f"step size underflow at t={time}")
@@ -33,27 +33,40 @@ class IntegrationStalledError(RuntimeError):
         self.trajectory = trajectory
 
 
+# first adaptive step, and the floor below which a rejected step stalls the run
+DT_INITIAL = 1e-3
+DT_MIN = 1e-12
+# most steps a fixed-step run may take; a longer run is refused, not started
+MAX_RK4_STEPS = 10 ** 8
+
+
 @dataclass
 class IntegratorConfig:
+    """One run; every field is checked here, so a bad run is a DomainError
+    before any step is taken."""
+
     method: str = "rk45"  # "rk4" (fixed step) or "rk45" (adaptive)
     t_end: float = 1.0
     dt: float = 1e-3  # fixed-step size (rk4)
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    dt_initial: float = 1e-3
-    dt_min: float = 1e-12
     dt_max: float = 1.0
     sample_stride: int = 1  # record every k-th accepted step
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.dt <= 0 or self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("dt, abs_tol and rel_tol must be positive")
-        if not (self.dt_min <= self.dt_initial <= self.dt_max):
-            raise ValueError("need dt_min <= dt_initial <= dt_max")
+            raise DomainError(f"unknown method {self.method!r}")
+        if not 0 < self.t_end < math.inf:
+            raise DomainError("t_end must be finite and positive")
+        if not (self.dt > 0 and self.abs_tol > 0 and self.rel_tol > 0):
+            raise DomainError("dt, abs_tol and rel_tol must be positive")
+        if not self.dt_max >= DT_INITIAL:
+            raise DomainError(f"dt_max must be at least the first step {DT_INITIAL}")
         if self.sample_stride < 1:
-            raise ValueError("sample_stride must be a positive integer")
+            raise DomainError("sample_stride must be a positive integer")
+        if self.method == "rk4" and not self.t_end / self.dt <= MAX_RK4_STEPS:
+            raise DomainError(f"t_end / dt = {self.t_end / self.dt!r} is more than "
+                              f"{MAX_RK4_STEPS} RK4 steps")
 
 
 @dataclass
@@ -149,31 +162,17 @@ def _dp_step(f, y, h):
     return y5, y5 - y4
 
 
-class _Recorder:
-    def __init__(self, stride):
-        self.stride = stride
-        self.times = []
-        self.states = []
-        self.accepted = 0
-
-    def record(self, t, state, force=False):
-        if force or self.accepted % self.stride == 0:
-            if self.times and self.times[-1] == t:
-                return
-            self.times.append(t)
-            self.states.append(tuple(state))
-
-    def trajectory(self):
-        """The samples so far.  Raises StateOverflowError at the first sample
-        whose conserved triple overflows, carrying the samples before it."""
-        times, states = np.array(self.times), np.array(self.states)
-        cons = np.column_stack(conserved(states))
-        finite = np.isfinite(cons).all(axis=1)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise StateOverflowError(self.times[k],
-                                     Trajectory(times[:k], states[:k], cons[:k]))
-        return Trajectory(times, states, cons)
+def _trajectory(times, states):
+    """The samples as a Trajectory.  Raises StateOverflowError at the first
+    sample whose conserved triple overflows, carrying the samples before it."""
+    times, states = np.array(times), np.array(states)
+    cons = np.column_stack(conserved(states))
+    finite = np.isfinite(cons).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise StateOverflowError(float(times[k]),
+                                 Trajectory(times[:k], states[:k], cons[:k]))
+    return Trajectory(times, states, cons)
 
 
 def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
@@ -186,57 +185,54 @@ def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
     Overflow is reported by exception only: NumPy's floating-point warnings
     are silenced inside.
     """
-    if cfg.t_end <= 0:
-        raise ValueError("t_end must be positive")
     y0 = as_state(p0)
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(conserved(y0)).all():
             raise DomainError(f"conserved quantities overflow at the start state {y0}")
-        rec = _Recorder(cfg.sample_stride)
-        rec.record(0.0, y0, force=True)
-        f = _component_form(field)
-        if cfg.method == "rk4":
-            return _integrate_rk4(y0, cfg, f, rec)
-        return _integrate_rk45(y0, cfg, f, rec)
+        driver = _integrate_rk4 if cfg.method == "rk4" else _integrate_rk45
+        return driver(y0, cfg, _component_form(field))
 
 
-def _integrate_rk4(y0, cfg, f, rec):
+def _integrate_rk4(y0, cfg, f):
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-12))
     h = cfg.t_end / n_steps
+    times, states = [0.0], [y0.tolist()]
     x1, y1, x2, y2, z = y0.tolist()
     for i in range(1, n_steps + 1):
         x1, y1, x2, y2, z = _rk4_raw(x1, y1, x2, y2, z, h, f)
         if not math.isfinite(x1 + y1 + x2 + y2 + z):
-            raise StateOverflowError(i * h, rec.trajectory())
-        rec.accepted += 1
-        rec.record(i * h, (x1, y1, x2, y2, z), force=i == n_steps)
-    return rec.trajectory()
+            raise StateOverflowError(i * h, _trajectory(times, states))
+        if i % cfg.sample_stride == 0 or i == n_steps:
+            times.append(i * h)
+            states.append((x1, y1, x2, y2, z))
+    return _trajectory(times, states)
 
 
-def _integrate_rk45(y0, cfg, f, rec):
-    t = 0.0
-    y = y0
-    dt = min(cfg.dt_initial, cfg.t_end)
+def _integrate_rk45(y0, cfg, f):
+    times, states = [0.0], [y0.tolist()]
+    t, y, k = 0.0, y0, 0
+    dt = min(DT_INITIAL, cfg.t_end)
     safety, shrink, grow = 0.9, 0.2, 5.0
     while t < cfg.t_end:
         h = min(dt, cfg.t_end - t)
         y_new, err_vec = _dp_step(f, y, h)
         if not np.isfinite(y_new).all():
-            raise StateOverflowError(t + h, rec.trajectory())
+            raise StateOverflowError(t + h, _trajectory(times, states))
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         if err <= 1.0:
             t += h
             y = y_new
-            rec.accepted += 1
-            rec.record(t, y, force=t >= cfg.t_end)
-            if t >= cfg.t_end:
-                break
-        elif h <= cfg.dt_min:
-            raise IntegrationStalledError(t, rec.trajectory())
+            k += 1
+            # t + h == t once h falls below half an ulp of t: keep one sample
+            if (k % cfg.sample_stride == 0 or t >= cfg.t_end) and t != times[-1]:
+                times.append(t)
+                states.append(y.tolist())
+        elif h <= DT_MIN:
+            raise IntegrationStalledError(t, _trajectory(times, states))
         factor = grow if err == 0.0 else min(grow, max(shrink, safety * err ** -0.2))
-        dt = max(min(h * factor, cfg.dt_max), cfg.dt_min)
-    return rec.trajectory()
+        dt = max(min(h * factor, cfg.dt_max), DT_MIN)
+    return _trajectory(times, states)
 
 
 def drift_report(traj: Trajectory) -> DriftReport:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_state, conserved
+from .core import DomainError, as_state, conserved, leaf_energy
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,9 +75,10 @@ class HomoclinicParams:
 
     def __post_init__(self):
         if self.c <= 0:
-            raise ValueError("homoclinics exist only on leaves with c > 0")
+            raise DomainError("homoclinics exist only on leaves with c > 0")
+        leaf_energy(self.c)
         if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise DomainError("sign must be +1 or -1")
 
 
 def homoclinic(params: HomoclinicParams, t):
@@ -144,7 +145,7 @@ class PeriodicParams:
 
     def __post_init__(self):
         if self.x2_0 == 0 or self.y1_0 == 0:
-            raise ValueError("periodic family requires x2_0 != 0 and y1_0 != 0")
+            raise DomainError("periodic family requires x2_0 != 0 and y1_0 != 0")
 
     @property
     def omega(self) -> float:

@@ -369,19 +369,20 @@ def solutions_suite(rng, level):
 
 
 def rank3_generic(rng, n) -> bool:
-    """Rank 3 at n random points away from M1, M2 and rank-degenerate loci."""
-    ok = True
-    count = 0
-    while count < n:
+    """Rank 3 at n random points away from M1, M2 and rank-degenerate loci;
+    False when 20 n draws leave fewer than n such points."""
+    ranks = []
+    for _ in range(20 * n):
         p = rng.uniform(-2, 2, size=5)
         if invariant_sets.m1_defect(p) < 1e-3 or invariant_sets.m2_defect(p) < 1e-3:
             continue
         sv = invariant_sets.rank_F(p)
         if sv.singular_values[-1] < 1e-3:  # near a rank-degenerate locus
             continue
-        count += 1
-        ok &= sv.rank == 3
-    return bool(ok)
+        ranks.append(sv.rank)
+        if len(ranks) == n:
+            return all(r == 3 for r in ranks)
+    return False
 
 
 def rank2_on_pieces(m1_points, m2_points) -> bool:

@@ -133,6 +133,18 @@ class TestSimulate:
     ["homoclinic", "--c", "1", "--dt", "1e-9"],  # 2e10 rows
     ["periodic", "--x1", "1", "--y1", "1", "--x2", "1", "--t-max", "1e9"],
     ["verify", "--seed", "-1"],
+    SIMULATE + ["--t-end", "-1"],
+    SIMULATE + ["--t-end", "1", "--tol", "0"],
+    SIMULATE + ["--t-end", "1", "--method", "rk45", "--dt", "-1"],
+    ["invariant-probe", "--m1", "0,1,1", "--t-end", "0"],
+    ["periodic", "--x1", "1", "--y1", "0", "--x2", "1"],
+    SIMULATE + ["--t-end", "1", "--method", "rk4", "--dt", "1e-9"],  # 1e9 steps
+    SIMULATE + ["--t-end", "1e10", "--method", "rk4", "--dt", "1e-320"],  # inf steps
+    ["classify", "--c", "1e300"],  # c^2/2 overflows
+    ["homoclinic", "--c", "1e200"],  # c^2/2 overflows
+    ["invariant-probe", "--m1=1e150,1,1", "--t-end", "5"],  # |p|^3 overflows
+    ["homoclinic", "--c", "1", "--dt", "0"],
+    ["periodic", "--x1", "1", "--y1", "1", "--x2", "1", "--t-max", "-1"],
 ])
 def test_bad_value_usage_error(capsys, tmp_path, argv):
     out_path = tmp_path / "x.csv"

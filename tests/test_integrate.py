@@ -1,13 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from mbloch import solutions, verify
 from mbloch.core import DomainError, conserved, vector_field
-from mbloch.integrate import (DriftReport, IntegrationStalledError,
-                              IntegratorConfig, StateOverflowError, Trajectory,
-                              drift_report, integrate, rk4_step)
+from mbloch.integrate import (DT_INITIAL, MAX_RK4_STEPS, DriftReport,
+                              IntegrationStalledError, IntegratorConfig,
+                              StateOverflowError, Trajectory, drift_report,
+                              integrate, rk4_step)
 
 
 class TestConfigValidation:
@@ -22,12 +24,25 @@ class TestConfigValidation:
             IntegratorConfig(abs_tol=0.0)
 
     def test_rejects_inconsistent_step_bounds(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(dt_initial=1e-13, dt_min=1e-12)
+        # dt_max below the fixed first adaptive step
+        with pytest.raises(DomainError):
+            IntegratorConfig(dt_max=DT_INITIAL / 2)
 
     def test_rejects_bad_stride(self):
         with pytest.raises(ValueError):
             IntegratorConfig(sample_stride=0)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_horizon(self, t_end):
+        with pytest.raises(DomainError):
+            IntegratorConfig(t_end=t_end)
+
+    def test_rk4_step_cap(self):
+        IntegratorConfig(method="rk4", t_end=1.0, dt=1.0 / MAX_RK4_STEPS)
+        for t_end, dt in ((1.0, 1e-9), (1e10, 1e-320)):  # 1e9 and inf steps
+            with pytest.raises(DomainError):
+                IntegratorConfig(method="rk4", t_end=t_end, dt=dt)
+        IntegratorConfig(method="rk45", t_end=1.0, dt=1e-9)  # rk45 ignores dt
 
 
 class TestRk4Step:
@@ -140,14 +155,32 @@ class TestIntegrate:
         assert np.array_equal(rk4_step(p0, 0.1), rk4_step(p0, 0.1, field=vector_field))
 
     def test_stall_returns_partial_trajectory(self):
-        jitter = lambda p: np.full(5, 100.0 + 100.0 * math.sin(1e8 * p[0]))
+        # the field oscillates on a scale below the 1e-12 step floor
+        jitter = lambda p: np.full(5, 100.0 + 100.0 * math.sin(1e12 * p[0]))
         cfg = IntegratorConfig(method="rk45", t_end=1.0, abs_tol=1e-12,
-                               rel_tol=1e-12, dt_initial=1e-3, dt_min=1e-3)
+                               rel_tol=1e-12)
+        start = time.perf_counter()
         with pytest.raises(IntegrationStalledError) as info:
             integrate([0.1, 0, 0, 0, 0], cfg, field=jitter)
+        assert time.perf_counter() - start < 5.0
         partial = info.value.trajectory
         assert isinstance(partial, Trajectory)
         assert np.isfinite(partial.states).all()
+        assert partial.times[0] == 0.0 and partial.times[-1] == info.value.time
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_stride_samples_every_kth_step_and_the_last(self, method):
+        p0 = [1, 1, 0.5, -0.5, 0.2]
+        cfg = IntegratorConfig(method=method, t_end=3.0, dt=0.01)
+        full = integrate(p0, cfg)
+        strided = integrate(p0, IntegratorConfig(method=method, t_end=3.0, dt=0.01,
+                                                 sample_stride=7))
+        keep = list(range(0, len(full), 7))
+        assert keep[-1] != len(full) - 1  # the last step is not a 7th one
+        keep.append(len(full) - 1)
+        assert np.array_equal(strided.times, full.times[keep])
+        assert np.array_equal(strided.states, full.states[keep])
+        assert np.array_equal(strided.conserved, full.conserved[keep])
 
     def test_time_reversal(self):
         assert verify.time_reversal()

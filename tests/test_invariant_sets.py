@@ -3,7 +3,6 @@ import pytest
 
 from mbloch import invariant_sets as inv
 from mbloch.core import DomainError, conserved, vector_field
-from mbloch.integrate import IntegratorConfig
 from mbloch.verify import (invariant_I_factorizes, pieces_not_invariant,
                            rank2_on_pieces, rank3_generic)
 
@@ -173,12 +172,6 @@ class TestInvarianceProbe:
         # x2 crosses zero once by t = 2: the orbit leaves M1
         q0 = inv.M1Point(0.0, 1.0, 1.0)
         assert pieces_not_invariant(inv.invariance_probe(q0, 2.0), q0, 2.0)
-
-    def test_custom_config(self):
-        cfg = IntegratorConfig(method="rk45", t_end=3.0, abs_tol=1e-10,
-                               rel_tol=1e-10, dt_max=0.05)
-        rep = inv.invariance_probe(inv.M1Point(1.0, 1.0, 1.0), 3.0, cfg)
-        assert rep.max_distance_to_union < 1e-6
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):

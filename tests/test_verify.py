@@ -50,3 +50,11 @@ def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, na
     assert all(run().values())
     break_formula(monkeypatch)
     assert not any(run().values())
+
+
+def test_rank3_generic_fails_when_no_point_survives_the_skips(monkeypatch):
+    # grad I = 0 drops the Jacobian's rank everywhere, so every draw is
+    # skipped as near a rank-degenerate locus
+    assert verify.rank3_generic(np.random.default_rng(0), 50)
+    monkeypatch.setattr(invariant_sets, "grad_I", lambda p: np.zeros(5))
+    assert verify.rank3_generic(np.random.default_rng(0), 50) is False
