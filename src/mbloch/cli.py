@@ -141,9 +141,8 @@ def cmd_homoclinic(args):
     times = _sample_times(args.t_min, args.t_max, args.dt)
     states = solutions.homoclinic(par, times)
     deriv = solutions.homoclinic_derivative(par, times)
-    tol = 1e-10 * (1 + args.c ** 2)
     return _closed_form_run(args, times, states, deriv,
-                            [args.c ** 2 / 2, 0.0, args.c], tol)
+                            [args.c ** 2 / 2, 0.0, args.c], verify.homoclinic_tol(par))
 
 
 def cmd_periodic(args):
@@ -152,9 +151,8 @@ def cmd_periodic(args):
     times = _sample_times(0.0, t_max, args.dt)
     states = solutions.periodic_solution(par, times)
     deriv = solutions.periodic_derivative(par, times)
-    w, f1 = par.omega, par.x1_0 ** 2 + par.x2_0 ** 2
-    tol = 1e-12 * (1 + w * w) * (1 + f1)
-    return _closed_form_run(args, times, states, deriv, conserved(states[0]), tol)
+    return _closed_form_run(args, times, states, deriv, conserved(states[0]),
+                            verify.periodic_tol(par))
 
 
 def cmd_rank(args):

@@ -7,13 +7,16 @@ its type is decided by the eigenvalue pattern of a pencil
 
     L(alpha) = DX_H + alpha * DX_I
 
-of the two commuting linearized flows restricted to the leaf.  For c != 0
-some alpha gives four distinct eigenvalues and the pattern is one of the
-four non-degenerate types; at c = 0 every pencil member has repeated
-eigenvalues and stability is settled by an algebraic level-set argument.
+of the two commuting linearized flows restricted to the leaf.  Its
+characteristic polynomial t^4 + (2 alpha^2 - 2c) t^2 + (alpha^2 + c)^2 has
+the discriminant -16 alpha^2 c in s = t^2, so its spectrum is known in
+closed form: focus-focus for c > 0 and center-center for c < 0.  At c = 0
+every pencil member has repeated eigenvalues and stability is settled by
+an algebraic level-set argument.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +25,6 @@ from .core import (DomainError, as_state, conserved, field_components,
                    leaf_energy, vector_field)
 
 CENTER_CENTER = "center-center"
-CENTER_SADDLE = "center-saddle"
-SADDLE_SADDLE = "saddle-saddle"
 FOCUS_FOCUS = "focus-focus"
 DEGENERATE = "degenerate"
 
@@ -33,12 +34,6 @@ NOT_DETERMINED = "not-determined"
 
 K0 = "K0"
 K1 = "K1"
-
-# alpha values tried when hunting for a pencil member with distinct
-# eigenvalues; any nonzero alpha works off the degenerate leaf c = 0,
-# so a coarse dyadic grid suffices.
-ALPHA_GRID = tuple(s * 2.0 ** k for k in range(-6, 4) for s in (1.0, -1.0))
-
 
 @dataclass
 class EquilibriumFamily:
@@ -161,20 +156,12 @@ def char_poly_4x4(m) -> QuarticPoly:
 
 
 def pencil_char_poly(c: float, alpha: float) -> QuarticPoly:
-    """Characteristic polynomial of matrix_H + alpha * matrix_I.
-
-    Computed from the matrices and cross-checked against the closed form
-    t^4 + (2 alpha^2 - 2c) t^2 + (alpha^2 + c)^2.
+    """Characteristic polynomial of matrix_H + alpha * matrix_I, computed
+    from the matrices: the independent check of the closed form
+    t^4 + (2 alpha^2 - 2c) t^2 + (alpha^2 + c)^2 (``verify.pencil_closed_form``).
     """
     lin = leaf_linearization([0, 0, 0, 0, c], c)
-    poly = char_poly_4x4(lin.matrix_H + alpha * lin.matrix_I)
-    expect = np.array([1.0, 0.0, 2 * alpha ** 2 - 2 * c, 0.0, (alpha ** 2 + c) ** 2])
-    scale = 1.0 + np.abs(expect)
-    if np.any(np.abs(poly.as_array() - expect) > 1e-12 * scale):
-        raise RuntimeError(
-            f"pencil polynomial disagrees with its closed form at c={c}, alpha={alpha}"
-        )
-    return poly
+    return char_poly_4x4(lin.matrix_H + alpha * lin.matrix_I)
 
 
 def _enforce_conjugate_pairs(roots):
@@ -240,37 +227,14 @@ class ClassificationResult:
     stable: str
 
 
-def _root_pattern(roots, kind_tol=1e-9):
-    """Sort distinct eigenvalues into the four non-degenerate patterns."""
-    imag_axis = [r for r in roots if abs(r.real) < kind_tol * (1 + abs(r))]
-    real_axis = [r for r in roots if abs(r.imag) < kind_tol * (1 + abs(r))]
-    if len(imag_axis) == 4:
-        mags = sorted({abs(r.imag) for r in roots}, reverse=True)
-        return CENTER_CENTER, mags[0], mags[1]
-    if len(real_axis) == 4:
-        mags = sorted({abs(r.real) for r in roots}, reverse=True)
-        return SADDLE_SADDLE, mags[0], mags[1]
-    if len(imag_axis) == 2 and len(real_axis) == 2:
-        return CENTER_SADDLE, max(abs(r.real) for r in real_axis), \
-            max(abs(r.imag) for r in imag_axis)
-    return FOCUS_FOCUS, max(abs(r.real) for r in roots), max(abs(r.imag) for r in roots)
+def cartan_classify(e, c: float) -> ClassificationResult:
+    """Classify the leaf equilibrium (0,0,0,0,c) by the closed-form spectrum
+    of the pencil member alpha = 1 (alpha = 2 on the leaf c = -1, where
+    alpha^2 = -c would repeat an eigenvalue).
 
-
-def _distinct(roots, tol=1e-9):
-    m = max(abs(r) for r in roots)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) <= tol * (1.0 + m):
-                return False
-    return True
-
-
-def cartan_classify(e, c: float, alpha_grid=ALPHA_GRID) -> ClassificationResult:
-    """Classify the leaf equilibrium (0,0,0,0,c) into its Cartan type.
-
-    Scans ALPHA_GRID for a pencil member with four distinct eigenvalues; the
-    root pattern of the first hit names the type.  When no pencil member
-    separates the eigenvalues (exactly the c = 0 leaf) the equilibrium is
+    For c > 0 the roots are +-sqrt(c) +- i alpha (focus-focus, unstable);
+    for c < 0 they are +-i (alpha +- sqrt(-c)) (center-center, stable).  At
+    c = 0 every pencil member repeats its eigenvalues, so the equilibrium is
     degenerate and the verdict is delegated to the algebraic certificate.
     """
     point = as_state(e)
@@ -278,23 +242,22 @@ def cartan_classify(e, c: float, alpha_grid=ALPHA_GRID) -> ClassificationResult:
         raise DomainError("cartan_classify handles the axis equilibria (K0) only")
     if point[4] != c:
         raise DomainError(f"point {point} is not on the leaf C={c}")
-
-    for alpha in alpha_grid:
-        poly = pencil_char_poly(c, alpha)
-        roots = quartic_roots(poly)
-        if not _distinct(roots):
-            continue
-        kind, a_val, b_val = _root_pattern(roots)
-        disc = poly.c2 ** 2 - 4.0 * poly.c0  # of the quadratic in s = t^2
-        stable = STABLE if kind == CENTER_CENTER else UNSTABLE
-        return ClassificationResult(kind=kind, alpha=alpha, roots=roots,
-                                    A=a_val, B=b_val, discriminant=disc,
-                                    stable=stable)
-    if c != 0.0:
-        raise RuntimeError(f"no distinct pencil spectrum found for c={c}")
-    return ClassificationResult(kind=DEGENERATE, alpha=None, roots=[],
-                                A=None, B=None, discriminant=None,
-                                stable=NOT_DETERMINED)
+    leaf_energy(c)
+    if c == 0.0:
+        return ClassificationResult(kind=DEGENERATE, alpha=None, roots=[],
+                                    A=None, B=None, discriminant=None,
+                                    stable=NOT_DETERMINED)
+    alpha = 2.0 if c == -1.0 else 1.0
+    disc = -16.0 * alpha * alpha * c  # of the quadratic in s = t^2
+    r = math.sqrt(abs(c))
+    if c > 0:
+        roots = [complex(s1 * r, s2 * alpha) for s1 in (1, -1) for s2 in (1, -1)]
+        return ClassificationResult(kind=FOCUS_FOCUS, alpha=alpha, roots=roots,
+                                    A=r, B=alpha, discriminant=disc, stable=UNSTABLE)
+    roots = [complex(0.0, s * w) for w in (alpha + r, alpha - r) for s in (1, -1)]
+    return ClassificationResult(kind=CENTER_CENTER, alpha=alpha, roots=roots,
+                                A=alpha + r, B=abs(alpha - r), discriminant=disc,
+                                stable=STABLE)
 
 
 @dataclass

@@ -36,8 +36,9 @@ class IntegrationStalledError(RuntimeError):
 # first adaptive step, and the floor below which a rejected step stalls the run
 DT_INITIAL = 1e-3
 DT_MIN = 1e-12
-# most steps a fixed-step run may take; a longer run is refused, not started
-MAX_RK4_STEPS = 10 ** 8
+# cap on the fewest steps a run can take (t_end / dt for rk4, t_end / dt_max
+# for rk45); a longer run is refused, not started
+MAX_STEPS = 10 ** 8
 
 
 @dataclass
@@ -64,9 +65,10 @@ class IntegratorConfig:
             raise DomainError(f"dt_max must be at least the first step {DT_INITIAL}")
         if self.sample_stride < 1:
             raise DomainError("sample_stride must be a positive integer")
-        if self.method == "rk4" and not self.t_end / self.dt <= MAX_RK4_STEPS:
-            raise DomainError(f"t_end / dt = {self.t_end / self.dt!r} is more than "
-                              f"{MAX_RK4_STEPS} RK4 steps")
+        step, name = (self.dt, "dt") if self.method == "rk4" else (self.dt_max, "dt_max")
+        if not self.t_end / step <= MAX_STEPS:
+            raise DomainError(f"t_end {self.t_end!r} takes more than {MAX_STEPS} "
+                              f"steps of {name} = {step!r}")
 
 
 @dataclass

@@ -81,6 +81,14 @@ class HomoclinicParams:
             raise DomainError("sign must be +1 or -1")
 
 
+def _sech_tanh(rc, t):
+    """sech(rc t) and tanh(rc t) for a scalar or array t; where cosh
+    overflows, sech is 0 (its correct underflow), without a warning."""
+    x = rc * np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(x), np.tanh(x)
+
+
 def homoclinic(params: HomoclinicParams, t):
     """Closed-form homoclinic orbit; t may be a scalar or an array.
 
@@ -89,9 +97,7 @@ def homoclinic(params: HomoclinicParams, t):
     """
     c, th, s = params.c, params.theta0, float(params.sign)
     rc = math.sqrt(c)
-    t = np.asarray(t, dtype=float)
-    sech = 1.0 / np.cosh(rc * t)
-    tanh = np.tanh(rc * t)
+    sech, tanh = _sech_tanh(rc, t)
     ct, st = math.cos(th), math.sin(th)
     return np.stack([
         s * 2.0 * rc * sech * ct,
@@ -106,9 +112,7 @@ def homoclinic_derivative(params: HomoclinicParams, t):
     """Analytic d/dt of the homoclinic (sech' = -sech tanh, tanh' = sech^2)."""
     c, th, s = params.c, params.theta0, float(params.sign)
     rc = math.sqrt(c)
-    t = np.asarray(t, dtype=float)
-    sech = 1.0 / np.cosh(rc * t)
-    tanh = np.tanh(rc * t)
+    sech, tanh = _sech_tanh(rc, t)
     ct, st = math.cos(th), math.sin(th)
     d_sech = -rc * sech * tanh
     d_secht = rc * (sech * sech ** 2 - sech * tanh ** 2)  # d/dt (sech*tanh)
@@ -130,9 +134,8 @@ def second_order_profile(c: float, t):
     if c <= 0:
         raise DomainError("radial pulse requires c > 0")
     rc = math.sqrt(c)
-    t = np.asarray(t, dtype=float)
-    sech = 1.0 / np.cosh(rc * t)
-    return 2.0 * rc * sech, -2.0 * c * sech * np.tanh(rc * t)
+    sech, tanh = _sech_tanh(rc, t)
+    return 2.0 * rc * sech, -2.0 * c * sech * tanh
 
 
 @dataclass

@@ -22,7 +22,6 @@ QUICK = "quick"
 FULL = "full"
 
 C_GRID = (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0)
-DENSE_ALPHA_GRID = tuple(s * 2.0 ** (k / 2.0) for k in range(-12, 7) for s in (1.0, -1.0))
 NAMED_QUADRATICS = (core.H_QUADRATIC, core.I_QUADRATIC, core.C_QUADRATIC)
 HOMOCLINIC_PARAMS = tuple(
     solutions.HomoclinicParams(c=c, theta0=theta0, sign=sign)
@@ -165,11 +164,15 @@ def leaf_flows_commute(c_grid) -> bool:
     return all(np.abs(commutator(c)).max() < 1e-13 for c in c_grid)
 
 
-def classification_grid_refinement_stable(c_grid) -> bool:
-    return all(equilibria.cartan_classify([0, 0, 0, 0, c], c).kind
-               == equilibria.cartan_classify([0, 0, 0, 0, c], c,
-                                             alpha_grid=DENSE_ALPHA_GRID).kind
-               for c in c_grid)
+def classified_spectrum_matches_pencil(c_grid) -> bool:
+    """The classifier's closed-form roots are the numerical roots of the
+    pencil member it names."""
+    ok = True
+    for c in c_grid:
+        res = equilibria.cartan_classify([0, 0, 0, 0, c], c)
+        pencil = equilibria.quartic_roots(equilibria.pencil_char_poly(c, res.alpha))
+        ok &= root_match_error(res.roots, pencil) < 1e-9 * (1 + abs(c))
+    return bool(ok)
 
 
 def discriminant_and_type_signs(c_grid) -> bool:
@@ -194,8 +197,7 @@ def equilibria_suite(rng, level):
         ("quartic_root_reconstruction",
          quartic_root_reconstruction(rng, 100 if level == QUICK else 1000)),
         ("leaf_flows_commute", leaf_flows_commute(C_GRID)),
-        ("classification_grid_refinement_stable",
-         classification_grid_refinement_stable(C_GRID)),
+        ("classified_spectrum_matches_pencil", classified_spectrum_matches_pencil(C_GRID)),
         ("discriminant_and_type_signs", discriminant_and_type_signs(C_GRID)),
     ]
 
@@ -248,7 +250,9 @@ def integrate_suite(rng, level):
     ]
 
 
-def _homoclinic_tol(par):
+def homoclinic_tol(par):
+    """Bound on the field residual and the level deviation of a sampled
+    homoclinic (also reported by the ``homoclinic`` command)."""
     return 1e-12 * (1 + par.c * par.c)
 
 
@@ -256,7 +260,7 @@ def homoclinic_solves_system(params, ts) -> bool:
     return all(
         float(np.abs(solutions.homoclinic_derivative(par, ts)
                      - core.vector_field(solutions.homoclinic(par, ts))).max())
-        < _homoclinic_tol(par)
+        < homoclinic_tol(par)
         for par in params)
 
 
@@ -265,7 +269,7 @@ def homoclinic_level_set(params, ts) -> bool:
     def deviation(par):
         cons = np.column_stack(core.conserved(solutions.homoclinic(par, ts)))
         return float(np.abs(cons - [par.c * par.c / 2, 0.0, par.c]).max())
-    return all(deviation(par) < _homoclinic_tol(par) for par in params)
+    return all(deviation(par) < homoclinic_tol(par) for par in params)
 
 
 def homoclinic_biasymptotic(params) -> bool:
@@ -314,7 +318,9 @@ def polar_chart_pushforward(rng, n) -> bool:
     return bool(ok)
 
 
-def _periodic_tol(par):
+def periodic_tol(par):
+    """Bound on the field residual and the linear relations of a sampled
+    periodic orbit (also reported by the ``periodic`` command)."""
     return 1e-12 * (1 + par.omega ** 2) * (1 + par.x1_0 ** 2 + par.x2_0 ** 2)
 
 
@@ -323,14 +329,14 @@ def periodic_solves_system(params, n_grid) -> bool:
         grid = np.linspace(0.0, par.period, n_grid)
         field = core.vector_field(solutions.periodic_solution(par, grid))
         return float(np.abs(solutions.periodic_derivative(par, grid) - field).max())
-    return all(residual(par) < _periodic_tol(par) for par in params)
+    return all(residual(par) < periodic_tol(par) for par in params)
 
 
 def periodic_linear_relations(params, n_grid) -> bool:
     """y1 = w x2, y2 = -w x1 and z = -w^2 along each sampled orbit."""
     ok = True
     for par in params:
-        w, tol = par.omega, _periodic_tol(par)
+        w, tol = par.omega, periodic_tol(par)
         orbit = solutions.periodic_solution(par, np.linspace(0.0, par.period, n_grid))
         ok &= float(np.abs(orbit[:, 1] - w * orbit[:, 2]).max()) < tol
         ok &= float(np.abs(orbit[:, 3] + w * orbit[:, 0]).max()) < tol

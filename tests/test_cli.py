@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mbloch
 from mbloch import cli
@@ -27,6 +31,15 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of ``main``; usable inside Hypothesis tests,
+    which cannot take the function-scoped ``capsys``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def read_csv(path):
@@ -145,6 +158,9 @@ class TestSimulate:
     ["invariant-probe", "--m1=1e150,1,1", "--t-end", "5"],  # |p|^3 overflows
     ["homoclinic", "--c", "1", "--dt", "0"],
     ["periodic", "--x1", "1", "--y1", "1", "--x2", "1", "--t-max", "-1"],
+    # about 1e300 rk45 steps of dt_max
+    ["simulate", "--x1=0", "--y1=0", "--x2=0", "--y2=0", "--z=-1", "--t-end=1e300"],
+    ["invariant-probe", "--m1=1,0,1", "--t-end=1e300"],
 ])
 def test_bad_value_usage_error(capsys, tmp_path, argv):
     out_path = tmp_path / "x.csv"
@@ -191,6 +207,34 @@ class TestClassify:
         assert rep["certificate"]["unique_solution"] is True
 
 
+def check_classify(c):
+    """classify --c=c: the paper's kind and stability, one JSON object and an
+    empty stderr; exit 2 with a usage message where c^2/2 overflows."""
+    code, out, err = run_captured(["classify", f"--c={c!r}"])
+    if not math.isfinite(0.5 * (c * c)):
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and "Traceback" not in err
+        return
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1
+    rep = json.loads(out)
+    want = (("focus-focus", "unstable") if c > 0 else
+            ("center-center", "stable") if c < 0 else ("degenerate", "stable"))
+    assert (rep["kind"], rep["stable"]) == want
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_classify_any_finite_leaf(c):
+    check_classify(c)
+
+
+@pytest.mark.parametrize("c", [s * c for c in (1e19, 1e30, 1e154, 1.3e154, 1e-200, 5e-324)
+                               for s in (1, -1)] + [-1 / 4096, -1.0])
+def test_classify_extreme_leaves(c):
+    check_classify(c)
+
+
 class TestClosedFormCommands:
     def test_homoclinic_export(self, capsys, tmp_path):
         out_path = tmp_path / "hom.csv"
@@ -207,6 +251,12 @@ class TestClosedFormCommands:
         # conserved columns pinned at (c^2/2, 0, c)
         assert np.abs(rows[:, 6] - 0.5).max() < 1e-12
         assert np.abs(rows[:, 8] - 1.0).max() < 1e-12
+
+    def test_homoclinic_large_leaf_is_silent(self, capsys, tmp_path):
+        # cosh(sqrt(c) t) overflows over most of the grid; sech is then 0
+        code = main(["homoclinic", "--c", "1e20", "--out", str(tmp_path / "h.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_homoclinic_negative_c_rejected(self, capsys, tmp_path):
         code, _ = run(capsys, ["homoclinic", "--c", "-1",

@@ -3,12 +3,11 @@ import pytest
 
 from mbloch import equilibria
 from mbloch.core import DomainError, conserved, grad_I
-from mbloch.equilibria import (ALPHA_GRID, EquilibriumFamily, QuarticPoly,
-                               cartan_classify, char_poly_4x4, is_equilibrium,
-                               k_split, leaf_linearization,
-                               origin_stability_certificate, pencil_char_poly,
-                               quartic_roots)
-from mbloch.verify import (C_GRID, classification_grid_refinement_stable,
+from mbloch.equilibria import (EquilibriumFamily, QuarticPoly, cartan_classify,
+                               char_poly_4x4, is_equilibrium, k_split,
+                               leaf_linearization, origin_stability_certificate,
+                               pencil_char_poly, quartic_roots)
+from mbloch.verify import (C_GRID, classified_spectrum_matches_pencil,
                            leaf_flows_commute, quartic_root_reconstruction,
                            root_match_error)
 
@@ -191,8 +190,8 @@ class TestCartanClassification:
         assert res.stable == equilibria.NOT_DETERMINED
         assert res.alpha is None and res.A is None and res.B is None
 
-    def test_grid_refinement_invariance(self):
-        assert classification_grid_refinement_stable(C_GRID)
+    def test_classified_spectrum_matches_pencil(self):
+        assert classified_spectrum_matches_pencil(C_GRID)
 
     def test_rejects_ring_equilibria(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import pytest
 
 from mbloch import solutions, verify
 from mbloch.core import DomainError, conserved, vector_field
-from mbloch.integrate import (DT_INITIAL, MAX_RK4_STEPS, DriftReport,
+from mbloch.integrate import (DT_INITIAL, MAX_STEPS, DriftReport,
                               IntegrationStalledError, IntegratorConfig,
                               StateOverflowError, Trajectory, drift_report,
                               integrate, rk4_step)
@@ -38,11 +38,15 @@ class TestConfigValidation:
             IntegratorConfig(t_end=t_end)
 
     def test_rk4_step_cap(self):
-        IntegratorConfig(method="rk4", t_end=1.0, dt=1.0 / MAX_RK4_STEPS)
+        IntegratorConfig(method="rk4", t_end=1.0, dt=1.0 / MAX_STEPS)
         for t_end, dt in ((1.0, 1e-9), (1e10, 1e-320)):  # 1e9 and inf steps
             with pytest.raises(DomainError):
                 IntegratorConfig(method="rk4", t_end=t_end, dt=dt)
         IntegratorConfig(method="rk45", t_end=1.0, dt=1e-9)  # rk45 ignores dt
+        # rk45 is capped by t_end / dt_max
+        IntegratorConfig(method="rk45", t_end=MAX_STEPS * 0.5, dt_max=0.5)
+        with pytest.raises(DomainError):
+            IntegratorConfig(method="rk45", t_end=1e300)
 
 
 class TestRk4Step:

@@ -2,6 +2,8 @@
 each case breaks one formula and asserts that the named checks of a suite
 pass before the break and fail after it: none of them is vacuous."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,25 @@ def scale_quartic_roots(monkeypatch):
                         lambda poly: [1.01 * r for r in roots(poly)])
 
 
+def _patch_classify(monkeypatch, change):
+    # change: ClassificationResult -> the fields to replace
+    classify = equilibria.cartan_classify
+
+    def broken(e, c):
+        res = classify(e, c)
+        return dataclasses.replace(res, **change(res))
+
+    monkeypatch.setattr(equilibria, "cartan_classify", broken)
+
+
+def scale_classified_roots(monkeypatch):
+    _patch_classify(monkeypatch, lambda res: {"roots": [1.01 * r for r in res.roots]})
+
+
+def scale_classified_alpha(monkeypatch):
+    _patch_classify(monkeypatch, lambda res: {"alpha": 1.01 * res.alpha})
+
+
 def flip_grad_I_entry(monkeypatch):
     grad = invariant_sets.grad_I
     monkeypatch.setattr(invariant_sets, "grad_I",
@@ -41,6 +62,8 @@ def flip_grad_I_entry(monkeypatch):
                                       "polar_chart_pushforward"}),
     ("invariant_sets", drop_x2y2_from_dz, {"union_is_invariant"}),
     ("invariant_sets", flip_grad_I_entry, {"rank2_on_pieces"}),
+    ("equilibria", scale_classified_roots, {"classified_spectrum_matches_pencil"}),
+    ("equilibria", scale_classified_alpha, {"classified_spectrum_matches_pencil"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
