@@ -8,7 +8,10 @@ for c > 0, center-center and stable for c < 0. The boundary leaf c = 0 is
 degenerate and needs an algebraic argument instead of eigenvalues.
 """
 
+import math
+
 from mbloch import equilibria
+from mbloch.core import conserved
 
 print("c      kind            stability        discriminant")
 for c in (4.0, 1.0, 0.25, -0.25, -1.0, -4.0):
@@ -20,9 +23,14 @@ print("the degenerate leaf c = 0")
 res = equilibria.cartan_classify([0, 0, 0, 0, 0.0], 0.0)
 print(f"  spectral verdict: {res.kind}, {res.stable}")
 
-cert = equilibria.origin_stability_certificate(2.0, 21)
-print("  algebraic certificate: the level sets H = I = C = 0 meet only at")
-print(f"  the origin on the grid; unique_solution = {cert.unique_solution}")
-for eps, worst in cert.max_norm_by_eps.items():
-    print(f"    eps = {eps:.0e}: largest |p| with all three below eps"
-          f" is {worst:.3g}")
+cert = equilibria.origin_stability_certificate()
+print("  algebraic certificate: max(|H|, |I|, |C|) <= eps confines |p| to")
+print("  R(eps) = sqrt(4 eps + 2 sqrt(2 eps)), so H = I = C = 0 only at the")
+print(f"  origin; unique_solution = {cert.unique_solution}.  The bound is attained")
+print("  at p* = (sqrt(2 eps + 2 sqrt(2 eps)), 0, 0, 0, -sqrt(2 eps)):")
+for eps, bound in cert.norm_bound_by_eps.items():
+    w = math.sqrt(2 * eps)
+    p_star = [math.sqrt(2 * eps + 2 * w), 0.0, 0.0, 0.0, -w]
+    level = max(abs(v) for v in conserved(p_star))
+    print(f"    eps = {eps:.0e}: R = {bound:.4g}, |p*| = {math.hypot(*p_star):.4g},"
+          f" max(|H|, |I|, |C|) at p* = {level:.4g}")

@@ -2,11 +2,10 @@
 equilibrium stability classification, explicit homoclinic and periodic
 solutions, and the rank-2 invariant set."""
 
-from .core import (ComplexState, ConservedTriple, DomainError, conserved,
+from .core import (ConservedTriple, DomainError, conserved,
                    grad_C, grad_H, grad_I, poisson_bracket, poisson_tensor,
-                   to_complex, to_real, vector_field)
-from .equilibria import (ClassificationResult, EquilibriumFamily,
-                         cartan_classify, is_equilibrium, k_split,
+                   vector_field)
+from .equilibria import (ClassificationResult, cartan_classify,
                          leaf_linearization, origin_stability_certificate,
                          pencil_char_poly, quartic_roots)
 from .integrate import (DriftReport, IntegratorConfig, Trajectory,
@@ -14,12 +13,10 @@ from .integrate import (DriftReport, IntegratorConfig, Trajectory,
 from .integrate import integrate as integrate_system
 from .invariant_sets import (M1Point, M2Point, RankReport, invariance_probe,
                              jacobian_F, m1_conserved, m1_embed,
-                             m1_membership, m1_reduced_field, m2_embed,
-                             m2_membership, rank_F)
+                             m1_reduced_field, m2_embed, rank_F)
 from .solutions import (HomoclinicParams, PeriodicParams, PolarState,
                         PunctureSchedule, homoclinic, homoclinic_derivative,
                         m1_solution, periodic_solution, polar_to_state,
-                        puncture_times, reduced_polar_field,
-                        second_order_profile, state_to_polar)
+                        puncture_times, reduced_polar_field, state_to_polar)
 
 __version__ = "0.1.0"

@@ -113,11 +113,11 @@ def cmd_classify(args):
         "stable": res.stable,
     }
     if res.kind == equilibria.DEGENERATE:
-        cert = equilibria.origin_stability_certificate(2.0, 21)
+        cert = equilibria.origin_stability_certificate()
         out["stable"] = "stable" if cert.unique_solution else "not-determined"
         out["certificate"] = {
             "unique_solution": cert.unique_solution,
-            "max_norm_by_eps": {repr(k): v for k, v in cert.max_norm_by_eps.items()},
+            "norm_bound_by_eps": {repr(k): v for k, v in cert.norm_bound_by_eps.items()},
         }
     _emit(out)
     return 0

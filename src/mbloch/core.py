@@ -27,14 +27,6 @@ class ConservedTriple(NamedTuple):
     C: float
 
 
-class ComplexState(NamedTuple):
-    """State in the complex form: field X, polarizability Y, inversion Z."""
-
-    X: complex
-    Y: complex
-    Z: float
-
-
 def _components(p) -> np.ndarray:
     """Finite float64 states (..., 5), component axis first; DomainError otherwise."""
     arr = np.asarray(p, dtype=float)
@@ -140,17 +132,6 @@ def poisson_bracket(grad_f: GradientField, grad_g: GradientField, p) -> float:
                  + x2 * (f[3] * g[4] - f[4] * g[3]))
 
 
-def to_real(q: ComplexState) -> np.ndarray:
-    """Unpack (X, Y, Z) into the real state (Re X, Re Y, Im X, Im Y, Z)."""
-    X, Y, Z = complex(q[0]), complex(q[1]), float(q[2])
-    return as_state([X.real, Y.real, X.imag, Y.imag, Z])
-
-
-def to_complex(p) -> ComplexState:
-    x1, y1, x2, y2, z = as_state(p)
-    return ComplexState(X=complex(x1, x2), Y=complex(y1, y2), Z=z)
-
-
 # --- quadratic observables, used for sharp bracket/Jacobi checks ------------
 #
 # All three constants of motion are quadratic polynomials, so F(p) =
@@ -164,10 +145,6 @@ class Quadratic:
     def __init__(self, A, b):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
-
-    def value(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        return float(0.5 * p @ self.A @ p + self.b @ p)
 
     def grad(self, p) -> np.ndarray:
         return self.A @ np.asarray(p, dtype=float) + self.b
@@ -203,11 +180,6 @@ _DJ_DX1[4, 1] = -1.0
 _DJ_DX2 = np.zeros((5, 5))
 _DJ_DX2[3, 4] = 1.0
 _DJ_DX2[4, 3] = -1.0
-
-
-def bracket_of_quadratics(F: Quadratic, G: Quadratic, p) -> float:
-    point = as_state(p)
-    return float(F.grad(point) @ poisson_tensor(point) @ G.grad(point))
 
 
 def bracket_grad_of_quadratics(F: Quadratic, G: Quadratic, p) -> np.ndarray:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DomainError, as_state, conserved, field_components,
-                   leaf_energy, vector_field)
+from .core import DomainError, as_state, leaf_energy
 
 CENTER_CENTER = "center-center"
 FOCUS_FOCUS = "focus-focus"
@@ -32,58 +31,6 @@ STABLE = "stable"
 UNSTABLE = "unstable"
 NOT_DETERMINED = "not-determined"
 
-K0 = "K0"
-K1 = "K1"
-
-@dataclass
-class EquilibriumFamily:
-    """A member of one of the three equilibrium families.
-
-    tag "E1": (0,0,0,0,M), M != 0; tag "E2": (M,0,N,0,0), M^2+N^2 != 0;
-    tag "E3": the origin.
-    """
-
-    tag: str
-    M: float = 0.0
-    N: float = 0.0
-
-    def __post_init__(self):
-        if self.tag == "E1":
-            if self.M == 0:
-                raise ValueError("E1 requires M != 0")
-        elif self.tag == "E2":
-            if self.M ** 2 + self.N ** 2 == 0:
-                raise ValueError("E2 requires M^2 + N^2 != 0")
-        elif self.tag != "E3":
-            raise ValueError(f"unknown family tag {self.tag!r}")
-
-    def embed(self) -> np.ndarray:
-        if self.tag == "E1":
-            return np.array([0.0, 0.0, 0.0, 0.0, self.M])
-        if self.tag == "E2":
-            return np.array([self.M, 0.0, self.N, 0.0, 0.0])
-        return np.zeros(5)
-
-
-def is_equilibrium(p, tol: float) -> bool:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return float(np.abs(vector_field(p)).max()) <= tol
-
-
-def k_split(e: EquilibriumFamily, c: float) -> str:
-    """Classify an equilibrium on the leaf C = c as K0 or K1.
-
-    K1 members (the ring family) are exactly those where the leaf-restricted
-    differential of I is nonzero: the tangent vector (-N, N, M, -M, 0)
-    witnesses dI(e)(v) = M^2 + N^2 != 0.  The axis family and the origin
-    have dI = 0 outright.
-    """
-    point = e.embed()
-    if abs(conserved(point).C - c) > 1e-12:
-        raise DomainError(f"point {point} does not lie on the leaf C={c}")
-    return K1 if e.tag == "E2" else K0
-
 
 @dataclass
 class LeafLinearization:
@@ -92,19 +39,6 @@ class LeafLinearization:
     c: float
     matrix_H: np.ndarray  # 4x4
     matrix_I: np.ndarray  # 4x4
-
-
-def reduced_hamiltonian_field(u, c: float) -> np.ndarray:
-    """Leaf flow of H in the chart z = c - (x1^2 + x2^2)/2."""
-    x1, y1, x2, y2 = u
-    z = c - 0.5 * (x1 * x1 + x2 * x2)
-    return np.array(field_components(x1, y1, x2, y2, z)[:4])
-
-
-def reduced_invariant_field(u, c: float = 0.0) -> np.ndarray:
-    """Leaf flow of I in the same chart (a rigid rotation of the pairs)."""
-    x1, y1, x2, y2 = u
-    return np.array([x2, y2, -x1, -y1])
 
 
 def leaf_linearization(e, c: float) -> LeafLinearization:
@@ -260,49 +194,31 @@ def cartan_classify(e, c: float) -> ClassificationResult:
                                 stable=STABLE)
 
 
+
+
+# the eps of the sublevel sets max(|H|, |I|, |C|) <= eps in the c = 0 certificate
+CERTIFICATE_EPS = (1e-2, 1e-4, 1e-6)
+
+
+def sublevel_norm_bound(eps: float) -> float:
+    """R(eps) = sqrt(4 eps + 2 sqrt(2 eps)), a sharp bound on |p| where
+    max(|H|, |I|, |C|) <= eps: H <= eps bounds y1^2 + y2^2 + z^2 by 2 eps,
+    and then C <= eps bounds x1^2 + x2^2 = 2 (C - z) by 2 eps + 2 sqrt(2 eps).
+    """
+    return math.sqrt(4.0 * eps + 2.0 * math.sqrt(2.0 * eps))
+
+
 @dataclass
 class OriginCertificate:
     unique_solution: bool
-    worst_offender: np.ndarray | None
-    max_norm_by_eps: dict
+    norm_bound_by_eps: dict
 
 
-def origin_stability_certificate(box_half_width: float, grid_n: int,
-                                 eps_values=(1e-2, 1e-4, 1e-6)) -> OriginCertificate:
-    """Grid evidence that {H=0, I=0, C=0} pins down only the origin.
-
-    Scans [-w, w]^5; for each eps the points with max(|H|,|I|,|C|) <= eps
-    must have norm below 10*eps^(1/4), shrinking as eps does.  (Analytically
-    H <= eps bounds y1, y2, z and the C equation then bounds x1, x2.)
-    """
-    if box_half_width <= 0:
-        raise ValueError("box_half_width must be positive")
-    if grid_n < 3:
-        raise ValueError("grid_n must be at least 3")
-    axis = np.linspace(-box_half_width, box_half_width, grid_n)
-    x1, y1, x2, y2 = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    points = np.stack([x1, y1, x2, y2, np.zeros_like(x1)], axis=-1)
-    eps_values = sorted(eps_values, reverse=True)
-    max_norms = {eps: 0.0 for eps in eps_values}
-    offenders = {eps: None for eps in eps_values}
-    for z in axis:  # slice the 5th axis to bound memory
-        points[..., 4] = z
-        h, i_val, c_val = conserved(points)
-        level = np.maximum(np.maximum(h, np.abs(i_val)), np.abs(c_val))
-        norm2 = x1 ** 2 + y1 ** 2 + x2 ** 2 + y2 ** 2 + z ** 2
-        for eps in eps_values:
-            mask = level <= eps
-            if not mask.any():
-                continue
-            idx = np.unravel_index(np.argmax(np.where(mask, norm2, -1.0)), mask.shape)
-            norm = float(np.sqrt(norm2[idx]))
-            if norm > max_norms[eps]:
-                max_norms[eps] = norm
-                offenders[eps] = np.array([x1[idx], y1[idx], x2[idx], y2[idx], z])
-    norms = [max_norms[eps] for eps in eps_values]
-    monotone = all(a >= b for a, b in zip(norms, norms[1:]))
-    bounded = all(max_norms[eps] < 10.0 * eps ** 0.25 for eps in eps_values)
-    ok = monotone and bounded
-    worst = None if ok else offenders[eps_values[-1]]
-    return OriginCertificate(unique_solution=ok, worst_offender=worst,
-                             max_norm_by_eps={float(k): max_norms[k] for k in eps_values})
+def origin_stability_certificate() -> OriginCertificate:
+    """The degenerate origin is stable: H, I and C are conserved, so an orbit
+    starting where max(|H|, |I|, |C|) <= eps stays within |p| <= R(eps),
+    which shrinks to the origin with eps.  R(0) = 0, so the origin is the
+    one point with H = I = C = 0 (``unique_solution``)."""
+    return OriginCertificate(
+        unique_solution=sublevel_norm_bound(0.0) == 0.0,
+        norm_bound_by_eps={eps: sublevel_norm_bound(eps) for eps in CERTIFICATE_EPS})

@@ -49,6 +49,7 @@ class M1Point:
     def __post_init__(self):
         if self.x2 == 0:
             raise DomainError("M1 requires x2 != 0")
+        m1_embed(self)  # DomainError where the embedded state overflows
 
 
 @dataclass
@@ -62,11 +63,12 @@ class M2Point:
 
 
 def m1_embed(q: M1Point) -> np.ndarray:
-    return as_state([
-        q.x1, q.y1, q.x2,
-        -q.x1 * q.y1 / q.x2,
-        -(q.y1 / q.x2) ** 2,
-    ])
+    """The M1 point over q; DomainError where it is not finite."""
+    try:
+        z = -(q.y1 / q.x2) ** 2
+    except OverflowError:
+        z = -math.inf
+    return as_state([q.x1, q.y1, q.x2, -q.x1 * q.y1 / q.x2, z])
 
 
 def m2_embed(q: M2Point) -> np.ndarray:
@@ -97,27 +99,6 @@ def m2_defect(p) -> float:
     x1, y1, x2, y2, z = as_state(p)
     _, s3 = _norms(p)
     return max(abs(y1), abs(x2), abs(z * x1 * x1 + y2 * y2) / s3)
-
-
-def m1_membership(p, tol: float) -> bool:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x1, y1, x2, y2, z = as_state(p)
-    s2, s3 = _norms(p)
-    return (abs(x2) > tol
-            and abs(y2 * x2 + x1 * y1) <= tol * s2
-            and abs(z * x2 * x2 + y1 * y1) <= tol * s3)
-
-
-def m2_membership(p, tol: float) -> bool:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x1, y1, x2, y2, z = as_state(p)
-    _, s3 = _norms(p)
-    return (abs(x1) > tol
-            and abs(y1) <= tol
-            and abs(x2) <= tol
-            and abs(z * x1 * x1 + y2 * y2) <= tol * s3)
 
 
 def m1_reduced_field(q: M1Point):

@@ -125,19 +125,6 @@ def homoclinic_derivative(params: HomoclinicParams, t):
     ], axis=-1)
 
 
-def second_order_profile(c: float, t):
-    """Radial pulse r1(t) = 2 sqrt(c) sech(sqrt(c) t) and its derivative.
-
-    Solves r1'' = r1 (c - r1^2 / 2); rescaling r1 = 2 sqrt(c) u,
-    tt = sqrt(c) t turns this into u'' = u - 2 u^3 with u = sech.
-    """
-    if c <= 0:
-        raise DomainError("radial pulse requires c > 0")
-    rc = math.sqrt(c)
-    sech, tanh = _sech_tanh(rc, t)
-    return 2.0 * rc * sech, -2.0 * c * sech * tanh
-
-
 @dataclass
 class PeriodicParams:
     """Initial data (x1_0, y1_0, x2_0) on the rank-2 set, x2_0, y1_0 != 0."""
@@ -149,6 +136,12 @@ class PeriodicParams:
     def __post_init__(self):
         if self.x2_0 == 0 or self.y1_0 == 0:
             raise DomainError("periodic family requires x2_0 != 0 and y1_0 != 0")
+        w, x1, x2 = self.omega, self.x1_0, self.x2_0
+        if not math.isfinite(self.period):
+            raise DomainError(f"the period 2 pi / |omega| overflows at omega = {w!r}")
+        if not math.isfinite((1 + w * w) * (1 + x1 * x1 + x2 * x2)):
+            raise DomainError("the orbit's residual scale (1 + omega^2)"
+                              "(1 + x1_0^2 + x2_0^2) overflows")
 
     @property
     def omega(self) -> float:

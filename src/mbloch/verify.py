@@ -165,12 +165,13 @@ def leaf_flows_commute(c_grid) -> bool:
 
 
 def classified_spectrum_matches_pencil(c_grid) -> bool:
-    """The classifier's closed-form roots are the numerical roots of the
-    pencil member it names."""
+    """The classifier's closed-form roots are the eigenvalues of the pencil
+    member it names, matrix_H + alpha matrix_I."""
     ok = True
     for c in c_grid:
         res = equilibria.cartan_classify([0, 0, 0, 0, c], c)
-        pencil = equilibria.quartic_roots(equilibria.pencil_char_poly(c, res.alpha))
+        lin = equilibria.leaf_linearization([0, 0, 0, 0, c], c)
+        pencil = np.linalg.eigvals(lin.matrix_H + res.alpha * lin.matrix_I)
         ok &= root_match_error(res.roots, pencil) < 1e-9 * (1 + abs(c))
     return bool(ok)
 
@@ -184,10 +185,71 @@ def discriminant_and_type_signs(c_grid) -> bool:
         if c > 0:
             ok &= res.kind == equilibria.FOCUS_FOCUS and res.discriminant < 0
         else:
-            a = 0.5 * math.sqrt(-c) * 0.9
-            roots = equilibria.quartic_roots(equilibria.pencil_char_poly(c, a))
+            lin = equilibria.leaf_linearization([0, 0, 0, 0, c], c)
+            roots = np.linalg.eigvals(lin.matrix_H + 0.45 * math.sqrt(-c) * lin.matrix_I)
             ok &= all(abs(r.real) < 1e-9 * (1 + abs(r)) for r in roots)
             ok &= res.kind == equilibria.CENTER_CENTER
+    return bool(ok)
+
+
+def leaf_linearization_is_jacobian(c_grid) -> bool:
+    """matrix_H and matrix_I are the Jacobians at the chart origin, by central
+    differences, of the leaf flows J grad H and J grad I in the chart
+    z = c - (x1^2 + x2^2)/2."""
+    def flow(grad, u, c):
+        p = np.append(u, c - 0.5 * (u[0] ** 2 + u[2] ** 2))
+        return (core.poisson_tensor(p) @ grad(p))[:4]
+
+    ok = True
+    for c in c_grid:
+        lin = equilibria.leaf_linearization([0, 0, 0, 0, c], c)
+        for mat, grad in ((lin.matrix_H, core.grad_H), (lin.matrix_I, core.grad_I)):
+            fd = np.column_stack([flow(grad, du, c) - flow(grad, -du, c)
+                                  for du in 1e-6 * np.eye(4)]) / 2e-6
+            ok &= np.abs(mat - fd).max() < 1e-8
+    return bool(ok)
+
+
+def ring_equilibrium(m, n):
+    """The ring-family point (M, 0, N, 0, 0)."""
+    return np.array([m, 0.0, n, 0.0, 0.0])
+
+
+def equilibrium_families_fixed(axis_values, ring_pairs) -> bool:
+    """The field vanishes at the origin, on the axis points (0,0,0,0,M) and
+    on the ring points (M,0,N,0,0).  grad I vanishes on the axis (K0); on
+    the ring the leaf-tangent vector v = (-N, N, M, -M, 0) witnesses
+    grad I . v = M^2 + N^2 != 0 (K1)."""
+    axis = [np.array([0.0, 0.0, 0.0, 0.0, m]) for m in (0.0, *axis_values)]
+    ok = all(not core.vector_field(p).any() and not core.grad_I(p).any() for p in axis)
+    for m, n in ring_pairs:
+        p, v, want = ring_equilibrium(m, n), np.array([-n, n, m, -m, 0.0]), m * m + n * n
+        ok &= not core.vector_field(p).any() and core.grad_C(p) @ v == 0.0
+        ok &= abs(core.grad_I(p) @ v - want) <= 1e-15 * want
+    return bool(ok)
+
+
+def origin_sublevel_bound(eps_values) -> bool:
+    """Points of each sublevel set max(|H|, |I|, |C|) <= eps lie in the ball
+    of radius R(eps) = ``equilibria.sublevel_norm_bound(eps)``, and the point
+    (sqrt(2 eps + 2 sqrt(2 eps)), 0, 0, 0, -sqrt(2 eps)) of the set reaches
+    it.  The other points form a fixed grid: (y1, y2, z) in the ball
+    H <= eps, (x1, x2) parallel to (y1, y2) so that I = 0, and
+    x1^2 + x2^2 = 2 (t eps - z) >= 0 so that C = t eps, t in {-1, 0, 1}."""
+    ok = True
+    for eps in eps_values:
+        w, bound = math.sqrt(2 * eps), equilibria.sublevel_norm_bound(eps)
+        r, a, b, t = (g.ravel() for g in np.meshgrid(
+            (0.5 * w, w), np.linspace(0, math.pi, 9), np.linspace(0, 6, 8), (-1, 0, 1)))
+        y, z = r * np.sin(a), r * np.cos(a)
+        s2 = 2 * (t * eps - z)
+        s = np.sqrt(np.maximum(s2, 0.0))
+        pts = np.column_stack([s * np.cos(b), y * np.cos(b), s * np.sin(b), y * np.sin(b), z])
+        pts = np.vstack([pts[s2 >= 0], [math.sqrt(2 * eps + 2 * w), 0, 0, 0, -w]])
+        level = np.abs(np.column_stack(core.conserved(pts))).max(axis=1)
+        norms = np.linalg.norm(pts, axis=1)
+        ok &= level.max() <= eps * (1 + 1e-12) and norms.max() <= bound * (1 + 1e-12)
+        ok &= abs(norms[-1] - bound) <= 1e-12 * bound
     return bool(ok)
 
 
@@ -199,6 +261,10 @@ def equilibria_suite(rng, level):
         ("leaf_flows_commute", leaf_flows_commute(C_GRID)),
         ("classified_spectrum_matches_pencil", classified_spectrum_matches_pencil(C_GRID)),
         ("discriminant_and_type_signs", discriminant_and_type_signs(C_GRID)),
+        ("leaf_linearization_is_jacobian", leaf_linearization_is_jacobian(C_GRID)),
+        ("equilibrium_families_fixed",
+         equilibrium_families_fixed(C_GRID, ((1.0, 2.0), (-0.5, 0.0), (0.0, 3.0)))),
+        ("origin_sublevel_bound", origin_sublevel_bound(equilibria.CERTIFICATE_EPS)),
     ]
 
 
@@ -414,6 +480,23 @@ def m1_conserved_pair(params, n_grid) -> bool:
     return bool(ok)
 
 
+def m1_reduced_flow_tangent(m1_points) -> bool:
+    """The reduced M1 field, pushed through the Jacobian of ``m1_embed``, is
+    the full field at the embedded point (chain rule), to rounding of the
+    product's terms."""
+    ok = True
+    for q in m1_points:
+        x1, y1, x2 = q.x1, q.y1, q.x2
+        jac = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                        [-y1 / x2, -x1 / x2, x1 * y1 / x2 ** 2],
+                        [0, -2 * y1 / x2 ** 2, 2 * y1 ** 2 / x2 ** 3]])
+        reduced = np.array(invariant_sets.m1_reduced_field(q))
+        terms = np.abs(jac) @ np.abs(reduced)
+        full = core.vector_field(invariant_sets.m1_embed(q))
+        ok &= np.abs(jac @ reduced - full).max() < 1e-13 * (1 + terms.max())
+    return bool(ok)
+
+
 def invariant_I_factorizes(m1_points) -> bool:
     """I = f1 * f2 at each embedded M1 point."""
     ok = True
@@ -453,6 +536,7 @@ def invariant_suite(rng, level):
     return checks + [
         ("m1_conserved_pair", m1_conserved_pair(params, 150)),
         ("invariant_I_factorizes", invariant_I_factorizes(m1_points)),
+        ("m1_reduced_flow_tangent", m1_reduced_flow_tangent(m1_points)),
         ("union_is_invariant", union_is_invariant(probe)),
         ("pieces_not_invariant", pieces_not_invariant(probe, q0, t_end)),
     ]

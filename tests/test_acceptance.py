@@ -77,9 +77,9 @@ def test_criterion_4_degenerate_origin():
         res = equilibria.cartan_classify([0, 0, 0, 0, 0], 0.0)
         assert res.kind == equilibria.DEGENERATE
         assert verify.pencil_closed_form((0.0,), (0.25, 0.5, 1.0, 2.0))
-        cert = equilibria.origin_stability_certificate(
-            2.0, 21, eps_values=(1e-2, 1e-4, 1e-6))
+        cert = equilibria.origin_stability_certificate()
         assert cert.unique_solution
+        assert verify.origin_sublevel_bound(tuple(cert.norm_bound_by_eps))
 
 
 def test_criterion_5_homoclinic_identity():

@@ -1,0 +1,33 @@
+"""The benchmark harness in ``perfbench/`` looks up mbloch names when it
+starts a traced run.  Building its instrumentation here makes the removal of
+a name it binds fail this suite, not only a traced benchmark run.  These
+tests read ``perfbench/`` and change nothing in it."""
+
+import os
+
+import numpy as np
+
+from mbloch import core
+from mbloch.integrate import IntegratorConfig, integrate
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def test_tracer_binds_its_targets(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    inst = tracing.Instrumentation(tracing.Tracer())
+    assert all(callable(fn) for fn, _, _ in inst.targets)
+
+
+def test_counting_field_path_is_the_default_path():
+    # the rk45 counting pass re-runs integrate with field=; its counts
+    # describe the timed run only if the samples agree bit for bit
+    p0 = [1.0, 1.0, 0.5, -0.5, 0.2]
+    cfg = IntegratorConfig(method="rk45", t_end=5.0)
+    default = integrate(p0, cfg)
+    counted = integrate(p0, cfg, field=core.vector_field)
+    assert np.array_equal(default.times, counted.times)
+    assert np.array_equal(default.states, counted.states)

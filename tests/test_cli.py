@@ -161,6 +161,10 @@ class TestSimulate:
     # about 1e300 rk45 steps of dt_max
     ["simulate", "--x1=0", "--y1=0", "--x2=0", "--y2=0", "--z=-1", "--t-end=1e300"],
     ["invariant-probe", "--m1=1,0,1", "--t-end=1e300"],
+    # the residual scale of the orbit, x1_0^2, overflows
+    ["periodic", "--x1", "1e200", "--y1", "1", "--x2", "1", "--dt", "1", "--t-max", "10"],
+    ["invariant-probe", "--m1", "1,1e100,1e-100", "--t-end", "1"],  # z overflows
+    ["invariant-probe", "--m1", "1,1e-320,1", "--t-end", "1"],  # the period overflows
 ])
 def test_bad_value_usage_error(capsys, tmp_path, argv):
     out_path = tmp_path / "x.csv"
@@ -205,6 +209,9 @@ class TestClassify:
         assert rep["kind"] == "degenerate"
         assert rep["stable"] == "stable"
         assert rep["certificate"]["unique_solution"] is True
+        bounds = rep["certificate"]["norm_bound_by_eps"]
+        assert list(bounds) == ["0.01", "0.0001", "1e-06"]
+        assert [round(r, 4) for r in bounds.values()] == [0.5682, 0.1694, 0.0532]
 
 
 def check_classify(c):

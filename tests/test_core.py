@@ -124,22 +124,6 @@ class TestInvariantsAlongFlow:
         assert verify.invariants_along_flow(random_points(100, seed=8))
 
 
-class TestComplexConversion:
-    def test_unpack_interleaving(self):
-        p = core.to_real(core.ComplexState(X=1 + 2j, Y=3 + 4j, Z=5.0))
-        assert np.array_equal(p, [1, 3, 2, 4, 5])
-
-    def test_real_axis(self):
-        assert np.array_equal(core.to_real(core.ComplexState(1, 0, 0)),
-                              [1, 0, 0, 0, 0])
-
-    def test_round_trip_exact(self):
-        p = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        assert np.array_equal(core.to_real(core.to_complex(p)), p)
-        q = core.ComplexState(X=0.3 - 1.7j, Y=-2.2 + 0.9j, Z=-4.0)
-        assert core.to_complex(core.to_real(q)) == q
-
-
 class TestJacobiIdentity:
     def test_bracket_gradient_against_finite_differences(self):
         # independent oracle: central differences of the bracket value
@@ -153,8 +137,8 @@ class TestJacobiIdentity:
             for m in range(5):
                 dp = np.zeros(5)
                 dp[m] = h
-                fd[m] = (core.bracket_of_quadratics(F, G, p + dp)
-                         - core.bracket_of_quadratics(F, G, p - dp)) / (2 * h)
+                fd[m] = (core.poisson_bracket(F.grad, G.grad, p + dp)
+                         - core.poisson_bracket(F.grad, G.grad, p - dp)) / (2 * h)
             assert np.abs(analytic - fd).max() < 1e-7 * (1 + np.abs(fd).max())
 
     def test_cyclic_sum_named_invariants(self):

@@ -3,8 +3,8 @@ import pytest
 
 from mbloch import invariant_sets as inv
 from mbloch.core import DomainError, conserved, vector_field
-from mbloch.verify import (invariant_I_factorizes, pieces_not_invariant,
-                           rank2_on_pieces, rank3_generic)
+from mbloch.verify import (invariant_I_factorizes, m1_reduced_flow_tangent,
+                           pieces_not_invariant, rank2_on_pieces, rank3_generic)
 
 
 class TestJacobian:
@@ -67,6 +67,8 @@ class TestEmbeddings:
         with pytest.raises(ValueError):
             inv.M1Point(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
+            inv.M1Point(1.0, 1e100, 1e-100)  # z = -(y1/x2)^2 overflows
+        with pytest.raises(ValueError):
             inv.M2Point(0.0, 1.0)
 
 
@@ -76,19 +78,15 @@ class TestMembership:
         for _ in range(50):
             q1 = inv.M1Point(rng.uniform(-2, 2), rng.uniform(-2, 2),
                              rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-            assert inv.m1_membership(inv.m1_embed(q1), 1e-9)
+            assert inv.m1_defect(inv.m1_embed(q1)) < 1e-9
             q2 = inv.M2Point(rng.choice([-1, 1]) * rng.uniform(0.1, 2),
                              rng.uniform(-2, 2))
-            assert inv.m2_membership(inv.m2_embed(q2), 1e-9)
+            assert inv.m2_defect(inv.m2_embed(q2)) < 1e-9
 
     def test_generic_point_excluded(self):
         p = [1, 2, 3, 4, 5]
-        assert not inv.m1_membership(p, 1e-9)  # y2 x2 + x1 y1 = 14
-        assert not inv.m2_membership(p, 1e-9)
-
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            inv.m1_membership(np.zeros(5), 0.0)
+        assert inv.m1_defect(p) > 1e-9  # y2 x2 + x1 y1 = 14
+        assert inv.m2_defect(p) > 1e-9
 
 
 class TestReducedDynamics:
@@ -102,22 +100,12 @@ class TestReducedDynamics:
         # chain rule: 5D field at the embedded point equals the embedding
         # Jacobian applied to the reduced 3D field
         rng = np.random.default_rng(19)
+        points = []
         for _ in range(30):
             x1, y1 = rng.uniform(-2, 2, size=2)
             x2 = rng.choice([-1, 1]) * rng.uniform(0.2, 2)
-            q = inv.M1Point(x1, y1, x2)
-            dx1, dy1, dx2 = inv.m1_reduced_field(q)
-            jac_rows = np.array([
-                [1, 0, 0],
-                [0, 1, 0],
-                [0, 0, 1],
-                [-y1 / x2, -x1 / x2, x1 * y1 / x2 ** 2],
-                [0, -2 * y1 / x2 ** 2, 2 * y1 ** 2 / x2 ** 3],
-            ])
-            pushed = jac_rows @ np.array([dx1, dy1, dx2])
-            full = vector_field(inv.m1_embed(q))
-            scale = 1 + np.abs(full).max()
-            assert np.abs(pushed - full).max() < 1e-13 * scale
+            points.append(inv.M1Point(x1, y1, x2))
+        assert m1_reduced_flow_tangent(points)
 
     def test_conserved_pair(self):
         assert inv.m1_conserved(inv.M1Point(1.0, 1.0, 1.0)) == (2.0, 1.0)

@@ -10,8 +10,7 @@ from mbloch.solutions import (HomoclinicParams, PeriodicParams, PolarState,
                               homoclinic, homoclinic_derivative, m1_solution,
                               periodic_derivative, periodic_solution,
                               polar_to_state, puncture_times,
-                              reduced_polar_field, second_order_profile,
-                              state_to_polar)
+                              reduced_polar_field, state_to_polar)
 
 
 class TestPolarChart:
@@ -113,16 +112,24 @@ class TestHomoclinic:
         assert d0[1] == pytest.approx(-2.0)  # dy1/dt = x1 z = 2 * (-1)
 
 
+def homoclinic_radius(c, t):
+    """r1 = |(x1, x2)| along the homoclinic on the leaf C = c."""
+    x1, _, x2, _, _ = homoclinic(HomoclinicParams(c=c, theta0=0.4), t)
+    return math.hypot(x1, x2)
+
+
 class TestSecondOrderProfile:
+    # the homoclinic's radius is the pulse 2 sqrt(c) sech(sqrt(c) t), which
+    # solves the radial equation r1'' = r1 (c - r1^2 / 2)
     def test_peak_value(self):
-        r1, r1_dot = second_order_profile(1.0, 0.0)
-        assert (r1, r1_dot) == (2.0, 0.0)
+        x1, y1, x2, y2, _ = homoclinic(HomoclinicParams(c=1.0), 0.0)
+        assert (math.hypot(x1, x2), x1 * y1 + x2 * y2) == (2.0, 0.0)
 
     def test_second_order_equation_residual(self):
         for c in (0.5, 1.0, 2.0):
             rc = math.sqrt(c)
             for t in (-1.3, 0.7, 2.1):
-                r1, _ = second_order_profile(c, t)
+                r1 = homoclinic_radius(c, t)
                 sech = 1.0 / math.cosh(rc * t)
                 tanh = math.tanh(rc * t)
                 r1_ddot = -2.0 * c * rc * (sech ** 3 - sech * tanh ** 2)
@@ -134,13 +141,13 @@ class TestSecondOrderProfile:
         rc = math.sqrt(c)
         h = 1e-4
         for tt in (-1.0, 0.4, 2.0):
-            u = lambda s: second_order_profile(c, s / rc)[0] / (2 * rc)
+            u = lambda s: homoclinic_radius(c, s / rc) / (2 * rc)
             u_ddot = (u(tt + h) - 2 * u(tt) + u(tt - h)) / h ** 2
             assert abs(u_ddot - (u(tt) - 2 * u(tt) ** 3)) < 1e-6
 
     def test_rejects_nonpositive_c(self):
         with pytest.raises(DomainError):
-            second_order_profile(0.0, 1.0)
+            HomoclinicParams(c=0.0)
 
 
 class TestPeriodic:
@@ -149,6 +156,10 @@ class TestPeriodic:
             PeriodicParams(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             PeriodicParams(1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            PeriodicParams(1e200, 1.0, 1.0)  # x1_0^2 overflows
+        with pytest.raises(ValueError):
+            PeriodicParams(1.0, 1e-320, 1.0)  # the period overflows
 
     def test_initial_point(self):
         par = PeriodicParams(x1_0=0.5, y1_0=1.5, x2_0=-0.75)

@@ -53,6 +53,35 @@ def flip_grad_I_entry(monkeypatch):
                         lambda p: grad(p) * [1.0, 1.0, 1.0, -1.0, 1.0])
 
 
+def halve_sublevel_bound(monkeypatch):
+    bound = equilibria.sublevel_norm_bound
+    monkeypatch.setattr(equilibria, "sublevel_norm_bound", lambda eps: 0.5 * bound(eps))
+
+
+def flip_c_in_matrix_H(monkeypatch):
+    # (x1, y1)' = (y1, -c x1) instead of (y1, c x1), and the same for (x2, y2)
+    linearize = equilibria.leaf_linearization
+
+    def broken(e, c):
+        lin = linearize(e, c)
+        matrix_H = lin.matrix_H.copy()
+        matrix_H[1, 0] = matrix_H[3, 2] = -c
+        return dataclasses.replace(lin, matrix_H=matrix_H)
+
+    monkeypatch.setattr(equilibria, "leaf_linearization", broken)
+
+
+def scale_m1_reduced_field(monkeypatch):
+    field = invariant_sets.m1_reduced_field
+    monkeypatch.setattr(invariant_sets, "m1_reduced_field",
+                        lambda q: tuple(1.01 * v for v in field(q)))
+
+
+def shift_ring_embedding(monkeypatch):
+    ring = verify.ring_equilibrium
+    monkeypatch.setattr(verify, "ring_equilibrium", lambda m, n: ring(m, n) + [0, 0, 0, 0, 0.5])
+
+
 @pytest.mark.parametrize("suite,break_formula,names", [
     ("core", drop_x2y2_from_dz, {"hamiltonian_poisson_form", "invariants_along_flow"}),
     ("equilibria", scale_quartic_roots, {"quartic_root_reconstruction"}),
@@ -64,6 +93,10 @@ def flip_grad_I_entry(monkeypatch):
     ("invariant_sets", flip_grad_I_entry, {"rank2_on_pieces"}),
     ("equilibria", scale_classified_roots, {"classified_spectrum_matches_pencil"}),
     ("equilibria", scale_classified_alpha, {"classified_spectrum_matches_pencil"}),
+    ("equilibria", halve_sublevel_bound, {"origin_sublevel_bound"}),
+    ("equilibria", flip_c_in_matrix_H, {"leaf_linearization_is_jacobian"}),
+    ("invariant_sets", scale_m1_reduced_field, {"m1_reduced_flow_tangent"}),
+    ("equilibria", shift_ring_embedding, {"equilibrium_families_fixed"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
