@@ -25,17 +25,22 @@ CSV_HEADER = "t,x1,y1,x2,y2,z,H,I,C"
 # largest CSV that ``homoclinic`` and ``periodic`` write; refused before
 # the sample arrays are allocated
 MAX_CSV_ROWS = 10 ** 6
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# rows per block of the CSV writer: a long export never holds all its rows
+# as Python objects at once
+CSV_BLOCK_ROWS = 1024
+# largest ``homoclinic`` grid step in pulse widths 1/sqrt(c): a coarser grid
+# steps over the pulse, and its checks then see only the flat tails
+MAX_PULSE_STEP = 1.0
 
 
 def _write_csv(path, times, states, cons):
+    # tolist() gives Python floats, whose repr is the shortest round trip
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for t, s, c in zip(times, states, cons):
-            fh.write(",".join(_fmt(v) for v in [t, *s, *c]) + "\n")
+        for a in range(0, len(times), CSV_BLOCK_ROWS):
+            b = a + CSV_BLOCK_ROWS
+            for row in np.column_stack((times[a:b], states[a:b], cons[a:b])).tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_trajectory_csv(path, traj: Trajectory):
@@ -138,6 +143,9 @@ def _closed_form_run(args, times, states, deriv, level, tol):
 def cmd_homoclinic(args):
     sign = {"+": 1, "-": -1}[args.sign]
     par = solutions.HomoclinicParams(c=args.c, theta0=args.theta0, sign=sign)
+    if not args.dt * math.sqrt(args.c) <= MAX_PULSE_STEP:
+        raise DomainError(f"--dt {args.dt!r} is more than {MAX_PULSE_STEP} pulse "
+                          f"widths 1/sqrt(c) = {1 / math.sqrt(args.c)!r}")
     times = _sample_times(args.t_min, args.t_max, args.dt)
     states = solutions.homoclinic(par, times)
     deriv = solutions.homoclinic_derivative(par, times)

@@ -1,5 +1,11 @@
 """Fixed-step RK4 and adaptive Dormand-Prince 5(4) integration.
 
+Both step kernels, ``_rk4_raw`` and ``_dp_raw``, are written out stage by
+stage on the five components as plain floats, and both drivers keep the
+state as Python floats between steps (step control, error norm and
+finiteness test included): no array is built per step, only the recorded
+samples become arrays at the end.
+
 Structure is verified by measurement rather than construction: every
 recorded sample carries the values of the three constants of motion, and
 ``drift_report`` summarizes their worst excursion from the initial values.
@@ -138,30 +144,54 @@ def rk4_step(p, h: float, field=None) -> np.ndarray:
     return new
 
 
-# Dormand-Prince 5(4) tableau (autonomous field, so the c nodes are unused)
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-
-def _dp_step(f, y, h):
-    k = np.empty((7, 5))
-    k[0] = f(*y.tolist())
-    for i in range(1, 7):
-        acc = y + h * (np.asarray(_DP_A[i]) @ k[:i])
-        k[i] = f(*acc.tolist())
-    y5 = y + h * (_DP_B5 @ k)
-    y4 = y + h * (_DP_B4 @ k)
-    return y5, y5 - y4
+def _dp_raw(x1, y1, x2, y2, z, h, f):
+    # one Dormand-Prince 5(4) step on the five components (Hairer, Norsett &
+    # Wanner, Solving ODEs I, II.5; autonomous field, so the c nodes are
+    # unused): each stage and each solution sums its tableau row left to
+    # right, skipping the zero entries; returns the fifth-order state and
+    # the fourth-order state
+    a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)
+    s = 1 / 5
+    a2, b2, c2, d2, e2 = f(x1 + h * (s * a1), y1 + h * (s * b1), x2 + h * (s * c1),
+                           y2 + h * (s * d1), z + h * (s * e1))
+    s1, s2 = 3 / 40, 9 / 40
+    a3, b3, c3, d3, e3 = f(x1 + h * (s1 * a1 + s2 * a2), y1 + h * (s1 * b1 + s2 * b2),
+                           x2 + h * (s1 * c1 + s2 * c2), y2 + h * (s1 * d1 + s2 * d2),
+                           z + h * (s1 * e1 + s2 * e2))
+    s1, s2, s3 = 44 / 45, -56 / 15, 32 / 9
+    a4, b4, c4, d4, e4 = f(x1 + h * (s1 * a1 + s2 * a2 + s3 * a3),
+                           y1 + h * (s1 * b1 + s2 * b2 + s3 * b3),
+                           x2 + h * (s1 * c1 + s2 * c2 + s3 * c3),
+                           y2 + h * (s1 * d1 + s2 * d2 + s3 * d3),
+                           z + h * (s1 * e1 + s2 * e2 + s3 * e3))
+    s1, s2, s3, s4 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+    a5, b5, c5, d5, e5 = f(x1 + h * (s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4),
+                           y1 + h * (s1 * b1 + s2 * b2 + s3 * b3 + s4 * b4),
+                           x2 + h * (s1 * c1 + s2 * c2 + s3 * c3 + s4 * c4),
+                           y2 + h * (s1 * d1 + s2 * d2 + s3 * d3 + s4 * d4),
+                           z + h * (s1 * e1 + s2 * e2 + s3 * e3 + s4 * e4))
+    s1, s2, s3, s4, s5 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+    a6, b6, c6, d6, e6 = f(x1 + h * (s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4 + s5 * a5),
+                           y1 + h * (s1 * b1 + s2 * b2 + s3 * b3 + s4 * b4 + s5 * b5),
+                           x2 + h * (s1 * c1 + s2 * c2 + s3 * c3 + s4 * c4 + s5 * c5),
+                           y2 + h * (s1 * d1 + s2 * d2 + s3 * d3 + s4 * d4 + s5 * d5),
+                           z + h * (s1 * e1 + s2 * e2 + s3 * e3 + s4 * e4 + s5 * e5))
+    # the seventh stage is taken at the fifth-order state (first same as last)
+    s1, s3, s4, s5, s6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+    y5 = (x1 + h * (s1 * a1 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6),
+          y1 + h * (s1 * b1 + s3 * b3 + s4 * b4 + s5 * b5 + s6 * b6),
+          x2 + h * (s1 * c1 + s3 * c3 + s4 * c4 + s5 * c5 + s6 * c6),
+          y2 + h * (s1 * d1 + s3 * d3 + s4 * d4 + s5 * d5 + s6 * d6),
+          z + h * (s1 * e1 + s3 * e3 + s4 * e4 + s5 * e5 + s6 * e6))
+    a7, b7, c7, d7, e7 = f(*y5)
+    s1, s3, s4, s5, s6, s7 = (5179 / 57600, 7571 / 16695, 393 / 640,
+                              -92097 / 339200, 187 / 2100, 1 / 40)
+    y4 = (x1 + h * (s1 * a1 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6 + s7 * a7),
+          y1 + h * (s1 * b1 + s3 * b3 + s4 * b4 + s5 * b5 + s6 * b6 + s7 * b7),
+          x2 + h * (s1 * c1 + s3 * c3 + s4 * c4 + s5 * c5 + s6 * c6 + s7 * c7),
+          y2 + h * (s1 * d1 + s3 * d3 + s4 * d4 + s5 * d5 + s6 * d6 + s7 * d7),
+          z + h * (s1 * e1 + s3 * e3 + s4 * e4 + s5 * e5 + s6 * e6 + s7 * e7))
+    return y5, y4
 
 
 def _trajectory(times, states):
@@ -212,24 +242,30 @@ def _integrate_rk4(y0, cfg, f):
 
 def _integrate_rk45(y0, cfg, f):
     times, states = [0.0], [y0.tolist()]
-    t, y, k = 0.0, y0, 0
+    t, y, k = 0.0, tuple(y0.tolist()), 0
     dt = min(DT_INITIAL, cfg.t_end)
     safety, shrink, grow = 0.9, 0.2, 5.0
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     while t < cfg.t_end:
         h = min(dt, cfg.t_end - t)
-        y_new, err_vec = _dp_step(f, y, h)
-        if not np.isfinite(y_new).all():
+        y5, y4 = _dp_raw(*y, h, f)
+        if not math.isfinite(y5[0] + y5[1] + y5[2] + y5[3] + y5[4]):
             raise StateOverflowError(t + h, _trajectory(times, states))
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        # RMS of the error y5 - y4 scaled by abs_tol + rel_tol |y|; e * e,
+        # not e ** 2, so that an overflow gives inf instead of raising
+        total = 0.0
+        for old, new, low in zip(y, y5, y4):
+            e = (new - low) / (abs_tol + rel_tol * max(abs(old), abs(new)))
+            total += e * e
+        err = math.sqrt(total / 5)
         if err <= 1.0:
             t += h
-            y = y_new
+            y = y5
             k += 1
             # t + h == t once h falls below half an ulp of t: keep one sample
             if (k % cfg.sample_stride == 0 or t >= cfg.t_end) and t != times[-1]:
                 times.append(t)
-                states.append(y.tolist())
+                states.append(y)
         elif h <= DT_MIN:
             raise IntegrationStalledError(t, _trajectory(times, states))
         factor = grow if err == 0.0 else min(grow, max(shrink, safety * err ** -0.2))

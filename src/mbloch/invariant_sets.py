@@ -34,9 +34,17 @@ class RankReport:
 
 
 def rank_F(p) -> RankReport:
-    """Numerical rank of the Jacobian of F via its singular values."""
-    sv = np.linalg.svd(jacobian_F(p), compute_uv=False)
-    tol = max(float(sv[0]) * 1e-10, 1e-14)
+    """Numerical rank of the Jacobian of F via the singular values of its
+    rows scaled to unit length, so that the rank does not depend on the
+    scale of any one gradient (at (1e200, 1, 1, 1, 1) grad I and grad C are
+    about 1e200 long and grad H about 1).  Each row is divided by its
+    largest entry before its norm is taken, which cannot then overflow."""
+    jac = jacobian_F(p)
+    big = np.abs(jac).max(axis=1, keepdims=True)
+    jac = jac / np.where(big > 0, big, 1.0)  # zero rows stay zero
+    norm = np.linalg.norm(jac, axis=1, keepdims=True)
+    sv = np.linalg.svd(jac / np.where(norm > 0, norm, 1.0), compute_uv=False)
+    tol = float(sv[0]) * 1e-10  # sv[0] >= 1: grad C is never zero
     return RankReport(singular_values=sv, rank=int(np.sum(sv > tol)), tol_used=tol)
 
 
@@ -60,19 +68,26 @@ class M2Point:
     def __post_init__(self):
         if self.x1 == 0:
             raise DomainError("M2 requires x1 != 0")
+        m2_embed(self)  # DomainError where the embedded state overflows
+
+
+def _graph_z(y, x):
+    """z = -(y/x)^2 of both graphs; -inf where it overflows, which
+    ``as_state`` then refuses."""
+    try:
+        return -(y / x) ** 2
+    except OverflowError:
+        return -math.inf
 
 
 def m1_embed(q: M1Point) -> np.ndarray:
     """The M1 point over q; DomainError where it is not finite."""
-    try:
-        z = -(q.y1 / q.x2) ** 2
-    except OverflowError:
-        z = -math.inf
-    return as_state([q.x1, q.y1, q.x2, -q.x1 * q.y1 / q.x2, z])
+    return as_state([q.x1, q.y1, q.x2, -q.x1 * q.y1 / q.x2, _graph_z(q.y1, q.x2)])
 
 
 def m2_embed(q: M2Point) -> np.ndarray:
-    return as_state([q.x1, 0.0, 0.0, q.y2, -(q.y2 / q.x1) ** 2])
+    """The M2 point over q; DomainError where it is not finite."""
+    return as_state([q.x1, 0.0, 0.0, q.y2, _graph_z(q.y2, q.x1)])
 
 
 def _norms(p):

@@ -282,6 +282,20 @@ def rk4_order_factor() -> bool:
     return bool(12.0 <= errs[0] / errs[1] <= 20.0)
 
 
+def dp_local_order() -> bool:
+    """One Dormand-Prince step from the exact homoclinic (c = 1, theta0 = 0.7,
+    t0 = -1): halving h from 0.1 divides the error of the fifth-order state
+    by about 2^6 and the embedded estimate |y5 - y4| by about 2^5."""
+    par = solutions.HomoclinicParams(c=1.0, theta0=0.7)
+    p0 = solutions.homoclinic(par, -1.0).tolist()
+    errs, ests = [], []
+    for h in (0.1, 0.05):
+        y5, y4 = integrate._dp_raw(*p0, h, core.field_components)
+        errs.append(np.linalg.norm(np.subtract(y5, solutions.homoclinic(par, -1.0 + h))))
+        ests.append(np.linalg.norm(np.subtract(y5, y4)))
+    return bool(48.0 <= errs[0] / errs[1] <= 80.0 and 24.0 <= ests[0] / ests[1] <= 40.0)
+
+
 def time_reversal() -> bool:
     """RK45 to t = 10 and back along the negated field returns to the start."""
     p0 = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
@@ -310,6 +324,7 @@ def integrate_suite(rng, level):
     runs = rk4_runs([[1.0, 1.0, 0.5, -0.5, 0.2]], 10.0 if level == QUICK else 100.0)
     return [
         ("rk4_order_factor", rk4_order_factor()),
+        ("dp_local_order", dp_local_order()),
         ("time_reversal", time_reversal()),
         ("rk4_conserved_drift", rk4_conserved_drift(runs)),
         ("samples_all_finite", samples_all_finite(runs)),

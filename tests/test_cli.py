@@ -165,6 +165,7 @@ class TestSimulate:
     ["periodic", "--x1", "1e200", "--y1", "1", "--x2", "1", "--dt", "1", "--t-max", "10"],
     ["invariant-probe", "--m1", "1,1e100,1e-100", "--t-end", "1"],  # z overflows
     ["invariant-probe", "--m1", "1,1e-320,1", "--t-end", "1"],  # the period overflows
+    ["homoclinic", "--c", "1e20"],  # a grid step of 1e8 pulse widths
 ])
 def test_bad_value_usage_error(capsys, tmp_path, argv):
     out_path = tmp_path / "x.csv"
@@ -260,8 +261,10 @@ class TestClosedFormCommands:
         assert np.abs(rows[:, 8] - 1.0).max() < 1e-12
 
     def test_homoclinic_large_leaf_is_silent(self, capsys, tmp_path):
-        # cosh(sqrt(c) t) overflows over most of the grid; sech is then 0
-        code = main(["homoclinic", "--c", "1e20", "--out", str(tmp_path / "h.csv")])
+        # a grid that resolves the pulse (width 1e-10, step 1e-11) and where
+        # cosh(sqrt(c) t) still overflows over most of it; sech is then 0
+        code = main(["homoclinic", "--c", "1e20", "--t-min=-1e-7", "--t-max", "1e-7",
+                     "--dt", "1e-11", "--out", str(tmp_path / "h.csv")])
         assert code == 0
         assert capsys.readouterr().err == ""
 
@@ -295,6 +298,13 @@ class TestRankAndProbe:
 
     def test_rank_of_generic_point(self, capsys):
         code, out = run(capsys, ["rank", "--point", "1,2,3,4,5"])
+        assert code == 0
+        assert json.loads(out)["rank"] == 3
+
+    @pytest.mark.parametrize("point", ["1e200,1,1,1,1", "1.5e10,1,1,1,1"])
+    def test_rank_of_point_with_large_coordinate(self, capsys, point):
+        # grad I and grad C scale with x1, grad H does not
+        code, out = run(capsys, ["rank", "--point", point])
         assert code == 0
         assert json.loads(out)["rank"] == 3
 

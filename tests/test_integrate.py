@@ -1,15 +1,32 @@
 import math
 import time
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from mbloch import solutions, verify
-from mbloch.core import DomainError, conserved, vector_field
+from mbloch.core import DomainError, conserved, field_components, vector_field
 from mbloch.integrate import (DT_INITIAL, MAX_STEPS, DriftReport,
                               IntegrationStalledError, IntegratorConfig,
-                              StateOverflowError, Trajectory, drift_report,
-                              integrate, rk4_step)
+                              StateOverflowError, Trajectory, _dp_raw,
+                              drift_report, integrate, rk4_step)
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5);
+# the last row of DP_A is the fifth-order solution, where the seventh stage
+# is taken
+DP_A = [
+    [],
+    [F(1, 5)],
+    [F(3, 40), F(9, 40)],
+    [F(44, 45), F(-56, 15), F(32, 9)],
+    [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+    [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+    [F(35, 384), 0, F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)],
+]
+DP_B5 = DP_A[-1] + [0]
+DP_B4 = [F(5179, 57600), 0, F(7571, 16695), F(393, 640), F(-92097, 339200),
+         F(187, 2100), F(1, 40)]
 
 
 class TestConfigValidation:
@@ -71,6 +88,37 @@ class TestRk4Step:
         reference = half + (half - full) / 15.0
         assert np.abs(full - reference).max() <= 1e-14
         assert abs(conserved(full).H - conserved(p).H) <= 1e-15
+
+
+def dp_by_table(p, h):
+    """One Dormand-Prince step read off the table: each row summed left to
+    right in an explicit loop (not ``sum``, whose float summation order is
+    not fixed across Python versions)."""
+    def advance(row, ks):
+        out = []
+        for i, y in enumerate(p):
+            acc = 0.0
+            for a, k in zip(row, ks):
+                acc += float(a) * k[i]
+            out.append(y + h * acc)
+        return out
+
+    ks = [field_components(*p)]
+    for row in DP_A[1:]:
+        ks.append(field_components(*advance(row, ks)))
+    return tuple(advance(DP_B5, ks)), tuple(advance(DP_B4, ks))
+
+
+class TestDormandPrinceStep:
+    def test_unrolled_kernel_is_the_table(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            p = tuple((rng.normal(size=5) * 10 ** rng.uniform(-2, 2, size=5)).tolist())
+            h = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 0))
+            assert _dp_raw(*p, h, field_components) == dp_by_table(p, h)
+
+    def test_local_order(self):
+        assert verify.dp_local_order()
 
 
 class TestIntegrate:

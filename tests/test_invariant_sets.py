@@ -46,6 +46,10 @@ class TestJacobian:
         assert np.all(rep.singular_values >= 0)
         assert rep.rank == int(np.sum(rep.singular_values > rep.tol_used))
 
+    def test_rank_two_at_a_large_coordinate(self):
+        # the three gradients are about 1e100 long there and still dependent
+        assert inv.rank_F(inv.m1_embed(inv.M1Point(1e100, 1.0, 1.0))).rank == 2
+
 
 class TestEmbeddings:
     def test_m1_embed_example(self):
@@ -70,6 +74,8 @@ class TestEmbeddings:
             inv.M1Point(1.0, 1e100, 1e-100)  # z = -(y1/x2)^2 overflows
         with pytest.raises(ValueError):
             inv.M2Point(0.0, 1.0)
+        with pytest.raises(DomainError):
+            inv.M2Point(1e-200, 1.0)  # z = -(y2/x1)^2 overflows
 
 
 class TestMembership:

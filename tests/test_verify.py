@@ -82,6 +82,17 @@ def shift_ring_embedding(monkeypatch):
     monkeypatch.setattr(verify, "ring_equilibrium", lambda m, n: ring(m, n) + [0, 0, 0, 0, 0.5])
 
 
+def add_h5_to_dp_fifth_order(monkeypatch):
+    # y5 gains h^5 in x1: an error of order 5 in place of 6
+    step = integrate._dp_raw
+
+    def broken(x1, y1, x2, y2, z, h, f):
+        y5, y4 = step(x1, y1, x2, y2, z, h, f)
+        return (y5[0] + h ** 5, *y5[1:]), y4
+
+    monkeypatch.setattr(integrate, "_dp_raw", broken)
+
+
 @pytest.mark.parametrize("suite,break_formula,names", [
     ("core", drop_x2y2_from_dz, {"hamiltonian_poisson_form", "invariants_along_flow"}),
     ("equilibria", scale_quartic_roots, {"quartic_root_reconstruction"}),
@@ -97,6 +108,7 @@ def shift_ring_embedding(monkeypatch):
     ("equilibria", flip_c_in_matrix_H, {"leaf_linearization_is_jacobian"}),
     ("invariant_sets", scale_m1_reduced_field, {"m1_reduced_flow_tangent"}),
     ("equilibria", shift_ring_embedding, {"equilibrium_families_fixed"}),
+    ("integrate", add_h5_to_dp_fifth_order, {"dp_local_order"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
