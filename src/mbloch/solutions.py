@@ -137,11 +137,18 @@ class PeriodicParams:
         if self.x2_0 == 0 or self.y1_0 == 0:
             raise DomainError("periodic family requires x2_0 != 0 and y1_0 != 0")
         w, x1, x2 = self.omega, self.x1_0, self.x2_0
+        if w == 0:
+            raise DomainError(f"omega = y1_0 / x2_0 underflows to 0 at "
+                              f"y1_0 = {self.y1_0!r}, x2_0 = {x2!r}")
         if not math.isfinite(self.period):
             raise DomainError(f"the period 2 pi / |omega| overflows at omega = {w!r}")
         if not math.isfinite((1 + w * w) * (1 + x1 * x1 + x2 * x2)):
             raise DomainError("the orbit's residual scale (1 + omega^2)"
                               "(1 + x1_0^2 + x2_0^2) overflows")
+        # z = -omega^2, so H grows as omega^4, past the residual scale
+        if not math.isfinite(w * w * (x1 * x1 + x2 * x2 + w * w)):
+            raise DomainError("the orbit's energy 2 H = omega^2 (x1_0^2 + x2_0^2"
+                              " + omega^2) overflows")
 
     @property
     def omega(self) -> float:

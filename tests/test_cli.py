@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mbloch
-from mbloch import cli
+from mbloch import cli, solutions
 from mbloch.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mbloch.__file__)))
@@ -129,6 +130,54 @@ class TestSimulate:
         assert rows and all("inf" not in r and "nan" not in r for r in rows)
 
 
+def oracle_csv(table):
+    """The CSV of a (rows, 9) table with ``repr`` called on every value, row
+    by row: the reference that the block writer must match byte for byte."""
+    lines = [cli.CSV_HEADER] + [",".join(map(repr, row)) for row in table.tolist()]
+    return "".join(line + "\n" for line in lines)
+
+
+def written_csv(path, table):
+    cli._write_csv(path, table[:, 0], table[:, 1:6], table[:, 6:])
+    with open(path) as fh:
+        return fh.read()
+
+
+BLOCK = cli.CSV_BLOCK_ROWS
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-5, 0.1 + 0.2,
+               1e308, -1.5, 2.0 ** 53 + 2]
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK, 2 * BLOCK + 1])
+def test_csv_writer_matches_per_value_repr(tmp_path, rows):
+    # repeated values within a block and across blocks, both signed zeros
+    # in every 7th row, and values whose shortest repr is long or exponential
+    rng = np.random.default_rng(rows)
+    pool = np.array(EDGE_VALUES + list(rng.normal(size=5)))
+    table = rng.choice(pool, size=(rows, 9))
+    table[::7, 3] = -0.0
+    table[::7, 4] = 0.0
+    assert written_csv(tmp_path / "w.csv", table) == oracle_csv(table)
+
+
+def test_csv_writer_keeps_signed_zeros_apart(tmp_path):
+    table = np.array([[0.0, -0.0, 0.0, -0.0, 1.0, -0.0, 0.0, 0.0, -0.0]])
+    text = written_csv(tmp_path / "w.csv", table)
+    assert text == oracle_csv(table)
+    assert text.split("\n")[1] == "0.0,-0.0,0.0,-0.0,1.0,-0.0,0.0,0.0,-0.0"
+
+
+@settings(derandomize=True, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 12), st.just(9)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_writer_any_finite_table(tmp_path_factory, table):
+    # blocks of 4 rows, so that a table of up to 12 rows spans several
+    path = tmp_path_factory.mktemp("csv") / "w.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_BLOCK_ROWS", 4)
+        assert written_csv(path, table) == oracle_csv(table)
+
+
 @pytest.mark.parametrize("argv", [
     SIMULATE + ["--t-end", "1", "--stride", "0"],
     SIMULATE + ["--t-end", "nan"],
@@ -166,6 +215,14 @@ class TestSimulate:
     ["invariant-probe", "--m1", "1,1e100,1e-100", "--t-end", "1"],  # z overflows
     ["invariant-probe", "--m1", "1,1e-320,1", "--t-end", "1"],  # the period overflows
     ["homoclinic", "--c", "1e20"],  # a grid step of 1e8 pulse widths
+    # omega = y1 / x2 underflows to 0, so the period is infinite
+    ["periodic", "--x1=0", "--y1=2.2250738585e-313", "--x2=90071992548.0"],
+    ["invariant-probe", "--m1=0,2.2250738585e-313,90071992548.0", "--t-end=1"],
+    # z = -omega^2 = -1e212, so H = z^2 / 2 overflows
+    ["periodic", "--x1=0", "--y1=1", "--x2=9.732720838833749e-107", "--t-max=1"],
+    # the phase omega t = 2 t_max overflows
+    ["periodic", "--x1=0", "--y1=2", "--x2=1", "--t-max=8.98846567431158e+307",
+     "--dt=1.797693134862316e+306"],
 ])
 def test_bad_value_usage_error(capsys, tmp_path, argv):
     out_path = tmp_path / "x.csv"
@@ -243,6 +300,44 @@ def test_classify_extreme_leaves(c):
     check_classify(c)
 
 
+def check_export(path, argv):
+    """An export command: exit 0, 1 or 2, one JSON object on stdout and an
+    empty stderr, or on exit 2 a usage message, no stdout and no CSV."""
+    if path.exists():
+        path.unlink()
+    code, out, err = run_captured(argv + [f"--out={path}"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and not path.exists()
+        assert err.startswith("usage:") and "Traceback" not in err
+        return
+    assert err == ""
+    assert len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert isinstance(rep, dict) and rep["passed"] is (code == 0)
+    assert path.read_text().startswith(cli.CSV_HEADER + "\n")
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False), st.sampled_from("+-"))
+def test_homoclinic_any_finite_leaf(tmp_path_factory, c, theta0, sign):
+    # a 51-row grid over +-5 pulse widths 1/sqrt(c)
+    width = 1 / math.sqrt(abs(c)) if c else 1.0
+    check_export(tmp_path_factory.mktemp("hom") / "h.csv", [
+        "homoclinic", f"--c={c!r}", f"--theta0={theta0!r}", f"--sign={sign}",
+        f"--t-min={-5 * width!r}", f"--t-max={5 * width!r}", f"--dt={width / 5!r}"])
+
+
+@settings(derandomize=True, deadline=None)
+@given(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
+def test_periodic_any_finite_orbit(tmp_path_factory, x1, y1, x2, t_max):
+    # a grid of about 50 steps over [0, t_max]
+    check_export(tmp_path_factory.mktemp("per") / "p.csv", [
+        "periodic", f"--x1={x1!r}", f"--y1={y1!r}", f"--x2={x2!r}",
+        f"--t-max={t_max!r}", f"--dt={t_max / 50!r}"])
+
+
 class TestClosedFormCommands:
     def test_homoclinic_export(self, capsys, tmp_path):
         out_path = tmp_path / "hom.csv"
@@ -267,6 +362,22 @@ class TestClosedFormCommands:
                      "--dt", "1e-11", "--out", str(tmp_path / "h.csv")])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+    def test_homoclinic_large_leaf_residual_is_relative(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # the field along the orbit scales as c^1.5 = 1e30: a relative
+        # derivative error of 1e-6 must fail the residual check
+        argv = ["homoclinic", "--c", "1e20", "--t-min=-1e-7", "--t-max", "1e-7",
+                "--dt", "1e-11", "--out", str(tmp_path / "h.csv")]
+        code, out = run(capsys, argv)
+        rep = json.loads(out)
+        assert code == 0 and rep["max_ode_residual"] < rep["tolerance"] < 1e19
+        deriv = solutions.homoclinic_derivative
+        monkeypatch.setattr(solutions, "homoclinic_derivative",
+                            lambda par, t: (1 + 1e-6) * deriv(par, t))
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert json.loads(out)["passed"] is False
 
     def test_homoclinic_negative_c_rejected(self, capsys, tmp_path):
         code, _ = run(capsys, ["homoclinic", "--c", "-1",
@@ -333,6 +444,13 @@ class TestRankAndProbe:
                                  "--t-end", "5"])
         assert code == 1
         assert json.loads(out)["error"] == "state overflow"
+
+    def test_probe_stall_is_a_runtime_failure(self, capsys):
+        # |x2| = 2.3e14 makes the flow so fast that rk45's step underflows
+        code, out = run(capsys, ["invariant-probe", "--m1=0,1e-12,234952076468580.0",
+                                 "--t-end=1"])
+        assert code == 1
+        assert json.loads(out)["error"] == "integration stalled"
 
     def test_probe_zero_x2_rejected(self, capsys):
         code, _ = run(capsys, ["invariant-probe", "--m1", "1,1,0",

@@ -22,6 +22,16 @@ def drop_x2y2_from_dz(monkeypatch):
         monkeypatch.setattr(module, "field_components", broken)
 
 
+def damp_dz(monkeypatch):
+    # z' loses 1e-3 z: a dissipative term that breaks the reversing
+    # involution R = diag(1, -1, 1, -1, 1) (drop_x2y2_from_dz keeps it)
+    def broken(x1, y1, x2, y2, z):
+        dx1, dy1, dx2, dy2, dz = FIELD(x1, y1, x2, y2, z)
+        return dx1, dy1, dx2, dy2, dz - 1e-3 * z
+
+    monkeypatch.setattr(integrate, "field_components", broken)
+
+
 def scale_quartic_roots(monkeypatch):
     roots = equilibria.quartic_roots
     monkeypatch.setattr(equilibria, "quartic_roots",
@@ -109,6 +119,7 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("invariant_sets", scale_m1_reduced_field, {"m1_reduced_flow_tangent"}),
     ("equilibria", shift_ring_embedding, {"equilibrium_families_fixed"}),
     ("integrate", add_h5_to_dp_fifth_order, {"dp_local_order"}),
+    ("integrate", damp_dz, {"time_reversal"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
