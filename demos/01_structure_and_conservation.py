@@ -21,8 +21,7 @@ for _ in range(5):
     field_gap = np.abs(core.vector_field(p) - J @ core.grad_H(p)).max()
     casimir = np.abs(J @ core.grad_C(p)).max()
     hi = core.poisson_bracket(core.grad_H, core.grad_I, p)
-    jac = core.jacobi_defect(core.H_QUADRATIC, core.I_QUADRATIC,
-                             core.C_QUADRATIC, p)
+    jac = core.jacobi_defect(p)
     print(f"  |field - J grad H| = {field_gap:.1e}   |J grad C| = {casimir:.1e}"
           f"   {{H,I}} = {hi:.1e}   jacobi = {jac:.1e}")
 

@@ -19,14 +19,12 @@ import sys
 import numpy as np
 
 from . import equilibria, invariant_sets, solutions, verify
+from . import integrate as integration
 from .core import DomainError, conserved, vector_field
 from .integrate import (IntegrationStalledError, IntegratorConfig,
                         StateOverflowError, Trajectory, drift_report, integrate)
 
 CSV_HEADER = "t,x1,y1,x2,y2,z,H,I,C"
-# largest CSV that ``homoclinic`` and ``periodic`` write; refused before
-# the sample arrays are allocated
-MAX_CSV_ROWS = 10 ** 6
 # rows per block of the CSV writer: a long export never holds all its rows
 # as Python objects at once
 CSV_BLOCK_ROWS = 1024
@@ -82,13 +80,15 @@ def _parse_tuple(text, n, label):
 
 def _sample_times(t_min, t_max, dt):
     """The CSV time grid; a DomainError unless dt > 0, t_max > t_min and the
-    grid has at most MAX_CSV_ROWS rows."""
+    grid has at most ``integrate.MAX_SAMPLES`` rows, refused before the sample
+    arrays are allocated."""
     if not (dt > 0 and t_max > t_min):
         raise DomainError(f"need --dt > 0 and --t-max above {t_min!r}")
     steps = (t_max - t_min) / dt
-    if not steps <= MAX_CSV_ROWS - 1:  # also refuses an infinite span
+    cap = integration.MAX_SAMPLES
+    if not steps <= cap - 1:  # also refuses an infinite span
         raise DomainError(f"--dt {dt!r} over [{t_min!r}, {t_max!r}] asks for more "
-                          f"than {MAX_CSV_ROWS} CSV rows")
+                          f"than {cap} CSV rows")
     return np.linspace(t_min, t_max, int(round(steps)) + 1)
 
 
@@ -99,7 +99,8 @@ def cmd_simulate(args):
         traj = integrate([args.x1, args.y1, args.x2, args.y2, args.z], cfg)
     except IntegrationStalledError as exc:
         write_trajectory_csv(args.out, exc.trajectory)
-        _emit({"error": "integration stalled", "t_reached": exc.time})
+        _emit({"error": "integration stalled", "reason": exc.reason,
+               "t_reached": exc.time})
         return 1
     except StateOverflowError as exc:
         write_trajectory_csv(args.out, exc.trajectory)
@@ -189,7 +190,8 @@ def cmd_invariant_probe(args):
     try:
         rep = invariant_sets.invariance_probe(point, args.t_end)
     except IntegrationStalledError as exc:
-        _emit({"error": "integration stalled", "t_reached": exc.time})
+        _emit({"error": "integration stalled", "reason": exc.reason,
+               "t_reached": exc.time})
         return 1
     except StateOverflowError as exc:
         _emit({"error": "state overflow", "t_reached": exc.time})

@@ -9,6 +9,8 @@ dynamics is
 which is Hamiltonian with respect to an antisymmetric tensor J(p) and
 H = (y1^2 + y2^2 + z^2)/2.  Two further quantities are conserved:
 C = (x1^2 + x2^2)/2 + z (the Casimir of J) and I = x2*y1 - x1*y2.
+``poisson_tensor`` is the one definition of J: the bracket and the Jacobi
+check read its entries from it.
 """
 
 import math
@@ -115,8 +117,9 @@ GradientField = Callable[[np.ndarray], np.ndarray]
 def poisson_bracket(grad_f: GradientField, grad_g: GradientField, p) -> float:
     """{F, G}(p) = grad F(p)^T J(p) grad G(p) for gradient fields.
 
-    Summed over the six structural entries of J as J_ij (f_i g_j - f_j g_i),
-    so {F, F} cancels term by term and is exactly zero in floating point.
+    The correctly rounded sum over the upper triangle of ``poisson_tensor(p)``
+    of J_ij (f_i g_j - f_j g_i), so {F, F} cancels term by term and is
+    exactly zero in floating point.
     """
     point = as_state(p)
     f = np.asarray(grad_f(point), dtype=float)
@@ -125,80 +128,24 @@ def poisson_bracket(grad_f: GradientField, grad_g: GradientField, p) -> float:
         raise DomainError("first gradient field did not return a finite 5-vector")
     if g.shape != (5,) or not np.isfinite(g).all():
         raise DomainError("second gradient field did not return a finite 5-vector")
-    x1, _, x2, _, _ = point
-    return float((f[0] * g[1] - f[1] * g[0])
-                 + x1 * (f[1] * g[4] - f[4] * g[1])
-                 + (f[2] * g[3] - f[3] * g[2])
-                 + x2 * (f[3] * g[4] - f[4] * g[3]))
+    J, f, g = poisson_tensor(point).tolist(), f.tolist(), g.tolist()
+    return math.fsum(J[i][j] * (f[i] * g[j] - f[j] * g[i])
+                     for i in range(5) for j in range(i + 1, 5))
 
 
-# --- quadratic observables, used for sharp bracket/Jacobi checks ------------
-#
-# All three constants of motion are quadratic polynomials, so F(p) =
-# p^T A p / 2 + b^T p with a constant symmetric Hessian A.  Because J(p)
-# is affine in p, the gradient of a bracket of two quadratics is available
-# in closed form, which keeps the Jacobi-identity test at rounding level.
+def jacobi_defect(p) -> float:
+    """Largest entry of {x_i, {x_j, x_k}} + {x_j, {x_k, x_i}} + {x_k, {x_i, x_j}}
+    over the coordinate functions at p.
 
-class Quadratic:
-    """F(p) = 0.5 p^T A p + b^T p with symmetric A."""
-
-    def __init__(self, A, b):
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-
-    def grad(self, p) -> np.ndarray:
-        return self.A @ np.asarray(p, dtype=float) + self.b
-
-
-def _hessian_H():
-    A = np.zeros((5, 5))
-    A[1, 1] = A[3, 3] = A[4, 4] = 1.0
-    return A
-
-
-def _hessian_I():
-    A = np.zeros((5, 5))
-    A[0, 3] = A[3, 0] = -1.0
-    A[1, 2] = A[2, 1] = 1.0
-    return A
-
-
-def _hessian_C():
-    A = np.zeros((5, 5))
-    A[0, 0] = A[2, 2] = 1.0
-    return A
-
-
-H_QUADRATIC = Quadratic(_hessian_H(), np.zeros(5))
-I_QUADRATIC = Quadratic(_hessian_I(), np.zeros(5))
-C_QUADRATIC = Quadratic(_hessian_C(), np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
-
-# dJ/dx1 and dJ/dx2 (J is affine in the state; all other derivatives vanish)
-_DJ_DX1 = np.zeros((5, 5))
-_DJ_DX1[1, 4] = 1.0
-_DJ_DX1[4, 1] = -1.0
-_DJ_DX2 = np.zeros((5, 5))
-_DJ_DX2[3, 4] = 1.0
-_DJ_DX2[4, 3] = -1.0
-
-
-def bracket_grad_of_quadratics(F: Quadratic, G: Quadratic, p) -> np.ndarray:
-    """Analytic gradient of p -> {F, G}(p) for quadratic F, G."""
-    point = as_state(p)
-    J = poisson_tensor(point)
-    gf = F.grad(point)
-    gg = G.grad(point)
-    out = F.A @ (J @ gg) - G.A @ (J @ gf)
-    out[0] += gf @ _DJ_DX1 @ gg
-    out[2] += gf @ _DJ_DX2 @ gg
-    return out
-
-
-def jacobi_defect(F: Quadratic, G: Quadratic, K: Quadratic, p) -> float:
-    """Cyclic sum {F,{G,K}} + {G,{K,F}} + {K,{F,G}} at p (analytic gradients)."""
-    point = as_state(p)
-    J = poisson_tensor(point)
-    total = F.grad(point) @ J @ bracket_grad_of_quadratics(G, K, point)
-    total += G.grad(point) @ J @ bracket_grad_of_quadratics(K, F, point)
-    total += K.grad(point) @ J @ bracket_grad_of_quadratics(F, G, point)
-    return float(total)
+    The bracket is a derivation in each slot, so the Jacobi identity holds
+    for all functions exactly when this cyclic sum of
+    sum_l J_il d_l J_jk vanishes (Marsden & Ratiu, Introduction to Mechanics
+    and Symmetry, 10.1).  J is affine, so d_l J = J(e_l) - J(0) exactly and
+    a Poisson J gives exactly 0.0.
+    """
+    J = poisson_tensor(p)
+    origin = poisson_tensor(np.zeros(5))
+    dJ = np.array([poisson_tensor(e) - origin for e in np.eye(5)])
+    inner = np.einsum("il,ljk->ijk", J, dJ)
+    cyclic = inner + inner.transpose(1, 2, 0) + inner.transpose(2, 0, 1)
+    return float(np.abs(cyclic).max())

@@ -31,20 +31,27 @@ class StateOverflowError(RuntimeError):
 
 
 class IntegrationStalledError(RuntimeError):
-    """A step at the DT_MIN floor was rejected; carries the partial trajectory."""
+    """A step at the DT_MIN floor was rejected, or a run hit MAX_SAMPLES or
+    MAX_STEPS; carries the partial trajectory."""
 
-    def __init__(self, time: float, trajectory: "Trajectory"):
-        super().__init__(f"step size underflow at t={time}")
+    def __init__(self, time: float, trajectory: "Trajectory",
+                 reason: str = "step size underflow"):
+        super().__init__(f"{reason} at t={time}")
         self.time = time
         self.trajectory = trajectory
+        self.reason = reason
 
 
 # first adaptive step, and the floor below which a rejected step stalls the run
 DT_INITIAL = 1e-3
 DT_MIN = 1e-12
 # cap on the fewest steps a run can take (t_end / dt for rk4, t_end / dt_max
-# for rk45); a longer run is refused, not started
+# for rk45); a longer run is refused, not started.  An rk45 run that attempts
+# more steps than this stalls
 MAX_STEPS = 10 ** 8
+# cap on the samples a run records and on the rows of an export: an rk4 run
+# over it is refused, an rk45 run that reaches it stalls
+MAX_SAMPLES = 10 ** 6
 
 
 @dataclass
@@ -75,6 +82,12 @@ class IntegratorConfig:
         if not self.t_end / step <= MAX_STEPS:
             raise DomainError(f"t_end {self.t_end!r} takes more than {MAX_STEPS} "
                               f"steps of {name} = {step!r}")
+        if self.method == "rk4":
+            # samples at t = 0, at every stride-th step and at the last step
+            stride = self.sample_stride
+            if 1 + (_rk4_steps(self) + stride - 1) // stride > MAX_SAMPLES:
+                raise DomainError(f"t_end {self.t_end!r} records more than {MAX_SAMPLES} "
+                                  f"samples at dt = {self.dt!r}, stride {stride}")
 
 
 @dataclass
@@ -225,8 +238,14 @@ def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
         return driver(y0, cfg, _component_form(field))
 
 
+def _rk4_steps(cfg):
+    """Steps of an rk4 run: t_end / dt rounded up, and at least one (a
+    t_end far below dt would otherwise round to none)."""
+    return max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-12)))
+
+
 def _integrate_rk4(y0, cfg, f):
-    n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-12))
+    n_steps = _rk4_steps(cfg)
     h = cfg.t_end / n_steps
     times, states = [0.0], [y0.tolist()]
     x1, y1, x2, y2, z = y0.tolist()
@@ -246,7 +265,12 @@ def _integrate_rk45(y0, cfg, f):
     dt = min(DT_INITIAL, cfg.t_end)
     safety, shrink, grow = 0.9, 0.2, 5.0
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    attempts = 0
     while t < cfg.t_end:
+        attempts += 1
+        if attempts > MAX_STEPS:
+            raise IntegrationStalledError(t, _trajectory(times, states),
+                                          f"MAX_STEPS = {MAX_STEPS} steps attempted")
         h = min(dt, cfg.t_end - t)
         y5, y4 = _dp_raw(*y, h, f)
         if not math.isfinite(y5[0] + y5[1] + y5[2] + y5[3] + y5[4]):
@@ -264,6 +288,10 @@ def _integrate_rk45(y0, cfg, f):
             k += 1
             # t + h == t once h falls below half an ulp of t: keep one sample
             if (k % cfg.sample_stride == 0 or t >= cfg.t_end) and t != times[-1]:
+                if len(times) == MAX_SAMPLES:
+                    raise IntegrationStalledError(
+                        t, _trajectory(times, states),
+                        f"MAX_SAMPLES = {MAX_SAMPLES} samples recorded")
                 times.append(t)
                 states.append(y)
         elif h <= DT_MIN:

@@ -22,7 +22,6 @@ QUICK = "quick"
 FULL = "full"
 
 C_GRID = (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0)
-NAMED_QUADRATICS = (core.H_QUADRATIC, core.I_QUADRATIC, core.C_QUADRATIC)
 HOMOCLINIC_PARAMS = tuple(
     solutions.HomoclinicParams(c=c, theta0=theta0, sign=sign)
     for c in (0.5, 1.0, 2.0) for theta0 in (0.0, math.pi / 3, math.pi / 2)
@@ -43,11 +42,6 @@ def root_match_error(got, want) -> float:
 def _signed(rng):
     """A value in +-[0.1, 2): bounded away from zero, either sign."""
     return rng.choice([-1, 1]) * rng.uniform(0.1, 2)
-
-
-def random_quadratic(rng) -> core.Quadratic:
-    A = rng.uniform(-1, 1, size=(5, 5))
-    return core.Quadratic(A + A.T, rng.uniform(-1, 1, size=5))
 
 
 def random_periodic_params(rng, n):
@@ -112,17 +106,13 @@ def invariants_along_flow(points) -> bool:
         for p, s in zip(points, _norm3(points)))
 
 
-def jacobi_identity_sampled(points, triples) -> bool:
-    """Cyclic sum of brackets of quadratic observables (analytic gradients)."""
-    return all(abs(core.jacobi_defect(F, G, K, p)) < 1e-12 * s2 ** 3
-               for p, s2 in zip(points, _norm2(points)) for F, G, K in triples)
+def jacobi_identity_sampled(points) -> bool:
+    """The cyclic sum on the coordinate functions is exactly zero."""
+    return all(core.jacobi_defect(p) == 0.0 for p in points)
 
 
 def structure_suite(rng, level):
     points = rng.uniform(-2.0, 2.0, size=(100, 5))
-    triples = [NAMED_QUADRATICS]
-    triples += [(random_quadratic(rng), random_quadratic(rng), random_quadratic(rng))
-                for _ in range(3)]
     return [
         ("antisymmetry_exact", antisymmetry_exact(points)),
         ("casimir_in_kernel", casimir_in_kernel(points)),
@@ -130,7 +120,7 @@ def structure_suite(rng, level):
         ("bracket_H_I_zero", bracket_H_I_zero(points)),
         ("bracket_self_zero", bracket_self_zero(points)),
         ("invariants_along_flow", invariants_along_flow(points)),
-        ("jacobi_identity_sampled", jacobi_identity_sampled(points, triples)),
+        ("jacobi_identity_sampled", jacobi_identity_sampled(points)),
     ]
 
 

@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from mbloch import core
+from mbloch import core, verify
 from mbloch.integrate import IntegratorConfig, integrate
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -20,6 +20,23 @@ def test_tracer_binds_its_targets(monkeypatch):
 
     inst = tracing.Instrumentation(tracing.Tracer())
     assert all(callable(fn) for fn, _, _ in inst.targets)
+
+
+def test_verify_gives_the_tracer_its_spans(monkeypatch):
+    # the traced run takes these layers' spans only from ``verify``
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    tracer = tracing.Tracer()
+    inst = tracing.Instrumentation(tracer)
+    inst.install()
+    try:
+        verify.run_all(0, verify.QUICK)
+    finally:
+        inst.uninstall()
+    wanted = {span for _, _, span, _ in tracing.LAYER_TABLE
+              if span.startswith(("core.", "verify.")) or span == "equilibria.quartic_roots"}
+    assert wanted - set(tracer.names) == set()
 
 
 def test_counting_field_path_is_the_default_path():

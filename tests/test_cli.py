@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mbloch
-from mbloch import cli, solutions
+from mbloch import cli, integrate, invariant_sets, solutions
 from mbloch.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mbloch.__file__)))
@@ -202,6 +202,8 @@ def test_csv_writer_any_finite_table(tmp_path_factory, table):
     ["periodic", "--x1", "1", "--y1", "0", "--x2", "1"],
     SIMULATE + ["--t-end", "1", "--method", "rk4", "--dt", "1e-9"],  # 1e9 steps
     SIMULATE + ["--t-end", "1e10", "--method", "rk4", "--dt", "1e-320"],  # inf steps
+    # 10^6 steps record 10^6 + 1 samples, one over the cap
+    SIMULATE + ["--t-end", "1", "--method", "rk4", "--dt", "1e-6"],
     ["classify", "--c", "1e300"],  # c^2/2 overflows
     ["homoclinic", "--c", "1e200"],  # c^2/2 overflows
     ["invariant-probe", "--m1=1e150,1,1", "--t-end", "5"],  # |p|^3 overflows
@@ -235,12 +237,51 @@ def test_bad_value_usage_error(capsys, tmp_path, argv):
 
 
 def test_csv_row_cap_is_inclusive(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_CSV_ROWS", 11)
+    monkeypatch.setattr(integrate, "MAX_SAMPLES", 11)
     argv = ["homoclinic", "--c", "1", "--t-min", "0", "--t-max", "10",
             "--out", str(tmp_path / "h.csv")]
     assert run(capsys, argv + ["--dt", "1"])[0] == 0
     assert len((tmp_path / "h.csv").read_text().strip().split("\n")) == 1 + 11
     assert run(capsys, argv + ["--dt", "0.9"])[0] == 2
+
+
+def test_rk4_sample_cap_is_inclusive(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(integrate, "MAX_SAMPLES", 12)
+    argv = SIMULATE + ["--method", "rk4", "--dt", "1", "--out", str(tmp_path / "s.csv")]
+    assert run(capsys, argv + ["--t-end", "11"])[0] == 0  # 12 samples
+    assert len((tmp_path / "s.csv").read_text().strip().split("\n")) == 1 + 12
+    assert run(capsys, argv + ["--t-end", "12"])[0] == 2  # 13 samples
+
+
+# omega = y1 / x2 = 1.3e8: rk45 takes steps of about 1e-9, and t_end / dt_max
+# is small, so only the sample cap stops the run
+FAST_M1 = (0.05, 1.3300956106059725, 1e-08)
+FAST_T_END = 1.3300956106059725
+
+
+def test_fast_probe_stalls_at_the_sample_cap(monkeypatch):
+    monkeypatch.setattr(integrate, "MAX_SAMPLES", 1000)
+    code, out, err = run_captured(["invariant-probe", "--m1=" + ",".join(map(repr, FAST_M1)),
+                                   f"--t-end={FAST_T_END!r}"])
+    assert code == 1 and err == ""
+    assert len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["error"] == "integration stalled"
+    assert rep["reason"] == "MAX_SAMPLES = 1000 samples recorded"
+
+
+def test_fast_simulate_writes_partial_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(integrate, "MAX_SAMPLES", 1000)
+    p0 = invariant_sets.m1_embed(invariant_sets.M1Point(*FAST_M1)).tolist()
+    out_path = tmp_path / "fast.csv"
+    code, out, err = run_captured(
+        ["simulate"] + [f"--{n}={v!r}" for n, v in zip(("x1", "y1", "x2", "y2", "z"), p0)]
+        + [f"--t-end={FAST_T_END!r}", "--method=rk45", f"--out={out_path}"])
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "integration stalled"
+    header, rows = read_csv(out_path)
+    assert ",".join(header) == cli.CSV_HEADER and len(rows) == 1000
+    assert rows[0, 0] == 0.0 and np.array_equal(rows[0, 1:6], p0)
 
 
 class TestClassify:
@@ -300,21 +341,33 @@ def test_classify_extreme_leaves(c):
     check_classify(c)
 
 
-def check_export(path, argv):
-    """An export command: exit 0, 1 or 2, one JSON object on stdout and an
-    empty stderr, or on exit 2 a usage message, no stdout and no CSV."""
-    if path.exists():
-        path.unlink()
-    code, out, err = run_captured(argv + [f"--out={path}"])
+def check_report(argv):
+    """Any command: exit 0, 1 or 2, one JSON object on stdout and an empty
+    stderr, or on exit 2 a usage message and no stdout.  Returns the exit
+    code and the report (None on exit 2)."""
+    code, out, err = run_captured(argv)
     assert code in (0, 1, 2)
     if code == 2:
-        assert out == "" and not path.exists()
+        assert out == ""
         assert err.startswith("usage:") and "Traceback" not in err
-        return
+        return code, None
     assert err == ""
     assert len(out.splitlines()) == 1
     rep = json.loads(out)
-    assert isinstance(rep, dict) and rep["passed"] is (code == 0)
+    assert isinstance(rep, dict)
+    return code, rep
+
+
+def check_export(path, argv):
+    """An export command: the contract of ``check_report``, a CSV on exit 0
+    or 1 and none on exit 2."""
+    if path.exists():
+        path.unlink()
+    code, rep = check_report(argv + [f"--out={path}"])
+    if rep is None:
+        assert not path.exists()
+        return
+    assert rep["passed"] is (code == 0)
     assert path.read_text().startswith(cli.CSV_HEADER + "\n")
 
 
@@ -336,6 +389,26 @@ def test_periodic_any_finite_orbit(tmp_path_factory, x1, y1, x2, t_max):
     check_export(tmp_path_factory.mktemp("per") / "p.csv", [
         "periodic", f"--x1={x1!r}", f"--y1={y1!r}", f"--x2={x2!r}",
         f"--t-max={t_max!r}", f"--dt={t_max / 50!r}"])
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(FINITE, min_size=5, max_size=5))
+def test_rank_any_finite_point(point):
+    code, rep = check_report(["rank", "--point=" + ",".join(map(repr, point))])
+    assert code == 0 and rep["rank"] in (1, 2, 3)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(FINITE, min_size=3, max_size=3), FINITE)
+def test_invariant_probe_any_finite_start(m1, t_end):
+    # a small sample cap keeps every example short
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate, "MAX_SAMPLES", 200)
+        check_report(["invariant-probe", "--m1=" + ",".join(map(repr, m1)),
+                      f"--t-end={t_end!r}"])
 
 
 class TestClosedFormCommands:

@@ -125,29 +125,20 @@ class TestInvariantsAlongFlow:
 
 
 class TestJacobiIdentity:
-    def test_bracket_gradient_against_finite_differences(self):
-        # independent oracle: central differences of the bracket value
-        rng = np.random.default_rng(9)
-        h = 1e-6
-        for _ in range(20):
-            F, G = verify.random_quadratic(rng), verify.random_quadratic(rng)
-            p = rng.uniform(-2, 2, size=5)
-            analytic = core.bracket_grad_of_quadratics(F, G, p)
-            fd = np.empty(5)
-            for m in range(5):
-                dp = np.zeros(5)
-                dp[m] = h
-                fd[m] = (core.poisson_bracket(F.grad, G.grad, p + dp)
-                         - core.poisson_bracket(F.grad, G.grad, p - dp)) / (2 * h)
-            assert np.abs(analytic - fd).max() < 1e-7 * (1 + np.abs(fd).max())
+    def test_cyclic_sum_exactly_zero(self):
+        for half_width in (2.0, 1e150):
+            assert verify.jacobi_identity_sampled(random_points(100, 10, half_width))
 
-    def test_cyclic_sum_named_invariants(self):
-        assert verify.jacobi_identity_sampled(random_points(100, seed=10),
-                                              [verify.NAMED_QUADRATICS])
+    @pytest.mark.parametrize("term", [0, 4])
+    def test_poisson_deformation_passes(self, monkeypatch, term):
+        # J_13 = x1 or z (and J_31 = -J_13) still satisfies the Jacobi
+        # identity: the check tests the identity, not the entries of J
+        tensor = core.poisson_tensor
 
-    def test_cyclic_sum_random_quadratics(self):
-        # an independent random triple at each point: 300 quadratics in all
-        rng = np.random.default_rng(11)
-        for p in random_points(100, seed=12):
-            triple = tuple(verify.random_quadratic(rng) for _ in range(3))
-            assert verify.jacobi_identity_sampled(p[None, :], [triple])
+        def deformed(p):
+            J = tensor(p)
+            J[1, 3], J[3, 1] = p[term], -p[term]
+            return J
+
+        monkeypatch.setattr(core, "poisson_tensor", deformed)
+        assert verify.jacobi_identity_sampled(random_points(20, seed=12))

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from mbloch import integrate as integration
 from mbloch import solutions, verify
 from mbloch.core import DomainError, conserved, field_components, vector_field
-from mbloch.integrate import (DT_INITIAL, MAX_STEPS, DriftReport,
+from mbloch.integrate import (DT_INITIAL, MAX_SAMPLES, MAX_STEPS, DriftReport,
                               IntegrationStalledError, IntegratorConfig,
                               StateOverflowError, Trajectory, _dp_raw,
                               drift_report, integrate, rk4_step)
@@ -55,7 +56,8 @@ class TestConfigValidation:
             IntegratorConfig(t_end=t_end)
 
     def test_rk4_step_cap(self):
-        IntegratorConfig(method="rk4", t_end=1.0, dt=1.0 / MAX_STEPS)
+        # a stride that keeps the 10^8 steps under the sample cap
+        IntegratorConfig(method="rk4", t_end=1.0, dt=1.0 / MAX_STEPS, sample_stride=1000)
         for t_end, dt in ((1.0, 1e-9), (1e10, 1e-320)):  # 1e9 and inf steps
             with pytest.raises(DomainError):
                 IntegratorConfig(method="rk4", t_end=t_end, dt=dt)
@@ -64,6 +66,14 @@ class TestConfigValidation:
         IntegratorConfig(method="rk45", t_end=MAX_STEPS * 0.5, dt_max=0.5)
         with pytest.raises(DomainError):
             IntegratorConfig(method="rk45", t_end=1e300)
+
+
+    def test_rk4_sample_cap(self):
+        # 10^6 steps record 10^6 + 1 samples at stride 1, one over the cap
+        with pytest.raises(DomainError, match="samples"):
+            IntegratorConfig(method="rk4", t_end=1.0, dt=1e-6)
+        IntegratorConfig(method="rk4", t_end=1.0, dt=1e-6, sample_stride=2)
+        IntegratorConfig(method="rk4", t_end=MAX_SAMPLES - 1.0, dt=1.0)
 
 
 class TestRk4Step:
@@ -219,6 +229,28 @@ class TestIntegrate:
         assert isinstance(partial, Trajectory)
         assert np.isfinite(partial.states).all()
         assert partial.times[0] == 0.0 and partial.times[-1] == info.value.time
+
+    def test_rk45_sample_cap_stalls_with_partial_trajectory(self, monkeypatch):
+        p0, cfg = [1, 1, 0.5, -0.5, 0.2], IntegratorConfig(method="rk45", t_end=10.0)
+        full = integrate(p0, cfg)
+        monkeypatch.setattr(integration, "MAX_SAMPLES", 50)
+        with pytest.raises(IntegrationStalledError, match="MAX_SAMPLES = 50") as info:
+            integrate(p0, cfg)
+        partial = info.value.trajectory
+        assert np.array_equal(partial.states, full.states[:50])
+        assert info.value.time == full.times[50]
+
+    def test_rk45_step_cap_stalls(self, monkeypatch):
+        # the cap counts attempted steps, rejected ones included
+        monkeypatch.setattr(integration, "MAX_STEPS", 30)
+        cfg = IntegratorConfig(method="rk45", t_end=10.0)
+        with pytest.raises(IntegrationStalledError, match="MAX_STEPS = 30") as info:
+            integrate([1, 1, 0.5, -0.5, 0.2], cfg)
+        assert 1 < len(info.value.trajectory) <= 1 + 30
+
+    def test_rk4_horizon_below_dt_takes_one_step(self):
+        traj = integrate([1, 0, 0, 0, 1], IntegratorConfig(method="rk4", t_end=1e-20, dt=1.0))
+        assert traj.times.tolist() == [0.0, 1e-20]
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_stride_samples_every_kth_step_and_the_last(self, method):

@@ -32,6 +32,39 @@ def damp_dz(monkeypatch):
     monkeypatch.setattr(integrate, "field_components", broken)
 
 
+def _patch_tensor(monkeypatch, change):
+    # change: (J, p) -> None, editing the entries of J(p) in place
+    tensor = core.poisson_tensor
+
+    def broken(p):
+        J = tensor(p)
+        change(J, p)
+        return J
+
+    monkeypatch.setattr(core, "poisson_tensor", broken)
+
+
+def z_in_J02(monkeypatch):
+    # J_02 = z and J_20 = -z: still antisymmetric, no longer Poisson
+    def change(J, p):
+        J[0, 2], J[2, 0] = p[4], -p[4]
+
+    _patch_tensor(monkeypatch, change)
+
+
+def skew_J10(monkeypatch):
+    # J_10 = -1.01 against J_01 = 1
+    def change(J, p):
+        J[1, 0] = -1.01
+
+    _patch_tensor(monkeypatch, change)
+
+
+def flip_core_grad_I_entry(monkeypatch):
+    grad = core.grad_I
+    monkeypatch.setattr(core, "grad_I", lambda p: grad(p) * [1.0, 1.0, 1.0, -1.0, 1.0])
+
+
 def scale_quartic_roots(monkeypatch):
     roots = equilibria.quartic_roots
     monkeypatch.setattr(equilibria, "quartic_roots",
@@ -120,6 +153,9 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("equilibria", shift_ring_embedding, {"equilibrium_families_fixed"}),
     ("integrate", add_h5_to_dp_fifth_order, {"dp_local_order"}),
     ("integrate", damp_dz, {"time_reversal"}),
+    ("core", z_in_J02, {"jacobi_identity_sampled", "casimir_in_kernel"}),
+    ("core", skew_J10, {"antisymmetry_exact", "casimir_in_kernel"}),
+    ("core", flip_core_grad_I_entry, {"bracket_H_I_zero", "invariants_along_flow"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
