@@ -92,20 +92,23 @@ def _sample_times(t_min, t_max, dt):
     return np.linspace(t_min, t_max, int(round(steps)) + 1)
 
 
+def _stopped(exc):
+    """Report a run that stopped early (exit 1)."""
+    if isinstance(exc, StateOverflowError):
+        _emit({"error": "state overflow", "t_reached": exc.time})
+    else:
+        _emit({"error": "integration stalled", "reason": exc.reason, "t_reached": exc.time})
+    return 1
+
+
 def cmd_simulate(args):
     cfg = IntegratorConfig(method=args.method, t_end=args.t_end, dt=args.dt,
                            abs_tol=args.tol, rel_tol=args.tol, sample_stride=args.stride)
     try:
         traj = integrate([args.x1, args.y1, args.x2, args.y2, args.z], cfg)
-    except IntegrationStalledError as exc:
+    except (IntegrationStalledError, StateOverflowError) as exc:
         write_trajectory_csv(args.out, exc.trajectory)
-        _emit({"error": "integration stalled", "reason": exc.reason,
-               "t_reached": exc.time})
-        return 1
-    except StateOverflowError as exc:
-        write_trajectory_csv(args.out, exc.trajectory)
-        _emit({"error": "state overflow", "t_reached": exc.time})
-        return 1
+        return _stopped(exc)
     write_trajectory_csv(args.out, traj)
     rep = drift_report(traj)
     _emit({"max_abs_dH": rep.max_abs_dH, "max_abs_dI": rep.max_abs_dI,
@@ -189,13 +192,8 @@ def cmd_invariant_probe(args):
     family = solutions.PeriodicParams(x1, y1, x2) if y1 != 0 else None
     try:
         rep = invariant_sets.invariance_probe(point, args.t_end)
-    except IntegrationStalledError as exc:
-        _emit({"error": "integration stalled", "reason": exc.reason,
-               "t_reached": exc.time})
-        return 1
-    except StateOverflowError as exc:
-        _emit({"error": "state overflow", "t_reached": exc.time})
-        return 1
+    except (IntegrationStalledError, StateOverflowError) as exc:
+        return _stopped(exc)
     out = {"max_distance_to_union": rep.max_distance_to_union,
            "puncture_count": rep.puncture_count}
     if family is not None:

@@ -3,8 +3,9 @@
 Both step kernels, ``_rk4_raw`` and ``_dp_raw``, are written out stage by
 stage on the five components as plain floats, and both drivers keep the
 state as Python floats between steps (step control, error norm and
-finiteness test included): no array is built per step, only the recorded
-samples become arrays at the end.
+finiteness test included): no array is built per step.  The drivers
+append each sample to two flat float64 buffers (times, and five components
+a sample) and stop only by raising; ``integrate`` builds the result once.
 
 Structure is verified by measurement rather than construction: every
 recorded sample carries the values of the three constants of motion, and
@@ -12,6 +13,7 @@ recorded sample carries the values of the three constants of motion, and
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +34,12 @@ class StateOverflowError(RuntimeError):
 
 class IntegrationStalledError(RuntimeError):
     """A step at the DT_MIN floor was rejected, or a run hit MAX_SAMPLES or
-    MAX_STEPS; carries the partial trajectory."""
+    MAX_STEPS; ``integrate`` attaches the partial trajectory."""
 
-    def __init__(self, time: float, trajectory: "Trajectory",
-                 reason: str = "step size underflow"):
+    def __init__(self, time: float, reason: str = "step size underflow"):
         super().__init__(f"{reason} at t={time}")
         self.time = time
-        self.trajectory = trajectory
+        self.trajectory = None
         self.reason = reason
 
 
@@ -146,12 +147,11 @@ def _rk4_raw(x1, y1, x2, y2, z, h, f):
             z + s * (e1 + 2.0 * (e2 + e3) + e4))
 
 
-def rk4_step(p, h: float, field=None) -> np.ndarray:
+def rk4_step(p, h: float) -> np.ndarray:
     """One classical Runge-Kutta step of size h (local error O(h^5))."""
     if h == 0:
         raise DomainError("step size must be nonzero")
-    with np.errstate(over="ignore", invalid="ignore"):
-        new = np.array(_rk4_raw(*as_state(p), h, _component_form(field)))
+    new = np.array(_rk4_raw(*as_state(p).tolist(), h, field_components))
     if not np.isfinite(new).all():
         raise StateOverflowError(h)
     return new
@@ -208,9 +208,9 @@ def _dp_raw(x1, y1, x2, y2, z, h, f):
 
 
 def _trajectory(times, states):
-    """The samples as a Trajectory.  Raises StateOverflowError at the first
-    sample whose conserved triple overflows, carrying the samples before it."""
-    times, states = np.array(times), np.array(states)
+    """The buffers as a Trajectory, without a copy.  Raises StateOverflowError
+    at the first sample whose conserved triple overflows, with the ones before."""
+    times, states = np.frombuffer(times), np.frombuffer(states).reshape(-1, 5)
     cons = np.column_stack(conserved(states))
     finite = np.isfinite(cons).all(axis=1)
     if not finite.all():
@@ -234,8 +234,14 @@ def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(conserved(y0)).all():
             raise DomainError(f"conserved quantities overflow at the start state {y0}")
+        times, states = array("d", [0.0]), array("d", y0.tolist())
         driver = _integrate_rk4 if cfg.method == "rk4" else _integrate_rk45
-        return driver(y0, cfg, _component_form(field))
+        try:
+            driver(times, states, cfg, _component_form(field))
+        except (IntegrationStalledError, StateOverflowError) as exc:
+            exc.trajectory = _trajectory(times, states)
+            raise
+        return _trajectory(times, states)
 
 
 def _rk4_steps(cfg):
@@ -244,24 +250,21 @@ def _rk4_steps(cfg):
     return max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-12)))
 
 
-def _integrate_rk4(y0, cfg, f):
+def _integrate_rk4(times, states, cfg, f):
     n_steps = _rk4_steps(cfg)
     h = cfg.t_end / n_steps
-    times, states = [0.0], [y0.tolist()]
-    x1, y1, x2, y2, z = y0.tolist()
+    x1, y1, x2, y2, z = states
     for i in range(1, n_steps + 1):
         x1, y1, x2, y2, z = _rk4_raw(x1, y1, x2, y2, z, h, f)
         if not math.isfinite(x1 + y1 + x2 + y2 + z):
-            raise StateOverflowError(i * h, _trajectory(times, states))
+            raise StateOverflowError(i * h)
         if i % cfg.sample_stride == 0 or i == n_steps:
             times.append(i * h)
-            states.append((x1, y1, x2, y2, z))
-    return _trajectory(times, states)
+            states.extend((x1, y1, x2, y2, z))
 
 
-def _integrate_rk45(y0, cfg, f):
-    times, states = [0.0], [y0.tolist()]
-    t, y, k = 0.0, tuple(y0.tolist()), 0
+def _integrate_rk45(times, states, cfg, f):
+    t, y, k = 0.0, tuple(states), 0
     dt = min(DT_INITIAL, cfg.t_end)
     safety, shrink, grow = 0.9, 0.2, 5.0
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
@@ -269,12 +272,11 @@ def _integrate_rk45(y0, cfg, f):
     while t < cfg.t_end:
         attempts += 1
         if attempts > MAX_STEPS:
-            raise IntegrationStalledError(t, _trajectory(times, states),
-                                          f"MAX_STEPS = {MAX_STEPS} steps attempted")
+            raise IntegrationStalledError(t, f"MAX_STEPS = {MAX_STEPS} steps attempted")
         h = min(dt, cfg.t_end - t)
         y5, y4 = _dp_raw(*y, h, f)
         if not math.isfinite(y5[0] + y5[1] + y5[2] + y5[3] + y5[4]):
-            raise StateOverflowError(t + h, _trajectory(times, states))
+            raise StateOverflowError(t + h)
         # RMS of the error y5 - y4 scaled by abs_tol + rel_tol |y|; e * e,
         # not e ** 2, so that an overflow gives inf instead of raising
         total = 0.0
@@ -290,15 +292,13 @@ def _integrate_rk45(y0, cfg, f):
             if (k % cfg.sample_stride == 0 or t >= cfg.t_end) and t != times[-1]:
                 if len(times) == MAX_SAMPLES:
                     raise IntegrationStalledError(
-                        t, _trajectory(times, states),
-                        f"MAX_SAMPLES = {MAX_SAMPLES} samples recorded")
+                        t, f"MAX_SAMPLES = {MAX_SAMPLES} samples recorded")
                 times.append(t)
-                states.append(y)
+                states.extend(y)
         elif h <= DT_MIN:
-            raise IntegrationStalledError(t, _trajectory(times, states))
+            raise IntegrationStalledError(t)
         factor = grow if err == 0.0 else min(grow, max(shrink, safety * err ** -0.2))
         dt = max(min(h * factor, cfg.dt_max), DT_MIN)
-    return _trajectory(times, states)
 
 
 def drift_report(traj: Trajectory) -> DriftReport:

@@ -411,6 +411,46 @@ def test_invariant_probe_any_finite_start(m1, t_end):
                       f"--t-end={t_end!r}"])
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.floats(-2, 2), min_size=5, max_size=5)
+       | st.lists(FINITE, min_size=5, max_size=5),
+       st.sampled_from(["rk4", "rk45"]), st.floats(1e-9, 50), st.integers(1, 5000),
+       st.floats(-14, -2).map(lambda e: 10 ** e) | FINITE,
+       st.integers(1, 50) | st.integers())
+def test_simulate_any_finite_start(tmp_path_factory, p0, method, t_end, n, tol, stride):
+    # small caps keep every example short; the start, horizon, step and
+    # tolerance are drawn so that runs also finish, and stop in each way
+    path = tmp_path_factory.mktemp("sim") / "s.csv"
+    argv = ["simulate"] + [f"--{name}={v!r}"
+                           for name, v in zip(("x1", "y1", "x2", "y2", "z"), p0)]
+    argv += [f"--t-end={t_end!r}", f"--method={method}", f"--dt={t_end / n!r}",
+             f"--tol={tol!r}", f"--stride={stride}", f"--out={path}"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate, "MAX_SAMPLES", 200)
+        mp.setattr(integrate, "MAX_STEPS", 2000)
+        code, rep = check_report(argv)
+    if rep is None:
+        assert not path.exists()
+        return
+    assert path.read_text().startswith(cli.CSV_HEADER + "\n")
+    rows = read_csv(path)[1].reshape(-1, 9)
+    if code == 0:
+        assert rep["samples"] == len(rows)
+    else:
+        assert np.isfinite(rows).all()
+        assert rows[-1, 0] <= rep["t_reached"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.integers())
+def test_verify_any_seed(seed):
+    code, rep = check_report(["verify", f"--seed={seed}", "--level=quick"])
+    if seed < 0:
+        assert code == 2
+    else:
+        assert code == 0 and rep["all_passed"] is True
+
+
 class TestClosedFormCommands:
     def test_homoclinic_export(self, capsys, tmp_path):
         out_path = tmp_path / "hom.csv"
