@@ -4,17 +4,25 @@ Subcommands: simulate, classify, homoclinic, periodic, rank,
 invariant-probe, verify.  Trajectories and sampled orbits go to CSV
 (header ``t,x1,y1,x2,y2,z,H,I,C``, shortest round-trip decimal floats,
 each distinct value of a block of rows formatted once; the bytes are
-those of ``repr`` on every value); reports go to stdout as single JSON
-objects with stable key order.
+those of ``repr`` on every value); a long export is cut into row ranges
+that forked processes format on the usable CPUs, with the same bytes.
+Reports go to stdout as single JSON objects with stable key order.
 
-Exit codes: 0 success, 1 numerical/verification failure, 2 usage error
-(an argparse error, or a DomainError raised by a subcommand).
+Exit codes: 0 success, 1 numerical/verification failure or a CSV that
+cannot be written, 2 usage error (an argparse error, or a DomainError
+raised by a subcommand).
 """
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
+import threading
+import warnings
 
 import numpy as np
 
@@ -28,24 +36,93 @@ CSV_HEADER = "t,x1,y1,x2,y2,z,H,I,C"
 # rows per block of the CSV writer: a long export never holds all its rows
 # as Python objects at once
 CSV_BLOCK_ROWS = 1024
+# rows per range of a split export: a shorter export is formatted in one
+# process, where a fork would cost more than it saves
+CSV_SPLIT_ROWS = 8 * CSV_BLOCK_ROWS
+# most ranges, so most processes, of one export
+CSV_MAX_RANGES = 8
 # largest ``homoclinic`` grid step in pulse widths 1/sqrt(c): a coarser grid
 # steps over the pulse, and its checks then see only the flat tails
 MAX_PULSE_STEP = 1.0
 
 
-def _write_csv(path, times, states, cons):
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _format_rows(fh, times, states, cons, a, b):
+    """Write rows [a, b) of the table to ``fh``."""
     # repr of a Python float is the shortest round trip; it is called once
     # per distinct value of a block.  Values are told apart by their bits,
     # not by ==, which would merge -0.0 into 0.0.
-    with open(path, "w") as fh:
+    for i in range(a, b, CSV_BLOCK_ROWS):
+        j = min(i + CSV_BLOCK_ROWS, b)
+        block = np.column_stack((times[i:j], states[i:j], cons[i:j]))
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        rows = text.take(inverse.reshape(block.shape)).tolist()
+        fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def _fork_format(tmp, times, states, cons, a, b):
+    """Fork a child that writes rows [a, b) to ``tmp`` and exits 0, or 1 on
+    any failure; returns its pid."""
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns when a process with more than one OS thread
+        # forks, and numpy's BLAS pool gives this one several.  The fork is
+        # safe all the same: there is no other Python thread (the caller
+        # checks), the child calls no BLAS routine, and it leaves by
+        # os._exit, so it never runs exit handlers or flushes inherited
+        # buffers.
+        warnings.filterwarnings("ignore", r".*use of fork\(\)", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            _format_rows(tmp, times, states, cons, a, b)
+            tmp.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _write_csv(path, times, states, cons):
+    # A long table is cut into contiguous row ranges, one per usable CPU:
+    # forked children write all but the first to unnamed temporary files
+    # while this process writes the first, then appends theirs in order.
+    # Every range is formatted by _format_rows, so the bytes do not depend
+    # on the split.
+    n = len(times)
+    k = min(_usable_cpus(), n // CSV_SPLIT_ROWS, CSV_MAX_RANGES)
+    if not (k >= 2 and hasattr(os, "fork") and threading.active_count() == 1):
+        k = 1
+    edges = [n * r // k for r in range(k + 1)]
+    with open(path, "w") as fh, contextlib.ExitStack() as temps:
         fh.write(CSV_HEADER + "\n")
-        for a in range(0, len(times), CSV_BLOCK_ROWS):
-            b = a + CSV_BLOCK_ROWS
-            block = np.column_stack((times[a:b], states[a:b], cons[a:b]))
-            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            rows = text.take(inverse.reshape(block.shape)).tolist()
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+        children = []  # (pid, temporary file, first row), not yet reaped
+        try:
+            for a, b in zip(edges[1:-1], edges[2:]):
+                tmp = temps.enter_context(tempfile.TemporaryFile("w+"))
+                children.append((_fork_format(tmp, times, states, cons, a, b), tmp, a))
+            _format_rows(fh, times, states, cons, 0, edges[1])
+            while children:
+                pid, tmp, a = children[0]
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                code = os.waitstatus_to_exitcode(status)
+                if code != 0:
+                    # a negative code is the signal that ended the child
+                    raise OSError(f"the process formatting CSV rows from {a} "
+                                  f"ended with exit code {code}")
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh)
+        finally:
+            for pid, _, _ in children:
+                os.waitpid(pid, 0)
 
 
 def write_trajectory_csv(path, traj: Trajectory):
@@ -280,6 +357,9 @@ def main(argv=None) -> int:
             return args.func(args)
         except DomainError as exc:
             parser.error(str(exc))
+        except OSError as exc:  # the CSV writers do a subcommand's only file I/O
+            _emit({"error": "cannot write CSV", "reason": str(exc)})
+            return 1
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -167,15 +169,140 @@ def test_csv_writer_keeps_signed_zeros_apart(tmp_path):
     assert text.split("\n")[1] == "0.0,-0.0,0.0,-0.0,1.0,-0.0,0.0,0.0,-0.0"
 
 
+FINITE_TABLES = arrays(np.float64, st.tuples(st.integers(0, 12), st.just(9)),
+                       elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
 @settings(derandomize=True, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(0, 12), st.just(9)),
-              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@given(FINITE_TABLES)
 def test_csv_writer_any_finite_table(tmp_path_factory, table):
     # blocks of 4 rows, so that a table of up to 12 rows spans several
     path = tmp_path_factory.mktemp("csv") / "w.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "CSV_BLOCK_ROWS", 4)
         assert written_csv(path, table) == oracle_csv(table)
+
+
+def force_split(mp, block, split, cpus):
+    """Make ``_write_csv`` split tables of ``split`` rows a range, formatted
+    in blocks of ``block`` rows, on ``cpus`` usable CPUs."""
+    mp.setattr(cli, "CSV_BLOCK_ROWS", block)
+    mp.setattr(cli, "CSV_SPLIT_ROWS", split)
+    mp.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 3 CPUs and 4 rows a range: tables of 8 to 11 rows take 2 ranges, from 12
+# rows on 3; with 9 CPUs, 32 rows and more take CSV_MAX_RANGES = 8 ranges
+@pytest.mark.parametrize("cpus,rows", [(3, n) for n in range(18)]
+                         + [(9, n) for n in (27, 28, 29, 31, 32, 33, 36, 37, 41)])
+def test_csv_writer_split_is_byte_identical(tmp_path, monkeypatch, cpus, rows):
+    force_split(monkeypatch, 3, 4, cpus)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    rng = np.random.default_rng(rows)
+    pool = np.array(EDGE_VALUES + list(rng.normal(size=5)))
+    table = rng.choice(pool, size=(rows, 9))
+    assert written_csv(tmp_path / "w.csv", table) == oracle_csv(table)
+    assert len(forks) == max(min(cpus, rows // 4, cli.CSV_MAX_RANGES), 1) - 1
+    assert_no_child_left()
+
+
+@settings(derandomize=True, deadline=None)
+@given(FINITE_TABLES)
+def test_csv_writer_any_finite_table_split(tmp_path_factory, table):
+    # ranges of at least 2 rows on 3 CPUs, formatted in blocks of 2 rows
+    path = tmp_path_factory.mktemp("csv") / "w.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        force_split(mp, 2, 2, 3)
+        assert written_csv(path, table) == oracle_csv(table)
+
+
+HOMOCLINIC_11_ROWS = ["homoclinic", "--c", "1", "--t-min", "0", "--t-max", "10",
+                      "--dt", "1"]
+
+
+@pytest.mark.parametrize("how", ["raises", "is killed"])
+def test_failing_format_child(capfd, tmp_path, monkeypatch, how):
+    # 11 rows on 3 CPUs in ranges [0, 3), [3, 7), [7, 11)
+    force_split(monkeypatch, 2, 3, 3)
+    full_path, path = tmp_path / "full.csv", tmp_path / "h.csv"
+    assert main(HOMOCLINIC_11_ROWS + ["--out", str(full_path)]) == 0
+    full = full_path.read_text()
+    assert full == oracle_csv(read_csv(full_path)[1])
+    capfd.readouterr()
+    real_format_rows = cli._format_rows
+
+    def format_rows(fh, times, states, cons, a, b):
+        if a > 0:  # a child's range
+            if how == "raises":
+                raise RuntimeError("formatting failed")
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_format_rows(fh, times, states, cons, a, b)
+
+    monkeypatch.setattr(cli, "_format_rows", format_rows)
+    code = main(HOMOCLINIC_11_ROWS + ["--out", str(path)])
+    out, err = capfd.readouterr()
+    assert code == 1 and err == ""
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == "cannot write CSV"
+    # the header and range 0, whole rows as in the full export
+    partial = path.read_text()
+    assert full.startswith(partial) and partial.count("\n") == 1 + 3
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE + ["--t-end", "1"],
+    HOMOCLINIC_11_ROWS,
+    ["periodic", "--x1", "1", "--y1", "1", "--x2", "0.5"],
+])
+def test_unwritable_out_is_a_runtime_failure(capfd, tmp_path, argv):
+    path = tmp_path / "missing" / "x.csv"
+    code = main(argv + ["--out", str(path)])
+    out, err = capfd.readouterr()
+    assert code == 1 and err == ""
+    assert len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["error"] == "cannot write CSV" and str(path) in rep["reason"]
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("cpus,rows,busy", [
+    (1, 3 * cli.CSV_SPLIT_ROWS, False),  # one CPU
+    (8, 2 * cli.CSV_SPLIT_ROWS - 1, False),  # one row under two ranges
+    (8, 2 * cli.CSV_SPLIT_ROWS, True),  # another Python thread runs
+])
+def test_export_without_split_never_forks(capsys, tmp_path, monkeypatch, cpus, rows, busy):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    argv = ["homoclinic", "--c", "1", "--t-min", "0", "--t-max", repr((rows - 1) / 1000),
+            "--dt", "0.001", "--out", str(tmp_path / "h.csv")]
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if busy:
+        thread.start()
+    try:
+        code, _ = run(capsys, argv)
+    finally:
+        stop.set()
+        if busy:
+            thread.join(timeout=10)
+    assert code == 0 and not thread.is_alive()
+    assert len((tmp_path / "h.csv").read_text().splitlines()) == 1 + rows
 
 
 @pytest.mark.parametrize("argv", [
