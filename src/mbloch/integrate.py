@@ -6,6 +6,8 @@ state as Python floats between steps (step control, error norm and
 finiteness test included): no array is built per step.  The drivers
 append each sample to two flat float64 buffers (times, and five components
 a sample) and stop only by raising; ``integrate`` builds the result once.
+The rk45 driver keeps its step control in locals and unrolls the error
+norm, rounding each step exactly as a loop over the components would.
 
 Structure is verified by measurement rather than construction: every
 recorded sample carries the values of the three constants of motion, and
@@ -224,8 +226,8 @@ def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
     """Integrate from t=0 to cfg.t_end, sampling every cfg.sample_stride-th
     accepted step (plus the initial and final states).
 
-    field defaults to the 5-component vector field; any callable
-    p -> 5-vector may be substituted (e.g. its negation for reversal tests).
+    field defaults to the 5-component vector field; the tests and the
+    benchmark tracer's counting pass substitute a callable p -> 5-vector.
     A start state whose conserved triple overflows is a DomainError.
     Overflow is reported by exception only: NumPy's floating-point warnings
     are silenced inside.
@@ -264,41 +266,53 @@ def _integrate_rk4(times, states, cfg, f):
 
 
 def _integrate_rk45(times, states, cfg, f):
-    t, y, k = 0.0, tuple(states), 0
-    dt = min(DT_INITIAL, cfg.t_end)
-    safety, shrink, grow = 0.9, 0.2, 5.0
+    t_end, stride, dt_max = cfg.t_end, cfg.sample_stride, cfg.dt_max
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    attempts = 0
-    while t < cfg.t_end:
+    max_steps, max_samples, isfinite, sqrt = MAX_STEPS, MAX_SAMPLES, math.isfinite, math.sqrt
+    dp = _dp_raw  # looked up per run, so a patched kernel is the one stepped
+    x1, y1, x2, y2, z = states
+    t, k, attempts, n, last = 0.0, 0, 0, len(times), times[-1]
+    dt = min(DT_INITIAL, t_end)
+    safety, shrink, grow = 0.9, 0.2, 5.0
+    while t < t_end:
         attempts += 1
-        if attempts > MAX_STEPS:
-            raise IntegrationStalledError(t, f"MAX_STEPS = {MAX_STEPS} steps attempted")
-        h = min(dt, cfg.t_end - t)
-        y5, y4 = _dp_raw(*y, h, f)
-        if not math.isfinite(y5[0] + y5[1] + y5[2] + y5[3] + y5[4]):
+        if attempts > max_steps:
+            raise IntegrationStalledError(t, f"MAX_STEPS = {max_steps} steps attempted")
+        rest = t_end - t
+        h = rest if rest < dt else dt
+        (u1, v1, u2, v2, w), (l1, m1, l2, m2, lw) = dp(x1, y1, x2, y2, z, h, f)
+        if not isfinite(u1 + v1 + u2 + v2 + w):
             raise StateOverflowError(t + h)
-        # RMS of the error y5 - y4 scaled by abs_tol + rel_tol |y|; e * e,
+        # RMS of the error y5 - y4 scaled by abs_tol + rel_tol max(|y|, |y5|);
+        # `b if b > a else a` is what max(a, b) returns, NaN included; e * e,
         # not e ** 2, so that an overflow gives inf instead of raising
-        total = 0.0
-        for old, new, low in zip(y, y5, y4):
-            e = (new - low) / (abs_tol + rel_tol * max(abs(old), abs(new)))
-            total += e * e
-        err = math.sqrt(total / 5)
+        a, b = abs(x1), abs(u1)
+        e1 = (u1 - l1) / (abs_tol + rel_tol * (b if b > a else a))
+        a, b = abs(y1), abs(v1)
+        e2 = (v1 - m1) / (abs_tol + rel_tol * (b if b > a else a))
+        a, b = abs(x2), abs(u2)
+        e3 = (u2 - l2) / (abs_tol + rel_tol * (b if b > a else a))
+        a, b = abs(y2), abs(v2)
+        e4 = (v2 - m2) / (abs_tol + rel_tol * (b if b > a else a))
+        a, b = abs(z), abs(w)
+        e5 = (w - lw) / (abs_tol + rel_tol * (b if b > a else a))
+        err = sqrt((0.0 + e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4 + e5 * e5) / 5)
         if err <= 1.0:
             t += h
-            y = y5
+            x1, y1, x2, y2, z = u1, v1, u2, v2, w
             k += 1
             # t + h == t once h falls below half an ulp of t: keep one sample
-            if (k % cfg.sample_stride == 0 or t >= cfg.t_end) and t != times[-1]:
-                if len(times) == MAX_SAMPLES:
+            if (k % stride == 0 or t >= t_end) and t != last:
+                if n == max_samples:
                     raise IntegrationStalledError(
-                        t, f"MAX_SAMPLES = {MAX_SAMPLES} samples recorded")
+                        t, f"MAX_SAMPLES = {max_samples} samples recorded")
                 times.append(t)
-                states.extend(y)
+                states.extend((x1, y1, x2, y2, z))
+                n, last = n + 1, t
         elif h <= DT_MIN:
             raise IntegrationStalledError(t)
         factor = grow if err == 0.0 else min(grow, max(shrink, safety * err ** -0.2))
-        dt = max(min(h * factor, cfg.dt_max), DT_MIN)
+        dt = max(min(h * factor, dt_max), DT_MIN)
 
 
 def drift_report(traj: Trajectory) -> DriftReport:

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from array import array
 from fractions import Fraction as F
 
 import numpy as np
@@ -286,6 +287,184 @@ class TestIntegrate:
 
     def test_rk4_order_factor(self):
         assert verify.rk4_order_factor()
+
+
+def _reference_rk45(times, states, cfg, f):
+    # the loop form of the rk45 driver, kept as the oracle of the unrolled
+    # one: the caps are read from the module, so that a patch applies to
+    # both, and the kernel is the one imported above, so that a patch of
+    # ``integration._dp_raw`` does not reach it
+    t, y, k = 0.0, tuple(states), 0
+    dt = min(integration.DT_INITIAL, cfg.t_end)
+    safety, shrink, grow = 0.9, 0.2, 5.0
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    attempts = 0
+    while t < cfg.t_end:
+        attempts += 1
+        if attempts > integration.MAX_STEPS:
+            raise IntegrationStalledError(
+                t, f"MAX_STEPS = {integration.MAX_STEPS} steps attempted")
+        h = min(dt, cfg.t_end - t)
+        y5, y4 = _dp_raw(*y, h, f)
+        if not math.isfinite(y5[0] + y5[1] + y5[2] + y5[3] + y5[4]):
+            raise StateOverflowError(t + h)
+        total = 0.0
+        for old, new, low in zip(y, y5, y4):
+            e = (new - low) / (abs_tol + rel_tol * max(abs(old), abs(new)))
+            total += e * e
+        err = math.sqrt(total / 5)
+        if err <= 1.0:
+            t += h
+            y = y5
+            k += 1
+            if (k % cfg.sample_stride == 0 or t >= cfg.t_end) and t != times[-1]:
+                if len(times) == integration.MAX_SAMPLES:
+                    raise IntegrationStalledError(
+                        t, f"MAX_SAMPLES = {integration.MAX_SAMPLES} samples recorded")
+                times.append(t)
+                states.extend(y)
+        elif h <= integration.DT_MIN:
+            raise IntegrationStalledError(t)
+        factor = grow if err == 0.0 else min(grow, max(shrink, safety * err ** -0.2))
+        dt = max(min(h * factor, cfg.dt_max), integration.DT_MIN)
+
+
+def _drive(driver, p0, cfg, field=None):
+    """One run of a driver on fresh buffers: the buffers' bytes, the stop
+    (exception type, time, reason) or None, and the field calls made."""
+    calls = [0]
+    base = integration._component_form(field)
+
+    def counting(*s):
+        calls[0] += 1
+        return base(*s)
+
+    times, states = array("d", [0.0]), array("d", p0)
+    stop = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            driver(times, states, cfg, counting)
+        except (IntegrationStalledError, StateOverflowError) as exc:
+            stop = (type(exc), exc.time, getattr(exc, "reason", None))
+    return (times.tobytes(), states.tobytes(), stop), calls[0]
+
+
+def _rk45(t_end=10.0, tol=1e-10, stride=1):
+    return IntegratorConfig(method="rk45", t_end=t_end, abs_tol=tol, rel_tol=tol,
+                            sample_stride=stride)
+
+
+class EndStateFault:
+    """The field of a uniform drift (1, ..., 1), except that the seventh
+    stage of every ``period``-th attempted step, the one taken at the
+    fifth-order end state, returns ``value``: y5 stays finite while y4
+    and the error norm do not."""
+
+    def __init__(self, value, period):
+        self.value, self.period, self.calls = value, period, 0
+
+    def __call__(self, p):
+        self.calls += 1
+        bad = self.calls % (7 * self.period) == 0
+        return np.full(5, self.value if bad else 1.0)
+
+
+# a kick of size 1e-3 off each axis equilibrium, as in the rk45_sweep benchmark
+KICK = 1e-3 * np.array([0.6, -0.3, 0.5, 0.4, -0.35]) / math.sqrt(0.9825)
+P0 = [1.0, 1.0, 0.5, -0.5, 0.2]
+DRIVER_CASES = {
+    **{f"leaf{c:+}": ((KICK + [0, 0, 0, 0, c]).tolist(), _rk45(30.0), None)
+       for c in (0.25, -0.25, 1.0, -1.0, 2.0, -2.0)},
+    "stride1": (P0, _rk45(), None),
+    "stride7": (P0, _rk45(stride=7), None),
+    "tol1e-6": (P0, _rk45(tol=1e-6), None),
+    "tol1e-13": (P0, _rk45(tol=1e-13), None),
+    "numpy_field": (P0, _rk45(stride=3), vector_field),
+    # a uniform drift until x1 reaches 2.5, then an infinite field
+    "overflow": ([0.0] * 5, _rk45(), lambda p: np.full(5, 1.0 if p[0] < 2.5 else np.inf)),
+    "dt_min_stall": ([0.1, 0, 0, 0, 0], _rk45(1.0, 1e-12),
+                     lambda p: np.full(5, 100.0 + 100.0 * math.sin(1e12 * p[0]))),
+}
+
+
+class TestRk45Driver:
+    """The rk45 driver against ``_reference_rk45``, bit for bit: the same
+    samples, the same stop, the same field calls."""
+
+    def _same(self, p0, cfg, field_factory):
+        new, new_calls = _drive(integration._integrate_rk45, p0, cfg, field_factory())
+        ref, ref_calls = _drive(_reference_rk45, p0, cfg, field_factory())
+        assert new == ref
+        assert new_calls == ref_calls
+        return ref, ref_calls
+
+    @pytest.mark.parametrize("case", DRIVER_CASES)
+    def test_matches_reference(self, case):
+        p0, cfg, field = DRIVER_CASES[case]
+        (times, _, stop), calls = self._same(p0, cfg, lambda: field)
+        if case == "tol1e-6":
+            assert calls // 7 > len(times) // 8 - 1  # rejected steps were taken
+        if case == "overflow":
+            assert stop[0] is StateOverflowError
+        if case == "dt_min_stall":
+            assert stop[0] is IntegrationStalledError and "underflow" in stop[2]
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_low_order_state_is_rejected(self, value):
+        (times, _, stop), calls = self._same([0.0] * 5, _rk45(1.0),
+                                             lambda: EndStateFault(value, 3))
+        assert stop is None
+        assert calls // 7 > len(times) // 8 - 1  # every third attempt is rejected
+
+    def test_caps_match_reference(self, monkeypatch):
+        monkeypatch.setattr(integration, "MAX_SAMPLES", 50)
+        (_, _, stop), _ = self._same(P0, _rk45(), lambda: None)
+        assert "MAX_SAMPLES = 50" in stop[2]
+        monkeypatch.setattr(integration, "MAX_SAMPLES", 10 ** 6)
+        monkeypatch.setattr(integration, "MAX_STEPS", 30)
+        (_, _, stop), _ = self._same(P0, _rk45(tol=1e-13), lambda: None)
+        assert "MAX_STEPS = 30" in stop[2]
+
+    def test_step_below_half_an_ulp_keeps_one_sample(self, monkeypatch):
+        # a rotation at 1e10 rad/s switched on by the clock x1 = t at 1e6:
+        # the accepted steps there fall below half an ulp of t, so t stops
+        monkeypatch.setattr(integration, "MAX_STEPS", 3000)
+
+        def late_rotation(p):
+            w = 1e10 if p[0] > 1e6 else 0.0
+            return np.array([1.0, w * p[3], 0.0, -w * p[1], 0.0])
+
+        cfg = IntegratorConfig(method="rk45", t_end=2e6, dt_max=1e3, abs_tol=1e-6,
+                               rel_tol=1e-6)
+        (times, _, stop), _ = self._same([0.0, 1.0, 0.0, 0.0, 0.0], cfg,
+                                         lambda: late_rotation)
+        assert stop[1] == 1e6 and "MAX_STEPS" in stop[2]
+        assert np.all(np.diff(np.frombuffer(times)) > 0)
+
+    def test_steps_through_the_module_kernel(self, monkeypatch):
+        # the driver reaches ``_dp_raw`` through the module, so patching it
+        # there breaks rk45 runs: one kernel call per attempted step
+        kernel, count = integration._dp_raw, [0]
+
+        def counted(*args):
+            count[0] += 1
+            return kernel(*args)
+
+        (ref, _, _), calls = _drive(_reference_rk45, P0, _rk45(tol=1e-6))
+        monkeypatch.setattr(integration, "_dp_raw", counted)
+        (times, _, _), _ = _drive(integration._integrate_rk45, P0, _rk45(tol=1e-6))
+        assert times == ref
+        # accepted and rejected steps
+        assert count[0] == calls // 7 > len(ref) // 8 - 1
+
+        def nudged(*args):
+            (x1, *rest), y4 = kernel(*args)
+            return (x1 + 1e-9, *rest), y4
+
+        monkeypatch.setattr(integration, "_dp_raw", nudged)
+        (_, states, _), _ = _drive(integration._integrate_rk45, P0, _rk45())
+        (_, ref_states, _), _ = _drive(_reference_rk45, P0, _rk45())
+        assert states != ref_states
 
 
 class TestDriftReport:
