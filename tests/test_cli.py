@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mbloch
-from mbloch import cli, integrate, invariant_sets, solutions
+from mbloch import cli, core, integrate, invariant_sets, solutions
 from mbloch.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mbloch.__file__)))
@@ -140,7 +141,7 @@ def oracle_csv(table):
 
 
 def written_csv(path, table):
-    cli._write_csv(path, table[:, 0], table[:, 1:6], table[:, 6:])
+    cli._write_csv(path, len(table), lambda i, j: table[i:j])
     with open(path) as fh:
         return fh.read()
 
@@ -242,12 +243,12 @@ def test_failing_format_child(capfd, tmp_path, monkeypatch, how):
     capfd.readouterr()
     real_format_rows = cli._format_rows
 
-    def format_rows(fh, times, states, cons, a, b):
+    def format_rows(fh, table, a, b):
         if a > 0:  # a child's range
             if how == "raises":
                 raise RuntimeError("formatting failed")
             os.kill(os.getpid(), signal.SIGKILL)
-        real_format_rows(fh, times, states, cons, a, b)
+        real_format_rows(fh, table, a, b)
 
     monkeypatch.setattr(cli, "_format_rows", format_rows)
     code = main(HOMOCLINIC_11_ROWS + ["--out", str(path)])
@@ -303,6 +304,107 @@ def test_export_without_split_never_forks(capsys, tmp_path, monkeypatch, cpus, r
             thread.join(timeout=10)
     assert code == 0 and not thread.is_alive()
     assert len((tmp_path / "h.csv").read_text().splitlines()) == 1 + rows
+
+
+# closed-form exports of ``rows`` rows: an argv, its time grid, the orbit, its
+# derivative and the conserved level that the command checks against
+def homoclinic_export(c, theta0, sign, rows, widths=5.0):
+    """A grid over +-``widths`` pulse widths 1/sqrt(c)."""
+    half = widths / math.sqrt(c)
+    par = solutions.HomoclinicParams(c=c, theta0=theta0, sign=1 if sign == "+" else -1)
+    dt = 2 * half / (rows - 1)
+    argv = ["homoclinic", f"--c={c!r}", f"--theta0={theta0!r}", f"--sign={sign}",
+            f"--t-min={-half!r}", f"--t-max={half!r}", f"--dt={dt!r}"]
+    return (argv, cli._sample_times(-half, half, dt),
+            lambda t: solutions.homoclinic(par, t),
+            lambda t: solutions.homoclinic_derivative(par, t),
+            lambda states: [c ** 2 / 2, 0.0, c])
+
+
+def periodic_export(x1, y1, x2, rows):
+    """A grid of unit steps, so of exactly ``rows`` rows."""
+    par = solutions.PeriodicParams(x1_0=x1, y1_0=y1, x2_0=x2)
+    argv = ["periodic", f"--x1={x1!r}", f"--y1={y1!r}", f"--x2={x2!r}",
+            f"--t-max={rows - 1}", "--dt=1"]
+    return (argv, cli._sample_times(0.0, float(rows - 1), 1.0),
+            lambda t: solutions.periodic_solution(par, t),
+            lambda t: solutions.periodic_derivative(par, t),
+            lambda states: core.conserved(states[0]))
+
+
+@pytest.mark.parametrize("export", [
+    lambda rows: homoclinic_export(1.0, 0.7, "-", rows),
+    lambda rows: periodic_export(1.0, 1.0, 0.5, rows),
+])
+def test_export_memory_is_one_block(capsys, tmp_path, monkeypatch, export):
+    # in one process (no fork), the traced peak is the 8-byte time grid and
+    # one block; whole-orbit arrays cost about 170 bytes a row
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    sizes, peaks = (2 * 10 ** 4, 2 * 10 ** 5), []
+    for rows in sizes:
+        path = tmp_path / f"{rows}.csv"
+        tracemalloc.start()
+        try:
+            code = main(export(rows)[0] + [f"--out={path}"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(capsys.readouterr().out)["passed"] is True
+        assert len(path.read_text().splitlines()) == 1 + rows
+    assert peaks[1] < 4e6
+    assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 16
+
+
+@pytest.mark.parametrize("export", [
+    homoclinic_export(1.0, 0.0, "+", 101),
+    homoclinic_export(0.3, 2.0, "-", 96, widths=10.0),
+    homoclinic_export(2.5, -1.0, "+", 50),
+    homoclinic_export(1e100, 0.4, "-", 101),  # a pulse 1e-50 wide
+    periodic_export(1.0, 1.0, 0.5, 101),
+    periodic_export(-0.3, 2.0, -1.2, 75),
+    periodic_export(1e3, -1e-3, 7.0, 64),
+])
+def test_export_by_blocks_equals_whole_orbit(capsys, tmp_path, monkeypatch, export):
+    # blocks of 7 rows in 3 ranges: the rows, residual and level deviation
+    # equal those of the whole orbit evaluated as one array, so NumPy's
+    # elementwise functions do not depend on where an element sits
+    argv, times, orbit, derivative, level = export
+    force_split(monkeypatch, 7, 8, 3)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    path = tmp_path / "x.csv"
+    code, out = run(capsys, argv + [f"--out={path}"])
+    rep = json.loads(out)
+    assert code == (0 if rep["passed"] else 1) and len(forks) == 2
+    states = orbit(times)
+    cons = np.column_stack(core.conserved(states))
+    assert path.read_text() == oracle_csv(np.column_stack((times, states, cons)))
+    resid = np.abs(derivative(times) - core.vector_field(states)).max()
+    assert rep["max_ode_residual"] == float(resid)
+    assert rep["max_conserved_deviation"] == float(np.abs(cons - level(states)).max())
+    assert_no_child_left()
+
+
+def test_export_nan_residual_in_a_later_block_fails(capsys, tmp_path, monkeypatch):
+    # a NaN residual after the first block still fails the check
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
+    deriv = solutions.homoclinic_derivative
+
+    def nan_after_5(par, t):
+        out = deriv(par, t)
+        out[t > 5] = np.nan
+        return out
+
+    monkeypatch.setattr(solutions, "homoclinic_derivative", nan_after_5)
+    code, out = run(capsys, HOMOCLINIC_11_ROWS + ["--out", str(tmp_path / "h.csv")])
+    rep = json.loads(out)
+    assert code == 1 and rep["passed"] is False
+    assert math.isnan(rep["max_ode_residual"])
 
 
 @pytest.mark.parametrize("argv", [
