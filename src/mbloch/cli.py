@@ -3,7 +3,7 @@
 Subcommands: simulate, classify, homoclinic, periodic, rank,
 invariant-probe, verify.  Trajectories and sampled orbits go to CSV
 (header ``t,x1,y1,x2,y2,z,H,I,C``, shortest round-trip decimal floats,
-each distinct value of a block of rows formatted once; the bytes are
+formatted a block of rows at a time by ``mbloch.shortest``; the bytes are
 those of ``repr`` on every value); a long export is cut into row ranges
 that forked processes format on the usable CPUs, with the same bytes.
 The closed-form exports (``homoclinic``, ``periodic``) are evaluated,
@@ -58,17 +58,14 @@ def _usable_cpus():
 
 
 def _format_rows(fh, table, a, b):
-    """Write rows [a, b) of ``table`` to ``fh``; ``table(i, j)`` returns rows
-    [i, j) as an (j - i, 9) float array."""
-    # repr of a Python float is the shortest round trip; it is called once
-    # per distinct value of a block.  Values are told apart by their bits,
-    # not by ==, which would merge -0.0 into 0.0.
+    """Write rows [a, b) of ``table`` to the binary file ``fh``; ``table(i, j)``
+    returns rows [i, j) as an (j - i, 9) float array."""
+    # one batched call a block writes the bytes of repr on every value; the
+    # formatter is imported here, not with this module, so that commands
+    # without a CSV never build its tables
+    from .shortest import csv_rows
     for i in range(a, b, CSV_BLOCK_ROWS):
-        block = table(i, min(i + CSV_BLOCK_ROWS, b))
-        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-        rows = text.take(inverse.reshape(block.shape)).tolist()
-        fh.write("\n".join(map(",".join, rows)) + "\n")
+        fh.write(csv_rows(table(i, min(i + CSV_BLOCK_ROWS, b))))
 
 
 def _fork_format(tmp, table, a, b):
@@ -101,16 +98,17 @@ def _write_csv(path, n, table):
     # theirs in order.  Every range is formatted by _format_rows, which asks
     # ``table`` for one block at a time, so the bytes do not depend on the
     # split and no process holds more than one block of the table.
+    from . import shortest  # builds the formatter's tables once, before any fork
     k = min(_usable_cpus(), n // CSV_SPLIT_ROWS, CSV_MAX_RANGES)
     if not (k >= 2 and hasattr(os, "fork") and threading.active_count() == 1):
         k = 1
     edges = [n * r // k for r in range(k + 1)]
-    with open(path, "w") as fh, contextlib.ExitStack() as temps:
-        fh.write(CSV_HEADER + "\n")
+    with open(path, "wb") as fh, contextlib.ExitStack() as temps:
+        fh.write(CSV_HEADER.encode() + b"\n")
         children = []  # (pid, temporary file, first row), not yet reaped
         try:
             for a, b in zip(edges[1:-1], edges[2:]):
-                tmp = temps.enter_context(tempfile.TemporaryFile("w+"))
+                tmp = temps.enter_context(tempfile.TemporaryFile())
                 children.append((_fork_format(tmp, table, a, b), tmp, a))
             _format_rows(fh, table, 0, edges[1])
             while children:
