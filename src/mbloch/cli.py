@@ -282,7 +282,7 @@ def cmd_rank(args):
     rep = invariant_sets.rank_F(args.point)
     _emit({"point": list(args.point),
            "singular_values": [float(s) for s in rep.singular_values],
-           "rank": rep.rank, "tol_used": rep.tol_used})
+           "rank": int(rep.rank), "tol_used": float(rep.tol_used)})
     return 0
 
 

@@ -97,18 +97,27 @@ def conserved(p) -> ConservedTriple:
 
 
 def grad_H(p) -> np.ndarray:
-    _, y1, _, y2, z = as_state(p)
-    return np.array([0.0, y1, 0.0, y2, z])
+    """Gradient of H at p, shape (5,) or (..., 5)."""
+    _, y1, _, y2, z = comps = _components(p)
+    grad = np.zeros_like(comps)
+    grad[1], grad[3], grad[4] = y1, y2, z
+    return grad.transpose(*range(1, comps.ndim), 0)
 
 
 def grad_I(p) -> np.ndarray:
-    x1, y1, x2, y2, _ = as_state(p)
-    return np.array([-y2, x2, y1, -x1, 0.0])
+    """Gradient of I at p, shape (5,) or (..., 5)."""
+    x1, y1, x2, y2, _ = comps = _components(p)
+    grad = np.zeros_like(comps)
+    grad[0], grad[1], grad[2], grad[3] = -y2, x2, y1, -x1
+    return grad.transpose(*range(1, comps.ndim), 0)
 
 
 def grad_C(p) -> np.ndarray:
-    x1, _, x2, _, _ = as_state(p)
-    return np.array([x1, 0.0, x2, 0.0, 1.0])
+    """Gradient of C at p, shape (5,) or (..., 5)."""
+    x1, _, x2, _, _ = comps = _components(p)
+    grad = np.zeros_like(comps)
+    grad[0], grad[2], grad[4] = x1, x2, 1.0
+    return grad.transpose(*range(1, comps.ndim), 0)
 
 
 GradientField = Callable[[np.ndarray], np.ndarray]

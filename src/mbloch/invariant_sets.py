@@ -16,36 +16,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_state, grad_C, grad_H, grad_I
+from .core import DomainError, _components, as_state, grad_C, grad_H, grad_I
 from .integrate import IntegratorConfig, integrate
 
 
 def jacobian_F(p) -> np.ndarray:
-    """3x5 Jacobian of F = (H, I, C); rows are the analytic gradients."""
-    point = as_state(p)
-    return np.vstack([grad_H(point), grad_I(point), grad_C(point)])
+    """Jacobian (3, 5) or (..., 3, 5) of F = (H, I, C); rows are the gradients."""
+    return np.stack([grad_H(p), grad_I(p), grad_C(p)], axis=-2)
 
 
 @dataclass
 class RankReport:
-    singular_values: np.ndarray  # 3 values, descending
-    rank: int
-    tol_used: float
+    singular_values: np.ndarray  # (3,) or (..., 3), descending
+    rank: np.ndarray  # () or (...)
+    tol_used: np.ndarray
 
 
 def rank_F(p) -> RankReport:
-    """Numerical rank of the Jacobian of F via the singular values of its
-    rows scaled to unit length, so that the rank does not depend on the
-    scale of any one gradient (at (1e200, 1, 1, 1, 1) grad I and grad C are
-    about 1e200 long and grad H about 1).  Each row is divided by its
-    largest entry before its norm is taken, which cannot then overflow."""
+    """Numerical rank of the Jacobian of F at p, (5,) or (..., 5), via one
+    stacked SVD of its rows scaled to unit length, so that the rank does not
+    depend on the scale of any one gradient (at (1e200, 1, 1, 1, 1) grad I and
+    grad C are about 1e200 long and grad H about 1).  Each row is divided by
+    its largest entry before its norm is taken, which cannot then overflow."""
     jac = jacobian_F(p)
-    big = np.abs(jac).max(axis=1, keepdims=True)
+    big = np.abs(jac).max(axis=-1, keepdims=True)
     jac = jac / np.where(big > 0, big, 1.0)  # zero rows stay zero
-    norm = np.linalg.norm(jac, axis=1, keepdims=True)
+    norm = np.linalg.norm(jac, axis=-1, keepdims=True)
     sv = np.linalg.svd(jac / np.where(norm > 0, norm, 1.0), compute_uv=False)
-    tol = float(sv[0]) * 1e-10  # sv[0] >= 1: grad C is never zero
-    return RankReport(singular_values=sv, rank=int(np.sum(sv > tol)), tol_used=tol)
+    tol = sv[..., 0] * 1e-10  # sv[0] >= 1: grad C is never zero
+    return RankReport(sv, np.sum(sv > tol[..., None], axis=-1), tol)
 
 
 @dataclass
@@ -91,43 +90,51 @@ def m2_embed(q: M2Point) -> np.ndarray:
 
 
 def _norms(p):
-    """Scales 1 + |p|^2 and 1 + |p|^3 of the cleared-denominator residuals;
-    DomainError where |p|^3 overflows."""
-    n = float(np.linalg.norm(p))
-    try:
-        cube = n ** 3
-    except OverflowError:
-        cube = math.inf
-    if cube == math.inf:
-        raise DomainError(f"the residual scale |p|^3 overflows at |p| = {n!r}")
+    """Scales 1 + |p|^2 and 1 + |p|^3 at states p (..., 5); DomainError where |p|^3
+    overflows.  |p| = sqrt(p.p) by a one-state norm's dot; the cube rounds as n ** 3."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(over="ignore"):
+        n = np.sqrt((p[..., None, :] @ p[..., :, None])[..., 0, 0])
+        cube = np.float_power(n, 3)
+    if np.isinf(cube).any():
+        raise DomainError("the residual scale |p|^3 overflows at "
+                          f"|p| = {float(n[np.isinf(cube)][0])!r}")
     return 1.0 + n * n, 1.0 + cube
 
 
-def m1_defect(p) -> float:
-    """Largest cleared-denominator constraint residual of the M1 graph."""
-    x1, y1, x2, y2, z = as_state(p)
+def m1_defect(p):
+    """Largest cleared-denominator residual of the M1 graph at states (5,) or (..., 5)."""
+    x1, y1, x2, y2, z = _components(p)
     s2, s3 = _norms(p)
-    return max(abs(y2 * x2 + x1 * y1) / s2, abs(z * x2 * x2 + y1 * y1) / s3)
+    return np.maximum(abs(y2 * x2 + x1 * y1) / s2, abs(z * x2 * x2 + y1 * y1) / s3)
 
 
-def m2_defect(p) -> float:
-    x1, y1, x2, y2, z = as_state(p)
+def m2_defect(p):
+    """The same for the M2 graph."""
+    x1, y1, x2, y2, z = _components(p)
     _, s3 = _norms(p)
-    return max(abs(y1), abs(x2), abs(z * x1 * x1 + y2 * y2) / s3)
+    return np.maximum(np.maximum(abs(y1), abs(x2)), abs(z * x1 * x1 + y2 * y2) / s3)
+
+
+def _finite(values, what):
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} is not finite: {values}")
+    return values
 
 
 def m1_reduced_field(q: M1Point):
-    """Restricted dynamics on M1: (y1, -x1 y1^2/x2^2, -x1 y1/x2)."""
+    """Restricted dynamics on M1: (y1, -x1 w^2, -x1 w), w = y1/x2; finite or DomainError."""
     if q.x2 == 0:
         raise DomainError("reduced field singular at x2 = 0")
-    return (q.y1, -q.x1 * q.y1 ** 2 / q.x2 ** 2, -q.x1 * q.y1 / q.x2)
+    w = q.y1 / q.x2
+    return _finite((q.y1, -q.x1 * w * w, -q.x1 * w), "the reduced M1 field")
 
 
 def m1_conserved(q: M1Point):
-    """(f1, f2) = (x1^2 + x2^2, y1/x2), both constant along the M1 flow."""
+    """(f1, f2) = (x1^2 + x2^2, y1/x2), constant on M1 orbits; finite or DomainError."""
     if q.x2 == 0:
         raise DomainError("f2 singular at x2 = 0")
-    return (q.x1 ** 2 + q.x2 ** 2, q.y1 / q.x2)
+    return _finite((q.x1 * q.x1 + q.x2 * q.x2, q.y1 / q.x2), "(f1, f2)")
 
 
 @dataclass
@@ -140,11 +147,9 @@ def invariance_probe(q0: M1Point, t_end: float) -> ProbeReport:
     """Integrate the full system from M1 and measure how far samples stray
     from the union M1 u M2 (constraint-residual defect), counting the sign
     changes of x2 (punctures of the M2 piece)."""
-    cfg = IntegratorConfig(method="rk45", t_end=t_end,
-                           abs_tol=1e-10, rel_tol=1e-10, dt_max=0.05)
-    traj = integrate(m1_embed(q0), cfg)
-    worst = max(min(m1_defect(s), m2_defect(s)) for s in traj.states)
-    x2 = traj.states[:, 2]
-    signs = np.sign(x2)
+    traj = integrate(m1_embed(q0), IntegratorConfig(
+        method="rk45", t_end=t_end, abs_tol=1e-10, rel_tol=1e-10, dt_max=0.05))
+    worst = np.minimum(m1_defect(traj.states), m2_defect(traj.states)).max()
+    signs = np.sign(traj.states[:, 2])
     punctures = int(np.sum(signs[1:] * signs[:-1] < 0))
     return ProbeReport(max_distance_to_union=float(worst), puncture_count=punctures)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mbloch import core
 from mbloch import invariant_sets as inv
 from mbloch.core import DomainError, conserved, vector_field
+from mbloch.integrate import integrate
 from mbloch.verify import (invariant_I_factorizes, m1_reduced_flow_tangent,
                            pieces_not_invariant, rank2_on_pieces, rank3_generic)
 
@@ -128,6 +130,20 @@ class TestReducedDynamics:
         val = dy1 / q.x2 - q.y1 * dx2 / q.x2 ** 2
         assert abs(val) < 1e-15
 
+    def test_tiny_x2_reduced_field_is_finite(self):
+        # x2^2 underflows to 0 here; w = y1/x2 = 1e100 does not
+        field = inv.m1_reduced_field(inv.M1Point(1.0, 1e-100, 1e-200))
+        assert field == pytest.approx((1e-100, -1e200, -1e100), rel=1e-15)
+
+    def test_overflowing_reduced_field_is_a_domain_error(self):
+        # the embedded point (1e200, 1e100, 1, -1e300, -1e200) is finite
+        with pytest.raises(DomainError):
+            inv.m1_reduced_field(inv.M1Point(1e200, 1e100, 1.0))
+
+    def test_overflowing_f1_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            inv.m1_conserved(inv.M1Point(1e200, 1e-300, 1.0))
+
     def test_singularity_errors(self):
         q = inv.M1Point(1.0, 1.0, 1.0)
         q.x2 = 0.0  # bypass the constructor check
@@ -170,3 +186,123 @@ class TestInvarianceProbe:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             inv.invariance_probe(inv.M1Point(1.0, 1.0, 1.0), 0.0)
+
+
+def _rows(large=True):
+    """Seeded random states, embedded M1 and M2 points and, with ``large``,
+    the state (1e200, 1, 1, 1, 1)."""
+    rng = np.random.default_rng(23)
+    m1 = [inv.m1_embed(inv.M1Point(*rng.uniform(0.1, 2, size=3))) for _ in range(20)]
+    m2 = [inv.m2_embed(inv.M2Point(*rng.uniform(0.1, 2, size=2))) for _ in range(20)]
+    tail = [[1e200, 1.0, 1.0, 1.0, 1.0]] if large else []
+    return np.vstack([rng.uniform(-3, 3, size=(60, 5)), m1, m2, *tail])
+
+
+class TestArrayInputs:
+    """Each formula takes (5,) or (..., 5) and gives the bits of per-row calls."""
+
+    @pytest.mark.parametrize("fn", [core.grad_H, core.grad_I, core.grad_C, inv.jacobian_F,
+                                    inv.m1_defect, inv.m2_defect])
+    def test_matches_per_row_calls(self, fn):
+        # |p|^3 overflows at the large state, which the defects refuse
+        rows = _rows(large=fn not in (inv.m1_defect, inv.m2_defect))
+        per_row = np.array([fn(r) for r in rows])
+        assert np.array_equal(fn(rows), per_row)
+        pick = [0, 1, 60, 80, -2, -1]
+        assert np.array_equal(fn(rows[pick].reshape(2, 3, 5)),
+                              per_row[pick].reshape(2, 3, *per_row.shape[1:]))
+
+    def test_rank_matches_per_row_calls(self):
+        rows = _rows()
+        reports = [inv.rank_F(r) for r in rows]
+        for field in ("singular_values", "rank", "tol_used"):
+            per_row = np.array([getattr(r, field) for r in reports])
+            assert np.array_equal(getattr(inv.rank_F(rows), field), per_row)
+            assert np.array_equal(getattr(inv.rank_F(rows[-6:].reshape(2, 3, 5)), field),
+                                  per_row[-6:].reshape(2, 3, *per_row.shape[1:]))
+
+    def test_norms_round_as_one_state_norm(self):
+        rows = _rows(large=False)
+        want = [(1.0 + n * n, 1.0 + n ** 3) for n in (float(np.linalg.norm(r)) for r in rows)]
+        assert np.array_equal(np.column_stack(inv._norms(rows)), want)
+
+    def test_norms_refuse_an_overflowing_row(self):
+        bad = inv.m1_embed(inv.M1Point(1e150, 1.0, 1.0))  # |p| = 1.4e150
+        with pytest.raises(DomainError) as one:
+            inv._norms(bad)
+        with pytest.raises(DomainError) as many:
+            inv._norms(np.vstack([_rows(), bad])[[0, -1, -2]])  # bad, then (1e200, ...)
+        assert str(many.value) == str(one.value)
+        assert "1.414213562373095e+150" in str(one.value)
+
+
+# (x1, y1, x2, t_end) of the verify probe and of the scripted CLI session's
+# probes (its seeds 0-9 and 7919)
+PROBES = [
+    (0.0, 1.0, 1.0, 10.0),
+    (0.0, 1.0, 1.0, 20.0),
+    (0.7350132223266828, 0.9217324690302564, 1.4455269879665096, 18.969762693168708),
+    (-0.6904548694991911, 0.5904917323230515, 1.0803150624469557, 18.283228518927526),
+    (1.439874757834775, 0.673647060174884, 0.6663575177000088, 17.520533532391823),
+    (-0.6014922013869107, 1.0626433737719143, 1.4648616584517025, 17.859931163464392),
+    (0.25176980259868653, 0.9784998809208645, 0.8725652694284134, 16.55836232219109),
+    (1.4394868858145196, 0.9585057456516982, 1.3591031694759692, 21.118578497952694),
+    (1.1813009024680228, 0.8686905077736771, 1.0309401361746566, 17.629188087041378),
+    (1.4739967594837453, 0.815888285927046, 1.029521537480921, 18.60819167576443),
+    (1.4664149245236238, 1.057127903413915, 1.1124036621085585, 18.865150385113765),
+    (-1.0478903613589725, 1.453459635244089, 0.8072517178102723, 16.211423271562165),
+    (-0.03182416114766373, 0.5746409013246772, 0.6372843405131541, 17.475673478911098),
+]
+
+
+@pytest.mark.parametrize("x1,y1,x2,t_end", PROBES)
+def test_probe_distance_is_the_per_sample_maximum(monkeypatch, x1, y1, x2, t_end):
+    runs = []
+
+    def recording(p0, cfg):
+        runs.append(integrate(p0, cfg))
+        return runs[-1]
+
+    monkeypatch.setattr(inv, "integrate", recording)
+    rep = inv.invariance_probe(inv.M1Point(x1, y1, x2), t_end)
+    want = max(min(inv.m1_defect(s), inv.m2_defect(s)) for s in runs[0].states)
+    assert repr(rep.max_distance_to_union) == repr(float(want))
+
+
+def _rank3_one_at_a_time(rng, n):
+    """``rank3_generic`` drawing and testing one point at a time."""
+    ranks = []
+    for _ in range(20 * n):
+        p = rng.uniform(-2, 2, size=5)
+        if inv.m1_defect(p) < 1e-3 or inv.m2_defect(p) < 1e-3:
+            continue
+        rep = inv.rank_F(p)
+        if rep.singular_values[-1] < 1e-3:
+            continue
+        ranks.append(rep.rank)
+        if len(ranks) == n:
+            return all(r == 3 for r in ranks)
+    return False
+
+
+def _no_grad_I(monkeypatch):
+    # grad I = 0: every draw is skipped, 20 n draws are spent
+    monkeypatch.setattr(inv, "grad_I", lambda p: np.zeros(np.shape(p)))
+
+
+def _keep_x1_above_1_9(monkeypatch):
+    # about 2.5% of the draws are kept: 20 n draws end with fewer than n
+    monkeypatch.setattr(inv, "m1_defect",
+                        lambda p: np.where(np.asarray(p)[..., 0] > 1.9, 1.0, 0.0))
+
+
+# seeds 17 and 27 skip the draws 66 and 144, 180 of their first batch
+@pytest.mark.parametrize("seed,n,skips,want", [
+    (0, 1, None, True), (17, 100, None, True), (27, 200, None, True),
+    (0, 50, _no_grad_I, False), (0, 50, _keep_x1_above_1_9, False)])
+def test_rank3_generic_draws_as_one_at_a_time(monkeypatch, seed, n, skips, want):
+    if skips:
+        skips(monkeypatch)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert rank3_generic(rng, n) is _rank3_one_at_a_time(ref, n) is want
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -171,5 +171,5 @@ def test_rank3_generic_fails_when_no_point_survives_the_skips(monkeypatch):
     # grad I = 0 drops the Jacobian's rank everywhere, so every draw is
     # skipped as near a rank-degenerate locus
     assert verify.rank3_generic(np.random.default_rng(0), 50)
-    monkeypatch.setattr(invariant_sets, "grad_I", lambda p: np.zeros(5))
+    monkeypatch.setattr(invariant_sets, "grad_I", lambda p: np.zeros(np.shape(p)))
     assert verify.rank3_generic(np.random.default_rng(0), 50) is False
