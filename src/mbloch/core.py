@@ -70,17 +70,15 @@ def vector_field(p) -> np.ndarray:
 
 
 def poisson_tensor(p) -> np.ndarray:
-    """Antisymmetric structure tensor J(p); only x1, x2 enter."""
-    x1, _, x2, _, _ = as_state(p)
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0, 0.0],
-            [-1.0, 0.0, 0.0, 0.0, x1],
-            [0.0, 0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, -1.0, 0.0, x2],
-            [0.0, -x1, 0.0, -x2, 0.0],
-        ]
-    )
+    """Antisymmetric structure tensor J(p), shape (5, 5) or (..., 5, 5); only
+    x1 and x2 enter, and affinely."""
+    x1, _, x2, _, _ = comps = _components(p)
+    J = np.zeros((*comps.shape[1:], 5, 5))
+    J[..., 0, 1] = J[..., 2, 3] = 1.0
+    J[..., 1, 0] = J[..., 3, 2] = -1.0
+    J[..., 1, 4], J[..., 4, 1] = x1, -x1
+    J[..., 3, 4], J[..., 4, 3] = x2, -x2
+    return J
 
 
 def conserved(p) -> ConservedTriple:
@@ -121,30 +119,31 @@ def grad_C(p) -> np.ndarray:
 
 
 GradientField = Callable[[np.ndarray], np.ndarray]
+_UPPER = np.triu_indices(5, 1)
 
 
-def poisson_bracket(grad_f: GradientField, grad_g: GradientField, p) -> float:
-    """{F, G}(p) = grad F(p)^T J(p) grad G(p) for gradient fields.
+def poisson_bracket(grad_f: GradientField, grad_g: GradientField, p):
+    """{F, G}(p) = grad F(p)^T J(p) grad G(p) for gradient fields, at states
+    (5,) or (..., 5); a float or an array of shape (...).
 
-    The correctly rounded sum over the upper triangle of ``poisson_tensor(p)``
-    of J_ij (f_i g_j - f_j g_i), so {F, F} cancels term by term and is
-    exactly zero in floating point.
+    The sum over the upper triangle of ``poisson_tensor(p)`` of
+    J_ij (f_i g_j - f_j g_i), in row-major order, so {F, F} cancels term by
+    term and is exactly zero in floating point, and a stack gives the bits
+    of one call per state.
     """
-    point = as_state(p)
-    f = np.asarray(grad_f(point), dtype=float)
-    g = np.asarray(grad_g(point), dtype=float)
-    if f.shape != (5,) or not np.isfinite(f).all():
-        raise DomainError("first gradient field did not return a finite 5-vector")
-    if g.shape != (5,) or not np.isfinite(g).all():
-        raise DomainError("second gradient field did not return a finite 5-vector")
-    J, f, g = poisson_tensor(point).tolist(), f.tolist(), g.tolist()
-    return math.fsum(J[i][j] * (f[i] * g[j] - f[j] * g[i])
-                     for i in range(5) for j in range(i + 1, 5))
+    point = np.moveaxis(_components(p), 0, -1)
+    f, g = (np.asarray(grad(point), dtype=float) for grad in (grad_f, grad_g))
+    if f.shape != point.shape or g.shape != point.shape or not np.isfinite([f, g]).all():
+        raise DomainError(f"a gradient field did not return finite values of shape {point.shape}")
+    i, j = _UPPER
+    terms = poisson_tensor(point)[..., i, j] * (f[..., i] * g[..., j] - f[..., j] * g[..., i])
+    return np.moveaxis(terms, -1, 0).cumsum(axis=0)[-1]  # left to right, in any layout
 
 
-def jacobi_defect(p) -> float:
+def jacobi_defect(p):
     """Largest entry of {x_i, {x_j, x_k}} + {x_j, {x_k, x_i}} + {x_k, {x_i, x_j}}
-    over the coordinate functions at p.
+    over the coordinate functions at states (5,) or (..., 5); a float or an
+    array of shape (...).
 
     The bracket is a derivation in each slot, so the Jacobi identity holds
     for all functions exactly when this cyclic sum of
@@ -153,8 +152,8 @@ def jacobi_defect(p) -> float:
     a Poisson J gives exactly 0.0.
     """
     J = poisson_tensor(p)
-    origin = poisson_tensor(np.zeros(5))
-    dJ = np.array([poisson_tensor(e) - origin for e in np.eye(5)])
-    inner = np.einsum("il,ljk->ijk", J, dJ)
-    cyclic = inner + inner.transpose(1, 2, 0) + inner.transpose(2, 0, 1)
-    return float(np.abs(cyclic).max())
+    dJ = poisson_tensor(np.eye(5)) - poisson_tensor(np.zeros(5))  # [l, j, k]
+    inner = (J @ dJ.reshape(5, 25)).reshape(*J.shape, 5)  # [..., i, j, k]
+    cyclic = inner + np.moveaxis(inner, -3, -1)  # + inner[..., k, i, j]
+    cyclic += np.moveaxis(inner, -1, -3)  # + inner[..., j, k, i]
+    return np.abs(cyclic, out=cyclic).max(axis=(-3, -2, -1))

@@ -54,6 +54,7 @@ class M1Point:
     x2: float
 
     def __post_init__(self):
+        self.x1, self.y1, self.x2 = float(self.x1), float(self.y1), float(self.x2)
         if self.x2 == 0:
             raise DomainError("M1 requires x2 != 0")
         m1_embed(self)  # DomainError where the embedded state overflows
@@ -65,6 +66,7 @@ class M2Point:
     y2: float
 
     def __post_init__(self):
+        self.x1, self.y2 = float(self.x1), float(self.y2)
         if self.x1 == 0:
             raise DomainError("M2 requires x1 != 0")
         m2_embed(self)  # DomainError where the embedded state overflows

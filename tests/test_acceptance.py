@@ -51,7 +51,7 @@ def test_criterion_1_leaf_classification():
 def test_criterion_2_pencil_polynomial():
     with Criterion(2, "pencil characteristic polynomial closed form", 1.0):
         assert verify.pencil_closed_form((-4.0, -1.0, -0.25, 0.25, 1.0, 4.0),
-                                         (0.1, 0.5, 1.0, 2.0))
+                                         (-1.5, 0.0, 0.5, 1.0, 2.0))
 
 
 def test_criterion_3_linearization_matrices():
@@ -155,13 +155,10 @@ def test_criterion_9_invariant_set_suite():
 
 
 def test_criterion_10_structure_suite():
-    with Criterion(10, "Poisson structure identities at seeded random points", 1.0):
-        points = np.random.default_rng(7).uniform(-2, 2, size=(100, 5))
-        assert verify.antisymmetry_exact(points)
-        assert verify.casimir_in_kernel(points)
-        assert verify.hamiltonian_poisson_form(points)
-        assert verify.bracket_H_I_zero(points)
-        assert verify.jacobi_identity_sampled(points)
+    with Criterion(10, "Poisson structure identities, exact on a grid and a lattice sample", 1.0):
+        points = verify.structure_points(np.random.default_rng(7))
+        for check in verify.STRUCTURE_CHECKS:
+            assert check(points), check.__name__
 
 
 def test_criterion_11_instability_witness():

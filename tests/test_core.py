@@ -9,6 +9,11 @@ def random_points(n=100, seed=0, half_width=2.0):
     return rng.uniform(-half_width, half_width, size=(n, 5))
 
 
+def lattice_points(seed):
+    # the structure checks compute exactly on these (see verify.structure_points)
+    return verify.structure_points(np.random.default_rng(seed))
+
+
 class TestVectorField:
     def test_axis_equilibria(self):
         for m in (-3.0, 0.5, 7.0):
@@ -111,17 +116,28 @@ class TestBracket:
             assert core.poisson_bracket(core.grad_I, core.grad_I, p) == 0.0
 
     def test_h_i_commute_random(self):
-        assert verify.bracket_H_I_zero(random_points(100, seed=7))
+        assert verify.bracket_H_I_zero(lattice_points(7))
 
     def test_rejects_bad_gradient_field(self):
         with pytest.raises(core.DomainError):
             core.poisson_bracket(lambda p: np.full(5, np.nan), core.grad_H,
                                  np.zeros(5))
+        # for a stack: a non-finite entry, or the shape of one state, of four
+        # components or of a scalar, in either slot
+        stack = random_points(6, seed=9).reshape(2, 3, 5)
+        for bad in (lambda p: np.full(np.shape(p), np.inf),
+                    lambda p: np.where(np.arange(30).reshape(2, 3, 5) == 7, np.nan, 1.0),
+                    lambda p: np.zeros(5),
+                    lambda p: np.zeros((2, 3, 4)),
+                    lambda p: 1.0):
+            for grads in ((bad, core.grad_H), (core.grad_H, bad)):
+                with pytest.raises(core.DomainError):
+                    core.poisson_bracket(*grads, stack)
 
 
 class TestInvariantsAlongFlow:
     def test_directional_derivatives_vanish(self):
-        assert verify.invariants_along_flow(random_points(100, seed=8))
+        assert verify.invariants_along_flow(lattice_points(8))
 
 
 class TestJacobiIdentity:
@@ -137,8 +153,38 @@ class TestJacobiIdentity:
 
         def deformed(p):
             J = tensor(p)
-            J[1, 3], J[3, 1] = p[term], -p[term]
+            J[..., 1, 3], J[..., 3, 1] = np.asarray(p)[..., term], -np.asarray(p)[..., term]
             return J
 
         monkeypatch.setattr(core, "poisson_tensor", deformed)
-        assert verify.jacobi_identity_sampled(random_points(20, seed=12))
+        assert verify.jacobi_identity_sampled(lattice_points(12))
+
+
+def _stack_rows():
+    """Seeded random states at three scales and two rows (1e200, 1, 1, 1, 1)."""
+    rng = np.random.default_rng(41)
+    big = [[1e200, 1.0, 1.0, 1.0, 1.0]] * 2
+    return np.vstack([rng.uniform(-2, 2, size=(60, 5)), rng.normal(size=(20, 5)) * 1e3,
+                      rng.integers(-16, 17, size=(20, 5)) / 8, big])
+
+
+class TestArrayInputs:
+    """The tensor, the bracket and the Jacobi defect take (5,) or (..., 5) and
+    give the bits, signed zeros included, of one call per state."""
+
+    @pytest.mark.parametrize("fn", [
+        core.poisson_tensor,
+        core.jacobi_defect,
+        lambda p: core.poisson_bracket(core.grad_H, core.grad_H, p),
+        lambda p: core.poisson_bracket(core.grad_H, core.grad_I, p),
+    ], ids=["poisson_tensor", "jacobi_defect", "bracket_H_H", "bracket_H_I"])
+    def test_matches_per_row_calls(self, fn):
+        rows = _stack_rows()
+        per_row = np.array([fn(r) for r in rows])
+        stacked = fn(rows)
+        assert stacked.shape == per_row.shape
+        assert stacked.tobytes() == per_row.tobytes()
+        pick = [0, 1, 60, 80, -2, -1]
+        stacked = fn(rows[pick].reshape(2, 3, 5))
+        assert stacked.shape == (2, 3, *per_row.shape[1:])
+        assert stacked.tobytes() == per_row[pick].tobytes()

@@ -144,6 +144,19 @@ class TestReducedDynamics:
         with pytest.raises(DomainError):
             inv.m1_conserved(inv.M1Point(1e200, 1e-300, 1.0))
 
+    def test_numpy_float_fields_overflow_as_python_floats(self):
+        # verify builds points from NumPy floats; NumPy's scalar overflow
+        # warning is an error under this suite, and would pre-empt the DomainError
+        big = np.float64(1e200)
+        for fn, args in ((inv.m1_reduced_field, (big, 1e100, 1.0)),
+                         (inv.m1_conserved, (big, 1.0, 1.0))):
+            q = inv.M1Point(*args)
+            with pytest.raises(DomainError, match="inf"):
+                fn(q)
+            assert all(type(v) is float for v in (q.x1, q.y1, q.x2))
+        q = inv.M2Point(np.float64(2.0), np.float64(1.0))
+        assert type(q.x1) is float and type(q.y2) is float
+
     def test_singularity_errors(self):
         q = inv.M1Point(1.0, 1.0, 1.0)
         q.x2 = 0.0  # bypass the constructor check

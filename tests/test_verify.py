@@ -32,8 +32,19 @@ def damp_dz(monkeypatch):
     monkeypatch.setattr(integrate, "field_components", broken)
 
 
+def add_quartic_in_x1_to_dx1(monkeypatch):
+    # x1' = y1 + x1 (x1 - 1)(x1 + 1)(x1 - 2): degree 4 in x1, so it vanishes
+    # on the grid {-1, 0, 1, 2}^5 and only the lattice sample can catch it
+    def broken(x1, y1, x2, y2, z):
+        dx1, *rest = FIELD(x1, y1, x2, y2, z)
+        return dx1 + x1 * (x1 - 1) * (x1 + 1) * (x1 - 2), *rest
+
+    monkeypatch.setattr(core, "field_components", broken)
+
+
 def _patch_tensor(monkeypatch, change):
-    # change: (J, p) -> None, editing the entries of J(p) in place
+    # change: (J, p) -> None, editing the entries of J(p) in place; J and p
+    # may be stacks (..., 5, 5) and (..., 5), so index from the end
     tensor = core.poisson_tensor
 
     def broken(p):
@@ -47,7 +58,8 @@ def _patch_tensor(monkeypatch, change):
 def z_in_J02(monkeypatch):
     # J_02 = z and J_20 = -z: still antisymmetric, no longer Poisson
     def change(J, p):
-        J[0, 2], J[2, 0] = p[4], -p[4]
+        z = np.asarray(p)[..., 4]
+        J[..., 0, 2], J[..., 2, 0] = z, -z
 
     _patch_tensor(monkeypatch, change)
 
@@ -55,7 +67,7 @@ def z_in_J02(monkeypatch):
 def skew_J10(monkeypatch):
     # J_10 = -1.01 against J_01 = 1
     def change(J, p):
-        J[1, 0] = -1.01
+        J[..., 1, 0] = -1.01
 
     _patch_tensor(monkeypatch, change)
 
@@ -156,6 +168,7 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("core", z_in_J02, {"jacobi_identity_sampled", "casimir_in_kernel"}),
     ("core", skew_J10, {"antisymmetry_exact", "casimir_in_kernel"}),
     ("core", flip_core_grad_I_entry, {"bracket_H_I_zero", "invariants_along_flow"}),
+    ("core", add_quartic_in_x1_to_dx1, {"hamiltonian_poisson_form", "invariants_along_flow"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
