@@ -21,9 +21,9 @@ for c in (4.0, 1.0, 0.25, -0.25, -1.0, -4.0):
 print()
 print("the degenerate leaf c = 0")
 res = equilibria.cartan_classify([0, 0, 0, 0, 0.0], 0.0)
-print(f"  spectral verdict: {res.kind}, {res.stable}")
+print(f"  spectral type: {res.kind}; verdict from the certificate: {res.stable}")
 
-cert = equilibria.origin_stability_certificate()
+cert = res.certificate
 print("  algebraic certificate: max(|H|, |I|, |C|) <= eps confines |p| to")
 print("  R(eps) = sqrt(4 eps + 2 sqrt(2 eps)), so H = I = C = 0 only at the")
 print(f"  origin; unique_solution = {cert.unique_solution}.  The bound is attained")

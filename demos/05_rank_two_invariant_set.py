@@ -32,7 +32,8 @@ print("reduced three dimensional dynamics on the first piece")
 f1, f2 = inv.m1_conserved(q)
 print(f"  conserved pair at the start: f1 = {f1:.6f}, f2 = {f2:.6f}")
 par = solutions.PeriodicParams(q.x1, q.y1, q.x2)
-pts = solutions.m1_solution(par, np.linspace(0, par.period, 400))
+# the reduced orbit is (x1, y1, x2) of the periodic family's closed form
+pts = solutions.periodic_solution(par, np.linspace(0, par.period, 400))[..., [0, 1, 2]]
 f1_drift = np.abs(pts[:, 0] ** 2 + pts[:, 2] ** 2 - f1).max()
 print(f"  max |f1 drift| along the closed-form orbit: {f1_drift:.2e}")
 
@@ -41,6 +42,5 @@ print("invariance probe: integrate in 5D, measure distance to the union")
 rep = inv.invariance_probe(inv.M1Point(0.0, 1.0, 1.0), 20.0)
 print(f"  max distance to the union over [0, 20]: "
       f"{rep.max_distance_to_union:.2e}")
-sched = solutions.puncture_times(solutions.PeriodicParams(0.0, 1.0, 1.0))
 print(f"  punctures observed: {rep.puncture_count},"
-      f" predicted: {sched.count_in(20.0)}")
+      f" predicted: {rep.predicted_punctures}")

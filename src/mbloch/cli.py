@@ -18,7 +18,7 @@ raised by a subcommand).
 
 import argparse
 import contextlib
-import functools
+import dataclasses
 import json
 import math
 import os
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import equilibria, invariant_sets, solutions, verify
 from . import integrate as integration
-from .core import DomainError, conserved, vector_field
+from .core import DomainError, conserved
 from .integrate import (IntegrationStalledError, IntegratorConfig,
                         StateOverflowError, Trajectory, drift_report, integrate)
 
@@ -214,9 +214,7 @@ def cmd_classify(args):
         "discriminant": res.discriminant,
         "stable": res.stable,
     }
-    if res.kind == equilibria.DEGENERATE:
-        cert = equilibria.origin_stability_certificate()
-        out["stable"] = "stable" if cert.unique_solution else "not-determined"
+    if (cert := res.certificate) is not None:
         out["certificate"] = {
             "unique_solution": cert.unique_solution,
             "norm_bound_by_eps": {repr(k): v for k, v in cert.norm_bound_by_eps.items()},
@@ -230,19 +228,15 @@ def _closed_form_run(args, times, orbit, derivative, level, tol, level_tol):
     ``derivative(t)``, on the grid ``times`` against the field (bound tol) and
     the conserved level (bound level_tol), write it as CSV and report.
 
-    The orbit is evaluated, checked and formatted one block of
-    ``CSV_BLOCK_ROWS`` rows at a time (the CSV writer evaluates it again),
+    The orbit is checked by ``verify.orbit_errors`` and formatted one block
+    of ``CSV_BLOCK_ROWS`` rows at a time (the CSV writer evaluates it again),
     so an export holds its time grid (8 bytes a row) and one block: a
     10^6-row export peaks at about 40 MB RSS.
     """
-    resids, devs = [], []
-    for i in range(0, len(times), CSV_BLOCK_ROWS):
-        t = times[i:i + CSV_BLOCK_ROWS]
-        states = orbit(t)
-        resids.append(np.abs(derivative(t) - vector_field(states)).max())
-        devs.append(np.abs(np.column_stack(conserved(states)) - level).max())
-    # np.max, unlike max(), returns NaN when any block maximum is NaN
-    resid, dev = float(np.max(resids)), float(np.max(devs))
+    errors = [verify.orbit_errors(orbit, derivative, level, times[i:i + CSV_BLOCK_ROWS])
+              for i in range(0, len(times), CSV_BLOCK_ROWS)]
+    # np.max, unlike max(), returns NaN when any block's error is NaN
+    resid, dev = map(float, np.max(errors, axis=0))
     write_orbit_csv(args.out, times, orbit)
     summary = {"max_ode_residual": resid, "max_conserved_deviation": dev,
                "tolerance": tol, "level_tolerance": level_tol,
@@ -258,9 +252,7 @@ def cmd_homoclinic(args):
         raise DomainError(f"--dt {args.dt!r} is more than {MAX_PULSE_STEP} pulse "
                           f"widths 1/sqrt(c) = {1 / math.sqrt(args.c)!r}")
     times = _sample_times(args.t_min, args.t_max, args.dt)
-    return _closed_form_run(args, times, functools.partial(solutions.homoclinic, par),
-                            functools.partial(solutions.homoclinic_derivative, par),
-                            [args.c ** 2 / 2, 0.0, args.c],
+    return _closed_form_run(args, times, *verify.homoclinic_orbit(par),
                             verify.homoclinic_residual_tol(par), verify.homoclinic_tol(par))
 
 
@@ -271,11 +263,8 @@ def cmd_periodic(args):
     if not math.isfinite(par.omega * t_max):
         raise DomainError(f"the phase omega t overflows on [0, {t_max!r}] at "
                           f"omega = {par.omega!r}")
-    orbit = functools.partial(solutions.periodic_solution, par)
     tol = verify.periodic_tol(par)
-    return _closed_form_run(args, times, orbit,
-                            functools.partial(solutions.periodic_derivative, par),
-                            conserved(orbit(times[:1])[0]), tol, tol)
+    return _closed_form_run(args, times, *verify.periodic_orbit(par), tol, tol)
 
 
 def cmd_rank(args):
@@ -287,18 +276,13 @@ def cmd_rank(args):
 
 
 def cmd_invariant_probe(args):
-    x1, y1, x2 = args.m1
-    point = invariant_sets.M1Point(x1, y1, x2)
-    family = solutions.PeriodicParams(x1, y1, x2) if y1 != 0 else None
+    point = invariant_sets.M1Point(*args.m1)
     try:
         rep = invariant_sets.invariance_probe(point, args.t_end)
     except (IntegrationStalledError, StateOverflowError) as exc:
         return _stopped(exc)
-    out = {"max_distance_to_union": rep.max_distance_to_union,
-           "puncture_count": rep.puncture_count}
-    if family is not None:
-        out["predicted_punctures"] = solutions.puncture_times(family).count_in(args.t_end)
-    _emit(out)
+    # the report's fields in order, without a prediction where there is none
+    _emit({k: v for k, v in dataclasses.asdict(rep).items() if v is not None})
     return 0
 
 

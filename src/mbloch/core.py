@@ -129,15 +129,18 @@ def poisson_bracket(grad_f: GradientField, grad_g: GradientField, p):
     The sum over the upper triangle of ``poisson_tensor(p)`` of
     J_ij (f_i g_j - f_j g_i), in row-major order, so {F, F} cancels term by
     term and is exactly zero in floating point, and a stack gives the bits
-    of one call per state.
-    """
+    of one call per state.  DomainError where a product of entries overflows."""
     point = np.moveaxis(_components(p), 0, -1)
     f, g = (np.asarray(grad(point), dtype=float) for grad in (grad_f, grad_g))
     if f.shape != point.shape or g.shape != point.shape or not np.isfinite([f, g]).all():
         raise DomainError(f"a gradient field did not return finite values of shape {point.shape}")
     i, j = _UPPER
-    terms = poisson_tensor(point)[..., i, j] * (f[..., i] * g[..., j] - f[..., j] * g[..., i])
-    return np.moveaxis(terms, -1, 0).cumsum(axis=0)[-1]  # left to right, in any layout
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = poisson_tensor(point)[..., i, j] * (f[..., i] * g[..., j] - f[..., j] * g[..., i])
+        bracket = np.moveaxis(terms, -1, 0).cumsum(axis=0)[-1]  # left to right, in any layout
+    if not np.isfinite(bracket).all():
+        raise DomainError(f"the bracket overflows at {point[~np.isfinite(bracket)][0].tolist()}")
+    return bracket
 
 
 def jacobi_defect(p):

@@ -41,11 +41,8 @@ class LeafLinearization:
     matrix_I: np.ndarray  # 4x4
 
 
-def leaf_linearization(e, c: float) -> LeafLinearization:
+def leaf_linearization(c: float) -> LeafLinearization:
     """Jacobians of the two reduced flows at the chart origin over (0,0,0,0,c)."""
-    point = as_state(e)
-    if np.any(point[:4] != 0) or point[4] != c:
-        raise DomainError("leaf linearization is charted at (0,0,0,0,c) only")
     leaf_energy(c)
     m_h = np.array([
         [0.0, 1.0, 0.0, 0.0],
@@ -94,7 +91,7 @@ def pencil_char_poly(c: float, alpha: float) -> QuarticPoly:
     from the matrices: the independent check of the closed form
     t^4 + (2 alpha^2 - 2c) t^2 + (alpha^2 + c)^2 (``verify.pencil_closed_form``).
     """
-    lin = leaf_linearization([0, 0, 0, 0, c], c)
+    lin = leaf_linearization(c)
     return char_poly_4x4(lin.matrix_H + alpha * lin.matrix_I)
 
 
@@ -159,6 +156,7 @@ class ClassificationResult:
     B: float | None
     discriminant: float | None
     stable: str
+    certificate: "OriginCertificate | None" = None  # at c = 0, the source of ``stable``
 
 
 def cartan_classify(e, c: float) -> ClassificationResult:
@@ -169,7 +167,7 @@ def cartan_classify(e, c: float) -> ClassificationResult:
     For c > 0 the roots are +-sqrt(c) +- i alpha (focus-focus, unstable);
     for c < 0 they are +-i (alpha +- sqrt(-c)) (center-center, stable).  At
     c = 0 every pencil member repeats its eigenvalues, so the equilibrium is
-    degenerate and the verdict is delegated to the algebraic certificate.
+    degenerate and ``stable`` comes from the ``certificate`` it carries.
     """
     point = as_state(e)
     if np.any(point[:4] != 0):
@@ -178,9 +176,11 @@ def cartan_classify(e, c: float) -> ClassificationResult:
         raise DomainError(f"point {point} is not on the leaf C={c}")
     leaf_energy(c)
     if c == 0.0:
+        cert = origin_stability_certificate()
         return ClassificationResult(kind=DEGENERATE, alpha=None, roots=[],
                                     A=None, B=None, discriminant=None,
-                                    stable=NOT_DETERMINED)
+                                    stable=STABLE if cert.unique_solution else NOT_DETERMINED,
+                                    certificate=cert)
     alpha = 2.0 if c == -1.0 else 1.0
     disc = -16.0 * alpha * alpha * c  # of the quadratic in s = t^2
     r = math.sqrt(abs(c))
@@ -192,8 +192,6 @@ def cartan_classify(e, c: float) -> ClassificationResult:
     return ClassificationResult(kind=CENTER_CENTER, alpha=alpha, roots=roots,
                                 A=alpha + r, B=abs(alpha - r), discriminant=disc,
                                 stable=STABLE)
-
-
 
 
 # the eps of the sublevel sets max(|H|, |I|, |C|) <= eps in the c = 0 certificate

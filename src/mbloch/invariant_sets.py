@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import DomainError, _components, as_state, grad_C, grad_H, grad_I
 from .integrate import IntegratorConfig, integrate
+from .solutions import PeriodicParams, puncture_times
 
 
 def jacobian_F(p) -> np.ndarray:
@@ -143,15 +144,19 @@ def m1_conserved(q: M1Point):
 class ProbeReport:
     max_distance_to_union: float
     puncture_count: int
+    predicted_punctures: int | None  # by the periodic family's schedule; None at y1 = 0
 
 
 def invariance_probe(q0: M1Point, t_end: float) -> ProbeReport:
     """Integrate the full system from M1 and measure how far samples stray
     from the union M1 u M2 (constraint-residual defect), counting the sign
-    changes of x2 (punctures of the M2 piece)."""
+    changes of x2 (punctures of the M2 piece) and predicting them from the
+    periodic family through q0, which is checked before the first step."""
+    family = PeriodicParams(q0.x1, q0.y1, q0.x2) if q0.y1 != 0 else None
     traj = integrate(m1_embed(q0), IntegratorConfig(
         method="rk45", t_end=t_end, abs_tol=1e-10, rel_tol=1e-10, dt_max=0.05))
     worst = np.minimum(m1_defect(traj.states), m2_defect(traj.states)).max()
     signs = np.sign(traj.states[:, 2])
     punctures = int(np.sum(signs[1:] * signs[:-1] < 0))
-    return ProbeReport(max_distance_to_union=float(worst), puncture_count=punctures)
+    predicted = None if family is None else puncture_times(family).count_in(t_end)
+    return ProbeReport(float(worst), punctures, predicted)

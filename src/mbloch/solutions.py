@@ -189,13 +189,6 @@ def periodic_derivative(params: PeriodicParams, t):
     return np.stack([dx1, dy1, dx2, dy2, np.asarray(dz, dtype=float)], axis=-1)
 
 
-def m1_solution(params: PeriodicParams, t):
-    """First three components (x1, y1, x2) of the orbit: the reduced flow
-    on the x2 != 0 piece of the rank-2 set, valid between punctures."""
-    full = periodic_solution(params, t)
-    return full[..., [0, 1, 2]]
-
-
 @dataclass
 class PunctureSchedule:
     """Times t_0 < t_1 < ... after t = 0 where the orbit crosses x2 = y1 = 0

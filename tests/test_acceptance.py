@@ -57,7 +57,7 @@ def test_criterion_2_pencil_polynomial():
 def test_criterion_3_linearization_matrices():
     with Criterion(3, "leaf linearization matrices and eigenvalues", 1.0):
         for c in (0.25, 1.0, 4.0, -1.0):
-            lin = equilibria.leaf_linearization([0, 0, 0, 0, c], c)
+            lin = equilibria.leaf_linearization(c)
             expected_h = np.array([[0, 1, 0, 0], [c, 0, 0, 0],
                                    [0, 0, 0, 1], [0, 0, c, 0]], dtype=float)
             expected_i = np.array([[0, 0, 1, 0], [0, 0, 0, 1],
@@ -148,7 +148,7 @@ def test_criterion_9_invariant_set_suite():
         q0 = invariant_sets.M1Point(0.0, 1.0, 1.0)
         probe = invariant_sets.invariance_probe(q0, 20.0)
         assert verify.union_is_invariant(probe)
-        assert verify.pieces_not_invariant(probe, q0, 20.0)
+        assert verify.pieces_not_invariant(probe)
         assert probe.puncture_count == 6
 
         assert verify.m1_conserved_pair(verify.random_periodic_params(rng, 10), 500)

@@ -134,6 +134,16 @@ class TestBracket:
                 with pytest.raises(core.DomainError):
                     core.poisson_bracket(*grads, stack)
 
+    def test_overflowing_bracket_is_a_domain_error(self):
+        # 1e200 * 1e200 overflows in a term of {C, I}, which is 0 everywhere;
+        # the error names the first state whose bracket is not finite
+        big = [1e200, 1.0, 1.0, 1.0, 1.0]
+        with pytest.raises(core.DomainError, match=r"at \[1e\+200, 1\.0"):
+            core.poisson_bracket(core.grad_C, core.grad_I, big)
+        stack = np.vstack([random_points(3, seed=4), big, [3e200, 1, 1, 1, 1]])
+        with pytest.raises(core.DomainError, match=r"at \[1e\+200, 1\.0"):
+            core.poisson_bracket(core.grad_C, core.grad_I, stack)
+
 
 class TestInvariantsAlongFlow:
     def test_directional_derivatives_vanish(self):

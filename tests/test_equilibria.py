@@ -41,25 +41,21 @@ class TestKSplit:
 
 class TestLeafLinearization:
     def test_paper_matrix_display_c1(self):
-        lin = leaf_linearization([0, 0, 0, 0, 1], 1.0)
+        lin = leaf_linearization(1.0)
         assert np.array_equal(lin.matrix_H, [[0, 1, 0, 0], [1, 0, 0, 0],
                                              [0, 0, 0, 1], [0, 0, 1, 0]])
 
     def test_matrix_i_and_eigenvalues(self):
-        lin = leaf_linearization([0, 0, 0, 0, -2], -2.0)
+        lin = leaf_linearization(-2.0)
         assert np.array_equal(lin.matrix_I, [[0, 0, 1, 0], [0, 0, 0, 1],
                                              [-1, 0, 0, 0], [0, -1, 0, 0]])
         eig = np.sort_complex(np.linalg.eigvals(lin.matrix_I))
         assert np.allclose(eig, [-1j, -1j, 1j, 1j], atol=1e-10)
 
     def test_matrix_h_eigenvalues_positive_leaf(self):
-        lin = leaf_linearization([0, 0, 0, 0, 4], 4.0)
+        lin = leaf_linearization(4.0)
         eig = np.sort(np.real(np.linalg.eigvals(lin.matrix_H)))
         assert np.allclose(eig, [-2, -2, 2, 2], atol=1e-10)
-
-    def test_rejects_off_axis_point(self):
-        with pytest.raises(DomainError):
-            leaf_linearization([1, 0, 0, 0, 0], 0.5)
 
     def test_against_finite_difference_jacobian(self):
         # oracle: central differences of J grad H and J grad I in the leaf chart
@@ -157,7 +153,8 @@ class TestCartanClassification:
     def test_origin_degenerate(self):
         res = cartan_classify([0, 0, 0, 0, 0], 0.0)
         assert res.kind == equilibria.DEGENERATE
-        assert res.stable == equilibria.NOT_DETERMINED
+        assert res.stable == equilibria.STABLE
+        assert res.certificate == origin_stability_certificate()
         assert res.alpha is None and res.A is None and res.B is None
 
     def test_classified_spectrum_matches_pencil(self):

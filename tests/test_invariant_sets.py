@@ -194,7 +194,7 @@ class TestInvarianceProbe:
     def test_single_piece_not_invariant(self):
         # x2 crosses zero once by t = 2: the orbit leaves M1
         q0 = inv.M1Point(0.0, 1.0, 1.0)
-        assert pieces_not_invariant(inv.invariance_probe(q0, 2.0), q0, 2.0)
+        assert pieces_not_invariant(inv.invariance_probe(q0, 2.0))
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from mbloch import solutions
 from mbloch.verify import homoclinic_solves_system
 from mbloch.core import DomainError, conserved, vector_field
 from mbloch.solutions import (HomoclinicParams, PeriodicParams, PolarState,
-                              homoclinic, homoclinic_derivative, m1_solution,
+                              homoclinic, homoclinic_derivative,
                               periodic_derivative, periodic_solution,
                               polar_to_state, puncture_times,
                               reduced_polar_field, state_to_polar)
@@ -190,21 +190,12 @@ class TestPeriodic:
         assert np.abs(orbit[:, 3] + w * orbit[:, 0]).max() < 1e-13
         assert np.abs(orbit[:, 4] + w * w).max() == 0.0
 
-    def test_m1_solution_shares_formulas(self):
-        rng = np.random.default_rng(16)
-        for _ in range(20):
-            par = PeriodicParams(rng.uniform(-2, 2),
-                                 rng.uniform(0.1, 2), rng.uniform(0.1, 2))
-            t = rng.uniform(-10, 10)
-            assert np.array_equal(m1_solution(par, t),
-                                  periodic_solution(par, t)[[0, 1, 2]])
-
     def test_m1_conserved_quantities_constant(self):
         par = PeriodicParams(1.0, -1.3, 0.7)
         f1_0 = par.x1_0 ** 2 + par.x2_0 ** 2
         f2_0 = par.y1_0 / par.x2_0
         ts = np.linspace(0, par.period, 400)
-        pts = m1_solution(par, ts)
+        pts = periodic_solution(par, ts)[..., [0, 1, 2]]  # (x1, y1, x2) on M1
         f1 = pts[:, 0] ** 2 + pts[:, 2] ** 2
         assert np.abs(f1 - f1_0).max() < 1e-13 * (1 + f1_0)
         keep = np.abs(pts[:, 2]) > 0.1

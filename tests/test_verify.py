@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mbloch import core, equilibria, integrate, invariant_sets, verify
+from mbloch import core, equilibria, integrate, invariant_sets, solutions, verify
 
 FIELD = core.field_components
 
@@ -117,8 +117,8 @@ def flip_c_in_matrix_H(monkeypatch):
     # (x1, y1)' = (y1, -c x1) instead of (y1, c x1), and the same for (x2, y2)
     linearize = equilibria.leaf_linearization
 
-    def broken(e, c):
-        lin = linearize(e, c)
+    def broken(c):
+        lin = linearize(c)
         matrix_H = lin.matrix_H.copy()
         matrix_H[1, 0] = matrix_H[3, 2] = -c
         return dataclasses.replace(lin, matrix_H=matrix_H)
@@ -135,6 +135,18 @@ def scale_m1_reduced_field(monkeypatch):
 def shift_ring_embedding(monkeypatch):
     ring = verify.ring_equilibrium
     monkeypatch.setattr(verify, "ring_equilibrium", lambda m, n: ring(m, n) + [0, 0, 0, 0, 0.5])
+
+
+def scale_homoclinic_energy(monkeypatch):
+    # the homoclinic level's H = c^2/2 read 1.01 c^2/2
+    energy = core.leaf_energy
+    monkeypatch.setattr(core, "leaf_energy", lambda c: 1.01 * energy(c))
+
+
+def predict_one_more_puncture(monkeypatch):
+    count_in = solutions.PunctureSchedule.count_in
+    monkeypatch.setattr(solutions.PunctureSchedule, "count_in",
+                        lambda sched, t_end: count_in(sched, t_end) + 1)
 
 
 def add_h5_to_dp_fifth_order(monkeypatch):
@@ -169,6 +181,8 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("core", skew_J10, {"antisymmetry_exact", "casimir_in_kernel"}),
     ("core", flip_core_grad_I_entry, {"bracket_H_I_zero", "invariants_along_flow"}),
     ("core", add_quartic_in_x1_to_dx1, {"hamiltonian_poisson_form", "invariants_along_flow"}),
+    ("solutions", scale_homoclinic_energy, {"homoclinic_level_set"}),
+    ("invariant_sets", predict_one_more_puncture, {"pieces_not_invariant"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
