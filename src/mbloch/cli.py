@@ -28,13 +28,10 @@ import tempfile
 import threading
 import warnings
 
-import numpy as np
-
-from . import equilibria, invariant_sets, solutions, verify
-from . import integrate as integration
-from .core import DomainError, conserved
-from .integrate import (IntegrationStalledError, IntegratorConfig,
-                        StateOverflowError, Trajectory, drift_report, integrate)
+# every other module of the package is imported by the commands that run it,
+# so that a process loads (and, with no bytecode cache, compiles) only those:
+# classify, --help and an argparse usage error start without NumPy
+from .domain import DomainError
 
 CSV_HEADER = "t,x1,y1,x2,y2,z,H,I,C"
 # rows per block of the CSV writer: a long export never holds all its rows
@@ -127,7 +124,9 @@ def _write_csv(path, n, table):
                 os.waitpid(pid, 0)
 
 
-def write_trajectory_csv(path, traj: Trajectory):
+def write_trajectory_csv(path, traj):
+    """Write the run record ``traj`` (an ``integrate.Trajectory``)."""
+    import numpy as np
     _write_csv(path, len(traj), lambda i, j: np.column_stack(
         (traj.times[i:j], traj.states[i:j], traj.conserved[i:j])))
 
@@ -135,6 +134,9 @@ def write_trajectory_csv(path, traj: Trajectory):
 def write_orbit_csv(path, times, orbit):
     """Write the orbit ``orbit(t)`` (states (len(t), 5)) sampled at ``times``,
     evaluating it and its conserved triple one block of rows at a time."""
+    import numpy as np
+    from .core import conserved
+
     def table(i, j):
         states = orbit(times[i:j])
         return np.column_stack((times[i:j], states, *conserved(states)))
@@ -168,10 +170,12 @@ def _sample_times(t_min, t_max, dt):
     """The CSV time grid; a DomainError unless dt > 0, t_max > t_min and the
     grid has at most ``integrate.MAX_SAMPLES`` rows, refused before the sample
     arrays are allocated."""
+    import numpy as np
+    from . import integrate
     if not (dt > 0 and t_max > t_min):
         raise DomainError(f"need --dt > 0 and --t-max above {t_min!r}")
     steps = (t_max - t_min) / dt
-    cap = integration.MAX_SAMPLES
+    cap = integrate.MAX_SAMPLES
     if not steps <= cap - 1:  # also refuses an infinite span
         raise DomainError(f"--dt {dt!r} over [{t_min!r}, {t_max!r}] asks for more "
                           f"than {cap} CSV rows")
@@ -180,6 +184,7 @@ def _sample_times(t_min, t_max, dt):
 
 def _stopped(exc):
     """Report a run that stopped early (exit 1)."""
+    from .integrate import StateOverflowError
     if isinstance(exc, StateOverflowError):
         _emit({"error": "state overflow", "t_reached": exc.time})
     else:
@@ -188,6 +193,8 @@ def _stopped(exc):
 
 
 def cmd_simulate(args):
+    from .integrate import (IntegrationStalledError, IntegratorConfig,
+                            StateOverflowError, drift_report, integrate)
     cfg = IntegratorConfig(method=args.method, t_end=args.t_end, dt=args.dt,
                            abs_tol=args.tol, rel_tol=args.tol, sample_stride=args.stride)
     try:
@@ -203,6 +210,7 @@ def cmd_simulate(args):
 
 
 def cmd_classify(args):
+    from . import equilibria
     res = equilibria.cartan_classify([0, 0, 0, 0, args.c], args.c)
     out = {
         "c": args.c,
@@ -233,6 +241,8 @@ def _closed_form_run(args, times, orbit, derivative, level, tol, level_tol):
     so an export holds its time grid (8 bytes a row) and one block: a
     10^6-row export peaks at about 40 MB RSS.
     """
+    import numpy as np
+    from . import verify
     errors = [verify.orbit_errors(orbit, derivative, level, times[i:i + CSV_BLOCK_ROWS])
               for i in range(0, len(times), CSV_BLOCK_ROWS)]
     # np.max, unlike max(), returns NaN when any block's error is NaN
@@ -246,6 +256,7 @@ def _closed_form_run(args, times, orbit, derivative, level, tol, level_tol):
 
 
 def cmd_homoclinic(args):
+    from . import solutions, verify
     sign = {"+": 1, "-": -1}[args.sign]
     par = solutions.HomoclinicParams(c=args.c, theta0=args.theta0, sign=sign)
     if not args.dt * math.sqrt(args.c) <= MAX_PULSE_STEP:
@@ -257,6 +268,7 @@ def cmd_homoclinic(args):
 
 
 def cmd_periodic(args):
+    from . import solutions, verify
     par = solutions.PeriodicParams(x1_0=args.x1, y1_0=args.y1, x2_0=args.x2)
     t_max = par.period if args.t_max is None else args.t_max
     times = _sample_times(0.0, t_max, args.dt)
@@ -268,6 +280,7 @@ def cmd_periodic(args):
 
 
 def cmd_rank(args):
+    from . import invariant_sets
     rep = invariant_sets.rank_F(args.point)
     _emit({"point": list(args.point),
            "singular_values": [float(s) for s in rep.singular_values],
@@ -276,6 +289,8 @@ def cmd_rank(args):
 
 
 def cmd_invariant_probe(args):
+    from . import invariant_sets
+    from .integrate import IntegrationStalledError, StateOverflowError
     point = invariant_sets.M1Point(*args.m1)
     try:
         rep = invariant_sets.invariance_probe(point, args.t_end)
@@ -287,6 +302,7 @@ def cmd_invariant_probe(args):
 
 
 def cmd_verify(args):
+    from . import verify
     if args.seed < 0:
         raise DomainError("--seed must be non-negative")
     report = verify.run_all(args.seed, args.level)
@@ -350,8 +366,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the self-verification suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", choices=[verify.QUICK, verify.FULL],
-                   default=verify.QUICK)
+    # verify.QUICK and verify.FULL, spelled out so that the parser does not
+    # import verify (and with it NumPy and every other module)
+    p.add_argument("--level", choices=["quick", "full"], default="quick")
     p.set_defaults(func=cmd_verify)
     return parser
 

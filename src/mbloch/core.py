@@ -13,14 +13,12 @@ C = (x1^2 + x2^2)/2 + z (the Casimir of J) and I = x2*y1 - x1*y2.
 check read its entries from it.
 """
 
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-
-class DomainError(ValueError):
-    """Input outside the domain of an operation (non-finite, off-chart...)."""
+# leaf_energy is not used here: callers import it, with DomainError, from core
+from .domain import DomainError, leaf_energy
 
 
 class ConservedTriple(NamedTuple):
@@ -45,16 +43,6 @@ def as_state(p) -> np.ndarray:
     if arr.ndim != 1:
         raise DomainError(f"state must have 5 components, got shape {np.shape(p)}")
     return arr
-
-
-def leaf_energy(c: float) -> float:
-    """H = c^2/2 at the leaf equilibrium (0, 0, 0, 0, c); DomainError where
-    it is not finite, as every formula on the leaf C = c squares c."""
-    c = float(c)
-    energy = 0.5 * (c * c)
-    if not math.isfinite(energy):
-        raise DomainError(f"the leaf energy c^2/2 overflows at c={c!r}")
-    return energy
 
 
 def field_components(x1, y1, x2, y2, z):

@@ -13,15 +13,18 @@ the discriminant -16 alpha^2 c in s = t^2, so its spectrum is known in
 closed form: focus-focus for c > 0 and center-center for c < 0.  At c = 0
 every pencil member has repeated eigenvalues and stability is settled by
 an algebraic level-set argument.
+
+The classification and the c = 0 certificate run on plain floats, and the
+module imports no NumPy: the matrix helpers that ``verify`` checks them
+with import it where they use it.
 """
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import DomainError, as_state, leaf_energy
+from .domain import DomainError, leaf_energy
 
 CENTER_CENTER = "center-center"
 FOCUS_FOCUS = "focus-focus"
@@ -37,12 +40,13 @@ class LeafLinearization:
     """Linearized leaf flows of H and I at (0,0,0,0,c), chart (x1,y1,x2,y2)."""
 
     c: float
-    matrix_H: np.ndarray  # 4x4
-    matrix_I: np.ndarray  # 4x4
+    matrix_H: "numpy.ndarray"  # 4x4
+    matrix_I: "numpy.ndarray"  # 4x4
 
 
 def leaf_linearization(c: float) -> LeafLinearization:
     """Jacobians of the two reduced flows at the chart origin over (0,0,0,0,c)."""
+    import numpy as np
     leaf_energy(c)
     m_h = np.array([
         [0.0, 1.0, 0.0, 0.0],
@@ -68,12 +72,14 @@ class QuarticPoly:
     c1: float
     c0: float
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self) -> "numpy.ndarray":
+        import numpy as np
         return np.array([1.0, self.c3, self.c2, self.c1, self.c0])
 
 
 def char_poly_4x4(m) -> QuarticPoly:
     """Characteristic polynomial by the Faddeev-LeVerrier recursion."""
+    import numpy as np
     m = np.asarray(m, dtype=float)
     eye = np.eye(4)
     coeffs = []
@@ -132,6 +138,7 @@ def quartic_roots(q: QuarticPoly):
     otherwise a companion-matrix eigensolve is used.  Non-real roots come in
     bit-exact conjugate pairs.
     """
+    import numpy as np
     arr = q.as_array()
     if not np.isfinite(arr).all():
         raise DomainError("non-finite quartic coefficients")
@@ -145,6 +152,22 @@ def quartic_roots(q: QuarticPoly):
     else:
         roots = [complex(r) for r in np.roots(arr)]
     return _enforce_conjugate_pairs(roots)
+
+
+def _finite_state(e) -> list:
+    """The five components of the state e as finite floats, DomainError
+    otherwise; a plain-float ``core.as_state`` for the classification, which
+    needs no array."""
+    try:
+        real = len(e) == 5 and all(isinstance(v, numbers.Real) for v in e)
+    except TypeError:  # e has no length or is not iterable
+        real = False
+    if not real:
+        raise DomainError(f"state must be 5 real numbers, got {e!r}")
+    point = [float(v) for v in e]
+    if not all(map(math.isfinite, point)):
+        raise DomainError(f"state has non-finite components: {point}")
+    return point
 
 
 @dataclass
@@ -169,8 +192,8 @@ def cartan_classify(e, c: float) -> ClassificationResult:
     c = 0 every pencil member repeats its eigenvalues, so the equilibrium is
     degenerate and ``stable`` comes from the ``certificate`` it carries.
     """
-    point = as_state(e)
-    if np.any(point[:4] != 0):
+    point = _finite_state(e)
+    if any(point[:4]):
         raise DomainError("cartan_classify handles the axis equilibria (K0) only")
     if point[4] != c:
         raise DomainError(f"point {point} is not on the leaf C={c}")

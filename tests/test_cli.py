@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mbloch
-from mbloch import cli, core, integrate, invariant_sets, solutions
+from mbloch import cli, core, integrate, invariant_sets, solutions, verify
 from mbloch.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mbloch.__file__)))
@@ -821,10 +822,63 @@ class TestVerify:
 
 
 def test_cli_import_does_not_load_scipy():
-    proc = run_process(["-c", "import sys, mbloch.cli; print('scipy' in sys.modules)"],
+    # nor NumPy: the commands import what they run
+    proc = run_process(["-c", "import sys, mbloch.cli; "
+                              "print('scipy' in sys.modules, 'numpy' in sys.modules)"],
                        timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+def main_in_process(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, and the names in its
+    ``sys.modules`` afterwards."""
+    code = ("import json, sys\n"
+            "from mbloch.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    proc = run_process(["-c", code, *argv], timeout=120)
+    return proc.returncode, json.loads(proc.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "--c", "1"], 0),
+    (["classify", "--c", "-1"], 0),
+    (["classify", "--c", "0"], 0),
+    (["--help"], 0),
+    (["classify", "--c", "nan"], 2),
+])
+def test_closed_form_commands_start_without_numpy(argv, code):
+    # the closed-form classification needs math.sqrt only; NumPy's import
+    # would be most of such a process's time
+    got, modules = main_in_process(argv)
+    assert got == code
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (SIMULATE + ["--t-end", "0.1"], ["cli", "core", "domain", "integrate", "shortest"]),
+    (["rank", "--point", "1,2,3,4,5"],
+     ["cli", "core", "domain", "integrate", "invariant_sets", "solutions"]),
+])
+def test_commands_load_only_the_modules_they_run(tmp_path, argv, loaded):
+    # every module a process imports costs start-up time (and, where no
+    # bytecode cache is written, compile time), so none is imported eagerly
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "traj.csv")]
+    code, modules = main_in_process(argv)
+    assert code == 0
+    assert [m.split(".", 1)[1] for m in modules if m.startswith("mbloch.")] == loaded
+
+
+def test_verify_levels_have_one_spelling():
+    # the parser spells out the levels so that it need not import verify
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    level = next(a for a in sub.choices["verify"]._actions if a.dest == "level")
+    assert level.choices == [verify.QUICK, verify.FULL]
+    assert level.default == verify.QUICK
 
 
 def test_package_import_loads_no_module():

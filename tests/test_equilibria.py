@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -166,9 +168,31 @@ class TestCartanClassification:
         assert classified_spectrum_matches_pencil(leaves)
         assert discriminant_and_type_signs(leaves)
 
-    def test_rejects_ring_equilibria(self):
+    @pytest.mark.parametrize("e, c", [
+        pytest.param([0, 0, 0, 1], 1.0, id="shape-4"),
+        pytest.param([0, 0, 0, 0, 1, 0], 1.0, id="shape-6"),
+        pytest.param(np.zeros((1, 5)), 0.0, id="shape-1x5"),
+        pytest.param(np.zeros((5, 1)), 0.0, id="shape-5x1"),
+        pytest.param([math.nan, 0, 0, 0, 1], 1.0, id="nan"),
+        pytest.param([0, 0, 0, 0, math.inf], math.inf, id="inf"),
+        pytest.param([1, 0, 2, 0, 0], 2.5, id="ring"),
+        pytest.param([0, 0, 0, 0, 1], 2.0, id="off-leaf"),
+        pytest.param([0, 0, 0, 0, 1e155], 1e155, id="energy-overflow"),
+    ])
+    def test_rejects_points_off_the_axis_leaf(self, e, c):
         with pytest.raises(DomainError):
-            cartan_classify([1, 0, 2, 0, 0], 2.5)
+            cartan_classify(e, c)
+
+    @pytest.mark.parametrize("e, c", [
+        pytest.param([0, 0, 0, 0, 2], 2, id="int-list"),
+        pytest.param((0.0, 0.0, 0.0, 0.0, -1.0), -1.0, id="tuple"),
+        # what the rk45_sweep benchmark worker passes
+        pytest.param(np.array([0.0, 0.0, 0.0, 0.0, 0.5]), 0.5, id="ndarray"),
+        pytest.param([0, 0, 0, 0, 0.5], np.float64(0.5), id="float64-c"),
+    ])
+    def test_accepts_any_real_5_vector(self, e, c):
+        assert cartan_classify(e, c) == cartan_classify([0.0, 0.0, 0.0, 0.0, float(c)],
+                                                        float(c))
 
     def test_small_alpha_center_evidence(self):
         # for c < 0, pencil members with |alpha| < sqrt(-c)/2 already have
