@@ -231,19 +231,20 @@ def cmd_classify(args):
     return 0
 
 
-def _closed_form_run(args, times, orbit, derivative, level, tol, level_tol):
-    """Check the closed-form orbit ``orbit(t)``, with time derivative
-    ``derivative(t)``, on the grid ``times`` against the field (bound tol) and
-    the conserved level (bound level_tol), write it as CSV and report.
+def _closed_form_run(args, times, closed_form):
+    """Check the orbit of the ``solutions`` tuple ``closed_form`` on the grid
+    ``times`` against the field and its level, each within its bound, write
+    it as CSV and report.
 
-    The orbit is checked by ``verify.orbit_errors`` and formatted one block
-    of ``CSV_BLOCK_ROWS`` rows at a time (the CSV writer evaluates it again),
-    so an export holds its time grid (8 bytes a row) and one block: a
-    10^6-row export peaks at about 40 MB RSS.
+    The orbit is checked by ``solutions.orbit_errors`` and formatted one
+    block of ``CSV_BLOCK_ROWS`` rows at a time (the CSV writer evaluates it
+    again), so an export holds its time grid (8 bytes a row) and one block:
+    a 10^6-row export peaks at about 40 MB RSS.
     """
     import numpy as np
-    from . import verify
-    errors = [verify.orbit_errors(orbit, derivative, level, times[i:i + CSV_BLOCK_ROWS])
+    from .solutions import orbit_errors
+    orbit, derivative, level, tol, level_tol = closed_form
+    errors = [orbit_errors(orbit, derivative, level, times[i:i + CSV_BLOCK_ROWS])
               for i in range(0, len(times), CSV_BLOCK_ROWS)]
     # np.max, unlike max(), returns NaN when any block's error is NaN
     resid, dev = map(float, np.max(errors, axis=0))
@@ -256,27 +257,25 @@ def _closed_form_run(args, times, orbit, derivative, level, tol, level_tol):
 
 
 def cmd_homoclinic(args):
-    from . import solutions, verify
+    from . import solutions
     sign = {"+": 1, "-": -1}[args.sign]
     par = solutions.HomoclinicParams(c=args.c, theta0=args.theta0, sign=sign)
     if not args.dt * math.sqrt(args.c) <= MAX_PULSE_STEP:
         raise DomainError(f"--dt {args.dt!r} is more than {MAX_PULSE_STEP} pulse "
                           f"widths 1/sqrt(c) = {1 / math.sqrt(args.c)!r}")
     times = _sample_times(args.t_min, args.t_max, args.dt)
-    return _closed_form_run(args, times, *verify.homoclinic_orbit(par),
-                            verify.homoclinic_residual_tol(par), verify.homoclinic_tol(par))
+    return _closed_form_run(args, times, solutions.homoclinic_orbit(par))
 
 
 def cmd_periodic(args):
-    from . import solutions, verify
+    from . import solutions
     par = solutions.PeriodicParams(x1_0=args.x1, y1_0=args.y1, x2_0=args.x2)
     t_max = par.period if args.t_max is None else args.t_max
     times = _sample_times(0.0, t_max, args.dt)
     if not math.isfinite(par.omega * t_max):
         raise DomainError(f"the phase omega t overflows on [0, {t_max!r}] at "
                           f"omega = {par.omega!r}")
-    tol = verify.periodic_tol(par)
-    return _closed_form_run(args, times, *verify.periodic_orbit(par), tol, tol)
+    return _closed_form_run(args, times, solutions.periodic_orbit(par))
 
 
 def cmd_rank(args):

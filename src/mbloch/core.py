@@ -17,8 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# leaf_energy is not used here: callers import it, with DomainError, from core
-from .domain import DomainError, leaf_energy
+from .domain import DomainError
 
 
 class ConservedTriple(NamedTuple):

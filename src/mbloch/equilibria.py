@@ -101,42 +101,15 @@ def pencil_char_poly(c: float, alpha: float) -> QuarticPoly:
     return char_poly_4x4(lin.matrix_H + alpha * lin.matrix_I)
 
 
-def _enforce_conjugate_pairs(roots):
-    """Return the 4 roots with exactly conjugate non-real pairs."""
-    roots = sorted(roots, key=lambda r: (r.real, r.imag))
-    out = []
-    used = [False] * len(roots)
-    for i, r in enumerate(roots):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(r.imag) < 1e-300:
-            out.append(complex(r.real, 0.0))
-            continue
-        # find nearest unused conjugate candidate
-        best, best_d = None, None
-        for j in range(i + 1, len(roots)):
-            if used[j]:
-                continue
-            d = abs(roots[j] - r.conjugate())
-            if best is None or d < best_d:
-                best, best_d = j, d
-        if best is None:
-            out.append(r)
-            continue
-        used[best] = True
-        s = roots[best]
-        rep = complex(0.5 * (r.real + s.real), 0.5 * (abs(r.imag) + abs(s.imag)))
-        out.extend([rep, rep.conjugate()])
-    return out
-
-
 def quartic_roots(q: QuarticPoly):
     """All four complex roots of a monic real quartic.
 
     Biquadratic quartics (no odd terms) go through the s = t^2 substitution;
     otherwise a companion-matrix eigensolve is used.  Non-real roots come in
-    bit-exact conjugate pairs.
+    bit-exact conjugate pairs, in no particular order: LAPACK's real
+    eigensolver returns each as wr +- i wi, and the two s = (-c2 +- sq)/2
+    are real (s < 0 gives +-i sqrt(-s)) or conjugate to the bit, with
+    cmath.sqrt(conj(s)) == conj(cmath.sqrt(s)) off the cut.
     """
     import numpy as np
     arr = q.as_array()
@@ -145,13 +118,9 @@ def quartic_roots(q: QuarticPoly):
     if q.c3 == 0.0 and q.c1 == 0.0:
         disc = complex(q.c2 * q.c2 - 4.0 * q.c0)
         sq = cmath.sqrt(disc)
-        roots = []
-        for s in ((-q.c2 + sq) / 2.0, (-q.c2 - sq) / 2.0):
-            t = cmath.sqrt(s)
-            roots.extend([t, -t])
-    else:
-        roots = [complex(r) for r in np.roots(arr)]
-    return _enforce_conjugate_pairs(roots)
+        t = [cmath.sqrt(s) for s in ((-q.c2 + sq) / 2.0, (-q.c2 - sq) / 2.0)]
+        return [t[0], -t[0], t[1], -t[1]]
+    return [complex(r) for r in np.roots(arr)]
 
 
 def _finite_state(e) -> list:

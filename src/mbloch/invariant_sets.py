@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, _components, as_state, grad_C, grad_H, grad_I
-from .integrate import IntegratorConfig, integrate
-from .solutions import PeriodicParams, puncture_times
 
 
 def jacobian_F(p) -> np.ndarray:
@@ -152,6 +150,9 @@ def invariance_probe(q0: M1Point, t_end: float) -> ProbeReport:
     from the union M1 u M2 (constraint-residual defect), counting the sign
     changes of x2 (punctures of the M2 piece) and predicting them from the
     periodic family through q0, which is checked before the first step."""
+    # imported here, not with this module, so that ``rank`` loads neither
+    from .integrate import IntegratorConfig, integrate
+    from .solutions import PeriodicParams, puncture_times
     family = PeriodicParams(q0.x1, q0.y1, q0.x2) if q0.y1 != 0 else None
     traj = integrate(m1_embed(q0), IntegratorConfig(
         method="rk45", t_end=t_end, abs_tol=1e-10, rel_tol=1e-10, dt_max=0.05))

@@ -8,12 +8,14 @@ family of exactly periodic solutions with constant z and angular frequency
 y1_0/x2_0.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_state, conserved, leaf_energy
+from .core import as_state, conserved, vector_field
+from .domain import DomainError, leaf_energy
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,6 +127,14 @@ def homoclinic_derivative(params: HomoclinicParams, t):
     ], axis=-1)
 
 
+def homoclinic_orbit(par: HomoclinicParams):
+    """(orbit(t), derivative(t), level (c^2/2, 0, c), residual bound, level
+    bound) for ``orbit_errors``: the field along the orbit scales as c^1.5."""
+    return (functools.partial(homoclinic, par), functools.partial(homoclinic_derivative, par),
+            (leaf_energy(par.c), 0.0, par.c),
+            1e-12 * (1 + par.c ** 1.5), 1e-12 * (1 + par.c * par.c))
+
+
 @dataclass
 class PeriodicParams:
     """Initial data (x1_0, y1_0, x2_0) on the rank-2 set, x2_0, y1_0 != 0."""
@@ -187,6 +197,24 @@ def periodic_derivative(params: PeriodicParams, t):
     dy2 = -w * w * (params.x2_0 * co - params.x1_0 * s)
     dz = np.zeros(t.shape) if t.shape else 0.0
     return np.stack([dx1, dy1, dx2, dy2, np.asarray(dz, dtype=float)], axis=-1)
+
+
+def periodic_orbit(par: PeriodicParams):
+    """(orbit(t), derivative(t), level at t = 0, residual bound, level bound)
+    for ``orbit_errors``; one bound serves both."""
+    orbit = functools.partial(periodic_solution, par)
+    tol = 1e-12 * (1 + par.omega ** 2) * (1 + par.x1_0 ** 2 + par.x2_0 ** 2)
+    return orbit, functools.partial(periodic_derivative, par), conserved(orbit(0.0)), tol, tol
+
+
+def orbit_errors(orbit, derivative, level, t):
+    """Largest field residual |derivative(t) - f(orbit(t))| and largest
+    deviation of (H, I, C) from ``level`` over the times t, two floats, NaN
+    where either is NaN: the one measure of a closed-form orbit."""
+    states = orbit(t)
+    resid = np.abs(derivative(t) - vector_field(states)).max()
+    dev = np.abs(np.column_stack(conserved(states)) - level).max()
+    return float(resid), float(dev)
 
 
 @dataclass

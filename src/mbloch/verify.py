@@ -10,7 +10,6 @@ completion order.
 """
 
 import dataclasses
-import functools
 import itertools
 import math
 import zlib
@@ -317,45 +316,20 @@ def integrate_suite(rng, level):
     ]
 
 
-def orbit_errors(orbit, derivative, level, t):
-    """Largest field residual |derivative(t) - f(orbit(t))| and largest
-    deviation of (H, I, C) from ``level`` over the times t, two floats, NaN
-    where either is NaN: the one measure of a closed-form orbit."""
-    states = orbit(t)
-    resid = np.abs(derivative(t) - core.vector_field(states)).max()
-    dev = np.abs(np.column_stack(core.conserved(states)) - level).max()
-    return float(resid), float(dev)
-
-
-def homoclinic_orbit(par):
-    """(orbit(t), its derivative, its level) of the homoclinic, for
-    ``orbit_errors``; the level (H, I, C) is (c^2/2, 0, c)."""
-    return (functools.partial(solutions.homoclinic, par),
-            functools.partial(solutions.homoclinic_derivative, par),
-            (core.leaf_energy(par.c), 0.0, par.c))
-
-
-def homoclinic_tol(par):
-    """Bound on the level deviation of a sampled homoclinic, whose level
-    (c^2/2, 0, c) scales as c^2 (also reported by the ``homoclinic`` command)."""
-    return 1e-12 * (1 + par.c * par.c)
-
-
-def homoclinic_residual_tol(par):
-    """Bound on the field residual of a sampled homoclinic: the field along
-    the orbit scales as c^1.5 (also reported by the ``homoclinic`` command)."""
-    return 1e-12 * (1 + par.c ** 1.5)
+def _within_bounds(closed_form, t):
+    """Each error of a ``solutions`` closed-form tuple below its bound, over the times t."""
+    orbit, derivative, level, tol, level_tol = closed_form
+    resid, dev = solutions.orbit_errors(orbit, derivative, level, t)
+    return resid < tol, dev < level_tol
 
 
 def homoclinic_solves_system(params, ts) -> bool:
-    return all(orbit_errors(*homoclinic_orbit(par), ts)[0] < homoclinic_residual_tol(par)
-               for par in params)
+    return all(_within_bounds(solutions.homoclinic_orbit(par), ts)[0] for par in params)
 
 
 def homoclinic_level_set(params, ts) -> bool:
     """(H, I, C) = (c^2/2, 0, c) along the sampled orbit."""
-    return all(orbit_errors(*homoclinic_orbit(par), ts)[1] < homoclinic_tol(par)
-               for par in params)
+    return all(_within_bounds(solutions.homoclinic_orbit(par), ts)[1] for par in params)
 
 
 def homoclinic_biasymptotic(params) -> bool:
@@ -404,28 +378,16 @@ def polar_chart_pushforward(rng, n) -> bool:
     return bool(ok)
 
 
-def periodic_tol(par):
-    """Bound on the field residual and the linear relations of a sampled
-    periodic orbit (also reported by the ``periodic`` command)."""
-    return 1e-12 * (1 + par.omega ** 2) * (1 + par.x1_0 ** 2 + par.x2_0 ** 2)
-
-
-def periodic_orbit(par):
-    """(orbit(t), its derivative, its level at t = 0) for ``orbit_errors``."""
-    orbit = functools.partial(solutions.periodic_solution, par)
-    return orbit, functools.partial(solutions.periodic_derivative, par), core.conserved(orbit(0.0))
-
-
 def periodic_solves_system(params, n_grid) -> bool:
-    return all(orbit_errors(*periodic_orbit(par), np.linspace(0.0, par.period, n_grid))[0]
-               < periodic_tol(par) for par in params)
+    return all(_within_bounds(solutions.periodic_orbit(par),
+                             np.linspace(0.0, par.period, n_grid))[0] for par in params)
 
 
 def periodic_linear_relations(params, n_grid) -> bool:
     """y1 = w x2, y2 = -w x1 and z = -w^2 along each sampled orbit."""
     ok = True
     for par in params:
-        w, tol = par.omega, periodic_tol(par)
+        w, tol = par.omega, solutions.periodic_orbit(par)[3]
         orbit = solutions.periodic_solution(par, np.linspace(0.0, par.period, n_grid))
         ok &= float(np.abs(orbit[:, 1] - w * orbit[:, 2]).max()) < tol
         ok &= float(np.abs(orbit[:, 3] + w * orbit[:, 0]).max()) < tol

@@ -859,14 +859,20 @@ def test_closed_form_commands_start_without_numpy(argv, code):
 
 @pytest.mark.parametrize("argv, loaded", [
     (SIMULATE + ["--t-end", "0.1"], ["cli", "core", "domain", "integrate", "shortest"]),
-    (["rank", "--point", "1,2,3,4,5"],
+    (["rank", "--point", "1,2,3,4,5"], ["cli", "core", "domain", "invariant_sets"]),
+    (["homoclinic", "--c", "1", "--dt", "0.1"],
+     ["cli", "core", "domain", "integrate", "shortest", "solutions"]),
+    (["periodic", "--x1", "1", "--y1", "1", "--x2", "0.5", "--dt", "0.1"],
+     ["cli", "core", "domain", "integrate", "shortest", "solutions"]),
+    (["invariant-probe", "--m1", "0,1,1", "--t-end", "1"],
      ["cli", "core", "domain", "integrate", "invariant_sets", "solutions"]),
 ])
 def test_commands_load_only_the_modules_they_run(tmp_path, argv, loaded):
     # every module a process imports costs start-up time (and, where no
-    # bytecode cache is written, compile time), so none is imported eagerly
-    if argv[0] == "simulate":
-        argv = argv + ["--out", str(tmp_path / "traj.csv")]
+    # bytecode cache is written, compile time), so none is imported eagerly;
+    # verify is imported by the verify command alone
+    if argv[0] in WRITES_CSV:
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
     code, modules = main_in_process(argv)
     assert code == 0
     assert [m.split(".", 1)[1] for m in modules if m.startswith("mbloch.")] == loaded

@@ -276,7 +276,8 @@ def test_probe_distance_is_the_per_sample_maximum(monkeypatch, x1, y1, x2, t_end
         runs.append(integrate(p0, cfg))
         return runs[-1]
 
-    monkeypatch.setattr(inv, "integrate", recording)
+    # invariance_probe imports the integrator when it is called
+    monkeypatch.setattr("mbloch.integrate.integrate", recording)
     rep = inv.invariance_probe(inv.M1Point(x1, y1, x2), t_end)
     want = max(min(inv.m1_defect(s), inv.m2_defect(s)) for s in runs[0].states)
     assert repr(rep.max_distance_to_union) == repr(float(want))

@@ -139,14 +139,34 @@ def shift_ring_embedding(monkeypatch):
 
 def scale_homoclinic_energy(monkeypatch):
     # the homoclinic level's H = c^2/2 read 1.01 c^2/2
-    energy = core.leaf_energy
-    monkeypatch.setattr(core, "leaf_energy", lambda c: 1.01 * energy(c))
+    energy = solutions.leaf_energy
+    monkeypatch.setattr(solutions, "leaf_energy", lambda c: 1.01 * energy(c))
 
 
 def predict_one_more_puncture(monkeypatch):
     count_in = solutions.PunctureSchedule.count_in
     monkeypatch.setattr(solutions.PunctureSchedule, "count_in",
                         lambda sched, t_end: count_in(sched, t_end) + 1)
+
+
+def halve_pulse_rate(monkeypatch):
+    # sech(sqrt(c) t / 2): the pulse decays at half its rate sqrt(c)
+    sech_tanh = solutions._sech_tanh
+    monkeypatch.setattr(solutions, "_sech_tanh", lambda rc, t: sech_tanh(0.5 * rc, t))
+
+
+def shift_punctures_quarter_spacing(monkeypatch):
+    # t_k a quarter of the spacing pi |ratio| late, where |x2| = r / sqrt(2)
+    t_k = solutions.PunctureSchedule.t_k
+    monkeypatch.setattr(solutions.PunctureSchedule, "t_k",
+                        lambda sched, k: t_k(sched, k) + 0.25 * np.pi * abs(sched.ratio))
+
+
+def scale_periodic_z(monkeypatch):
+    # z = -1.01 omega^2 along the periodic orbit
+    orbit = solutions.periodic_solution
+    monkeypatch.setattr(solutions, "periodic_solution",
+                        lambda par, t: orbit(par, t) * [1.0, 1.0, 1.0, 1.0, 1.01])
 
 
 def add_h5_to_dp_fifth_order(monkeypatch):
@@ -183,6 +203,9 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("core", add_quartic_in_x1_to_dx1, {"hamiltonian_poisson_form", "invariants_along_flow"}),
     ("solutions", scale_homoclinic_energy, {"homoclinic_level_set"}),
     ("invariant_sets", predict_one_more_puncture, {"pieces_not_invariant"}),
+    ("solutions", halve_pulse_rate, {"homoclinic_biasymptotic"}),
+    ("solutions", shift_punctures_quarter_spacing, {"punctures_leave_chart"}),
+    ("solutions", scale_periodic_z, {"periodic_linear_relations"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
