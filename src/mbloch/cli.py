@@ -167,9 +167,9 @@ def _parse_tuple(text, n, label):
 
 
 def _sample_times(t_min, t_max, dt):
-    """The CSV time grid; a DomainError unless dt > 0, t_max > t_min and the
-    grid has at most ``integrate.MAX_SAMPLES`` rows, refused before the sample
-    arrays are allocated."""
+    """The CSV time grid: max(1, round((t_max - t_min) / dt)) equal steps from
+    t_min to t_max; a DomainError unless dt > 0, t_max > t_min and it has at
+    most ``integrate.MAX_SAMPLES`` rows, refused before it is allocated."""
     import numpy as np
     from . import integrate
     if not (dt > 0 and t_max > t_min):
@@ -179,7 +179,7 @@ def _sample_times(t_min, t_max, dt):
     if not steps <= cap - 1:  # also refuses an infinite span
         raise DomainError(f"--dt {dt!r} over [{t_min!r}, {t_max!r}] asks for more "
                           f"than {cap} CSV rows")
-    return np.linspace(t_min, t_max, int(round(steps)) + 1)
+    return np.linspace(t_min, t_max, max(1, round(steps)) + 1)
 
 
 def _stopped(exc):
@@ -260,10 +260,11 @@ def cmd_homoclinic(args):
     from . import solutions
     sign = {"+": 1, "-": -1}[args.sign]
     par = solutions.HomoclinicParams(c=args.c, theta0=args.theta0, sign=sign)
-    if not args.dt * math.sqrt(args.c) <= MAX_PULSE_STEP:
-        raise DomainError(f"--dt {args.dt!r} is more than {MAX_PULSE_STEP} pulse "
-                          f"widths 1/sqrt(c) = {1 / math.sqrt(args.c)!r}")
     times = _sample_times(args.t_min, args.t_max, args.dt)
+    step = (args.t_max - args.t_min) / (len(times) - 1)
+    if not step * math.sqrt(args.c) <= MAX_PULSE_STEP:
+        raise DomainError(f"the grid step {step!r} is more than {MAX_PULSE_STEP} pulse "
+                          f"widths 1/sqrt(c) = {1 / math.sqrt(args.c)!r}")
     return _closed_form_run(args, times, solutions.homoclinic_orbit(par))
 
 

@@ -1,11 +1,13 @@
 """Closed-form special solutions: sech homoclinics and harmonic periodic orbits.
 
-On a leaf with c > 0 the unstable axis equilibrium (0,0,0,0,c) carries a
-two-parameter family of homoclinic orbits with sech/tanh profile, found by
-passing to polar coordinates on the leaf and solving the resulting scalar
-second-order equation.  Independently, the rank-2 invariant set supports a
-family of exactly periodic solutions with constant z and angular frequency
-y1_0/x2_0.
+On every leaf C = c the squared radius s = x1^2 + x2^2 of an orbit solves
+one scalar equation, s'^2 = P(s), with the cubic ``radial_cubic`` of the
+orbit's level.  On a leaf with c > 0 the unstable axis equilibrium
+(0,0,0,0,c) carries a two-parameter family of homoclinic orbits with
+sech/tanh profile: at their level P = s^2 (4c - s), so s is the pulse
+4c sech^2(sqrt(c) t), and I = 0 freezes the angle atan2(x2, x1).
+Independently, the rank-2 invariant set supports a family of exactly
+periodic solutions with constant z and angular frequency y1_0/x2_0.
 """
 
 import functools
@@ -14,57 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_state, conserved, vector_field
+from .core import conserved, vector_field
 from .domain import DomainError, leaf_energy
 
-TWO_PI = 2.0 * math.pi
 
+def radial_cubic(s, H, I, C):
+    """P(s) = -s^3 + 4 C s^2 + (8 H - 4 C^2) s - 4 I^2, for floats or arrays.
 
-@dataclass
-class PolarState:
-    """Leaf chart point: x1 = r1 cos(theta), x2 = r1 sin(theta), z = c - r1^2/2."""
-
-    r1: float
-    theta: float
-    y1: float
-    y2: float
-    c: float
-
-
-def polar_to_state(q: PolarState) -> np.ndarray:
-    if q.r1 <= 0:
-        raise DomainError("polar chart requires r1 > 0")
-    return as_state([
-        q.r1 * math.cos(q.theta),
-        q.y1,
-        q.r1 * math.sin(q.theta),
-        q.y2,
-        q.c - 0.5 * q.r1 ** 2,
-    ])
-
-
-def state_to_polar(p, c: float) -> PolarState:
-    x1, y1, x2, y2, _ = as_state(p)
-    if x1 == 0.0 and x2 == 0.0:
-        raise DomainError("polar chart excludes the x1 = x2 = 0 axis")
-    if abs(conserved(p).C - c) > 1e-10:
-        raise DomainError(f"point is not on the leaf C={c}")
-    theta = math.atan2(x2, x1) % TWO_PI
-    return PolarState(r1=math.hypot(x1, x2), theta=theta, y1=y1, y2=y2, c=c)
-
-
-def reduced_polar_field(q: PolarState):
-    """Leaf dynamics in the polar chart: (dr1, dtheta, dy1, dy2)."""
-    if q.r1 == 0.0:
-        raise DomainError("polar field is singular at r1 = 0")
-    ct, st = math.cos(q.theta), math.sin(q.theta)
-    radial = q.r1 * (q.c - 0.5 * q.r1 ** 2)
-    return (
-        q.y1 * ct + q.y2 * st,
-        (q.y2 * ct - q.y1 * st) / q.r1,
-        radial * ct,
-        radial * st,
-    )
+    Along every orbit, s = x1^2 + x2^2 obeys s'^2 = P(s) and s'' = P'(s)/2,
+    where (H, I, C) is the orbit's level.  By Lagrange's identity
+    s |y|^2 = (x . y)^2 + I^2, and with s' = 2 x . y, |y|^2 = 2 H - z^2 and
+    z = C - s/2 this reads s'^2 = 4 s (2 H - (C - s/2)^2) - 4 I^2 = P(s);
+    its derivative divided by 2 s' is s'' = P'(s)/2.
+    At the homoclinic level (c^2/2, 0, c), P = s^2 (4c - s): a double root
+    at the leaf equilibrium s = 0 and the pulse's peak at s = 4c.
+    """
+    return -s * s * s + 4 * C * s * s + (8 * H - 4 * C * C) * s - 4 * I * I
 
 
 @dataclass
@@ -166,7 +133,7 @@ class PeriodicParams:
 
     @property
     def period(self) -> float:
-        return TWO_PI / abs(self.omega)
+        return math.tau / abs(self.omega)
 
 
 def periodic_solution(params: PeriodicParams, t):
@@ -243,5 +210,5 @@ class PunctureSchedule:
 
 
 def puncture_times(params: PeriodicParams) -> PunctureSchedule:
-    vartheta = math.atan2(params.x2_0, params.x1_0) % TWO_PI
+    vartheta = math.atan2(params.x2_0, params.x1_0) % math.tau
     return PunctureSchedule(vartheta=vartheta, ratio=params.x2_0 / params.y1_0)

@@ -455,6 +455,8 @@ def test_export_nan_residual_in_a_later_block_fails(capsys, tmp_path, monkeypatc
     # the phase omega t = 2 t_max overflows
     ["periodic", "--x1=0", "--y1=2", "--x2=1", "--t-max=8.98846567431158e+307",
      "--dt=1.797693134862316e+306"],
+    # --dt is 0.99 pulse widths, but round(1.48 / 0.99) = 1 step is 1.48
+    ["homoclinic", "--c", "1", "--t-min", "-0.74", "--t-max", "0.74", "--dt", "0.99"],
 ])
 def test_bad_value_usage_error(capsys, tmp_path, argv):
     out_path = tmp_path / "x.csv"
@@ -473,6 +475,17 @@ def test_csv_row_cap_is_inclusive(capsys, tmp_path, monkeypatch):
     assert run(capsys, argv + ["--dt", "1"])[0] == 0
     assert len((tmp_path / "h.csv").read_text().strip().split("\n")) == 1 + 11
     assert run(capsys, argv + ["--dt", "0.9"])[0] == 2
+
+
+@pytest.mark.parametrize("argv, t_max", [
+    (["homoclinic", "--c", "1", "--t-min", "0", "--t-max", "0.3", "--dt", "1"], 0.3),
+    (["periodic", "--x1", "1", "--y1", "1", "--x2", "1", "--dt", "100"], 2 * math.pi),
+])
+def test_grid_coarser_than_its_span_ends_at_t_max(capsys, tmp_path, argv, t_max):
+    # round(span / dt) = 0 steps: the grid takes one, so t_max is a row
+    path = tmp_path / "x.csv"
+    assert run(capsys, argv + ["--out", str(path)])[0] == 0
+    assert read_csv(path)[1][:, 0].tolist() == [0.0, t_max]
 
 
 def test_rk4_sample_cap_is_inclusive(capsys, tmp_path, monkeypatch):

@@ -3,75 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mbloch import solutions
 from mbloch.verify import homoclinic_solves_system
 from mbloch.core import DomainError, conserved, vector_field
-from mbloch.solutions import (HomoclinicParams, PeriodicParams, PolarState,
-                              homoclinic, homoclinic_derivative,
-                              periodic_derivative, periodic_solution,
-                              polar_to_state, puncture_times,
-                              reduced_polar_field, state_to_polar)
-
-
-class TestPolarChart:
-    def test_forward_map(self):
-        q = PolarState(r1=2.0, theta=0.0, y1=0.0, y2=0.0, c=1.0)
-        assert np.array_equal(polar_to_state(q), [2, 0, 0, 0, -1])
-
-    def test_forward_map_quarter_turn(self):
-        q = PolarState(r1=1.0, theta=math.pi / 2, y1=1.0, y2=1.0, c=0.0)
-        assert np.allclose(polar_to_state(q), [0, 1, 1, 1, -0.5], atol=1e-15)
-
-    def test_round_trip(self):
-        q = PolarState(r1=1.0, theta=math.pi / 3, y1=0.5, y2=-0.5, c=2.0)
-        p = polar_to_state(q)
-        back = state_to_polar(p, 2.0)
-        for a, b in zip((back.r1, back.theta, back.y1, back.y2, back.c),
-                        (q.r1, q.theta, q.y1, q.y2, q.c)):
-            assert a == pytest.approx(b, abs=1e-15)
-
-    def test_axis_excluded(self):
-        with pytest.raises(DomainError):
-            polar_to_state(PolarState(r1=0.0, theta=0.0, y1=0, y2=0, c=1.0))
-        with pytest.raises(DomainError):
-            state_to_polar([0, 1, 0, 1, 1], 1.0)
-
-    def test_off_leaf_rejected(self):
-        with pytest.raises(DomainError):
-            state_to_polar([1, 0, 0, 0, 0], 3.0)
-
-
-class TestReducedPolarField:
-    def test_planar_slice(self):
-        q = PolarState(r1=1.5, theta=0.0, y1=0.7, y2=0.0, c=1.0)
-        dr, dth, dy1, dy2 = reduced_polar_field(q)
-        assert (dr, dth) == (0.7, 0.0)
-        assert dy1 == pytest.approx(1.5 * (1.0 - 0.5 * 1.5 ** 2))
-        assert dy2 == 0.0
-
-    def test_pushforward_through_chart(self):
-        q = PolarState(r1=1.0, theta=math.pi / 4, y1=1.0, y2=1.0, c=1.0)
-        dr, dth, dy1, dy2 = reduced_polar_field(q)
-        ct, st = math.cos(q.theta), math.sin(q.theta)
-        pushed = np.array([dr * ct - q.r1 * st * dth,
-                           dy1,
-                           dr * st + q.r1 * ct * dth,
-                           dy2,
-                           -q.r1 * dr])
-        full = vector_field(polar_to_state(q))
-        assert np.abs(pushed - full).max() < 1e-13
-
-    def test_theta_frozen_on_zero_invariant_level(self):
-        # y1 sin(theta) = y2 cos(theta) makes the angular velocity vanish
-        theta = 0.3
-        q = PolarState(r1=1.2, theta=theta, y1=2.0 * math.cos(theta),
-                       y2=2.0 * math.sin(theta), c=0.5)
-        _, dth, _, _ = reduced_polar_field(q)
-        assert abs(dth) < 1e-15
-
-    def test_singular_axis(self):
-        with pytest.raises(DomainError):
-            reduced_polar_field(PolarState(r1=0.0, theta=0, y1=1, y2=0, c=1))
+from mbloch.solutions import (HomoclinicParams, PeriodicParams, homoclinic,
+                              homoclinic_derivative, periodic_derivative,
+                              periodic_solution, puncture_times, radial_cubic)
 
 
 class TestHomoclinic:
@@ -148,6 +84,13 @@ class TestSecondOrderProfile:
     def test_rejects_nonpositive_c(self):
         with pytest.raises(DomainError):
             HomoclinicParams(c=0.0)
+
+    def test_radial_cubic_at_homoclinic_level(self):
+        # at (H, I, C) = (c^2/2, 0, c), P(s) = s^2 (4c - s): the double root
+        # s = 0 is the leaf equilibrium the pulse leaves and returns to;
+        # exact on dyadic s and c
+        s, c = np.meshgrid(np.arange(-8, 33) / 4, np.arange(-8, 17) / 4)
+        assert np.array_equal(radial_cubic(s, c * c / 2, 0.0, c), s * s * (4 * c - s))
 
 
 class TestPeriodic:

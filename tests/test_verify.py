@@ -169,6 +169,40 @@ def scale_periodic_z(monkeypatch):
                         lambda par, t: orbit(par, t) * [1.0, 1.0, 1.0, 1.0, 1.01])
 
 
+def scale_dy1(monkeypatch):
+    # y1' = 1.01 x1 z
+    def broken(x1, y1, x2, y2, z):
+        dx1, dy1, *rest = FIELD(x1, y1, x2, y2, z)
+        return dx1, 1.01 * dy1, *rest
+
+    monkeypatch.setattr(core, "field_components", broken)
+
+
+def three_c_squared_in_radial_cubic(monkeypatch):
+    # P(s) with (8 H - 3 C^2) s in place of (8 H - 4 C^2) s
+    cubic = solutions.radial_cubic
+    monkeypatch.setattr(solutions, "radial_cubic",
+                        lambda s, H, I, C: cubic(s, H, I, C) + C * C * s)
+
+
+def turn_homoclinic(monkeypatch):
+    # the orbit drawn at theta0 + 1e-3
+    orbit = solutions.homoclinic
+    monkeypatch.setattr(solutions, "homoclinic", lambda par, t: orbit(
+        dataclasses.replace(par, theta0=par.theta0 + 1e-3), t))
+
+
+def scale_m1_f2(monkeypatch):
+    # f2 = 1.01 y1 / x2
+    pair = invariant_sets.m1_conserved
+
+    def broken(q):
+        f1, f2 = pair(q)
+        return f1, 1.01 * f2
+
+    monkeypatch.setattr(invariant_sets, "m1_conserved", broken)
+
+
 def add_h5_to_dp_fifth_order(monkeypatch):
     # y5 gains h^5 in x1: an error of order 5 in place of 6
     step = integrate._dp_raw
@@ -184,9 +218,7 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("core", drop_x2y2_from_dz, {"hamiltonian_poisson_form", "invariants_along_flow"}),
     ("equilibria", scale_quartic_roots, {"quartic_root_reconstruction"}),
     ("integrate", drop_x2y2_from_dz, {"rk4_conserved_drift"}),
-    ("solutions", drop_x2y2_from_dz, {"homoclinic_solves_system",
-                                      "periodic_solves_system",
-                                      "polar_chart_pushforward"}),
+    ("solutions", drop_x2y2_from_dz, {"homoclinic_solves_system", "periodic_solves_system"}),
     ("invariant_sets", drop_x2y2_from_dz, {"union_is_invariant"}),
     ("invariant_sets", flip_grad_I_entry, {"rank2_on_pieces"}),
     ("equilibria", scale_classified_roots, {"classified_spectrum_matches_pencil"}),
@@ -206,6 +238,10 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("solutions", halve_pulse_rate, {"homoclinic_biasymptotic"}),
     ("solutions", shift_punctures_quarter_spacing, {"punctures_leave_chart"}),
     ("solutions", scale_periodic_z, {"periodic_linear_relations"}),
+    ("solutions", scale_dy1, {"radial_cubic_identity", "homoclinic_solves_system"}),
+    ("solutions", three_c_squared_in_radial_cubic, {"radial_cubic_identity"}),
+    ("solutions", turn_homoclinic, {"homoclinic_theta_frozen"}),
+    ("invariant_sets", scale_m1_f2, {"invariant_I_factorizes"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
