@@ -2,9 +2,12 @@
 
 Subcommands: simulate, classify, homoclinic, periodic, rank,
 invariant-probe, verify.  Trajectories and sampled orbits go to CSV
-(header ``t,x1,y1,x2,y2,z,H,I,C``, shortest round-trip decimal floats,
-formatted a block of rows at a time by ``mbloch.shortest``; the bytes are
-those of ``repr`` on every value); a long export is cut into row ranges
+(header ``t,x1,y1,x2,y2,z,H,I,C``, shortest round-trip decimal floats:
+the bytes of ``repr`` on every value).  A ``simulate`` record of at most
+``CSV_SPLIT_ROWS`` samples is written row by row with ``repr`` itself, so
+such a run is integrated, checked and written without NumPy; longer
+records and the closed-form exports are formatted a block of rows at a
+time by ``mbloch.shortest``, and a long export is cut into row ranges
 that forked processes format on the usable CPUs, with the same bytes.
 The closed-form exports (``homoclinic``, ``periodic``) are evaluated,
 checked and formatted block by block, so they hold their time grid
@@ -30,7 +33,8 @@ import warnings
 
 # every other module of the package is imported by the commands that run it,
 # so that a process loads (and, with no bytecode cache, compiles) only those:
-# classify, --help and an argparse usage error start without NumPy
+# classify, --help, an argparse usage error and a short simulate start
+# without NumPy
 from .domain import DomainError
 
 CSV_HEADER = "t,x1,y1,x2,y2,z,H,I,C"
@@ -38,7 +42,10 @@ CSV_HEADER = "t,x1,y1,x2,y2,z,H,I,C"
 # as Python objects at once
 CSV_BLOCK_ROWS = 1024
 # rows per range of a split export: a shorter export is formatted in one
-# process, where a fork would cost more than it saves
+# process, where a fork would cost more than it saves.  A trajectory of at
+# most this many samples is written row by row with repr instead: about
+# 1 us a value, so this many rows take about as long as importing NumPy and
+# the formatter (about 0.1 s) would
 CSV_SPLIT_ROWS = 8 * CSV_BLOCK_ROWS
 # most ranges, so most processes, of one export
 CSV_MAX_RANGES = 8
@@ -125,7 +132,17 @@ def _write_csv(path, n, table):
 
 
 def write_trajectory_csv(path, traj):
-    """Write the run record ``traj`` (an ``integrate.Trajectory``)."""
+    """Write the run record ``traj`` (an ``integrate.Trajectory``).
+
+    A record of at most ``CSV_SPLIT_ROWS`` samples is written row by row
+    with ``repr`` from its plain-float ``columns``, so a short ``simulate``
+    never loads NumPy; a longer one goes through the batched writer, with
+    the same bytes."""
+    if len(traj) <= CSV_SPLIT_ROWS:
+        lines = [CSV_HEADER, *(",".join(map(repr, row)) for row in zip(*traj.columns()))]
+        with open(path, "wb") as fh:
+            fh.write("\n".join(lines).encode() + b"\n")
+        return
     import numpy as np
     _write_csv(path, len(traj), lambda i, j: np.column_stack(
         (traj.times[i:j], traj.states[i:j], traj.conserved[i:j])))

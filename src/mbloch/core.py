@@ -10,14 +10,16 @@ which is Hamiltonian with respect to an antisymmetric tensor J(p) and
 H = (y1^2 + y2^2 + z^2)/2.  Two further quantities are conserved:
 C = (x1^2 + x2^2)/2 + z (the Casimir of J) and I = x2*y1 - x1*y2.
 ``poisson_tensor`` is the one definition of J: the bracket and the Jacobi
-check read its entries from it.
+check read its entries from it.  The field and the triple are written once,
+on the five components, in the NumPy-free ``domain``; this module checks
+states and applies them to arrays.
 """
 
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import DomainError
+from .domain import DomainError, conserved_components, field_components
 
 
 class ConservedTriple(NamedTuple):
@@ -44,12 +46,6 @@ def as_state(p) -> np.ndarray:
     return arr
 
 
-def field_components(x1, y1, x2, y2, z):
-    """The five right-hand sides, unchecked; broadcasts over floats and
-    arrays, so the integrators call it on states they have already checked."""
-    return y1, x1 * z, y2, x2 * z, -(x1 * y1 + x2 * y2)
-
-
 def vector_field(p) -> np.ndarray:
     """Right-hand side of the 5-component system at p, shape (5,) or (..., 5)."""
     comps = _components(p)
@@ -73,12 +69,7 @@ def conserved(p) -> ConservedTriple:
 
     For states of shape (..., 5) each field is an array of shape (...).
     """
-    x1, y1, x2, y2, z = _components(p)
-    return ConservedTriple(
-        H=0.5 * (y1 * y1 + y2 * y2 + z * z),
-        I=x2 * y1 - x1 * y2,
-        C=0.5 * (x1 * x1 + x2 * x2) + z,
-    )
+    return ConservedTriple(*conserved_components(*_components(p)))
 
 
 def grad_H(p) -> np.ndarray:

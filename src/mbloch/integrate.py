@@ -5,22 +5,30 @@ stage on the five components as plain floats, and both drivers keep the
 state as Python floats between steps (step control, error norm and
 finiteness test included): no array is built per step.  The drivers
 append each sample to two flat float64 buffers (times, and five components
-a sample) and stop only by raising; ``integrate`` builds the result once.
-The rk45 driver keeps its step control in locals and unrolls the error
-norm, rounding each step exactly as a loop over the components would.
+a sample) and stop only by raising; ``integrate`` wraps them, without a
+copy, into the ``Trajectory``.  The rk45 driver keeps its step control in
+locals and unrolls the error norm, rounding each step exactly as a loop
+over the components would.
+
+The module imports no NumPy: with the built-in field a run is started,
+stepped, checked and recorded on plain floats, so a short ``simulate``
+never loads it.  NumPy is imported where arrays are asked for: a custom
+``field``, ``rk4_step``, a start state that is not a list or tuple of
+numbers, and the array views of a ``Trajectory``.
 
 Structure is verified by measurement rather than construction: every
 recorded sample carries the values of the three constants of motion, and
 ``drift_report`` summarizes their worst excursion from the initial values.
 """
 
+import contextlib
 import math
+import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
-import numpy as np
-
-from .core import DomainError, as_state, conserved, field_components
+from .domain import DomainError, conserved_components, field_components
 
 
 class StateOverflowError(RuntimeError):
@@ -93,24 +101,48 @@ class IntegratorConfig:
                                   f"samples at dt = {self.dt!r}, stride {stride}")
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray  # (n,)
-    states: np.ndarray  # (n, 5)
-    conserved: np.ndarray  # (n, 3) columns H, I, C
+# a sample whose five squares sum to S below this has a finite conserved
+# triple: H, |I| and |C| are then at most about S / 2 (|I| by 2|ab| <= a^2 +
+# b^2), a sixteenth of the largest double 2^1024 leaves room for rounding
+TRIPLE_SAFE_SQUARES = 2.0 ** 1020
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=float)
-        self.conserved = np.asarray(self.conserved, dtype=float)
-        n = self.times.shape[0]
-        if self.states.shape != (n, 5) or self.conserved.shape != (n, 3):
-            raise ValueError("times/states/conserved lengths disagree")
-        if n > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
+
+class Trajectory:
+    """The record of a run: n strictly increasing sample times, and five
+    state components a sample, in two flat float64 buffers (``array("d")``,
+    48 bytes a sample), each sample with a finite conserved triple.
+
+    ``times`` (n,), ``states`` (n, 5) and ``conserved`` (n, 3), columns H,
+    I, C, are NumPy arrays built on first use, the first two as views of the
+    buffers without a copy; ``columns`` gives the same numbers as plain
+    floats without NumPy."""
+
+    def __init__(self, times: array, states: array):
+        self._times, self._states = times, states
 
     def __len__(self):
-        return len(self.times)
+        return len(self._times)
+
+    @cached_property
+    def times(self):
+        import numpy as np
+        return np.frombuffer(self._times)
+
+    @cached_property
+    def states(self):
+        import numpy as np
+        return np.frombuffer(self._states).reshape(-1, 5)
+
+    @cached_property
+    def conserved(self):
+        import numpy as np
+        return np.column_stack(conserved_components(*self.states.T))
+
+    def columns(self):
+        """The nine columns t, x1, y1, x2, y2, z, H, I, C of a non-empty
+        record as sequences of floats, with the bits of the arrays."""
+        comps = [self._states[k::5] for k in range(5)]
+        return (self._times, *comps, *zip(*map(conserved_components, *comps)))
 
 
 @dataclass
@@ -123,11 +155,23 @@ class DriftReport:
 def _component_form(field):
     """The field as the kernels call it: five components in, five out.
 
-    None selects the built-in field; a custom field p -> 5-vector is adapted.
+    None selects the built-in field, on plain floats; a custom field
+    p -> 5-vector is adapted.
     """
     if field is None:
         return field_components
+    import numpy as np
     return lambda *s: np.asarray(field(np.array(s)), dtype=float)
+
+
+def _quiet(field):
+    """The context a run steps ``field`` in: NumPy's floating-point warnings
+    silenced for a custom field, as overflow is reported by exception only;
+    nothing to silence on the plain floats of the built-in one."""
+    if field is None:
+        return contextlib.nullcontext()
+    import numpy as np
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _rk4_raw(x1, y1, x2, y2, z, h, f):
@@ -149,8 +193,11 @@ def _rk4_raw(x1, y1, x2, y2, z, h, f):
             z + s * (e1 + 2.0 * (e2 + e3) + e4))
 
 
-def rk4_step(p, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of size h (local error O(h^5))."""
+def rk4_step(p, h: float):
+    """One classical Runge-Kutta step of size h (local error O(h^5)), as a
+    (5,) array."""
+    import numpy as np
+    from .core import as_state
     if h == 0:
         raise DomainError("step size must be nonzero")
     new = np.array(_rk4_raw(*as_state(p).tolist(), h, field_components))
@@ -209,17 +256,17 @@ def _dp_raw(x1, y1, x2, y2, z, h, f):
     return y5, y4
 
 
-def _trajectory(times, states):
-    """The buffers as a Trajectory, without a copy.  Raises StateOverflowError
-    at the first sample whose conserved triple overflows, with the ones before."""
-    times, states = np.frombuffer(times), np.frombuffer(states).reshape(-1, 5)
-    cons = np.column_stack(conserved(states))
-    finite = np.isfinite(cons).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise StateOverflowError(float(times[k]),
-                                 Trajectory(times[:k], states[:k], cons[:k]))
-    return Trajectory(times, states, cons)
+def _start_state(p0):
+    """p0 as a list of five finite floats.  A list or tuple of five such
+    numbers is taken as it is; anything else, an array say, goes through
+    ``core.as_state``, which raises its DomainError on a bad state."""
+    if (isinstance(p0, (list, tuple)) and len(p0) == 5
+            and all(isinstance(v, (int, float)) for v in p0)):
+        y0 = [float(v) for v in p0]
+        if all(map(math.isfinite, y0)):
+            return y0
+    from .core import as_state
+    return as_state(p0).tolist()
 
 
 def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
@@ -228,22 +275,31 @@ def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
 
     field defaults to the 5-component vector field; the tests and the
     benchmark tracer's counting pass substitute a callable p -> 5-vector.
-    A start state whose conserved triple overflows is a DomainError.
-    Overflow is reported by exception only: NumPy's floating-point warnings
-    are silenced inside.
+    A start state whose conserved triple overflows is a DomainError; a run
+    stops with StateOverflowError at the first step whose state overflows
+    or the first sample whose conserved triple does, and the partial
+    trajectory holds the samples before it.  Overflow is reported by
+    exception only: NumPy's floating-point warnings are silenced inside.
     """
-    y0 = as_state(p0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(conserved(y0)).all():
-            raise DomainError(f"conserved quantities overflow at the start state {y0}")
-        times, states = array("d", [0.0]), array("d", y0.tolist())
-        driver = _integrate_rk4 if cfg.method == "rk4" else _integrate_rk45
+    y0 = _start_state(p0)
+    if not all(map(math.isfinite, conserved_components(*y0))):
+        raise DomainError(f"conserved quantities overflow at the start state {y0}")
+    times, states = array("d", [0.0]), array("d", y0)
+    driver = _integrate_rk4 if cfg.method == "rk4" else _integrate_rk45
+    with _quiet(field):
         try:
             driver(times, states, cfg, _component_form(field))
         except (IntegrationStalledError, StateOverflowError) as exc:
-            exc.trajectory = _trajectory(times, states)
+            exc.trajectory = Trajectory(times, states)
             raise
-        return _trajectory(times, states)
+    return Trajectory(times, states)
+
+
+def _check_triple(t, x1, y1, x2, y2, z):
+    """Raise StateOverflowError(t) if the conserved triple of a sample past
+    TRIPLE_SAFE_SQUARES overflows."""
+    if not all(map(math.isfinite, conserved_components(x1, y1, x2, y2, z))):
+        raise StateOverflowError(t)
 
 
 def _rk4_steps(cfg):
@@ -261,6 +317,8 @@ def _integrate_rk4(times, states, cfg, f):
         if not math.isfinite(x1 + y1 + x2 + y2 + z):
             raise StateOverflowError(i * h)
         if i % cfg.sample_stride == 0 or i == n_steps:
+            if x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 + z * z >= TRIPLE_SAFE_SQUARES:
+                _check_triple(i * h, x1, y1, x2, y2, z)
             times.append(i * h)
             states.extend((x1, y1, x2, y2, z))
 
@@ -269,6 +327,7 @@ def _integrate_rk45(times, states, cfg, f):
     t_end, stride, dt_max = cfg.t_end, cfg.sample_stride, cfg.dt_max
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     max_steps, max_samples, isfinite, sqrt = MAX_STEPS, MAX_SAMPLES, math.isfinite, math.sqrt
+    safe = TRIPLE_SAFE_SQUARES
     dp = _dp_raw  # looked up per run, so a patched kernel is the one stepped
     x1, y1, x2, y2, z = states
     t, k, attempts, n, last = 0.0, 0, 0, len(times), times[-1]
@@ -306,6 +365,8 @@ def _integrate_rk45(times, states, cfg, f):
                 if n == max_samples:
                     raise IntegrationStalledError(
                         t, f"MAX_SAMPLES = {max_samples} samples recorded")
+                if x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 + z * z >= safe:
+                    _check_triple(t, x1, y1, x2, y2, z)
                 times.append(t)
                 states.extend((x1, y1, x2, y2, z))
                 n, last = n + 1, t
@@ -316,9 +377,19 @@ def _integrate_rk45(times, states, cfg, f):
 
 
 def drift_report(traj: Trajectory) -> DriftReport:
-    """Worst excursion of H, I, C from their t=0 values over the samples."""
+    """Worst excursion of H, I, C from their t=0 values over the samples.
+
+    Where NumPy is loaded (an in-process sweep, a long ``simulate`` after
+    its CSV) the excursion is reduced on the ``conserved`` array, and
+    otherwise (a short ``simulate``) on plain floats as
+    max(max q - q0, q0 - min q), with the same bits: rounding is monotone,
+    so q - q0 is largest at the largest q and q0 - q at the smallest.
+    """
     if len(traj) == 0:
         raise DomainError("empty trajectory")
+    if "numpy" not in sys.modules:
+        return DriftReport(*(max(max(q) - q[0], q[0] - min(q)) for q in traj.columns()[6:]))
+    import numpy as np
     dev = np.abs(traj.conserved - traj.conserved[0])
     return DriftReport(
         max_abs_dH=float(dev[:, 0].max()),

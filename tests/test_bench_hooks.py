@@ -3,11 +3,13 @@ starts a traced run.  Building its instrumentation here makes the removal of
 a name it binds fail this suite, not only a traced benchmark run.  These
 tests read ``perfbench/`` and change nothing in it."""
 
+import json
 import os
 
 import numpy as np
+import pytest
 
-from mbloch import core, verify
+from mbloch import cli, core, verify
 from mbloch.integrate import IntegratorConfig, integrate
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -48,3 +50,35 @@ def test_counting_field_path_is_the_default_path():
     counted = integrate(p0, cfg, field=core.vector_field)
     assert np.array_equal(default.times, counted.times)
     assert np.array_equal(default.states, counted.states)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_simulate_gives_the_tracer_its_spans(monkeypatch, tmp_path, capsys, method):
+    # the traced rk4_long and cli_session runs wrap ``integrate.integrate``
+    # and ``cli.write_trajectory_csv`` by name, take the steps and rows from
+    # their spans, and re-run each rk45 call for its counts on the arrays of
+    # the Trajectory it returned
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    tracer = tracing.Tracer()
+    inst = tracing.Instrumentation(tracer)
+    path = tmp_path / "s.csv"
+    argv = ["simulate", "--x1=1.0", "--y1=1.0", "--x2=0.5", "--y2=-0.5", "--z=0.2",
+            "--t-end=5.0", f"--method={method}", "--dt=0.01", "--stride=3", f"--out={path}"]
+    inst.install()
+    try:
+        code = cli.main(argv)
+    finally:
+        inst.uninstall()
+    assert code == 0
+    samples = json.loads(capsys.readouterr().out)["samples"]
+    spans = dict(zip(tracer.names, range(len(tracer.names))))
+    assert {f"integrate.{method}", "cli.write_trajectory_csv"} <= set(spans)
+    writer = list(tracer.name_id).index(spans["cli.write_trajectory_csv"])
+    assert tracer.work[writer] == samples
+    assert tracer.work2[writer] == os.path.getsize(path)
+    assert inst.count_pass() == 0
+    if method == "rk45":
+        run = list(tracer.name_id).index(spans["integrate.rk45"])
+        assert tracer.work[run] >= 3 * (samples - 2) and tracer.work2[run] > 0

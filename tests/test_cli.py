@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -169,6 +170,25 @@ def test_csv_writer_keeps_signed_zeros_apart(tmp_path):
     text = written_csv(tmp_path / "w.csv", table)
     assert text == oracle_csv(table)
     assert text.split("\n")[1] == "0.0,-0.0,0.0,-0.0,1.0,-0.0,0.0,0.0,-0.0"
+
+
+@pytest.mark.parametrize("rows", [cli.CSV_SPLIT_ROWS, cli.CSV_SPLIT_ROWS + 1])
+def test_trajectory_csv_matches_per_value_repr_at_the_split(tmp_path, rows):
+    # a record of CSV_SPLIT_ROWS samples is written row by row with repr,
+    # one more goes through the batched writer: both give the oracle's bytes,
+    # on both signed zeros, subnormals and 1e+16 (no value whose square
+    # overflows: a recorded sample has a finite conserved triple)
+    rng = np.random.default_rng(rows)
+    pool = np.array([v for v in EDGE_VALUES if v != 1e308] + list(rng.normal(size=5)))
+    samples = rng.choice(pool, size=(rows, 6))
+    samples[::7, 3] = -0.0
+    samples[::5, 5] = 5e-324
+    traj = integrate.Trajectory(array("d", samples[:, 0]), array("d", samples[:, 1:].ravel()))
+    path = tmp_path / "t.csv"
+    cli.write_trajectory_csv(path, traj)
+    table = np.column_stack((samples, *core.conserved(samples[:, 1:])))
+    # lines, not one string: a mismatch then reports its first row quickly
+    assert path.read_text().split("\n") == oracle_csv(table).split("\n")
 
 
 FINITE_TABLES = arrays(np.float64, st.tuples(st.integers(0, 12), st.just(9)),
@@ -672,10 +692,18 @@ def test_simulate_any_finite_start(tmp_path_factory, p0, method, t_end, n, tol, 
         mp.setattr(integrate, "MAX_SAMPLES", 200)
         mp.setattr(integrate, "MAX_STEPS", 2000)
         code, rep = check_report(argv)
-    if rep is None:
-        assert not path.exists()
-        return
-    assert path.read_text().startswith(cli.CSV_HEADER + "\n")
+        if rep is None:
+            assert not path.exists()
+            return
+        # the record of the same run in process: the CSV is its per-value repr
+        cfg = integrate.IntegratorConfig(method=method, t_end=t_end, dt=t_end / n,
+                                         abs_tol=tol, rel_tol=tol, sample_stride=stride)
+        try:
+            traj = integrate.integrate(p0, cfg)
+        except (integrate.IntegrationStalledError, integrate.StateOverflowError) as exc:
+            traj = exc.trajectory
+    table = np.column_stack((traj.times, traj.states, traj.conserved))
+    assert path.read_text() == oracle_csv(table)
     rows = read_csv(path)[1].reshape(-1, 9)
     if code == 0:
         assert rep["samples"] == len(rows)
@@ -870,8 +898,33 @@ def test_closed_form_commands_start_without_numpy(argv, code):
     assert "numpy" not in modules
 
 
+@pytest.mark.parametrize("argv, code", [
+    (SIMULATE + ["--t-end", "1", "--method", "rk4", "--dt", "0.01"], 0),
+    (SIMULATE + ["--t-end", "1", "--method", "rk45"], 0),
+    (SIMULATE + ["--t-end", "10", "--method", "rk4", "--dt", "1", "--z", "1e100"], 1),
+    (SIMULATE + ["--t-end", "10", "--method", "rk45", "--z", "1e60"], 1),
+])
+def test_short_simulate_starts_without_numpy(tmp_path, argv, code):
+    # a run of at most CSV_SPLIT_ROWS samples is integrated, checked, written
+    # and reduced on plain floats, finished or stopped
+    got, modules = main_in_process(argv + ["--out", str(tmp_path / "s.csv")])
+    assert got == code
+    assert "numpy" not in modules and "mbloch.core" not in modules
+
+
+def test_long_simulate_loads_the_batched_writer(tmp_path):
+    # 8 200 steps of 1e-3 record 8 201 samples, more than CSV_SPLIT_ROWS
+    steps = cli.CSV_SPLIT_ROWS + 8
+    path = tmp_path / "s.csv"
+    got, modules = main_in_process(SIMULATE + ["--t-end", repr(steps / 1000), "--method",
+                                               "rk4", "--dt", "0.001", "--out", str(path)])
+    assert got == 0
+    assert "numpy" in modules and "mbloch.shortest" in modules
+    assert len(path.read_text().splitlines()) == 1 + steps + 1
+
+
 @pytest.mark.parametrize("argv, loaded", [
-    (SIMULATE + ["--t-end", "0.1"], ["cli", "core", "domain", "integrate", "shortest"]),
+    (SIMULATE + ["--t-end", "0.1"], ["cli", "domain", "integrate"]),
     (["rank", "--point", "1,2,3,4,5"], ["cli", "core", "domain", "invariant_sets"]),
     (["homoclinic", "--c", "1", "--dt", "0.1"],
      ["cli", "core", "domain", "integrate", "shortest", "solutions"]),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 import time
 import tracemalloc
 from array import array
@@ -206,6 +208,75 @@ class TestIntegrate:
         partial = info.value.trajectory
         assert np.array_equal(partial.times, [0.0, 1.0])
         assert np.isfinite(partial.conserved).all()
+
+    def test_triple_overflow_between_samples_stops_at_the_next(self):
+        # z = 1e154 t with every third step recorded: H overflows from the
+        # unrecorded step 2 on, and the run stops at the sample of step 3
+        field = lambda p: np.array([0.0, 0.0, 0.0, 0.0, 1e154])
+        with pytest.raises(StateOverflowError) as info:
+            integrate(np.zeros(5), IntegratorConfig(method="rk4", t_end=5.0, dt=1.0,
+                                                    sample_stride=3), field=field)
+        assert info.value.time == 3.0
+        assert np.array_equal(info.value.trajectory.times, [0.0])
+
+    def test_triple_overflow_between_samples_only_is_not_a_stop(self):
+        # the clock x1 = t turns z' from +1e154 to -1e154 at the last stage
+        # of step 2: z is 1e154, 5e154/3 and 2e154/3 at t = 1, 2, 3, so H
+        # overflows at the unrecorded t = 2 only, and the samples at t = 0
+        # and 3 are finite
+        field = lambda p: np.array([1.0, 0.0, 0.0, 0.0, 1e154 if p[0] < 1.75 else -1e154])
+        traj = integrate(np.zeros(5), IntegratorConfig(method="rk4", t_end=3.0, dt=1.0,
+                                                       sample_stride=3), field=field)
+        assert np.array_equal(traj.times, [0.0, 3.0])
+        assert np.isfinite(traj.conserved).all()
+
+    def test_triple_overflow_then_state_overflow_reports_the_triple(self):
+        # H overflows at the sample t = 2, the state at the step to t = 3
+        field = lambda p: np.array([1.0, 0.0, 0.0, 0.0, 1e154 if p[0] < 2.75 else np.inf])
+        with pytest.raises(StateOverflowError) as info:
+            integrate(np.zeros(5), IntegratorConfig(method="rk4", t_end=5.0, dt=1.0),
+                      field=field)
+        assert info.value.time == 2.0
+        assert np.array_equal(info.value.trajectory.times, [0.0, 1.0])
+
+    # z' = 1e154 is stepped exactly, so rk45 accepts every step and grows it
+    # five-fold up to dt_max = 1: samples at 0, 1e-3, 6e-3, 0.031, 0.156,
+    # 0.781 and 1.781, the first where z * z, so H, overflows
+    TRIPLE_T = 1e-3 * (1 + 5 + 25 + 125 + 625) + 1.0
+
+    def test_triple_overflow_before_the_sample_cap_reports_the_triple(self, monkeypatch):
+        monkeypatch.setattr(integration, "MAX_SAMPLES", 10)
+        field = lambda p: np.array([0.0, 0.0, 0.0, 0.0, 1e154])
+        with pytest.raises(StateOverflowError) as info:
+            integrate(np.zeros(5), IntegratorConfig(method="rk45", t_end=20.0), field=field)
+        assert info.value.time == pytest.approx(self.TRIPLE_T, rel=1e-12)
+        partial = info.value.trajectory
+        assert len(partial) == 6 and np.isfinite(partial.conserved).all()
+
+    def test_sample_cap_before_the_triple_overflow_stalls(self, monkeypatch):
+        # the cap refuses the seventh sample, the first with an overflowing
+        # triple, before its triple is taken
+        monkeypatch.setattr(integration, "MAX_SAMPLES", 6)
+        field = lambda p: np.array([0.0, 0.0, 0.0, 0.0, 1e154])
+        with pytest.raises(IntegrationStalledError, match="MAX_SAMPLES = 6") as info:
+            integrate(np.zeros(5), IntegratorConfig(method="rk45", t_end=20.0), field=field)
+        assert info.value.time == pytest.approx(self.TRIPLE_T, rel=1e-12)
+        assert len(info.value.trajectory) == 6
+
+    @pytest.mark.parametrize("p0", [[0.0, 0.0, 0.0, 0.0, 1e154],
+                                    [1.2e154, 0.0, 0.0, 1.2e154, 0.0],
+                                    [1e154, 1e153, 1e153, 1e153, -1e154]])
+    def test_triple_check_past_the_safe_bound(self, p0):
+        # a sum of squares at or above TRIPLE_SAFE_SQUARES takes the exact
+        # triple: these are finite (as the start check found), so the run
+        # records them; a field of zero keeps the state
+        zero = lambda p: np.zeros(5)
+        assert sum(v * v for v in p0) >= integration.TRIPLE_SAFE_SQUARES
+        for method in ("rk4", "rk45"):
+            traj = integrate(p0, IntegratorConfig(method=method, t_end=1.0, dt=0.5),
+                             field=zero)
+            assert np.array_equal(traj.states, [p0] * len(traj))
+            assert np.isfinite(traj.conserved).all()
 
     def test_custom_field_takes_the_same_kernels(self):
         p0 = [1, 1, 0.5, -0.5, 0.2]
@@ -474,15 +545,30 @@ class TestDriftReport:
         assert drift_report(traj) == DriftReport(0.0, 0.0, 0.0)
 
     def test_single_sample(self):
-        c = conserved([1, 2, 3, 4, 5])
-        traj = Trajectory(np.array([0.0]), np.array([[1, 2, 3, 4, 5.0]]),
-                          np.array([list(c)]))
+        traj = Trajectory(array("d", [0.0]), array("d", [1, 2, 3, 4, 5]))
+        assert np.array_equal(traj.conserved, [conserved([1, 2, 3, 4, 5])])
         assert drift_report(traj) == DriftReport(0.0, 0.0, 0.0)
 
     def test_empty_trajectory_rejected(self):
-        traj = Trajectory(np.empty(0), np.empty((0, 5)), np.empty((0, 3)))
+        traj = Trajectory(array("d"), array("d"))
         with pytest.raises(DomainError):
             drift_report(traj)
+
+    def test_plain_reduction_is_the_array_reduction(self, monkeypatch):
+        # drift_report reduces on plain floats where NumPy is not loaded:
+        # the same bits as the array reduction, signed zeros included
+        runs = [integrate(P0, _rk45(tol=1e-6)), integrate(P0, _rk45(stride=7)),
+                integrate(P0, IntegratorConfig(method="rk4", t_end=3.0, dt=0.1)),
+                integrate([0, 0, 0, 0, -1], IntegratorConfig(method="rk4", t_end=1.0)),
+                integrate([0.5, -0.0, 0.0, -0.0, -2e-300], _rk45(1.0))]
+        for traj in runs:
+            table = np.column_stack((traj.times, traj.states, traj.conserved))
+            assert np.column_stack(traj.columns()).tobytes() == table.tobytes()
+        bits = lambda rep: [x.hex() for x in dataclasses.astuple(rep)]
+        arrays = [bits(drift_report(traj)) for traj in runs]
+        monkeypatch.delitem(sys.modules, "numpy")
+        assert [bits(drift_report(traj)) for traj in runs] == arrays
+        assert arrays[3] == [0.0.hex()] * 3
 
     def test_long_run_drift_small(self):
         assert verify.rk4_conserved_drift(verify.rk4_runs([[1, 1, 0.5, -0.5, 0.2]], 100.0))
