@@ -1,9 +1,14 @@
 """Fixed-step RK4 and adaptive Dormand-Prince 5(4) integration.
 
-Both step kernels, ``_rk4_raw`` and ``_dp_raw``, are written out stage by
-stage on the five components as plain floats, and both drivers keep the
-state as Python floats between steps (step control, error norm and
-finiteness test included): no array is built per step.  The drivers
+Each method has two step kernels on the five components as plain floats:
+``_rk4_raw`` and ``_dp_raw`` call a field at each stage, and ``_rk4_builtin``
+and ``_dp_builtin`` have the built-in field written into their stages,
+with the same bits.  ``_kernel`` picks the built-in one exactly when the
+field of a run is ``domain.field_components`` itself, so a patch of
+``integrate.field_components`` breaks a run through the generic kernel,
+and a patch of a kernel here breaks the runs that step it.  Both drivers
+keep the state as Python floats between steps (step control, error norm
+and finiteness test included): no array is built per step.  The drivers
 append each sample to two flat float64 buffers (times, and five components
 a sample) and stop only by raising; ``integrate`` wraps them, without a
 copy, into the ``Trajectory``.  The rk45 driver keeps its step control in
@@ -23,11 +28,13 @@ recorded sample carries the values of the three constants of motion, and
 
 import contextlib
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import domain
 from .domain import DomainError, conserved_components, field_components
 
 
@@ -87,8 +94,15 @@ class IntegratorConfig:
             raise DomainError("dt, abs_tol and rel_tol must be positive")
         if not self.dt_max >= DT_INITIAL:
             raise DomainError(f"dt_max must be at least the first step {DT_INITIAL}")
-        if self.sample_stride < 1:
+        # an integer of any type with __index__ (NumPy's too), taken as an
+        # int; a bool or a float is refused, as 1.5 would record every 3rd step
+        try:
+            stride = operator.index(self.sample_stride)
+        except TypeError:
+            stride = 0
+        if isinstance(self.sample_stride, bool) or stride < 1:
             raise DomainError("sample_stride must be a positive integer")
+        self.sample_stride = stride
         step, name = (self.dt, "dt") if self.method == "rk4" else (self.dt_max, "dt_max")
         if not self.t_end / step <= MAX_STEPS:
             raise DomainError(f"t_end {self.t_end!r} takes more than {MAX_STEPS} "
@@ -175,8 +189,8 @@ def _quiet(field):
 
 
 def _rk4_raw(x1, y1, x2, y2, z, h, f):
-    # classical RK4 on the five components; plain floats for the built-in
-    # field, so this is the hot path of long fixed-step runs
+    # classical RK4 on the five components, calling f at each stage; runs
+    # of the built-in field step _rk4_builtin instead
     a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)
     h2 = 0.5 * h
     a2, b2, c2, d2, e2 = f(x1 + h2 * a1, y1 + h2 * b1, x2 + h2 * c1,
@@ -193,6 +207,29 @@ def _rk4_raw(x1, y1, x2, y2, z, h, f):
             z + s * (e1 + 2.0 * (e2 + e3) + e4))
 
 
+def _rk4_builtin(x1, y1, x2, y2, z, h):
+    # _rk4_raw with the built-in field written into its stages, with the
+    # same bits: the field at (p, a, q, c, r) is (a, p r, c, q r, -n) with
+    # n = p a + q c, so a stage's a and c are its y1 and y2, and each
+    # `+ h * -n` is rounded as the `- h * n` here
+    b1, d1, n1 = x1 * z, x2 * z, x1 * y1 + x2 * y2
+    h2 = 0.5 * h
+    p, a2, q = x1 + h2 * y1, y1 + h2 * b1, x2 + h2 * y2
+    c2, r = y2 + h2 * d1, z - h2 * n1
+    b2, d2, n2 = p * r, q * r, p * a2 + q * c2
+    p, a3, q = x1 + h2 * a2, y1 + h2 * b2, x2 + h2 * c2
+    c3, r = y2 + h2 * d2, z - h2 * n2
+    b3, d3, n3 = p * r, q * r, p * a3 + q * c3
+    p, a4, q = x1 + h * a3, y1 + h * b3, x2 + h * c3
+    c4, r = y2 + h * d3, z - h * n3
+    s = h / 6.0
+    return (x1 + s * (y1 + 2.0 * (a2 + a3) + a4),
+            y1 + s * (b1 + 2.0 * (b2 + b3) + p * r),
+            x2 + s * (y2 + 2.0 * (c2 + c3) + c4),
+            y2 + s * (d1 + 2.0 * (d2 + d3) + q * r),
+            z - s * (n1 + 2.0 * (n2 + n3) + (p * a4 + q * c4)))
+
+
 def rk4_step(p, h: float):
     """One classical Runge-Kutta step of size h (local error O(h^5)), as a
     (5,) array."""
@@ -200,7 +237,7 @@ def rk4_step(p, h: float):
     from .core import as_state
     if h == 0:
         raise DomainError("step size must be nonzero")
-    new = np.array(_rk4_raw(*as_state(p).tolist(), h, field_components))
+    new = np.array(_rk4_builtin(*as_state(p).tolist(), h))
     if not np.isfinite(new).all():
         raise StateOverflowError(h)
     return new
@@ -256,6 +293,57 @@ def _dp_raw(x1, y1, x2, y2, z, h, f):
     return y5, y4
 
 
+def _dp_builtin(x1, y1, x2, y2, z, h):
+    # _dp_raw with the built-in field written into its stages, with the
+    # same bits, as _rk4_builtin: stage k at (p, ak, q, ck, r) has the field
+    # (ak, bk, ck, dk, -nk)
+    b1, d1, n1 = x1 * z, x2 * z, x1 * y1 + x2 * y2
+    s = 1 / 5
+    p, a2, q = x1 + h * (s * y1), y1 + h * (s * b1), x2 + h * (s * y2)
+    c2, r = y2 + h * (s * d1), z - h * (s * n1)
+    b2, d2, n2 = p * r, q * r, p * a2 + q * c2
+    s1, s2 = 3 / 40, 9 / 40
+    p, a3 = x1 + h * (s1 * y1 + s2 * a2), y1 + h * (s1 * b1 + s2 * b2)
+    q, c3 = x2 + h * (s1 * y2 + s2 * c2), y2 + h * (s1 * d1 + s2 * d2)
+    r = z - h * (s1 * n1 + s2 * n2)
+    b3, d3, n3 = p * r, q * r, p * a3 + q * c3
+    s1, s2, s3 = 44 / 45, -56 / 15, 32 / 9
+    p, a4 = x1 + h * (s1 * y1 + s2 * a2 + s3 * a3), y1 + h * (s1 * b1 + s2 * b2 + s3 * b3)
+    q, c4 = x2 + h * (s1 * y2 + s2 * c2 + s3 * c3), y2 + h * (s1 * d1 + s2 * d2 + s3 * d3)
+    r = z - h * (s1 * n1 + s2 * n2 + s3 * n3)
+    b4, d4, n4 = p * r, q * r, p * a4 + q * c4
+    s1, s2, s3, s4 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+    p = x1 + h * (s1 * y1 + s2 * a2 + s3 * a3 + s4 * a4)
+    a5 = y1 + h * (s1 * b1 + s2 * b2 + s3 * b3 + s4 * b4)
+    q = x2 + h * (s1 * y2 + s2 * c2 + s3 * c3 + s4 * c4)
+    c5 = y2 + h * (s1 * d1 + s2 * d2 + s3 * d3 + s4 * d4)
+    r = z - h * (s1 * n1 + s2 * n2 + s3 * n3 + s4 * n4)
+    b5, d5, n5 = p * r, q * r, p * a5 + q * c5
+    s1, s2, s3, s4, s5 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+    p = x1 + h * (s1 * y1 + s2 * a2 + s3 * a3 + s4 * a4 + s5 * a5)
+    a6 = y1 + h * (s1 * b1 + s2 * b2 + s3 * b3 + s4 * b4 + s5 * b5)
+    q = x2 + h * (s1 * y2 + s2 * c2 + s3 * c3 + s4 * c4 + s5 * c5)
+    c6 = y2 + h * (s1 * d1 + s2 * d2 + s3 * d3 + s4 * d4 + s5 * d5)
+    r = z - h * (s1 * n1 + s2 * n2 + s3 * n3 + s4 * n4 + s5 * n5)
+    b6, d6, n6 = p * r, q * r, p * a6 + q * c6
+    # the seventh stage, at the fifth-order state (p, a7, q, c7, r)
+    s1, s3, s4, s5, s6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+    p = x1 + h * (s1 * y1 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6)
+    a7 = y1 + h * (s1 * b1 + s3 * b3 + s4 * b4 + s5 * b5 + s6 * b6)
+    q = x2 + h * (s1 * y2 + s3 * c3 + s4 * c4 + s5 * c5 + s6 * c6)
+    c7 = y2 + h * (s1 * d1 + s3 * d3 + s4 * d4 + s5 * d5 + s6 * d6)
+    r = z - h * (s1 * n1 + s3 * n3 + s4 * n4 + s5 * n5 + s6 * n6)
+    b7, d7, n7 = p * r, q * r, p * a7 + q * c7
+    s1, s3, s4, s5, s6, s7 = (5179 / 57600, 7571 / 16695, 393 / 640,
+                              -92097 / 339200, 187 / 2100, 1 / 40)
+    return (p, a7, q, c7, r), (
+        x1 + h * (s1 * y1 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6 + s7 * a7),
+        y1 + h * (s1 * b1 + s3 * b3 + s4 * b4 + s5 * b5 + s6 * b6 + s7 * b7),
+        x2 + h * (s1 * y2 + s3 * c3 + s4 * c4 + s5 * c5 + s6 * c6 + s7 * c7),
+        y2 + h * (s1 * d1 + s3 * d3 + s4 * d4 + s5 * d5 + s6 * d6 + s7 * d7),
+        z - h * (s1 * n1 + s3 * n3 + s4 * n4 + s5 * n5 + s6 * n6 + s7 * n7))
+
+
 def _start_state(p0):
     """p0 as a list of five finite floats.  A list or tuple of five such
     numbers is taken as it is; anything else, an array say, goes through
@@ -308,12 +396,23 @@ def _rk4_steps(cfg):
     return max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-12)))
 
 
+def _kernel(f, builtin, generic):
+    """The step of a run with field f, on (x1, y1, x2, y2, z, h): the
+    built-in kernel for ``domain.field_components`` itself, and otherwise
+    the generic one calling f.  The drivers pass the module's kernels of
+    the moment, so a patch of either applies to the runs it reaches."""
+    if f is domain.field_components:
+        return builtin
+    return lambda x1, y1, x2, y2, z, h: generic(x1, y1, x2, y2, z, h, f)
+
+
 def _integrate_rk4(times, states, cfg, f):
     n_steps = _rk4_steps(cfg)
     h = cfg.t_end / n_steps
+    step = _kernel(f, _rk4_builtin, _rk4_raw)
     x1, y1, x2, y2, z = states
     for i in range(1, n_steps + 1):
-        x1, y1, x2, y2, z = _rk4_raw(x1, y1, x2, y2, z, h, f)
+        x1, y1, x2, y2, z = step(x1, y1, x2, y2, z, h)
         if not math.isfinite(x1 + y1 + x2 + y2 + z):
             raise StateOverflowError(i * h)
         if i % cfg.sample_stride == 0 or i == n_steps:
@@ -328,7 +427,7 @@ def _integrate_rk45(times, states, cfg, f):
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     max_steps, max_samples, isfinite, sqrt = MAX_STEPS, MAX_SAMPLES, math.isfinite, math.sqrt
     safe = TRIPLE_SAFE_SQUARES
-    dp = _dp_raw  # looked up per run, so a patched kernel is the one stepped
+    step = _kernel(f, _dp_builtin, _dp_raw)
     x1, y1, x2, y2, z = states
     t, k, attempts, n, last = 0.0, 0, 0, len(times), times[-1]
     dt = min(DT_INITIAL, t_end)
@@ -339,7 +438,7 @@ def _integrate_rk45(times, states, cfg, f):
             raise IntegrationStalledError(t, f"MAX_STEPS = {max_steps} steps attempted")
         rest = t_end - t
         h = rest if rest < dt else dt
-        (u1, v1, u2, v2, w), (l1, m1, l2, m2, lw) = dp(x1, y1, x2, y2, z, h, f)
+        (u1, v1, u2, v2, w), (l1, m1, l2, m2, lw) = step(x1, y1, x2, y2, z, h)
         if not isfinite(u1 + v1 + u2 + v2 + w):
             raise StateOverflowError(t + h)
         # RMS of the error y5 - y4 scaled by abs_tol + rel_tol max(|y|, |y5|);

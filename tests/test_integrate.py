@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import time
@@ -14,8 +15,9 @@ from mbloch import solutions, verify
 from mbloch.core import DomainError, conserved, field_components, vector_field
 from mbloch.integrate import (DT_INITIAL, MAX_SAMPLES, MAX_STEPS, DriftReport,
                               IntegrationStalledError, IntegratorConfig,
-                              StateOverflowError, Trajectory, _dp_raw,
-                              drift_report, integrate, rk4_step)
+                              StateOverflowError, Trajectory, _dp_builtin, _dp_raw,
+                              _rk4_builtin, _rk4_raw, drift_report, integrate,
+                              rk4_step)
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5);
 # the last row of DP_A is the fifth-order solution, where the seventh stage
@@ -53,6 +55,21 @@ class TestConfigValidation:
     def test_rejects_bad_stride(self):
         with pytest.raises(ValueError):
             IntegratorConfig(sample_stride=0)
+
+    @pytest.mark.parametrize("stride", [-1, 1.5, 3.0, "3", None, True, False,
+                                        np.float64(3.0)])
+    def test_rejects_non_integer_stride(self, stride):
+        # 1.5 once recorded every third step (1.5 * 2 == 3) and "3" raised a
+        # TypeError; a bool is refused although True is an integer
+        with pytest.raises(DomainError, match="sample_stride"):
+            IntegratorConfig(method="rk4", t_end=1.0, dt=0.1, sample_stride=stride)
+
+    @pytest.mark.parametrize("stride", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_integer_stride_is_taken_as_an_int(self, stride):
+        cfg = IntegratorConfig(method="rk4", t_end=1.0, dt=0.1, sample_stride=stride)
+        assert type(cfg.sample_stride) is int and cfg.sample_stride == 3
+        assert integrate([1, 1, 0.5, -0.5, 0.2], cfg).times.tolist() == pytest.approx(
+            [0.0, 0.3, 0.6, 0.9, 1.0], rel=1e-12)
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_horizon(self, t_end):
@@ -133,6 +150,53 @@ class TestDormandPrinceStep:
 
     def test_local_order(self):
         assert verify.dp_local_order()
+
+
+def _hex(values):
+    """The bits of a kernel's output, flattened: ``float.hex`` tells signed
+    zeros apart and makes every NaN equal."""
+    if isinstance(values[0], tuple):
+        return [v.hex() for part in values for v in part]
+    return [v.hex() for v in values]
+
+
+class TestBuiltinKernels:
+    """``_rk4_builtin`` and ``_dp_builtin`` are ``_rk4_raw`` and ``_dp_raw``
+    with the built-in field written into their stages, bit for bit."""
+
+    PAIRS = [(_rk4_builtin, _rk4_raw), (_dp_builtin, _dp_raw)]
+
+    @pytest.mark.parametrize("h", [1.0, -1.0, 2.0 ** -3, -(2.0 ** -10)])
+    def test_integer_grid(self, h):
+        for p in itertools.product(range(-3, 4), repeat=5):
+            p = tuple(map(float, p))
+            for fused, generic in self.PAIRS:
+                assert _hex(fused(*p, h)) == _hex(generic(*p, h, field_components))
+
+    def test_random_states(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            p = tuple((rng.normal(size=5) * 10 ** rng.uniform(-2, 2, size=5)).tolist())
+            h = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 0))
+            for fused, generic in self.PAIRS:
+                assert _hex(fused(*p, h)) == _hex(generic(*p, h, field_components))
+
+    @pytest.mark.parametrize("p", [(1.0, 1.0, 0.0, 0.0, 1e200),
+                                   (1e200, -1e200, 1e200, 1.0, 1e200),
+                                   (1e308, 0.0, -0.0, 1e-308, -1e308),
+                                   (-0.0, 1e160, 0.0, -1e160, 1e154)])
+    @pytest.mark.parametrize("h", [1.0, -0.5])
+    def test_overflowing_states(self, p, h):
+        for fused, generic in self.PAIRS:
+            out = fused(*p, h)
+            assert _hex(out) == _hex(generic(*p, h, field_components))
+        assert not all(map(math.isfinite, out[0]))
+
+    def test_rk4_step_steps_the_builtin_kernel(self, monkeypatch):
+        p = [1.0, 1.0, 0.5, -0.5, 0.2]
+        assert rk4_step(p, 0.1).tolist() == list(_rk4_raw(*p, 0.1, field_components))
+        monkeypatch.setattr(integration, "_rk4_builtin", lambda *s: (0.0,) * 5)
+        assert rk4_step(p, 0.1).tolist() == [0.0] * 5
 
 
 class TestIntegrate:
@@ -279,14 +343,14 @@ class TestIntegrate:
             assert np.isfinite(traj.conserved).all()
 
     def test_custom_field_takes_the_same_kernels(self):
-        p0 = [1, 1, 0.5, -0.5, 0.2]
-        for cfg in (IntegratorConfig(method="rk4", t_end=2.0, dt=0.01),
-                    IntegratorConfig(method="rk45", t_end=2.0, abs_tol=1e-10,
-                                     rel_tol=1e-10)):
-            plain = integrate(p0, cfg)
-            custom = integrate(p0, cfg, field=vector_field)
-            assert np.array_equal(plain.times, custom.times)
-            assert np.array_equal(plain.states, custom.states)
+        # the built-in field steps the fused kernels, a custom one the
+        # generic kernels: the same bytes at every stride
+        for stride in (1, 7, 100):
+            for cfg in (IntegratorConfig(method="rk4", t_end=5.0, dt=0.01,
+                                         sample_stride=stride),
+                        IntegratorConfig(method="rk45", t_end=30.0, sample_stride=stride)):
+                for p0 in ([1, 1, 0.5, -0.5, 0.2], [1e-3, -1e-3, 0.0, -0.0, 1.0]):
+                    assert _outcome(p0, cfg) == _outcome(p0, cfg, vector_field)
 
     def test_stall_returns_partial_trajectory(self):
         # the field oscillates on a scale below the 1e-12 step floor
@@ -536,6 +600,90 @@ class TestRk45Driver:
         (_, states, _), _ = _drive(integration._integrate_rk45, P0, _rk45())
         (_, ref_states, _), _ = _drive(_reference_rk45, P0, _rk45())
         assert states != ref_states
+
+    def test_default_run_steps_the_module_builtin_kernel(self, monkeypatch):
+        # a run of the built-in field reaches ``_dp_builtin`` through the
+        # module: one kernel call per attempted step, and a patch applies
+        kernel, count = integration._dp_builtin, [0]
+
+        def counted(*args):
+            count[0] += 1
+            return kernel(*args)
+
+        (ref, ref_states, _), calls = _drive(_reference_rk45, P0, _rk45(tol=1e-6))
+        monkeypatch.setattr(integration, "_dp_builtin", counted)
+        traj = integrate(P0, _rk45(tol=1e-6))
+        assert traj._times.tobytes() == ref and traj._states.tobytes() == ref_states
+        assert count[0] == calls // 7 > len(ref) // 8 - 1
+
+        def nudged(*args):
+            (x1, *rest), y4 = kernel(*args)
+            return (x1 + 1e-9, *rest), y4
+
+        monkeypatch.setattr(integration, "_dp_builtin", nudged)
+        cfg = _rk45(tol=1e-6)
+        assert _outcome(P0, cfg)[1] != _outcome(P0, cfg, vector_field)[1]
+
+    def test_default_rk4_run_steps_the_module_builtin_kernel(self, monkeypatch):
+        kernel, count = integration._rk4_builtin, [0]
+
+        def counted(*args):
+            count[0] += 1
+            return kernel(*args)
+
+        cfg = IntegratorConfig(method="rk4", t_end=1.0, dt=0.01, sample_stride=7)
+        want = integrate(P0, cfg, field=vector_field)
+        monkeypatch.setattr(integration, "_rk4_builtin", counted)
+        assert integrate(P0, cfg).states.tobytes() == want.states.tobytes()
+        assert count[0] == 100
+
+
+def _outcome(p0, cfg, field=None):
+    """The bytes of a run's two buffers and its stop (type and time), or None."""
+    try:
+        traj, stop = integrate(p0, cfg, field=field), None
+    except (IntegrationStalledError, StateOverflowError) as exc:
+        traj, stop = exc.trajectory, (type(exc), exc.time)
+    return traj._times.tobytes(), traj._states.tobytes(), stop
+
+
+class TestBuiltinDispatch:
+    """A run of the built-in field steps the built-in kernels; any other
+    field steps the generic ones, with the same samples and the same stop
+    (the samples of finished runs: ``test_custom_field_takes_the_same_kernels``)."""
+
+    @pytest.mark.parametrize("p0,cfg", [
+        # overflows at the 12th and at the first step, and a stall at the
+        # step floor
+        ([1.0, 1.0, 0.5, -0.5, 1e20], IntegratorConfig(method="rk4", t_end=1e-6, dt=3e-10)),
+        ([1.0, 1.0, 0.5, -0.5, 1e20], IntegratorConfig(method="rk45", t_end=1e-6)),
+        ([1.0, 1.0, 0.5, -0.5, 1e60], IntegratorConfig(method="rk45", t_end=10.0)),
+        ([1.0, 1.0, 0.0, 0.0, 1e100], IntegratorConfig(method="rk4", t_end=10.0, dt=1.0)),
+    ])
+    def test_stops_are_the_same(self, p0, cfg):
+        # the field of ``vector_field`` without its check of the state, which
+        # refuses the non-finite stages an overflowing step takes
+        out = _outcome(p0, cfg)
+        assert out[2] is not None
+        assert out == _outcome(p0, cfg, lambda p: np.array(field_components(*p)))
+
+    def test_sample_cap_stall_is_the_same(self, monkeypatch):
+        monkeypatch.setattr(integration, "MAX_SAMPLES", 50)
+        out = _outcome(P0, _rk45())
+        assert out[2][0] is IntegrationStalledError and len(out[0]) == 8 * 50
+        assert out == _outcome(P0, _rk45(), vector_field)
+
+    @pytest.mark.parametrize("method,builtin", [("rk4", "_rk4_builtin"),
+                                                ("rk45", "_dp_builtin")])
+    def test_patched_field_steps_the_generic_kernel(self, monkeypatch, method, builtin):
+        # a patch of ``integrate.field_components`` is a field other than
+        # the built-in one, so the run never reaches the built-in kernel
+        cfg = IntegratorConfig(method=method, t_end=1.0, dt=0.01)
+        want = _outcome(P0, cfg)
+        monkeypatch.setattr(integration, builtin, None)
+        monkeypatch.setattr(integration, "field_components",
+                            lambda *s: field_components(*s))
+        assert _outcome(P0, cfg) == want
 
 
 class TestDriftReport:

@@ -32,6 +32,29 @@ def damp_dz(monkeypatch):
     monkeypatch.setattr(integrate, "field_components", broken)
 
 
+def damp_dz_in_rk4_builtin(monkeypatch):
+    # the state an RK4 step returns loses 1e-3 h z in z: runs of the
+    # built-in field step this fused kernel, which no patch of
+    # field_components reaches
+    step = integrate._rk4_builtin
+
+    def broken(x1, y1, x2, y2, z, h):
+        *rest, w = step(x1, y1, x2, y2, z, h)
+        return *rest, w - 1e-3 * h * z
+
+    monkeypatch.setattr(integrate, "_rk4_builtin", broken)
+
+
+def damp_dz_in_dp_builtin(monkeypatch):
+    # both states a Dormand-Prince step returns lose 1e-3 h z in z
+    step = integrate._dp_builtin
+
+    def broken(x1, y1, x2, y2, z, h):
+        return tuple((*rest, w - 1e-3 * h * z) for *rest, w in step(x1, y1, x2, y2, z, h))
+
+    monkeypatch.setattr(integrate, "_dp_builtin", broken)
+
+
 def add_quartic_in_x1_to_dx1(monkeypatch):
     # x1' = y1 + x1 (x1 - 1)(x1 + 1)(x1 - 2): degree 4 in x1, so it vanishes
     # on the grid {-1, 0, 1, 2}^5 and only the lattice sample can catch it
@@ -229,6 +252,8 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("equilibria", shift_ring_embedding, {"equilibrium_families_fixed"}),
     ("integrate", add_h5_to_dp_fifth_order, {"dp_local_order"}),
     ("integrate", damp_dz, {"time_reversal"}),
+    ("integrate", damp_dz_in_rk4_builtin, {"rk4_conserved_drift"}),
+    ("integrate", damp_dz_in_dp_builtin, {"time_reversal"}),
     ("core", z_in_J02, {"jacobi_identity_sampled", "casimir_in_kernel"}),
     ("core", skew_J10, {"antisymmetry_exact", "casimir_in_kernel"}),
     ("core", flip_core_grad_I_entry, {"bracket_H_I_zero", "invariants_along_flow"}),
