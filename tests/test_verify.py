@@ -252,8 +252,6 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("equilibria", shift_ring_embedding, {"equilibrium_families_fixed"}),
     ("integrate", add_h5_to_dp_fifth_order, {"dp_local_order"}),
     ("integrate", damp_dz, {"time_reversal"}),
-    ("integrate", damp_dz_in_rk4_builtin, {"rk4_conserved_drift"}),
-    ("integrate", damp_dz_in_dp_builtin, {"time_reversal"}),
     ("core", z_in_J02, {"jacobi_identity_sampled", "casimir_in_kernel"}),
     ("core", skew_J10, {"antisymmetry_exact", "casimir_in_kernel"}),
     ("core", flip_core_grad_I_entry, {"bracket_H_I_zero", "invariants_along_flow"}),
@@ -267,6 +265,8 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("solutions", three_c_squared_in_radial_cubic, {"radial_cubic_identity"}),
     ("solutions", turn_homoclinic, {"homoclinic_theta_frozen"}),
     ("invariant_sets", scale_m1_f2, {"invariant_I_factorizes"}),
+    ("integrate", damp_dz_in_rk4_builtin, {"rk4_conserved_drift"}),
+    ("integrate", damp_dz_in_dp_builtin, {"time_reversal"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
