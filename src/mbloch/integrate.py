@@ -6,14 +6,17 @@ and ``_dp_builtin`` have the built-in field written into their stages,
 with the same bits.  ``_kernel`` picks the built-in one exactly when the
 field of a run is ``domain.field_components`` itself, so a patch of
 ``integrate.field_components`` breaks a run through the generic kernel,
-and a patch of a kernel here breaks the runs that step it.  Both drivers
-keep the state as Python floats between steps (step control, error norm
-and finiteness test included): no array is built per step.  The drivers
-append each sample to two flat float64 buffers (times, and five components
-a sample) and stop only by raising; ``integrate`` wraps them, without a
-copy, into the ``Trajectory``.  The rk45 driver keeps its step control in
-locals and unrolls the error norm, rounding each step exactly as a loop
-over the components would.
+and a patch of a kernel here breaks the runs that step it.  An RK4 kernel
+steps up to a sample stride per call, testing each step's state, so the
+rk4 driver calls it once a sample.  Both drivers keep the state as Python
+floats between steps (step control, error norm and finiteness test
+included): no array is built per step.  The drivers append each sample
+to two flat float64 buffers (times, and five components a sample) and
+stop only by raising; ``integrate`` wraps them, without a copy, into the
+``Trajectory``.  The rk45 driver keeps its step control in locals and
+unrolls the error norm, rounding each step exactly as a loop over the
+components would, and writes ``min`` and ``max`` as conditional
+expressions in the builtins' order.
 
 The module imports no NumPy: with the built-in field a run is started,
 stepped, checked and recorded on plain floats, so a short ``simulate``
@@ -170,12 +173,17 @@ def _component_form(field):
     """The field as the kernels call it: five components in, five out.
 
     None selects the built-in field, on plain floats; a custom field
-    p -> 5-vector is adapted.
+    p -> 5-vector is adapted.  A stage state with a non-finite component
+    gets a NaN field without a call, as a field that checks its state
+    (``core.vector_field``) would raise there: the step then fails the
+    drivers' finiteness test, as it does with the built-in field.
     """
     if field is None:
         return field_components
     import numpy as np
-    return lambda *s: np.asarray(field(np.array(s)), dtype=float)
+    nan = np.full(5, math.nan)
+    return lambda *s: (np.asarray(field(np.array(s)), dtype=float)
+                       if all(map(math.isfinite, s)) else nan)
 
 
 def _quiet(field):
@@ -188,46 +196,54 @@ def _quiet(field):
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _rk4_raw(x1, y1, x2, y2, z, h, f):
-    # classical RK4 on the five components, calling f at each stage; runs
-    # of the built-in field step _rk4_builtin instead
-    a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)
-    h2 = 0.5 * h
-    a2, b2, c2, d2, e2 = f(x1 + h2 * a1, y1 + h2 * b1, x2 + h2 * c1,
-                           y2 + h2 * d1, z + h2 * e1)
-    a3, b3, c3, d3, e3 = f(x1 + h2 * a2, y1 + h2 * b2, x2 + h2 * c2,
-                           y2 + h2 * d2, z + h2 * e2)
-    a4, b4, c4, d4, e4 = f(x1 + h * a3, y1 + h * b3, x2 + h * c3,
-                           y2 + h * d3, z + h * e3)
-    s = h / 6.0
-    return (x1 + s * (a1 + 2.0 * (a2 + a3) + a4),
-            y1 + s * (b1 + 2.0 * (b2 + b3) + b4),
-            x2 + s * (c1 + 2.0 * (c2 + c3) + c4),
-            y2 + s * (d1 + 2.0 * (d2 + d3) + d4),
-            z + s * (e1 + 2.0 * (e2 + e3) + e4))
+def _rk4_raw(x1, y1, x2, y2, z, h, n, f):
+    # up to n classical RK4 steps on the five components, calling f at each
+    # stage; returns (steps taken, state), stopping after the first step
+    # whose state fails isfinite(x1 + y1 + x2 + y2 + z).  Runs of the
+    # built-in field step _rk4_builtin instead
+    h2, s, isfinite = 0.5 * h, h / 6.0, math.isfinite
+    for i in range(1, n + 1):
+        a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)
+        a2, b2, c2, d2, e2 = f(x1 + h2 * a1, y1 + h2 * b1, x2 + h2 * c1,
+                               y2 + h2 * d1, z + h2 * e1)
+        a3, b3, c3, d3, e3 = f(x1 + h2 * a2, y1 + h2 * b2, x2 + h2 * c2,
+                               y2 + h2 * d2, z + h2 * e2)
+        a4, b4, c4, d4, e4 = f(x1 + h * a3, y1 + h * b3, x2 + h * c3,
+                               y2 + h * d3, z + h * e3)
+        x1, y1, x2, y2, z = (x1 + s * (a1 + 2.0 * (a2 + a3) + a4),
+                             y1 + s * (b1 + 2.0 * (b2 + b3) + b4),
+                             x2 + s * (c1 + 2.0 * (c2 + c3) + c4),
+                             y2 + s * (d1 + 2.0 * (d2 + d3) + d4),
+                             z + s * (e1 + 2.0 * (e2 + e3) + e4))
+        if not isfinite(x1 + y1 + x2 + y2 + z):
+            return i, (x1, y1, x2, y2, z)
+    return n, (x1, y1, x2, y2, z)
 
 
-def _rk4_builtin(x1, y1, x2, y2, z, h):
+def _rk4_builtin(x1, y1, x2, y2, z, h, n):
     # _rk4_raw with the built-in field written into its stages, with the
-    # same bits: the field at (p, a, q, c, r) is (a, p r, c, q r, -n) with
-    # n = p a + q c, so a stage's a and c are its y1 and y2, and each
-    # `+ h * -n` is rounded as the `- h * n` here
-    b1, d1, n1 = x1 * z, x2 * z, x1 * y1 + x2 * y2
-    h2 = 0.5 * h
-    p, a2, q = x1 + h2 * y1, y1 + h2 * b1, x2 + h2 * y2
-    c2, r = y2 + h2 * d1, z - h2 * n1
-    b2, d2, n2 = p * r, q * r, p * a2 + q * c2
-    p, a3, q = x1 + h2 * a2, y1 + h2 * b2, x2 + h2 * c2
-    c3, r = y2 + h2 * d2, z - h2 * n2
-    b3, d3, n3 = p * r, q * r, p * a3 + q * c3
-    p, a4, q = x1 + h * a3, y1 + h * b3, x2 + h * c3
-    c4, r = y2 + h * d3, z - h * n3
-    s = h / 6.0
-    return (x1 + s * (y1 + 2.0 * (a2 + a3) + a4),
-            y1 + s * (b1 + 2.0 * (b2 + b3) + p * r),
-            x2 + s * (y2 + 2.0 * (c2 + c3) + c4),
-            y2 + s * (d1 + 2.0 * (d2 + d3) + q * r),
-            z - s * (n1 + 2.0 * (n2 + n3) + (p * a4 + q * c4)))
+    # same bits: the field at stage k, (p, ak, q, ck, r), is (ak, p r, ck,
+    # q r, -nk) with nk = p ak + q ck, so a stage's a and c are its y1 and
+    # y2, and each `+ h * -nk` is rounded as the `- h * nk` here
+    h2, s, isfinite = 0.5 * h, h / 6.0, math.isfinite
+    for i in range(1, n + 1):
+        b1, d1, n1 = x1 * z, x2 * z, x1 * y1 + x2 * y2
+        p, a2, q = x1 + h2 * y1, y1 + h2 * b1, x2 + h2 * y2
+        c2, r = y2 + h2 * d1, z - h2 * n1
+        b2, d2, n2 = p * r, q * r, p * a2 + q * c2
+        p, a3, q = x1 + h2 * a2, y1 + h2 * b2, x2 + h2 * c2
+        c3, r = y2 + h2 * d2, z - h2 * n2
+        b3, d3, n3 = p * r, q * r, p * a3 + q * c3
+        p, a4, q = x1 + h * a3, y1 + h * b3, x2 + h * c3
+        c4, r = y2 + h * d3, z - h * n3
+        x1, y1, x2, y2, z = (x1 + s * (y1 + 2.0 * (a2 + a3) + a4),
+                             y1 + s * (b1 + 2.0 * (b2 + b3) + p * r),
+                             x2 + s * (y2 + 2.0 * (c2 + c3) + c4),
+                             y2 + s * (d1 + 2.0 * (d2 + d3) + q * r),
+                             z - s * (n1 + 2.0 * (n2 + n3) + (p * a4 + q * c4)))
+        if not isfinite(x1 + y1 + x2 + y2 + z):
+            return i, (x1, y1, x2, y2, z)
+    return n, (x1, y1, x2, y2, z)
 
 
 def rk4_step(p, h: float):
@@ -237,7 +253,7 @@ def rk4_step(p, h: float):
     from .core import as_state
     if h == 0:
         raise DomainError("step size must be nonzero")
-    new = np.array(_rk4_builtin(*as_state(p).tolist(), h))
+    new = np.array(_rk4_builtin(*as_state(p).tolist(), h, 1)[1])
     if not np.isfinite(new).all():
         raise StateOverflowError(h)
     return new
@@ -397,38 +413,43 @@ def _rk4_steps(cfg):
 
 
 def _kernel(f, builtin, generic):
-    """The step of a run with field f, on (x1, y1, x2, y2, z, h): the
-    built-in kernel for ``domain.field_components`` itself, and otherwise
-    the generic one calling f.  The drivers pass the module's kernels of
-    the moment, so a patch of either applies to the runs it reaches."""
+    """The step kernel of a run with field f: the built-in kernel for
+    ``domain.field_components`` itself, and otherwise the generic one
+    calling f.  The drivers pass the module's kernels of the moment, so a
+    patch of either applies to the runs it reaches."""
     if f is domain.field_components:
         return builtin
-    return lambda x1, y1, x2, y2, z, h: generic(x1, y1, x2, y2, z, h, f)
+    return lambda *a: generic(*a, f)
 
 
 def _integrate_rk4(times, states, cfg, f):
-    n_steps = _rk4_steps(cfg)
+    # one kernel call a sample: it steps to the next multiple of the
+    # stride, or to the last step, and stops early at a non-finite state
+    n_steps, stride = _rk4_steps(cfg), cfg.sample_stride
     h = cfg.t_end / n_steps
     step = _kernel(f, _rk4_builtin, _rk4_raw)
     x1, y1, x2, y2, z = states
-    for i in range(1, n_steps + 1):
-        x1, y1, x2, y2, z = step(x1, y1, x2, y2, z, h)
+    i = 0
+    while i < n_steps:
+        taken, (x1, y1, x2, y2, z) = step(x1, y1, x2, y2, z, h, min(stride, n_steps - i))
+        i += taken
         if not math.isfinite(x1 + y1 + x2 + y2 + z):
             raise StateOverflowError(i * h)
-        if i % cfg.sample_stride == 0 or i == n_steps:
-            if x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 + z * z >= TRIPLE_SAFE_SQUARES:
-                _check_triple(i * h, x1, y1, x2, y2, z)
-            times.append(i * h)
-            states.extend((x1, y1, x2, y2, z))
+        if x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 + z * z >= TRIPLE_SAFE_SQUARES:
+            _check_triple(i * h, x1, y1, x2, y2, z)
+        times.append(i * h)
+        states.extend((x1, y1, x2, y2, z))
 
 
 def _integrate_rk45(times, states, cfg, f):
     t_end, stride, dt_max = cfg.t_end, cfg.sample_stride, cfg.dt_max
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     max_steps, max_samples, isfinite, sqrt = MAX_STEPS, MAX_SAMPLES, math.isfinite, math.sqrt
-    safe = TRIPLE_SAFE_SQUARES
+    safe, dt_min, record_t, record_y = TRIPLE_SAFE_SQUARES, DT_MIN, times.append, states.extend
     step = _kernel(f, _dp_builtin, _dp_raw)
     x1, y1, x2, y2, z = states
+    # |x1|, ..., |z| of the current state, kept from the step that accepted it
+    a1, a2, a3, a4, a5 = abs(x1), abs(y1), abs(x2), abs(y2), abs(z)
     t, k, attempts, n, last = 0.0, 0, 0, len(times), times[-1]
     dt = min(DT_INITIAL, t_end)
     safety, shrink, grow = 0.9, 0.2, 5.0
@@ -442,22 +463,20 @@ def _integrate_rk45(times, states, cfg, f):
         if not isfinite(u1 + v1 + u2 + v2 + w):
             raise StateOverflowError(t + h)
         # RMS of the error y5 - y4 scaled by abs_tol + rel_tol max(|y|, |y5|);
-        # `b if b > a else a` is what max(a, b) returns, NaN included; e * e,
-        # not e ** 2, so that an overflow gives inf instead of raising
-        a, b = abs(x1), abs(u1)
-        e1 = (u1 - l1) / (abs_tol + rel_tol * (b if b > a else a))
-        a, b = abs(y1), abs(v1)
-        e2 = (v1 - m1) / (abs_tol + rel_tol * (b if b > a else a))
-        a, b = abs(x2), abs(u2)
-        e3 = (u2 - l2) / (abs_tol + rel_tol * (b if b > a else a))
-        a, b = abs(y2), abs(v2)
-        e4 = (v2 - m2) / (abs_tol + rel_tol * (b if b > a else a))
-        a, b = abs(z), abs(w)
-        e5 = (w - lw) / (abs_tol + rel_tol * (b if b > a else a))
+        # `b if b > a else a` is what max(a, b) returns and `b if b < a else
+        # a` what min(a, b) does, NaN included; e * e, not e ** 2, so that an
+        # overflow gives inf instead of raising
+        b1, b2, b3, b4, b5 = abs(u1), abs(v1), abs(u2), abs(v2), abs(w)
+        e1 = (u1 - l1) / (abs_tol + rel_tol * (b1 if b1 > a1 else a1))
+        e2 = (v1 - m1) / (abs_tol + rel_tol * (b2 if b2 > a2 else a2))
+        e3 = (u2 - l2) / (abs_tol + rel_tol * (b3 if b3 > a3 else a3))
+        e4 = (v2 - m2) / (abs_tol + rel_tol * (b4 if b4 > a4 else a4))
+        e5 = (w - lw) / (abs_tol + rel_tol * (b5 if b5 > a5 else a5))
         err = sqrt((0.0 + e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4 + e5 * e5) / 5)
         if err <= 1.0:
             t += h
             x1, y1, x2, y2, z = u1, v1, u2, v2, w
+            a1, a2, a3, a4, a5 = b1, b2, b3, b4, b5
             k += 1
             # t + h == t once h falls below half an ulp of t: keep one sample
             if (k % stride == 0 or t >= t_end) and t != last:
@@ -466,13 +485,19 @@ def _integrate_rk45(times, states, cfg, f):
                         t, f"MAX_SAMPLES = {max_samples} samples recorded")
                 if x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 + z * z >= safe:
                     _check_triple(t, x1, y1, x2, y2, z)
-                times.append(t)
-                states.extend((x1, y1, x2, y2, z))
+                record_t(t)
+                record_y((x1, y1, x2, y2, z))
                 n, last = n + 1, t
-        elif h <= DT_MIN:
+        elif h <= dt_min:
             raise IntegrationStalledError(t)
-        factor = grow if err == 0.0 else min(grow, max(shrink, safety * err ** -0.2))
-        dt = max(min(h * factor, dt_max), DT_MIN)
+        # dt = max(min(h * factor, dt_max), DT_MIN) with factor = grow if err
+        # is 0 and min(grow, max(shrink, safety * err ** -0.2)) otherwise
+        factor = grow if err == 0.0 else safety * err ** -0.2
+        factor = factor if factor > shrink else shrink
+        factor = factor if factor < grow else grow
+        dt = h * factor
+        dt = dt_max if dt_max < dt else dt
+        dt = dt_min if dt_min > dt else dt
 
 
 def drift_report(traj: Trajectory) -> DriftReport:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import sys
@@ -154,32 +155,42 @@ class TestDormandPrinceStep:
 
 def _hex(values):
     """The bits of a kernel's output, flattened: ``float.hex`` tells signed
-    zeros apart and makes every NaN equal."""
+    zeros apart and makes every NaN equal; the step count an RK4 block
+    returns first is kept as it is."""
+    if isinstance(values[0], int):
+        return [values[0], *_hex(values[1])]
     if isinstance(values[0], tuple):
         return [v.hex() for part in values for v in part]
     return [v.hex() for v in values]
 
 
+def _kernel_outputs(p, h):
+    """Each built-in kernel's output from p and its generic twin's: RK4
+    blocks of one and of seven steps, and one Dormand-Prince step."""
+    for n in (1, 7):
+        yield _rk4_builtin(*p, h, n), _rk4_raw(*p, h, n, field_components)
+    yield _dp_builtin(*p, h), _dp_raw(*p, h, field_components)
+
+
 class TestBuiltinKernels:
     """``_rk4_builtin`` and ``_dp_builtin`` are ``_rk4_raw`` and ``_dp_raw``
-    with the built-in field written into their stages, bit for bit."""
-
-    PAIRS = [(_rk4_builtin, _rk4_raw), (_dp_builtin, _dp_raw)]
+    with the built-in field written into their stages, bit for bit: for
+    RK4, the step count and the state of a block."""
 
     @pytest.mark.parametrize("h", [1.0, -1.0, 2.0 ** -3, -(2.0 ** -10)])
     def test_integer_grid(self, h):
         for p in itertools.product(range(-3, 4), repeat=5):
             p = tuple(map(float, p))
-            for fused, generic in self.PAIRS:
-                assert _hex(fused(*p, h)) == _hex(generic(*p, h, field_components))
+            for fused, generic in _kernel_outputs(p, h):
+                assert _hex(fused) == _hex(generic)
 
     def test_random_states(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             p = tuple((rng.normal(size=5) * 10 ** rng.uniform(-2, 2, size=5)).tolist())
             h = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 0))
-            for fused, generic in self.PAIRS:
-                assert _hex(fused(*p, h)) == _hex(generic(*p, h, field_components))
+            for fused, generic in _kernel_outputs(p, h):
+                assert _hex(fused) == _hex(generic)
 
     @pytest.mark.parametrize("p", [(1.0, 1.0, 0.0, 0.0, 1e200),
                                    (1e200, -1e200, 1e200, 1.0, 1e200),
@@ -187,15 +198,29 @@ class TestBuiltinKernels:
                                    (-0.0, 1e160, 0.0, -1e160, 1e154)])
     @pytest.mark.parametrize("h", [1.0, -0.5])
     def test_overflowing_states(self, p, h):
-        for fused, generic in self.PAIRS:
-            out = fused(*p, h)
-            assert _hex(out) == _hex(generic(*p, h, field_components))
-        assert not all(map(math.isfinite, out[0]))
+        for fused, generic in _kernel_outputs(p, h):
+            assert _hex(fused) == _hex(generic)
+        assert not all(map(math.isfinite, fused[0]))
+
+    @pytest.mark.parametrize("h,count", [(1e-3, 3), (3e-9, 5), (1e-9, 7), (1e-10, 7)])
+    def test_block_stops_after_the_first_overflowing_step(self, h, count):
+        # seven steps from a state that overflows at step 3, 5 or 7, or not
+        # at all: the block returns the count and the state of one-step
+        # blocks up to the first state that fails the test
+        p = (1.0, 1.0, 0.5, -0.5, 1e20)
+        out = _rk4_builtin(*p, h, 7)
+        assert _hex(out) == _hex(_rk4_raw(*p, h, 7, field_components))
+        state, fails = p, []
+        for _ in range(count):
+            state = _rk4_builtin(*state, h, 1)[1]
+            fails.append(not math.isfinite(state[0] + state[1] + state[2] + state[3] + state[4]))
+        assert _hex(out) == _hex((count, state))
+        assert fails == [False] * (count - 1) + [h != 1e-10]
 
     def test_rk4_step_steps_the_builtin_kernel(self, monkeypatch):
         p = [1.0, 1.0, 0.5, -0.5, 0.2]
-        assert rk4_step(p, 0.1).tolist() == list(_rk4_raw(*p, 0.1, field_components))
-        monkeypatch.setattr(integration, "_rk4_builtin", lambda *s: (0.0,) * 5)
+        assert rk4_step(p, 0.1).tolist() == list(_rk4_raw(*p, 0.1, 1, field_components)[1])
+        monkeypatch.setattr(integration, "_rk4_builtin", lambda *s: (1, (0.0,) * 5))
         assert rk4_step(p, 0.1).tolist() == [0.0] * 5
 
 
@@ -625,17 +650,21 @@ class TestRk45Driver:
         assert _outcome(P0, cfg)[1] != _outcome(P0, cfg, vector_field)[1]
 
     def test_default_rk4_run_steps_the_module_builtin_kernel(self, monkeypatch):
-        kernel, count = integration._rk4_builtin, [0]
+        # steps counted as the kernel reports them: 100, in one call a sample
+        kernel, steps, calls = integration._rk4_builtin, [0], [0]
 
         def counted(*args):
-            count[0] += 1
-            return kernel(*args)
+            out = kernel(*args)
+            steps[0] += out[0]
+            calls[0] += 1
+            return out
 
         cfg = IntegratorConfig(method="rk4", t_end=1.0, dt=0.01, sample_stride=7)
         want = integrate(P0, cfg, field=vector_field)
         monkeypatch.setattr(integration, "_rk4_builtin", counted)
         assert integrate(P0, cfg).states.tobytes() == want.states.tobytes()
-        assert count[0] == 100
+        assert steps[0] == 100
+        assert calls[0] == len(want) - 1 == 15
 
 
 def _outcome(p0, cfg, field=None):
@@ -667,6 +696,33 @@ class TestBuiltinDispatch:
         assert out[2] is not None
         assert out == _outcome(p0, cfg, lambda p: np.array(field_components(*p)))
 
+    @pytest.mark.parametrize("p0,cfg", [
+        ([1e50, 1.0, 0.5, -0.5, 1e120], IntegratorConfig(method="rk4", t_end=10.0, dt=0.1)),
+        ([1.0, 1.0, 0.5, -0.5, 1e60], IntegratorConfig(method="rk45", t_end=10.0)),
+    ])
+    def test_checked_field_stops_as_the_builtin_one(self, p0, cfg):
+        # an overflowing step takes a non-finite stage state, which
+        # ``vector_field`` refuses: that stage gets a NaN field without a
+        # call, and the step fails the finiteness test as with the built-in
+        out = _outcome(p0, cfg)
+        assert out[2][0] is StateOverflowError
+        assert out == _outcome(p0, cfg, vector_field)
+
+    @pytest.mark.parametrize("stride", [1, 7, 100, 10 ** 9])
+    def test_overflow_inside_a_block(self, stride):
+        # the 12th of 3334 steps overflows: inside the second block of
+        # steps at stride 7, inside the first at strides 100 and 10^9.  The
+        # run stops at 12 h with the stride-1 run's samples at 0, k, 2k, ...
+        p0 = [1.0, 1.0, 0.5, -0.5, 1e20]
+        cfg = IntegratorConfig(method="rk4", t_end=1e-6, dt=3e-10, sample_stride=stride)
+        times, states, stop = out = _outcome(p0, cfg)
+        every = _outcome(p0, dataclasses.replace(cfg, sample_stride=1))
+        assert stop == every[2] == (StateOverflowError, 12 * (1e-6 / 3334))
+        assert times == np.frombuffer(every[0])[::stride].tobytes()
+        assert states == np.frombuffer(every[1]).reshape(-1, 5)[::stride].tobytes()
+        assert len(times) == 8 * len(range(0, 12, stride))
+        assert out == _outcome(p0, cfg, vector_field)
+
     def test_sample_cap_stall_is_the_same(self, monkeypatch):
         monkeypatch.setattr(integration, "MAX_SAMPLES", 50)
         out = _outcome(P0, _rk45())
@@ -684,6 +740,41 @@ class TestBuiltinDispatch:
         monkeypatch.setattr(integration, "field_components",
                             lambda *s: field_components(*s))
         assert _outcome(P0, cfg) == want
+
+
+class TestPinnedRuns:
+    """The sample count and the SHA-256 of both buffers of fixed runs, so
+    that any change to the step arithmetic, the RK4 sample blocks or the
+    rk45 step control shows.  The rk45 runs depend on the bits of
+    ``err ** -0.2``, as glibc's ``pow`` rounds it."""
+
+    RUNS = {
+        **{f"leaf{c:+}": ((KICK + [0, 0, 0, 0, c]).tolist(), _rk45(30.0))
+           for c in (0.25, -1.0, 2.0)},
+        "rk4_stride100": (P0, IntegratorConfig(method="rk4", t_end=20.0, dt=1e-2,
+                                               sample_stride=100)),
+        # 300 steps at stride 7: the last block has 6
+        "rk4_ragged_end": (P0, IntegratorConfig(method="rk4", t_end=3.0, dt=1e-2,
+                                                sample_stride=7)),
+    }
+    PINS = {
+        "leaf+0.25": (217, "ee79dff7c2dc9d849370c547b0b60379c2d12bdd8bc2891a395680e902f49db8",
+                      "fb76bc58b31bed618b82bb80416539c66627b336dda79f6fbfbd16981e733e68"),
+        "leaf-1.0": (174, "e2557312c74fc564363e09ccc7404da32d68795f7fa47cea38c5bf19ee195c37",
+                     "b310ba02afdfbbff74d068873c16717b9bfe287e2435427b0f363b0125f001ba"),
+        "leaf+2.0": (660, "3ecdc8d9acf9827e3cd385addbc8878849147a1aa5be7c9d39b89a3b377c5747",
+                     "721eff02740a87cb3efbbbabb04ad02e42176ad7db28c8883f7fcc09d5317a72"),
+        "rk4_stride100": (21, "576b531337d3197c5410a9d1bf8e7354eebd2c0a382544d1d61427b26c2fc685",
+                          "5b6de62ce8542244eef9c4db5462c23800a8797d79cba37fe35e0cd303eae75b"),
+        "rk4_ragged_end": (44, "e7d288b077b64125cbef749836c7ff798546df82798c4a67dbabdb28dedbd08d",
+                           "a880e67eaa9d86018278bcbb08e375171f1d7c91142b0dfe325e336a01eb9b2c"),
+    }
+
+    @pytest.mark.parametrize("case", RUNS)
+    def test_buffers_are_pinned(self, case):
+        traj = integrate(*self.RUNS[case])
+        digests = [hashlib.sha256(buf).hexdigest() for buf in (traj._times, traj._states)]
+        assert (len(traj), *digests) == self.PINS[case]
 
 
 class TestDriftReport:

@@ -3,6 +3,7 @@ each case breaks one formula and asserts that the named checks of a suite
 pass before the break and fail after it: none of them is vacuous."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -38,9 +39,13 @@ def damp_dz_in_rk4_builtin(monkeypatch):
     # field_components reaches
     step = integrate._rk4_builtin
 
-    def broken(x1, y1, x2, y2, z, h):
-        *rest, w = step(x1, y1, x2, y2, z, h)
-        return *rest, w - 1e-3 * h * z
+    def broken(x1, y1, x2, y2, z, h, n):
+        for i in range(1, n + 1):
+            _, (*rest, w) = step(x1, y1, x2, y2, z, h, 1)
+            x1, y1, x2, y2, z = *rest, w - 1e-3 * h * z
+            if not math.isfinite(x1 + y1 + x2 + y2 + z):
+                return i, (x1, y1, x2, y2, z)
+        return n, (x1, y1, x2, y2, z)
 
     monkeypatch.setattr(integrate, "_rk4_builtin", broken)
 
