@@ -8,6 +8,8 @@ array call each, and then watches the three quantities along a numerically
 integrated orbit.
 """
 
+import random
+
 import numpy as np
 
 from mbloch import core, verify
@@ -16,7 +18,7 @@ from mbloch.integrate import IntegratorConfig, drift_report, integrate
 # the grid {-1, 0, 1, 2}^5 and 100 points of the 1/8 lattice: every residual
 # below is a polynomial of degree at most 3 in each coordinate, computed
 # without rounding there, so 0.0 on the grid proves the identity
-points = verify.structure_points(np.random.default_rng(0))
+points = verify.structure_points(random.Random(0))
 J = core.poisson_tensor(points)
 residuals = {
     "|field - J grad H|": core.vector_field(points) - (J @ core.grad_H(points)[..., None])[..., 0],

@@ -3,8 +3,9 @@
 Each method has two step kernels on the five components as plain floats:
 ``_rk4_raw`` and ``_dp_raw`` call a field at each stage, and ``_rk4_builtin``
 and ``_dp_builtin`` have the built-in field written into their stages,
-with the same bits.  ``_kernel`` picks the built-in one exactly when the
-field of a run is ``domain.field_components`` itself, so a patch of
+with the same bits, signed zeros included.  ``_kernel`` picks the
+built-in one exactly when the field of a run is
+``domain.field_components`` itself, so a patch of
 ``integrate.field_components`` breaks a run through the generic kernel,
 and a patch of a kernel here breaks the runs that step it.  An RK4 kernel
 steps up to a sample stride per call, testing each step's state, so the
@@ -224,7 +225,10 @@ def _rk4_builtin(x1, y1, x2, y2, z, h, n):
     # _rk4_raw with the built-in field written into its stages, with the
     # same bits: the field at stage k, (p, ak, q, ck, r), is (ak, p r, ck,
     # q r, -nk) with nk = p ak + q ck, so a stage's a and c are its y1 and
-    # y2, and each `+ h * -nk` is rounded as the `- h * nk` here
+    # y2, and each `+ h * -nk` is rounded as the `- h * nk` here.  The update
+    # of z adds the negated terms, as _rk4_raw does: `-0.0 - nk` is exactly
+    # -nk, and an exact-zero sum then has the generic sign (a sum of nk
+    # rounds to +0.0, and z - s * (+0.0) keeps the sign of a zero z)
     h2, s, isfinite = 0.5 * h, h / 6.0, math.isfinite
     for i in range(1, n + 1):
         b1, d1, n1 = x1 * z, x2 * z, x1 * y1 + x2 * y2
@@ -236,11 +240,11 @@ def _rk4_builtin(x1, y1, x2, y2, z, h, n):
         b3, d3, n3 = p * r, q * r, p * a3 + q * c3
         p, a4, q = x1 + h * a3, y1 + h * b3, x2 + h * c3
         c4, r = y2 + h * d3, z - h * n3
-        x1, y1, x2, y2, z = (x1 + s * (y1 + 2.0 * (a2 + a3) + a4),
-                             y1 + s * (b1 + 2.0 * (b2 + b3) + p * r),
-                             x2 + s * (y2 + 2.0 * (c2 + c3) + c4),
-                             y2 + s * (d1 + 2.0 * (d2 + d3) + q * r),
-                             z - s * (n1 + 2.0 * (n2 + n3) + (p * a4 + q * c4)))
+        x1 = x1 + s * (y1 + 2.0 * (a2 + a3) + a4)
+        x2 = x2 + s * (y2 + 2.0 * (c2 + c3) + c4)
+        y1 = y1 + s * (b1 + 2.0 * (b2 + b3) + p * r)
+        y2 = y2 + s * (d1 + 2.0 * (d2 + d3) + q * r)
+        z = z + s * (2.0 * (-0.0 - n2 - n3) - n1 - (p * a4 + q * c4))
         if not isfinite(x1 + y1 + x2 + y2 + z):
             return i, (x1, y1, x2, y2, z)
     return n, (x1, y1, x2, y2, z)
@@ -312,52 +316,57 @@ def _dp_raw(x1, y1, x2, y2, z, h, f):
 def _dp_builtin(x1, y1, x2, y2, z, h):
     # _dp_raw with the built-in field written into its stages, with the
     # same bits, as _rk4_builtin: stage k at (p, ak, q, ck, r) has the field
-    # (ak, bk, ck, dk, -nk)
+    # (ak, bk, ck, dk, -nk), and each sum of several -nk terms starts from
+    # the negated first coefficient t1 = -s1, adding the terms in _dp_raw's
+    # order and with their signs
     b1, d1, n1 = x1 * z, x2 * z, x1 * y1 + x2 * y2
     s = 1 / 5
     p, a2, q = x1 + h * (s * y1), y1 + h * (s * b1), x2 + h * (s * y2)
     c2, r = y2 + h * (s * d1), z - h * (s * n1)
     b2, d2, n2 = p * r, q * r, p * a2 + q * c2
-    s1, s2 = 3 / 40, 9 / 40
+    s1, s2, t1 = 3 / 40, 9 / 40, -3 / 40
     p, a3 = x1 + h * (s1 * y1 + s2 * a2), y1 + h * (s1 * b1 + s2 * b2)
     q, c3 = x2 + h * (s1 * y2 + s2 * c2), y2 + h * (s1 * d1 + s2 * d2)
-    r = z - h * (s1 * n1 + s2 * n2)
+    r = z + h * (t1 * n1 - s2 * n2)
     b3, d3, n3 = p * r, q * r, p * a3 + q * c3
-    s1, s2, s3 = 44 / 45, -56 / 15, 32 / 9
+    s1, s2, s3, t1 = 44 / 45, -56 / 15, 32 / 9, -44 / 45
     p, a4 = x1 + h * (s1 * y1 + s2 * a2 + s3 * a3), y1 + h * (s1 * b1 + s2 * b2 + s3 * b3)
     q, c4 = x2 + h * (s1 * y2 + s2 * c2 + s3 * c3), y2 + h * (s1 * d1 + s2 * d2 + s3 * d3)
-    r = z - h * (s1 * n1 + s2 * n2 + s3 * n3)
+    r = z + h * (t1 * n1 - s2 * n2 - s3 * n3)
     b4, d4, n4 = p * r, q * r, p * a4 + q * c4
-    s1, s2, s3, s4 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+    s1, s2, s3, s4, t1 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
+                          -19372 / 6561)
     p = x1 + h * (s1 * y1 + s2 * a2 + s3 * a3 + s4 * a4)
     a5 = y1 + h * (s1 * b1 + s2 * b2 + s3 * b3 + s4 * b4)
     q = x2 + h * (s1 * y2 + s2 * c2 + s3 * c3 + s4 * c4)
     c5 = y2 + h * (s1 * d1 + s2 * d2 + s3 * d3 + s4 * d4)
-    r = z - h * (s1 * n1 + s2 * n2 + s3 * n3 + s4 * n4)
+    r = z + h * (t1 * n1 - s2 * n2 - s3 * n3 - s4 * n4)
     b5, d5, n5 = p * r, q * r, p * a5 + q * c5
-    s1, s2, s3, s4, s5 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+    s1, s2, s3, s4, s5, t1 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                              -5103 / 18656, -9017 / 3168)
     p = x1 + h * (s1 * y1 + s2 * a2 + s3 * a3 + s4 * a4 + s5 * a5)
     a6 = y1 + h * (s1 * b1 + s2 * b2 + s3 * b3 + s4 * b4 + s5 * b5)
     q = x2 + h * (s1 * y2 + s2 * c2 + s3 * c3 + s4 * c4 + s5 * c5)
     c6 = y2 + h * (s1 * d1 + s2 * d2 + s3 * d3 + s4 * d4 + s5 * d5)
-    r = z - h * (s1 * n1 + s2 * n2 + s3 * n3 + s4 * n4 + s5 * n5)
+    r = z + h * (t1 * n1 - s2 * n2 - s3 * n3 - s4 * n4 - s5 * n5)
     b6, d6, n6 = p * r, q * r, p * a6 + q * c6
     # the seventh stage, at the fifth-order state (p, a7, q, c7, r)
-    s1, s3, s4, s5, s6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+    s1, s3, s4, s5, s6, t1 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
+                              -35 / 384)
     p = x1 + h * (s1 * y1 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6)
     a7 = y1 + h * (s1 * b1 + s3 * b3 + s4 * b4 + s5 * b5 + s6 * b6)
     q = x2 + h * (s1 * y2 + s3 * c3 + s4 * c4 + s5 * c5 + s6 * c6)
     c7 = y2 + h * (s1 * d1 + s3 * d3 + s4 * d4 + s5 * d5 + s6 * d6)
-    r = z - h * (s1 * n1 + s3 * n3 + s4 * n4 + s5 * n5 + s6 * n6)
+    r = z + h * (t1 * n1 - s3 * n3 - s4 * n4 - s5 * n5 - s6 * n6)
     b7, d7, n7 = p * r, q * r, p * a7 + q * c7
-    s1, s3, s4, s5, s6, s7 = (5179 / 57600, 7571 / 16695, 393 / 640,
-                              -92097 / 339200, 187 / 2100, 1 / 40)
+    s1, s3, s4, s5, s6, s7, t1 = (5179 / 57600, 7571 / 16695, 393 / 640,
+                                  -92097 / 339200, 187 / 2100, 1 / 40, -5179 / 57600)
     return (p, a7, q, c7, r), (
         x1 + h * (s1 * y1 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6 + s7 * a7),
         y1 + h * (s1 * b1 + s3 * b3 + s4 * b4 + s5 * b5 + s6 * b6 + s7 * b7),
         x2 + h * (s1 * y2 + s3 * c3 + s4 * c4 + s5 * c5 + s6 * c6 + s7 * c7),
         y2 + h * (s1 * d1 + s3 * d3 + s4 * d4 + s5 * d5 + s6 * d6 + s7 * d7),
-        z - h * (s1 * n1 + s3 * n3 + s4 * n4 + s5 * n5 + s6 * n6 + s7 * n7))
+        z + h * (t1 * n1 - s3 * n3 - s4 * n4 - s5 * n5 - s6 * n6 - s7 * n7))
 
 
 def _start_state(p0):

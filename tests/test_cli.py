@@ -942,6 +942,15 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, loaded):
     code, modules = main_in_process(argv)
     assert code == 0
     assert [m.split(".", 1)[1] for m in modules if m.startswith("mbloch.")] == loaded
+    assert "numpy.random" not in modules
+
+
+def test_verify_does_not_load_numpy_random():
+    # the suites draw from random.Random: numpy.random, about 6 MB of
+    # resident memory, is loaded by no command
+    code, modules = main_in_process(["verify", "--level", "quick"])
+    assert code == 0
+    assert "numpy" in modules and "numpy.random" not in modules
 
 
 def test_verify_levels_have_one_spelling():

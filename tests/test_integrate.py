@@ -192,6 +192,19 @@ class TestBuiltinKernels:
             for fused, generic in _kernel_outputs(p, h):
                 assert _hex(fused) == _hex(generic)
 
+    def test_zero_rich_states(self):
+        # about a third of the components +-0.0: a sum of exact zeros rounds
+        # to +0.0, so the sign of a zero update of z shows whether a kernel
+        # adds the negated terms of -(x1 y1 + x2 y2) or subtracts their sum
+        rng = np.random.default_rng(12)
+        for _ in range(3000):
+            p = rng.normal(size=5) * 10 ** rng.uniform(-2, 2, size=5)
+            p[rng.random(5) < 1 / 3] = 0.0
+            p = tuple(np.copysign(p, rng.choice([-1.0, 1.0], size=5)).tolist())
+            h = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 0))
+            for fused, generic in _kernel_outputs(p, h):
+                assert _hex(fused) == _hex(generic), (p, h)
+
     @pytest.mark.parametrize("p", [(1.0, 1.0, 0.0, 0.0, 1e200),
                                    (1e200, -1e200, 1e200, 1.0, 1e200),
                                    (1e308, 0.0, -0.0, 1e-308, -1e308),
@@ -374,7 +387,10 @@ class TestIntegrate:
             for cfg in (IntegratorConfig(method="rk4", t_end=5.0, dt=0.01,
                                          sample_stride=stride),
                         IntegratorConfig(method="rk45", t_end=30.0, sample_stride=stride)):
-                for p0 in ([1, 1, 0.5, -0.5, 0.2], [1e-3, -1e-3, 0.0, -0.0, 1.0]):
+                for p0 in ([1, 1, 0.5, -0.5, 0.2], [1e-3, -1e-3, 0.0, -0.0, 1.0],
+                           # exact-zero updates of a zero z: the kernels agree on its sign
+                           [0, 0, 0, 0, -0.0], [2, 0, 0, 0, -0.0],
+                           [0.5, -0.0, 0.25, -0.0, -0.0]):
                     assert _outcome(p0, cfg) == _outcome(p0, cfg, vector_field)
 
     def test_stall_returns_partial_trajectory(self):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -175,7 +177,7 @@ class TestReducedDynamics:
 
 class TestRankDichotomy:
     def test_generic_sample_full_rank(self):
-        assert rank3_generic(np.random.default_rng(21), 200)
+        assert rank3_generic(random.Random(21), 200)
 
     def test_embedded_sample_rank_two(self):
         rng = np.random.default_rng(22)

@@ -4,6 +4,7 @@ pass before the break and fail after it: none of them is vacuous."""
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ def add_h5_to_dp_fifth_order(monkeypatch):
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
-        report = dict(verify.SUITES[suite](np.random.default_rng(0), verify.QUICK))
+        report = dict(verify.SUITES[suite](random.Random(0), verify.QUICK))
         return {name: report[name] for name in names}
 
     assert all(run().values())
@@ -286,6 +287,6 @@ def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, na
 def test_rank3_generic_fails_when_no_point_survives_the_skips(monkeypatch):
     # grad I = 0 drops the Jacobian's rank everywhere, so every draw is
     # skipped as near a rank-degenerate locus
-    assert verify.rank3_generic(np.random.default_rng(0), 50)
+    assert verify.rank3_generic(random.Random(0), 50)
     monkeypatch.setattr(invariant_sets, "grad_I", lambda p: np.zeros(np.shape(p)))
-    assert verify.rank3_generic(np.random.default_rng(0), 50) is False
+    assert verify.rank3_generic(random.Random(0), 50) is False
