@@ -8,7 +8,7 @@ assembles them into a deterministic report: identical seeds give identical
 output, and results are sorted by suite and check name rather than by
 completion order.  The samples are drawn from a ``random.Random`` per
 suite, seeded with the string ``"<suite>:<seed>"``, which gives the same
-stream on every Python version; a full run draws about 1.5*10^4
+stream on every Python version; a full run draws about 15 000
 numbers, too few for NumPy's generators to pay for ``numpy.random``.
 """
 

@@ -289,7 +289,7 @@ def _rank3_one_at_a_time(rng, n):
     """``rank3_generic`` drawing and testing one point at a time."""
     ranks = []
     for _ in range(20 * n):
-        p = rng.uniform(-2, 2, size=5)
+        p = np.array([rng.uniform(-2, 2) for _ in range(5)])
         if inv.m1_defect(p) < 1e-3 or inv.m2_defect(p) < 1e-3:
             continue
         rep = inv.rank_F(p)
@@ -312,13 +312,14 @@ def _keep_x1_above_1_9(monkeypatch):
                         lambda p: np.where(np.asarray(p)[..., 0] > 1.9, 1.0, 0.0))
 
 
-# seeds 17 and 27 skip the draws 66 and 144, 180 of their first batch
+# seeds 65 and 30 skip the draws 15 and 161 of their first batch, 17 and 27 none
 @pytest.mark.parametrize("seed,n,skips,want", [
     (0, 1, None, True), (17, 100, None, True), (27, 200, None, True),
+    (65, 100, None, True), (30, 200, None, True),
     (0, 50, _no_grad_I, False), (0, 50, _keep_x1_above_1_9, False)])
 def test_rank3_generic_draws_as_one_at_a_time(monkeypatch, seed, n, skips, want):
     if skips:
         skips(monkeypatch)
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, ref = random.Random(seed), random.Random(seed)
     assert rank3_generic(rng, n) is _rank3_one_at_a_time(ref, n) is want
-    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.getstate() == ref.getstate()
