@@ -1,23 +1,21 @@
 """Fixed-step RK4 and adaptive Dormand-Prince 5(4) integration.
 
-Each method has two step kernels on the five components as plain floats:
-``_rk4_raw`` and ``_dp_raw`` call a field at each stage, and ``_rk4_builtin``
-and ``_dp_builtin`` have the built-in field written into their stages,
-with the same bits, signed zeros included.  ``_kernel`` picks the
-built-in one exactly when the field of a run is
+Each method is written once, as its coefficients, from which the module
+generates four step kernels on the five components as plain floats at
+import: ``_rk4_raw`` and ``_dp_raw`` call a field at each stage, and
+``_rk4_builtin`` and ``_dp_builtin`` have the built-in field written into
+their stages, with the same bits, signed zeros included.  Their text is
+``_KERNEL_SOURCE``, which tracebacks and ``inspect`` quote.  ``_kernel``
+picks the built-in kernel exactly when the field of a run is
 ``domain.field_components`` itself, so a patch of
 ``integrate.field_components`` breaks a run through the generic kernel,
 and a patch of a kernel here breaks the runs that step it.  An RK4 kernel
-steps up to a sample stride per call, testing each step's state, so the
-rk4 driver calls it once a sample.  Both drivers keep the state as Python
-floats between steps (step control, error norm and finiteness test
-included): no array is built per step.  The drivers append each sample
-to two flat float64 buffers (times, and five components a sample) and
-stop only by raising; ``integrate`` wraps them, without a copy, into the
-``Trajectory``.  The rk45 driver keeps its step control in locals and
-unrolls the error norm, rounding each step exactly as a loop over the
-components would, and writes ``min`` and ``max`` as conditional
-expressions in the builtins' order.
+steps up to a sample stride per call, so the rk4 driver calls it once a
+sample.  Both drivers keep the state as Python floats between steps (step
+control, error norm and finiteness test included): no array is built per
+step.  They append each sample to two flat float64 buffers (times, and
+five components a sample) and stop only by raising; ``integrate`` wraps
+the buffers, without a copy, into the ``Trajectory``.
 
 The module imports no NumPy: with the built-in field a run is started,
 stepped, checked and recorded on plain floats, so a short ``simulate``
@@ -31,6 +29,7 @@ recorded sample carries the values of the three constants of motion, and
 """
 
 import contextlib
+import linecache
 import math
 import operator
 import sys
@@ -197,57 +196,124 @@ def _quiet(field):
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _rk4_raw(x1, y1, x2, y2, z, h, n, f):
-    # up to n classical RK4 steps on the five components, calling f at each
-    # stage; returns (steps taken, state), stopping after the first step
-    # whose state fails isfinite(x1 + y1 + x2 + y2 + z).  Runs of the
-    # built-in field step _rk4_builtin instead
-    h2, s, isfinite = 0.5 * h, h / 6.0, math.isfinite
-    for i in range(1, n + 1):
-        a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)
-        a2, b2, c2, d2, e2 = f(x1 + h2 * a1, y1 + h2 * b1, x2 + h2 * c1,
-                               y2 + h2 * d1, z + h2 * e1)
-        a3, b3, c3, d3, e3 = f(x1 + h2 * a2, y1 + h2 * b2, x2 + h2 * c2,
-                               y2 + h2 * d2, z + h2 * e2)
-        a4, b4, c4, d4, e4 = f(x1 + h * a3, y1 + h * b3, x2 + h * c3,
-                               y2 + h * d3, z + h * e3)
-        x1, y1, x2, y2, z = (x1 + s * (a1 + 2.0 * (a2 + a3) + a4),
-                             y1 + s * (b1 + 2.0 * (b2 + b3) + b4),
-                             x2 + s * (c1 + 2.0 * (c2 + c3) + c4),
-                             y2 + s * (d1 + 2.0 * (d2 + d3) + d4),
-                             z + s * (e1 + 2.0 * (e2 + e3) + e4))
-        if not isfinite(x1 + y1 + x2 + y2 + z):
-            return i, (x1, y1, x2, y2, z)
-    return n, (x1, y1, x2, y2, z)
+# The step kernels are generated at import from these coefficients, each
+# written once.  The Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput.
+# Appl. Math. 6, 1980), each entry the float p / q: the rows of A for stages
+# 2 to 7, the last being b5, the fifth-order solution, where the seventh stage
+# is taken (first same as last), then b4.  The field is autonomous: no nodes c
+_DP = (
+    ("1 / 5",),
+    ("3 / 40", "9 / 40"),
+    ("44 / 45", "-56 / 15", "32 / 9"),
+    ("19372 / 6561", "-25360 / 2187", "64448 / 6561", "-212 / 729"),
+    ("9017 / 3168", "-355 / 33", "46732 / 5247", "49 / 176", "-5103 / 18656"),
+    ("35 / 384", 0, "500 / 1113", "125 / 192", "-2187 / 6784", "11 / 84"),
+    ("5179 / 57600", 0, "7571 / 16695", "393 / 640", "-92097 / 339200", "187 / 2100", "1 / 40"),
+)
+# classical RK4, with h2 = h / 2 and s = h / 6: stages 2 to 4 at y + h2 k1,
+# y + h2 k2 and y + h k3, and the step y + s (k1 + 2.0 (k2 + k3) + k4)
+_RK4_STAGES = ("h2", "h2", "h")
+_RK4_UPDATE = ((None, 1), ("2.0", ((None, 2), (None, 3))), (None, 4))
+_Y = ("x1", "y1", "x2", "y2", "z")
 
 
-def _rk4_builtin(x1, y1, x2, y2, z, h, n):
-    # _rk4_raw with the built-in field written into its stages, with the
-    # same bits: the field at stage k, (p, ak, q, ck, r), is (ak, p r, ck,
-    # q r, -nk) with nk = p ak + q ck, so a stage's a and c are its y1 and
-    # y2, and each `+ h * -nk` is rounded as the `- h * nk` here.  The update
-    # of z adds the negated terms, as _rk4_raw does: `-0.0 - nk` is exactly
-    # -nk, and an exact-zero sum then has the generic sign (a sum of nk
-    # rounds to +0.0, and z - s * (+0.0) keeps the sign of a zero z)
-    h2, s, isfinite = 0.5 * h, h / 6.0, math.isfinite
-    for i in range(1, n + 1):
-        b1, d1, n1 = x1 * z, x2 * z, x1 * y1 + x2 * y2
-        p, a2, q = x1 + h2 * y1, y1 + h2 * b1, x2 + h2 * y2
-        c2, r = y2 + h2 * d1, z - h2 * n1
-        b2, d2, n2 = p * r, q * r, p * a2 + q * c2
-        p, a3, q = x1 + h2 * a2, y1 + h2 * b2, x2 + h2 * c2
-        c3, r = y2 + h2 * d2, z - h2 * n2
-        b3, d3, n3 = p * r, q * r, p * a3 + q * c3
-        p, a4, q = x1 + h * a3, y1 + h * b3, x2 + h * c3
-        c4, r = y2 + h * d3, z - h * n3
-        x1 = x1 + s * (y1 + 2.0 * (a2 + a3) + a4)
-        x2 = x2 + s * (y2 + 2.0 * (c2 + c3) + c4)
-        y1 = y1 + s * (b1 + 2.0 * (b2 + b3) + p * r)
-        y2 = y2 + s * (d1 + 2.0 * (d2 + d3) + q * r)
-        z = z + s * (2.0 * (-0.0 - n2 - n3) - n1 - (p * a4 + q * c4))
-        if not isfinite(x1 + y1 + x2 + y2 + z):
-            return i, (x1, y1, x2, y2, z)
-    return n, (x1, y1, x2, y2, z)
+def _sum(terms, name, neg=False):
+    """The text of terms c * k (k alone where c is None) added left to right;
+    k is a stage, with the derivative name(k), or terms in parentheses.  Where
+    neg, the derivative is -name(k) = -n, written with the bits of the sum,
+    signed zeros included, and a later c * -n as - c * n."""
+    out = [(neg and isinstance(k, int), c,
+            name(k) if isinstance(k, int) else f"({_sum(k, name, neg)})") for c, k in terms]
+    minus, c, x = out[0]
+    if minus and c is None and len(out) > 1 and not out[1][0]:
+        out[:2] = out[1::-1]  # -n + x is x - n
+    elif minus and c is None:
+        out.insert(0, (False, None, "-0.0"))  # -n is -0.0 - n, as -0.0 + x is x
+    elif minus:
+        out[0] = (False, c[1:] if c[0] == "-" else "-" + c, x)  # c * -n is -c * n
+    return "".join(f" {'-' if minus else '+'} " + (x if c is None else f"{c} * {x}")
+                   for minus, c, x in out)[3:]
+
+
+def _state(row, name, fused):
+    """The components y + m (terms . K) for row = (m, terms), name(j, k)
+    naming component j of stage k's derivative; in a fused kernel z's is
+    -name(4, k), and z + m (c * -n) of a lone term is written z - m (c * n)."""
+    (m, terms), out = row, []
+    for j, y in enumerate(_Y):
+        op = "-" if fused and j == 4 and len(terms) == 1 else "+"
+        s = _sum(terms, lambda k: name(j, k), fused and j == 4 and op == "+")
+        out.append(f"{y} {op} {m} * {s}" if s.isidentifier() else f"{y} {op} {m} * ({s})")
+    return out
+
+
+def _line(head, values):
+    # head and the values in parentheses, a line each past 99 columns
+    text, pad = f"{head}({', '.join(values)})", "\n" + " " * (len(head) - len(head.lstrip()) + 4)
+    return text if len(text) <= 99 else f"{head}(" + ",".join(pad + v for v in values) + ")"
+
+
+def _field(k):
+    # the built-in field (a, b, c, d, -n) at the state of stage k in a fused
+    # kernel: (p, a{k}, q, c{k}, r), or the step's state for k = 1
+    x1, y1, x2, y2, z = _Y if k == 1 else ("p", f"a{k}", "q", f"c{k}", "r")
+    return y1, f"{x1} * {z}", y2, f"{x2} * {z}", f"{x1} * {y1} + {x2} * {y2}"
+
+
+def _stages(rows, pad, fused, keep=None):
+    """The lines of a kernel's stages, stage k at the state of row k - 2, and
+    the names of their derivatives.  A generic kernel calls f at each stage,
+    binding keep to the last stage's state; a fused one stores the field as
+    b{k}, d{k} and n{k}, and writes the last stage's out where it is used."""
+    last = len(rows) + 1
+    if fused:
+        name = lambda j, k: (_field(k)[j] if j in (0, 2) else
+                             f"({_field(k)[j]})" if k == last else f"{'abcdn'[j]}{k}")
+        field = lambda k: f"{pad}b{k}, d{k}, n{k} = " + ", ".join(_field(k)[j] for j in (1, 3, 4))
+    else:
+        name = lambda j, k: f"{'abcde'[j]}{k}"
+    lines = [field(1) if fused else f"{pad}a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)"]
+    for k, row in enumerate(rows, 2):
+        state, stage = _state(row, name, fused), f"{pad}a{k}, b{k}, c{k}, d{k}, e{k} = f"
+        if fused:
+            lines += [_line(f"{pad}p, a{k}, q = ", state[:3]),
+                      _line(f"{pad}c{k}, r = ", state[3:]), *[field(k)] * (k < last)]
+        elif k == last and keep:
+            lines += [_line(f"{pad}{keep} = ", state), f"{stage}(*{keep})"]
+        else:
+            lines.append(_line(stage, state))
+    return lines, name
+
+
+def _kernel_source():
+    """The kernels' text.  An RK4 kernel takes up to n steps and returns the
+    steps taken and the state, stopping after the first step whose state fails
+    isfinite(x1 + y1 + x2 + y2 + z); a Dormand-Prince kernel returns y5, y4."""
+    rk4 = [(m, ((None, k),)) for k, m in enumerate(_RK4_STAGES, 1)]
+    dp = [("h", tuple((c, k) for k, c in enumerate(row, 1) if c)) for row in _DP]
+    text = []
+    for fused, kind, f in ((False, "raw", ", f"), (True, "builtin", "")):
+        lines, name = _stages(rk4, " " * 8, fused)
+        step = _state(("s", _RK4_UPDATE), name, fused)
+        # x1 and x2 first: in a fused kernel they add the y1 and y2 of the start
+        text.append("\n".join([
+            f"def _rk4_{kind}(x1, y1, x2, y2, z, h, n{f}):",
+            "    h2, s, isfinite = 0.5 * h, h / 6.0, math.isfinite",
+            "    for i in range(1, n + 1):", *lines,
+            *(f"        {_Y[j]} = {step[j]}" for j in (0, 2, 1, 3, 4)),
+            "        if not isfinite(x1 + y1 + x2 + y2 + z):",
+            "            return i, (x1, y1, x2, y2, z)", "    return n, (x1, y1, x2, y2, z)"]))
+        lines, name = _stages(dp[:-1], "    ", fused, "y5")
+        y5 = f"(p, a{len(dp)}, q, c{len(dp)}, r)" if fused else "y5"
+        text.append("\n".join([f"def _dp_{kind}(x1, y1, x2, y2, z, h{f}):", *lines,
+                               _line(f"    return {y5}, ", _state(dp[-1], name, fused))]))
+    return "\n\n\n".join(text) + "\n"
+
+
+_KERNEL_FILE, _KERNEL_SOURCE = "<mbloch.integrate kernels>", _kernel_source()
+linecache.cache[_KERNEL_FILE] = (len(_KERNEL_SOURCE), None, _KERNEL_SOURCE.splitlines(True),
+                                 _KERNEL_FILE)
+exec(compile(_KERNEL_SOURCE, _KERNEL_FILE, "exec"), globals())
 
 
 def rk4_step(p, h: float):
@@ -261,112 +327,6 @@ def rk4_step(p, h: float):
     if not np.isfinite(new).all():
         raise StateOverflowError(h)
     return new
-
-
-def _dp_raw(x1, y1, x2, y2, z, h, f):
-    # one Dormand-Prince 5(4) step on the five components (Hairer, Norsett &
-    # Wanner, Solving ODEs I, II.5; autonomous field, so the c nodes are
-    # unused): each stage and each solution sums its tableau row left to
-    # right, skipping the zero entries; returns the fifth-order state and
-    # the fourth-order state
-    a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)
-    s = 1 / 5
-    a2, b2, c2, d2, e2 = f(x1 + h * (s * a1), y1 + h * (s * b1), x2 + h * (s * c1),
-                           y2 + h * (s * d1), z + h * (s * e1))
-    s1, s2 = 3 / 40, 9 / 40
-    a3, b3, c3, d3, e3 = f(x1 + h * (s1 * a1 + s2 * a2), y1 + h * (s1 * b1 + s2 * b2),
-                           x2 + h * (s1 * c1 + s2 * c2), y2 + h * (s1 * d1 + s2 * d2),
-                           z + h * (s1 * e1 + s2 * e2))
-    s1, s2, s3 = 44 / 45, -56 / 15, 32 / 9
-    a4, b4, c4, d4, e4 = f(x1 + h * (s1 * a1 + s2 * a2 + s3 * a3),
-                           y1 + h * (s1 * b1 + s2 * b2 + s3 * b3),
-                           x2 + h * (s1 * c1 + s2 * c2 + s3 * c3),
-                           y2 + h * (s1 * d1 + s2 * d2 + s3 * d3),
-                           z + h * (s1 * e1 + s2 * e2 + s3 * e3))
-    s1, s2, s3, s4 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-    a5, b5, c5, d5, e5 = f(x1 + h * (s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4),
-                           y1 + h * (s1 * b1 + s2 * b2 + s3 * b3 + s4 * b4),
-                           x2 + h * (s1 * c1 + s2 * c2 + s3 * c3 + s4 * c4),
-                           y2 + h * (s1 * d1 + s2 * d2 + s3 * d3 + s4 * d4),
-                           z + h * (s1 * e1 + s2 * e2 + s3 * e3 + s4 * e4))
-    s1, s2, s3, s4, s5 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-    a6, b6, c6, d6, e6 = f(x1 + h * (s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4 + s5 * a5),
-                           y1 + h * (s1 * b1 + s2 * b2 + s3 * b3 + s4 * b4 + s5 * b5),
-                           x2 + h * (s1 * c1 + s2 * c2 + s3 * c3 + s4 * c4 + s5 * c5),
-                           y2 + h * (s1 * d1 + s2 * d2 + s3 * d3 + s4 * d4 + s5 * d5),
-                           z + h * (s1 * e1 + s2 * e2 + s3 * e3 + s4 * e4 + s5 * e5))
-    # the seventh stage is taken at the fifth-order state (first same as last)
-    s1, s3, s4, s5, s6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-    y5 = (x1 + h * (s1 * a1 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6),
-          y1 + h * (s1 * b1 + s3 * b3 + s4 * b4 + s5 * b5 + s6 * b6),
-          x2 + h * (s1 * c1 + s3 * c3 + s4 * c4 + s5 * c5 + s6 * c6),
-          y2 + h * (s1 * d1 + s3 * d3 + s4 * d4 + s5 * d5 + s6 * d6),
-          z + h * (s1 * e1 + s3 * e3 + s4 * e4 + s5 * e5 + s6 * e6))
-    a7, b7, c7, d7, e7 = f(*y5)
-    s1, s3, s4, s5, s6, s7 = (5179 / 57600, 7571 / 16695, 393 / 640,
-                              -92097 / 339200, 187 / 2100, 1 / 40)
-    y4 = (x1 + h * (s1 * a1 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6 + s7 * a7),
-          y1 + h * (s1 * b1 + s3 * b3 + s4 * b4 + s5 * b5 + s6 * b6 + s7 * b7),
-          x2 + h * (s1 * c1 + s3 * c3 + s4 * c4 + s5 * c5 + s6 * c6 + s7 * c7),
-          y2 + h * (s1 * d1 + s3 * d3 + s4 * d4 + s5 * d5 + s6 * d6 + s7 * d7),
-          z + h * (s1 * e1 + s3 * e3 + s4 * e4 + s5 * e5 + s6 * e6 + s7 * e7))
-    return y5, y4
-
-
-def _dp_builtin(x1, y1, x2, y2, z, h):
-    # _dp_raw with the built-in field written into its stages, with the
-    # same bits, as _rk4_builtin: stage k at (p, ak, q, ck, r) has the field
-    # (ak, bk, ck, dk, -nk), and each sum of several -nk terms starts from
-    # the negated first coefficient t1 = -s1, adding the terms in _dp_raw's
-    # order and with their signs
-    b1, d1, n1 = x1 * z, x2 * z, x1 * y1 + x2 * y2
-    s = 1 / 5
-    p, a2, q = x1 + h * (s * y1), y1 + h * (s * b1), x2 + h * (s * y2)
-    c2, r = y2 + h * (s * d1), z - h * (s * n1)
-    b2, d2, n2 = p * r, q * r, p * a2 + q * c2
-    s1, s2, t1 = 3 / 40, 9 / 40, -3 / 40
-    p, a3 = x1 + h * (s1 * y1 + s2 * a2), y1 + h * (s1 * b1 + s2 * b2)
-    q, c3 = x2 + h * (s1 * y2 + s2 * c2), y2 + h * (s1 * d1 + s2 * d2)
-    r = z + h * (t1 * n1 - s2 * n2)
-    b3, d3, n3 = p * r, q * r, p * a3 + q * c3
-    s1, s2, s3, t1 = 44 / 45, -56 / 15, 32 / 9, -44 / 45
-    p, a4 = x1 + h * (s1 * y1 + s2 * a2 + s3 * a3), y1 + h * (s1 * b1 + s2 * b2 + s3 * b3)
-    q, c4 = x2 + h * (s1 * y2 + s2 * c2 + s3 * c3), y2 + h * (s1 * d1 + s2 * d2 + s3 * d3)
-    r = z + h * (t1 * n1 - s2 * n2 - s3 * n3)
-    b4, d4, n4 = p * r, q * r, p * a4 + q * c4
-    s1, s2, s3, s4, t1 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
-                          -19372 / 6561)
-    p = x1 + h * (s1 * y1 + s2 * a2 + s3 * a3 + s4 * a4)
-    a5 = y1 + h * (s1 * b1 + s2 * b2 + s3 * b3 + s4 * b4)
-    q = x2 + h * (s1 * y2 + s2 * c2 + s3 * c3 + s4 * c4)
-    c5 = y2 + h * (s1 * d1 + s2 * d2 + s3 * d3 + s4 * d4)
-    r = z + h * (t1 * n1 - s2 * n2 - s3 * n3 - s4 * n4)
-    b5, d5, n5 = p * r, q * r, p * a5 + q * c5
-    s1, s2, s3, s4, s5, t1 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                              -5103 / 18656, -9017 / 3168)
-    p = x1 + h * (s1 * y1 + s2 * a2 + s3 * a3 + s4 * a4 + s5 * a5)
-    a6 = y1 + h * (s1 * b1 + s2 * b2 + s3 * b3 + s4 * b4 + s5 * b5)
-    q = x2 + h * (s1 * y2 + s2 * c2 + s3 * c3 + s4 * c4 + s5 * c5)
-    c6 = y2 + h * (s1 * d1 + s2 * d2 + s3 * d3 + s4 * d4 + s5 * d5)
-    r = z + h * (t1 * n1 - s2 * n2 - s3 * n3 - s4 * n4 - s5 * n5)
-    b6, d6, n6 = p * r, q * r, p * a6 + q * c6
-    # the seventh stage, at the fifth-order state (p, a7, q, c7, r)
-    s1, s3, s4, s5, s6, t1 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
-                              -35 / 384)
-    p = x1 + h * (s1 * y1 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6)
-    a7 = y1 + h * (s1 * b1 + s3 * b3 + s4 * b4 + s5 * b5 + s6 * b6)
-    q = x2 + h * (s1 * y2 + s3 * c3 + s4 * c4 + s5 * c5 + s6 * c6)
-    c7 = y2 + h * (s1 * d1 + s3 * d3 + s4 * d4 + s5 * d5 + s6 * d6)
-    r = z + h * (t1 * n1 - s3 * n3 - s4 * n4 - s5 * n5 - s6 * n6)
-    b7, d7, n7 = p * r, q * r, p * a7 + q * c7
-    s1, s3, s4, s5, s6, s7, t1 = (5179 / 57600, 7571 / 16695, 393 / 640,
-                                  -92097 / 339200, 187 / 2100, 1 / 40, -5179 / 57600)
-    return (p, a7, q, c7, r), (
-        x1 + h * (s1 * y1 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6 + s7 * a7),
-        y1 + h * (s1 * b1 + s3 * b3 + s4 * b4 + s5 * b5 + s6 * b6 + s7 * b7),
-        x2 + h * (s1 * y2 + s3 * c3 + s4 * c4 + s5 * c5 + s6 * c6 + s7 * c7),
-        y2 + h * (s1 * d1 + s3 * d3 + s4 * d4 + s5 * d5 + s6 * d6 + s7 * d7),
-        z + h * (t1 * n1 - s3 * n3 - s4 * n4 - s5 * n5 - s6 * n6 - s7 * n7))
 
 
 def _start_state(p0):

@@ -197,8 +197,13 @@ class PunctureSchedule:
     vartheta: float  # in [0, 2 pi): the phase with sin = x2_0/r, cos = x1_0/r
     ratio: float  # x2_0 / y1_0
 
+    @property
+    def spacing(self) -> float:
+        """pi |ratio|, the time between consecutive punctures."""
+        return math.pi * abs(self.ratio)
+
     def t_k(self, k: int) -> float:
-        spacing = math.pi * abs(self.ratio)
+        spacing = self.spacing
         return (self.ratio * self.vartheta) % spacing + k * spacing
 
     def count_in(self, t_end: float) -> int:
@@ -206,7 +211,7 @@ class PunctureSchedule:
         first = self.t_k(0)
         if t_end < first:
             return 0
-        return int((t_end - first) // (math.pi * abs(self.ratio))) + 1
+        return int((t_end - first) // self.spacing) + 1
 
 
 def puncture_times(params: PeriodicParams) -> PunctureSchedule:

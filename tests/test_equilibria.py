@@ -139,6 +139,14 @@ class TestCartanClassification:
             want = -16 * c * res.alpha ** 2
             assert res.discriminant == pytest.approx(want, rel=1e-12)
 
+    def test_discriminant_is_the_pencils(self):
+        # c2^2 - 4 c0 of the quadratic in s = t^2 of the pencil member that
+        # classify takes, exactly on the dyadic grid: 64.0 at c = -1, alpha = 2
+        for c in C_GRID:
+            res = cartan_classify([0, 0, 0, 0, c], c)
+            q = pencil_char_poly(c, res.alpha)
+            assert res.discriminant == q.c2 * q.c2 - 4.0 * q.c0
+
     def test_negative_leaves_center_center(self):
         for c in (-0.25, -1.0, -4.0):
             res = cartan_classify([0, 0, 0, 0, c], c)

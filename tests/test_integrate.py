@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 import sys
 import time
+import traceback
 import tracemalloc
 from array import array
 from fractions import Fraction as F
@@ -125,13 +127,15 @@ class TestRk4Step:
 def dp_by_table(p, h):
     """One Dormand-Prince step read off the table: each row summed left to
     right in an explicit loop (not ``sum``, whose float summation order is
-    not fixed across Python versions)."""
+    not fixed across Python versions), from its first nonzero entry and
+    skipping the zero ones, so that a row's sum keeps the sign of a zero."""
     def advance(row, ks):
         out = []
         for i, y in enumerate(p):
-            acc = 0.0
+            acc = None
             for a, k in zip(row, ks):
-                acc += float(a) * k[i]
+                if a:
+                    acc = float(a) * k[i] if acc is None else acc + float(a) * k[i]
             out.append(y + h * acc)
         return out
 
@@ -141,16 +145,87 @@ def dp_by_table(p, h):
     return tuple(advance(DP_B5, ks)), tuple(advance(DP_B4, ks))
 
 
+def rk4_by_table(p, h, n):
+    """Up to n classical RK4 steps read off the formula, a component at a
+    time: k1 at y, k2 at y + (h / 2) k1, k3 at y + (h / 2) k2 and k4 at
+    y + h k3, and the step y + (h / 6) (k1 + 2 (k2 + k3) + k4).  Stops after
+    the first step whose x1 + y1 + x2 + y2 + z is not finite; returns the
+    steps taken and the state."""
+    for i in range(1, n + 1):
+        k1 = field_components(*p)
+        k2 = field_components(*(y + 0.5 * h * k for y, k in zip(p, k1)))
+        k3 = field_components(*(y + 0.5 * h * k for y, k in zip(p, k2)))
+        k4 = field_components(*(y + h * k for y, k in zip(p, k3)))
+        p = tuple(y + h / 6.0 * (a + 2.0 * (b + c) + d)
+                  for y, a, b, c, d in zip(p, k1, k2, k3, k4))
+        if not math.isfinite(p[0] + p[1] + p[2] + p[3] + p[4]):
+            return i, p
+    return n, p
+
+
+def _random_states():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        p = tuple((rng.normal(size=5) * 10 ** rng.uniform(-2, 2, size=5)).tolist())
+        yield p, float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 0))
+
+
+def _zero_rich_states():
+    # about a third of the components +-0.0: a sum of exact zeros rounds to
+    # +0.0, so the sign of a zero update of z shows whether a kernel adds the
+    # negated terms of -(x1 y1 + x2 y2) or subtracts their sum
+    rng = np.random.default_rng(12)
+    for _ in range(3000):
+        p = rng.normal(size=5) * 10 ** rng.uniform(-2, 2, size=5)
+        p[rng.random(5) < 1 / 3] = 0.0
+        p = tuple(np.copysign(p, rng.choice([-1.0, 1.0], size=5)).tolist())
+        yield p, float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 0))
+
+
 class TestDormandPrinceStep:
     def test_unrolled_kernel_is_the_table(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            p = tuple((rng.normal(size=5) * 10 ** rng.uniform(-2, 2, size=5)).tolist())
-            h = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 0))
-            assert _dp_raw(*p, h, field_components) == dp_by_table(p, h)
+        for p, h in itertools.chain(_random_states(), _zero_rich_states()):
+            assert _hex(_dp_raw(*p, h, field_components)) == _hex(dp_by_table(p, h)), (p, h)
 
     def test_local_order(self):
         assert verify.dp_local_order()
+
+
+class TestRk4Kernel:
+    def test_generic_kernel_is_the_formula(self):
+        for p, h in itertools.chain(_random_states(), _zero_rich_states()):
+            for n in (1, 7):
+                assert (_hex(_rk4_raw(*p, h, n, field_components))
+                        == _hex(rk4_by_table(p, h, n))), (p, h, n)
+        # a block of 20 steps whose 12th overflows
+        p = (1.0, 1.0, 0.5, -0.5, 1e20)
+        out = _rk4_raw(*p, 3e-10, 20, field_components)
+        assert out[0] == 12 and _hex(out) == _hex(rk4_by_table(p, 3e-10, 20))
+
+
+class TestGeneratedKernels:
+    """The four kernels are compiled from ``_KERNEL_SOURCE``, which the
+    module generates from its tableaus."""
+
+    def test_source_is_pinned(self):
+        # a change to a coefficient or to the generator shows here; the bit
+        # comparisons above and in TestBuiltinKernels show what it changed
+        digest = hashlib.sha256(integration._KERNEL_SOURCE.encode()).hexdigest()
+        assert digest == "8a8b360ffa3c72e366c7861cfa7a5e1cbd9962602ded305b9193c10d4499294b"
+
+    def test_traceback_quotes_the_generated_line(self):
+        def refuse(p):
+            raise ArithmeticError("field refused")
+
+        with pytest.raises(ArithmeticError) as info:
+            integrate(P0, _rk45(), field=refuse)
+        lines = integration._KERNEL_SOURCE.splitlines()
+        line = lines.index("def _dp_raw(x1, y1, x2, y2, z, h, f):") + 2
+        quoted = (f'File "{integration._KERNEL_FILE}", line {line}, in _dp_raw\n'
+                  f"    {lines[line - 1].strip()}\n")
+        assert quoted in "".join(traceback.format_exception(info.value))
+        assert lines[line - 1].strip() == "a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)"
+        assert inspect.getsource(_rk4_builtin) in integration._KERNEL_SOURCE
 
 
 def _hex(values):
@@ -185,23 +260,12 @@ class TestBuiltinKernels:
                 assert _hex(fused) == _hex(generic)
 
     def test_random_states(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            p = tuple((rng.normal(size=5) * 10 ** rng.uniform(-2, 2, size=5)).tolist())
-            h = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 0))
+        for p, h in _random_states():
             for fused, generic in _kernel_outputs(p, h):
                 assert _hex(fused) == _hex(generic)
 
     def test_zero_rich_states(self):
-        # about a third of the components +-0.0: a sum of exact zeros rounds
-        # to +0.0, so the sign of a zero update of z shows whether a kernel
-        # adds the negated terms of -(x1 y1 + x2 y2) or subtracts their sum
-        rng = np.random.default_rng(12)
-        for _ in range(3000):
-            p = rng.normal(size=5) * 10 ** rng.uniform(-2, 2, size=5)
-            p[rng.random(5) < 1 / 3] = 0.0
-            p = tuple(np.copysign(p, rng.choice([-1.0, 1.0], size=5)).tolist())
-            h = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 0))
+        for p, h in _zero_rich_states():
             for fused, generic in _kernel_outputs(p, h):
                 assert _hex(fused) == _hex(generic), (p, h)
 

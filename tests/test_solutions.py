@@ -104,6 +104,16 @@ class TestPeriodic:
         with pytest.raises(ValueError):
             PeriodicParams(1.0, 1e-320, 1.0)  # the period overflows
 
+    def test_energy_guard_adds_both_squares(self):
+        # omega = 1.14e77: the period and the residual scale (6.5e307) are
+        # finite, and only x2_0^2 takes omega^2 (x1_0^2 + x2_0^2 + omega^2) past
+        # the largest double, to 2.3e308 (1.69e308 with x1_0^2 - x2_0^2)
+        par = dict(x1_0=5e76, y1_0=5.7e153, x2_0=5e76)
+        w = par["y1_0"] / par["x2_0"]
+        assert math.isfinite((1 + w * w) * (1 + 2 * par["x1_0"] ** 2))
+        with pytest.raises(DomainError, match="energy"):
+            PeriodicParams(**par)
+
     def test_initial_point(self):
         par = PeriodicParams(x1_0=0.5, y1_0=1.5, x2_0=-0.75)
         w = par.omega

@@ -188,7 +188,7 @@ def shift_punctures_quarter_spacing(monkeypatch):
     # t_k a quarter of the spacing pi |ratio| late, where |x2| = r / sqrt(2)
     t_k = solutions.PunctureSchedule.t_k
     monkeypatch.setattr(solutions.PunctureSchedule, "t_k",
-                        lambda sched, k: t_k(sched, k) + 0.25 * np.pi * abs(sched.ratio))
+                        lambda sched, k: t_k(sched, k) + 0.25 * sched.spacing)
 
 
 def scale_periodic_z(monkeypatch):
@@ -233,14 +233,26 @@ def scale_m1_f2(monkeypatch):
 
 
 def add_h5_to_dp_fifth_order(monkeypatch):
-    # y5 gains h^5 in x1: an error of order 5 in place of 6
-    step = integrate._dp_raw
+    # y5 gains h^5 in x1: an error of order 5 in place of 6, in the kernel
+    # that runs of the built-in field step
+    step = integrate._dp_builtin
 
-    def broken(x1, y1, x2, y2, z, h, f):
-        y5, y4 = step(x1, y1, x2, y2, z, h, f)
+    def broken(x1, y1, x2, y2, z, h):
+        y5, y4 = step(x1, y1, x2, y2, z, h)
         return (y5[0] + h ** 5, *y5[1:]), y4
 
-    monkeypatch.setattr(integrate, "_dp_raw", broken)
+    monkeypatch.setattr(integrate, "_dp_builtin", broken)
+
+
+def flip_x2_in_dp_builtin_stage_2(monkeypatch):
+    # the fused Dormand-Prince kernel takes its second stage at x2 - h y2 / 5:
+    # the kernel compiled from the generated text with that one sign flipped,
+    # which leaves _dp_raw as it is
+    right, wrong = "x2 + h * (1 / 5 * y2)", "x2 - h * (1 / 5 * y2)"
+    assert integrate._KERNEL_SOURCE.count(right) == 1
+    namespace = {"math": math}
+    exec(integrate._KERNEL_SOURCE.replace(right, wrong), namespace)
+    monkeypatch.setattr(integrate, "_dp_builtin", namespace["_dp_builtin"])
 
 
 @pytest.mark.parametrize("suite,break_formula,names", [
@@ -273,6 +285,7 @@ def add_h5_to_dp_fifth_order(monkeypatch):
     ("invariant_sets", scale_m1_f2, {"invariant_I_factorizes"}),
     ("integrate", damp_dz_in_rk4_builtin, {"rk4_conserved_drift"}),
     ("integrate", damp_dz_in_dp_builtin, {"time_reversal"}),
+    ("integrate", flip_x2_in_dp_builtin_stage_2, {"dp_local_order"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
