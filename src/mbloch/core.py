@@ -29,21 +29,21 @@ class ConservedTriple(NamedTuple):
 
 
 def _components(p) -> np.ndarray:
-    """Finite float64 states (..., 5), component axis first; DomainError otherwise."""
-    arr = np.asarray(p, dtype=float)
+    """Finite float64 states (..., 5), component axis first, from real numbers;
+    DomainError otherwise: strings, complex, object (None, an int past int64)
+    and ragged input are refused before they are converted to float64."""
+    try:
+        arr = np.asarray(p)
+    except ValueError:  # ragged
+        raise DomainError("states must be a regular array of real numbers") from None
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"states must be real numbers, got dtype {arr.dtype}")
     if arr.ndim == 0 or arr.shape[-1] != 5:
         raise DomainError(f"state must have 5 components, got shape {arr.shape}")
+    arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise DomainError(f"state has non-finite components: {arr}")
     return arr.transpose(-1, *range(arr.ndim - 1))
-
-
-def as_state(p) -> np.ndarray:
-    """Coerce to a finite float64 5-vector, raising DomainError otherwise."""
-    arr = _components(p)
-    if arr.ndim != 1:
-        raise DomainError(f"state must have 5 components, got shape {np.shape(p)}")
-    return arr
 
 
 def vector_field(p) -> np.ndarray:

@@ -21,10 +21,9 @@ with import it where they use it.
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
-from .domain import DomainError, leaf_energy
+from .domain import DomainError, finite_state, leaf_energy
 
 CENTER_CENTER = "center-center"
 FOCUS_FOCUS = "focus-focus"
@@ -123,22 +122,6 @@ def quartic_roots(q: QuarticPoly):
     return [complex(r) for r in np.roots(arr)]
 
 
-def _finite_state(e) -> list:
-    """The five components of the state e as finite floats, DomainError
-    otherwise; a plain-float ``core.as_state`` for the classification, which
-    needs no array."""
-    try:
-        real = len(e) == 5 and all(isinstance(v, numbers.Real) for v in e)
-    except TypeError:  # e has no length or is not iterable
-        real = False
-    if not real:
-        raise DomainError(f"state must be 5 real numbers, got {e!r}")
-    point = [float(v) for v in e]
-    if not all(map(math.isfinite, point)):
-        raise DomainError(f"state has non-finite components: {point}")
-    return point
-
-
 @dataclass
 class ClassificationResult:
     kind: str
@@ -161,7 +144,7 @@ def cartan_classify(e, c: float) -> ClassificationResult:
     c = 0 every pencil member repeats its eigenvalues, so the equilibrium is
     degenerate and ``stable`` comes from the ``certificate`` it carries.
     """
-    point = _finite_state(e)
+    point = finite_state(e)
     if any(point[:4]):
         raise DomainError("cartan_classify handles the axis equilibria (K0) only")
     if point[4] != c:

@@ -20,8 +20,8 @@ the buffers, without a copy, into the ``Trajectory``.
 The module imports no NumPy: with the built-in field a run is started,
 stepped, checked and recorded on plain floats, so a short ``simulate``
 never loads it.  NumPy is imported where arrays are asked for: a custom
-``field``, ``rk4_step``, a start state that is not a list or tuple of
-numbers, and the array views of a ``Trajectory``.
+``field``, ``rk4_step`` and the array views of a ``Trajectory``.  A start
+state goes through ``domain.finite_state``, whatever its type.
 
 Structure is verified by measurement rather than construction: every
 recorded sample carries the values of the three constants of motion, and
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import domain
-from .domain import DomainError, conserved_components, field_components
+from .domain import (DomainError, conserved_components, field_components, finite_state,
+                     real_float)
 
 
 class StateOverflowError(RuntimeError):
@@ -91,6 +92,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise DomainError(f"unknown method {self.method!r}")
+        for name in ("t_end", "dt", "abs_tol", "rel_tol", "dt_max"):
+            setattr(self, name, real_float(getattr(self, name)))
         if not 0 < self.t_end < math.inf:
             raise DomainError("t_end must be finite and positive")
         if not (self.dt > 0 and self.abs_tol > 0 and self.rel_tol > 0):
@@ -320,26 +323,13 @@ def rk4_step(p, h: float):
     """One classical Runge-Kutta step of size h (local error O(h^5)), as a
     (5,) array."""
     import numpy as np
-    from .core import as_state
+    h = real_float(h)
     if h == 0:
         raise DomainError("step size must be nonzero")
-    new = np.array(_rk4_builtin(*as_state(p).tolist(), h, 1)[1])
+    new = np.array(_rk4_builtin(*finite_state(p), h, 1)[1])
     if not np.isfinite(new).all():
         raise StateOverflowError(h)
     return new
-
-
-def _start_state(p0):
-    """p0 as a list of five finite floats.  A list or tuple of five such
-    numbers is taken as it is; anything else, an array say, goes through
-    ``core.as_state``, which raises its DomainError on a bad state."""
-    if (isinstance(p0, (list, tuple)) and len(p0) == 5
-            and all(isinstance(v, (int, float)) for v in p0)):
-        y0 = [float(v) for v in p0]
-        if all(map(math.isfinite, y0)):
-            return y0
-    from .core import as_state
-    return as_state(p0).tolist()
 
 
 def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
@@ -354,7 +344,7 @@ def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
     trajectory holds the samples before it.  Overflow is reported by
     exception only: NumPy's floating-point warnings are silenced inside.
     """
-    y0 = _start_state(p0)
+    y0 = finite_state(p0)
     if not all(map(math.isfinite, conserved_components(*y0))):
         raise DomainError(f"conserved quantities overflow at the start state {y0}")
     times, states = array("d", [0.0]), array("d", y0)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, _components, as_state, grad_C, grad_H, grad_I
+from .core import _components, grad_C, grad_H, grad_I
+from .domain import DomainError, finite_state, real_float
 
 
 def jacobian_F(p) -> np.ndarray:
@@ -53,7 +54,7 @@ class M1Point:
     x2: float
 
     def __post_init__(self):
-        self.x1, self.y1, self.x2 = float(self.x1), float(self.y1), float(self.x2)
+        self.x1, self.y1, self.x2 = map(real_float, (self.x1, self.y1, self.x2))
         if self.x2 == 0:
             raise DomainError("M1 requires x2 != 0")
         m1_embed(self)  # DomainError where the embedded state overflows
@@ -65,7 +66,7 @@ class M2Point:
     y2: float
 
     def __post_init__(self):
-        self.x1, self.y2 = float(self.x1), float(self.y2)
+        self.x1, self.y2 = real_float(self.x1), real_float(self.y2)
         if self.x1 == 0:
             raise DomainError("M2 requires x1 != 0")
         m2_embed(self)  # DomainError where the embedded state overflows
@@ -73,7 +74,7 @@ class M2Point:
 
 def _graph_z(y, x):
     """z = -(y/x)^2 of both graphs; -inf where it overflows, which
-    ``as_state`` then refuses."""
+    ``finite_state`` then refuses."""
     try:
         return -(y / x) ** 2
     except OverflowError:
@@ -82,12 +83,12 @@ def _graph_z(y, x):
 
 def m1_embed(q: M1Point) -> np.ndarray:
     """The M1 point over q; DomainError where it is not finite."""
-    return as_state([q.x1, q.y1, q.x2, -q.x1 * q.y1 / q.x2, _graph_z(q.y1, q.x2)])
+    return np.array(finite_state([q.x1, q.y1, q.x2, -q.x1 * q.y1 / q.x2, _graph_z(q.y1, q.x2)]))
 
 
 def m2_embed(q: M2Point) -> np.ndarray:
     """The M2 point over q; DomainError where it is not finite."""
-    return as_state([q.x1, 0.0, 0.0, q.y2, _graph_z(q.y2, q.x1)])
+    return np.array(finite_state([q.x1, 0.0, 0.0, q.y2, _graph_z(q.y2, q.x1)]))
 
 
 def _norms(p):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import conserved, vector_field
-from .domain import DomainError, leaf_energy
+from .domain import DomainError, leaf_energy, real_float
 
 
 def radial_cubic(s, H, I, C):
@@ -43,9 +43,12 @@ class HomoclinicParams:
     sign: int = 1
 
     def __post_init__(self):
+        self.c, self.theta0 = real_float(self.c), real_float(self.theta0)
         if self.c <= 0:
             raise DomainError("homoclinics exist only on leaves with c > 0")
         leaf_energy(self.c)
+        if not math.isfinite(self.theta0):
+            raise DomainError("theta0 must be finite")
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
 
@@ -111,6 +114,7 @@ class PeriodicParams:
     x2_0: float
 
     def __post_init__(self):
+        self.x1_0, self.y1_0, self.x2_0 = map(real_float, (self.x1_0, self.y1_0, self.x2_0))
         if self.x2_0 == 0 or self.y1_0 == 0:
             raise DomainError("periodic family requires x2_0 != 0 and y1_0 != 0")
         w, x1, x2 = self.omega, self.x1_0, self.x2_0

@@ -336,6 +336,16 @@ class TestIntegrate:
         for s, c in zip(traj.states, traj.conserved):
             assert np.allclose(c, conserved(s), rtol=0, atol=0)
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_start_type_does_not_change_the_bits(self, method):
+        # every start goes through domain.finite_state, whatever its type
+        p0 = [2, -1, 1, 0, -3]
+        cfg = IntegratorConfig(method=method, t_end=2.0, dt=0.01, sample_stride=3)
+        runs = [integrate(p, cfg) for p in (p0, tuple(p0), np.array(p0, dtype=np.float64),
+                                            np.array(p0, dtype=np.int64))]
+        assert len({(t._times.tobytes(), t._states.tobytes()) for t in runs}) == 1
+        assert runs[0]._states[:5].tolist() == p0
+
     def test_overflow_carries_time(self):
         blow_up = lambda p: p ** 3
         with np.errstate(over="ignore", invalid="ignore"), \
