@@ -3,17 +3,18 @@
 Each method is written once, as its coefficients, from which the module
 generates four step kernels on the five components as plain floats at
 import: ``_rk4_raw`` and ``_dp_raw`` call a field at each stage, and
-``_rk4_builtin`` and ``_dp_builtin`` have the built-in field written into
-their stages, with the same bits, signed zeros included.  Their text is
-``_KERNEL_SOURCE``, which tracebacks and ``inspect`` quote.  ``_kernel``
-picks the built-in kernel exactly when the field of a run is
-``domain.field_components`` itself, so a patch of
-``integrate.field_components`` breaks a run through the generic kernel,
-and a patch of a kernel here breaks the runs that step it.  An RK4 kernel
-steps up to a sample stride per call, so the rk4 driver calls it once a
-sample.  Both drivers keep the state as Python floats between steps (step
-control, error norm and finiteness test included): no array is built per
-step.  They append each sample to two flat float64 buffers (times, and
+``_rk4_builtin`` and ``_dp_builtin`` are the same kernels with
+``domain.field_components`` written into their stages as it is written
+there, so their sums are the generic ones term for term and their bits the
+same, signed zeros included.  Their text is ``_KERNEL_SOURCE``, which
+tracebacks and ``inspect`` quote.  ``_kernel`` picks the built-in kernel
+exactly when the field of a run is ``domain.field_components`` itself, so
+a patch of ``integrate.field_components`` breaks a run through the generic
+kernel, and a patch of a kernel here breaks the runs that step it.  An RK4
+kernel steps up to a sample stride per call, so the rk4 driver calls it
+once a sample.  Both drivers keep the state as Python floats between steps
+(step control, error norm and finiteness test included): no array is built
+per step.  They append each sample to two flat float64 buffers (times, and
 five components a sample) and stop only by raising; ``integrate`` wraps
 the buffers, without a copy, into the ``Trajectory``.
 
@@ -173,30 +174,24 @@ class DriftReport:
 
 
 def _component_form(field):
-    """The field as the kernels call it: five components in, five out.
+    """The field as the kernels call it, five components in and five out,
+    with the context a run steps it in.
 
-    None selects the built-in field, on plain floats; a custom field
-    p -> 5-vector is adapted.  A stage state with a non-finite component
-    gets a NaN field without a call, as a field that checks its state
+    None selects the built-in field, on plain floats, with nothing to
+    silence.  A custom field p -> 5-vector is adapted, and stepped with
+    NumPy's floating-point warnings silenced, as overflow is reported by
+    exception only.  A stage state with a non-finite component gets a NaN
+    field without a call, as a field that checks its state
     (``core.vector_field``) would raise there: the step then fails the
     drivers' finiteness test, as it does with the built-in field.
     """
     if field is None:
-        return field_components
+        return field_components, contextlib.nullcontext()
     import numpy as np
     nan = np.full(5, math.nan)
-    return lambda *s: (np.asarray(field(np.array(s)), dtype=float)
-                       if all(map(math.isfinite, s)) else nan)
-
-
-def _quiet(field):
-    """The context a run steps ``field`` in: NumPy's floating-point warnings
-    silenced for a custom field, as overflow is reported by exception only;
-    nothing to silence on the plain floats of the built-in one."""
-    if field is None:
-        return contextlib.nullcontext()
-    import numpy as np
-    return np.errstate(over="ignore", invalid="ignore")
+    return (lambda *s: (np.asarray(field(np.array(s)), dtype=float)
+                        if all(map(math.isfinite, s)) else nan),
+            np.errstate(over="ignore", invalid="ignore"))
 
 
 # The step kernels are generated at import from these coefficients, each
@@ -220,33 +215,20 @@ _RK4_UPDATE = ((None, 1), ("2.0", ((None, 2), (None, 3))), (None, 4))
 _Y = ("x1", "y1", "x2", "y2", "z")
 
 
-def _sum(terms, name, neg=False):
+def _sum(terms, name):
     """The text of terms c * k (k alone where c is None) added left to right;
-    k is a stage, with the derivative name(k), or terms in parentheses.  Where
-    neg, the derivative is -name(k) = -n, written with the bits of the sum,
-    signed zeros included, and a later c * -n as - c * n."""
-    out = [(neg and isinstance(k, int), c,
-            name(k) if isinstance(k, int) else f"({_sum(k, name, neg)})") for c, k in terms]
-    minus, c, x = out[0]
-    if minus and c is None and len(out) > 1 and not out[1][0]:
-        out[:2] = out[1::-1]  # -n + x is x - n
-    elif minus and c is None:
-        out.insert(0, (False, None, "-0.0"))  # -n is -0.0 - n, as -0.0 + x is x
-    elif minus:
-        out[0] = (False, c[1:] if c[0] == "-" else "-" + c, x)  # c * -n is -c * n
-    return "".join(f" {'-' if minus else '+'} " + (x if c is None else f"{c} * {x}")
-                   for minus, c, x in out)[3:]
+    k is a stage, with the derivative name(k), or terms in parentheses."""
+    parts = (name(k) if isinstance(k, int) else f"({_sum(k, name)})" for _, k in terms)
+    return " + ".join(x if c is None else f"{c} * {x}" for (c, _), x in zip(terms, parts))
 
 
-def _state(row, name, fused):
+def _state(row, name):
     """The components y + m (terms . K) for row = (m, terms), name(j, k)
-    naming component j of stage k's derivative; in a fused kernel z's is
-    -name(4, k), and z + m (c * -n) of a lone term is written z - m (c * n)."""
+    naming component j of stage k's derivative."""
     (m, terms), out = row, []
     for j, y in enumerate(_Y):
-        op = "-" if fused and j == 4 and len(terms) == 1 else "+"
-        s = _sum(terms, lambda k: name(j, k), fused and j == 4 and op == "+")
-        out.append(f"{y} {op} {m} * {s}" if s.isidentifier() else f"{y} {op} {m} * ({s})")
+        s = _sum(terms, lambda k: name(j, k))
+        out.append(f"{y} + {m} * {s}" if s.isidentifier() else f"{y} + {m} * ({s})")
     return out
 
 
@@ -257,27 +239,28 @@ def _line(head, values):
 
 
 def _field(k):
-    # the built-in field (a, b, c, d, -n) at the state of stage k in a fused
+    # field_components, as it writes them, at the state of stage k in a fused
     # kernel: (p, a{k}, q, c{k}, r), or the step's state for k = 1
     x1, y1, x2, y2, z = _Y if k == 1 else ("p", f"a{k}", "q", f"c{k}", "r")
-    return y1, f"{x1} * {z}", y2, f"{x2} * {z}", f"{x1} * {y1} + {x2} * {y2}"
+    return y1, f"{x1} * {z}", y2, f"{x2} * {z}", f"-({x1} * {y1} + {x2} * {y2})"
 
 
 def _stages(rows, pad, fused, keep=None):
     """The lines of a kernel's stages, stage k at the state of row k - 2, and
     the names of their derivatives.  A generic kernel calls f at each stage,
     binding keep to the last stage's state; a fused one stores the field as
-    b{k}, d{k} and n{k}, and writes the last stage's out where it is used."""
+    b{k}, d{k} and e{k}, reads a{k} and c{k} (y1 and y2 at stage 1) in place,
+    and writes the last stage's out where it is used."""
     last = len(rows) + 1
     if fused:
         name = lambda j, k: (_field(k)[j] if j in (0, 2) else
-                             f"({_field(k)[j]})" if k == last else f"{'abcdn'[j]}{k}")
-        field = lambda k: f"{pad}b{k}, d{k}, n{k} = " + ", ".join(_field(k)[j] for j in (1, 3, 4))
+                             f"({_field(k)[j]})" if k == last else f"{'abcde'[j]}{k}")
+        field = lambda k: f"{pad}b{k}, d{k}, e{k} = " + ", ".join(_field(k)[j] for j in (1, 3, 4))
     else:
         name = lambda j, k: f"{'abcde'[j]}{k}"
     lines = [field(1) if fused else f"{pad}a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)"]
     for k, row in enumerate(rows, 2):
-        state, stage = _state(row, name, fused), f"{pad}a{k}, b{k}, c{k}, d{k}, e{k} = f"
+        state, stage = _state(row, name), f"{pad}a{k}, b{k}, c{k}, d{k}, e{k} = f"
         if fused:
             lines += [_line(f"{pad}p, a{k}, q = ", state[:3]),
                       _line(f"{pad}c{k}, r = ", state[3:]), *[field(k)] * (k < last)]
@@ -297,7 +280,7 @@ def _kernel_source():
     text = []
     for fused, kind, f in ((False, "raw", ", f"), (True, "builtin", "")):
         lines, name = _stages(rk4, " " * 8, fused)
-        step = _state(("s", _RK4_UPDATE), name, fused)
+        step = _state(("s", _RK4_UPDATE), name)
         # x1 and x2 first: in a fused kernel they add the y1 and y2 of the start
         text.append("\n".join([
             f"def _rk4_{kind}(x1, y1, x2, y2, z, h, n{f}):",
@@ -309,7 +292,7 @@ def _kernel_source():
         lines, name = _stages(dp[:-1], "    ", fused, "y5")
         y5 = f"(p, a{len(dp)}, q, c{len(dp)}, r)" if fused else "y5"
         text.append("\n".join([f"def _dp_{kind}(x1, y1, x2, y2, z, h{f}):", *lines,
-                               _line(f"    return {y5}, ", _state(dp[-1], name, fused))]))
+                               _line(f"    return {y5}, ", _state(dp[-1], name))]))
     return "\n\n\n".join(text) + "\n"
 
 
@@ -349,9 +332,10 @@ def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
         raise DomainError(f"conserved quantities overflow at the start state {y0}")
     times, states = array("d", [0.0]), array("d", y0)
     driver = _integrate_rk4 if cfg.method == "rk4" else _integrate_rk45
-    with _quiet(field):
+    f, quiet = _component_form(field)
+    with quiet:
         try:
-            driver(times, states, cfg, _component_form(field))
+            driver(times, states, cfg, f)
         except (IntegrationStalledError, StateOverflowError) as exc:
             exc.trajectory = Trajectory(times, states)
             raise

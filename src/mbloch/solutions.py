@@ -53,10 +53,27 @@ class HomoclinicParams:
             raise DomainError("sign must be +1 or -1")
 
 
+def _times(t):
+    """Times t, a real number or an array of them, as float64; DomainError
+    unless NumPy reads t as integers or floats (dtype kind i, u or f) and every
+    time is finite, the rule ``finite_state`` applies to a state's components.
+    A string, None, a complex number or an int past int64 is refused."""
+    try:
+        arr = np.asarray(t)
+    except ValueError:  # ragged
+        raise DomainError("times must be a regular array of real numbers") from None
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"times must be real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise DomainError("times must be finite")
+    return arr
+
+
 def _sech_tanh(rc, t):
     """sech(rc t) and tanh(rc t) for a scalar or array t; where cosh
     overflows, sech is 0 (its correct underflow), without a warning."""
-    x = rc * np.asarray(t, dtype=float)
+    x = rc * _times(t)
     with np.errstate(over="ignore"):
         return 1.0 / np.cosh(x), np.tanh(x)
 
@@ -147,7 +164,7 @@ def periodic_solution(params: PeriodicParams, t):
     omega = y1_0 / x2_0; y1 = omega x2 and y2 = -omega x1 along the orbit.
     """
     w = params.omega
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     s, co = np.sin(w * t), np.cos(w * t)
     x1 = params.x2_0 * s + params.x1_0 * co
     x2 = -params.x1_0 * s + params.x2_0 * co
@@ -160,7 +177,7 @@ def periodic_solution(params: PeriodicParams, t):
 def periodic_derivative(params: PeriodicParams, t):
     """Analytic d/dt of periodic_solution."""
     w = params.omega
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     s, co = np.sin(w * t), np.cos(w * t)
     dx1 = w * (params.x2_0 * co - params.x1_0 * s)
     dx2 = -w * (params.x1_0 * co + params.x2_0 * s)

@@ -300,6 +300,16 @@ def time_reversal() -> bool:
     return bool(np.linalg.norm(back - p0) < 1e-8)
 
 
+def rk45_step_count() -> bool:
+    """The default rk45 run (tolerances 1e-10) from (1, 1, 0.5, -0.5, 0.2)
+    to t = 1 accepts at most 50 steps; it takes 35.  A step control that
+    grows the step on a large error (err ** 0.2 for err ** -0.2) takes about
+    500 steps that every other check accepts."""
+    traj = integrate.integrate([1.0, 1.0, 0.5, -0.5, 0.2],
+                               integrate.IntegratorConfig(method="rk45", t_end=1.0))
+    return len(traj) - 1 <= 50
+
+
 def rk4_runs(starts, t_end):
     """Fixed-step RK4 runs (dt 1e-3, every 100th step recorded), one per start;
     the sample of ``rk4_conserved_drift``."""
@@ -319,6 +329,7 @@ def integrate_suite(rng, level):
         ("dp_local_order", dp_local_order()),
         ("time_reversal", time_reversal()),
         ("rk4_conserved_drift", rk4_conserved_drift(runs)),
+        ("rk45_step_count", rk45_step_count()),
     ]
 
 

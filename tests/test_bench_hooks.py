@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mbloch import cli, core, verify
-from mbloch.integrate import IntegratorConfig, integrate
+from mbloch.integrate import IntegratorConfig, integrate, rk4_step
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -50,6 +50,15 @@ def test_counting_field_path_is_the_default_path():
     counted = integrate(p0, cfg, field=core.vector_field)
     assert np.array_equal(default.times, counted.times)
     assert np.array_equal(default.states, counted.states)
+
+
+def test_rk4_step_takes_the_harness_call(monkeypatch):
+    # the worker times rk4_step on BASE_POINT as an array, step 1e-2
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    new = rk4_step(np.array(workloads.BASE_POINT), 1e-2)
+    assert new.shape == (5,) and np.isfinite(new).all()
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])

@@ -211,7 +211,7 @@ class TestGeneratedKernels:
         # a change to a coefficient or to the generator shows here; the bit
         # comparisons above and in TestBuiltinKernels show what it changed
         digest = hashlib.sha256(integration._KERNEL_SOURCE.encode()).hexdigest()
-        assert digest == "8a8b360ffa3c72e366c7861cfa7a5e1cbd9962602ded305b9193c10d4499294b"
+        assert digest == "0460cef25af13c063a8251a1750963c7a800420ecb983d6e1b82b9ccb9a495d4"
 
     def test_traceback_quotes_the_generated_line(self):
         def refuse(p):
@@ -583,7 +583,7 @@ def _drive(driver, p0, cfg, field=None):
     """One run of a driver on fresh buffers: the buffers' bytes, the stop
     (exception type, time, reason) or None, and the field calls made."""
     calls = [0]
-    base = integration._component_form(field)
+    base, _ = integration._component_form(field)
 
     def counting(*s):
         calls[0] += 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mbloch import solutions
 from mbloch.verify import homoclinic_solves_system
 from mbloch.core import DomainError, conserved, vector_field
 from mbloch.solutions import (HomoclinicParams, PeriodicParams, homoclinic,
@@ -200,3 +201,32 @@ class TestPunctures:
             assert abs(p[2]) < 1e-12  # x2 = 0
             assert abs(p[0]) > 1e-6  # x1 != 0 since x1^2 + x2^2 is conserved
             assert abs(p[4] * p[0] ** 2 + p[3] ** 2) < 1e-12  # z = -y2^2/x1^2
+
+
+CLOSED_FORMS = {
+    "homoclinic": (homoclinic, HomoclinicParams(c=1.5, theta0=0.4, sign=-1)),
+    "homoclinic_derivative": (homoclinic_derivative, HomoclinicParams(c=1.5, theta0=0.4)),
+    "periodic_solution": (periodic_solution, PeriodicParams(0.3, 1.2, -0.7)),
+    "periodic_derivative": (periodic_derivative, PeriodicParams(0.3, 1.2, -0.7)),
+}
+
+
+class TestTimes:
+    """The closed forms take real, finite times, as a state takes real, finite
+    components; anything else is a DomainError."""
+
+    @pytest.mark.parametrize("t", ["0.5", 1j, 10 ** 400, None, math.nan, math.inf])
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_bad_time_is_a_domain_error(self, name, t):
+        fn, par = CLOSED_FORMS[name]
+        with pytest.raises(DomainError):
+            fn(par, t)
+
+    @pytest.mark.parametrize("t", [0.5, 3, np.array([-2.0, 0.0, 0.25, 7.5])])
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_real_time_keeps_the_bits_of_a_float_conversion(self, monkeypatch, name, t):
+        fn, par = CLOSED_FORMS[name]
+        checked = fn(par, t)
+        monkeypatch.setattr(solutions, "_times", lambda t: np.asarray(t, dtype=float))
+        assert checked.tobytes() == fn(par, t).tobytes()
+        assert checked.shape == np.shape(t) + (5,)

@@ -3,6 +3,7 @@ each case breaks one formula and asserts that the named checks of a suite
 pass before the break and fail after it: none of them is vacuous."""
 
 import dataclasses
+import inspect
 import math
 import random
 
@@ -255,6 +256,18 @@ def flip_x2_in_dp_builtin_stage_2(monkeypatch):
     monkeypatch.setattr(integrate, "_dp_builtin", namespace["_dp_builtin"])
 
 
+def grow_rk45_step_on_error(monkeypatch):
+    # the rk45 step control scales the step by err ** 0.2 in place of
+    # err ** -0.2: the driver compiled from its source with that one sign
+    # flipped, so a large error grows the next step and a small one shrinks it
+    right = "factor = grow if err == 0.0 else safety * err ** -0.2"
+    source = inspect.getsource(integrate._integrate_rk45)
+    assert source.count(right) == 1
+    namespace = dict(vars(integrate))
+    exec(source.replace(right, right.replace("** -0.2", "** 0.2")), namespace)
+    monkeypatch.setattr(integrate, "_integrate_rk45", namespace["_integrate_rk45"])
+
+
 @pytest.mark.parametrize("suite,break_formula,names", [
     ("core", drop_x2y2_from_dz, {"hamiltonian_poisson_form", "invariants_along_flow"}),
     ("equilibria", scale_quartic_roots, {"quartic_root_reconstruction"}),
@@ -286,6 +299,7 @@ def flip_x2_in_dp_builtin_stage_2(monkeypatch):
     ("integrate", damp_dz_in_rk4_builtin, {"rk4_conserved_drift"}),
     ("integrate", damp_dz_in_dp_builtin, {"time_reversal"}),
     ("integrate", flip_x2_in_dp_builtin_stage_2, {"dp_local_order"}),
+    ("integrate", grow_rk45_step_on_error, {"rk45_step_count"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
