@@ -10,16 +10,18 @@ which is Hamiltonian with respect to an antisymmetric tensor J(p) and
 H = (y1^2 + y2^2 + z^2)/2.  Two further quantities are conserved:
 C = (x1^2 + x2^2)/2 + z (the Casimir of J) and I = x2*y1 - x1*y2.
 ``poisson_tensor`` is the one definition of J: the bracket and the Jacobi
-check read its entries from it.  The field and the triple are written once,
-on the five components, in the NumPy-free ``domain``; this module checks
-states and applies them to arrays.
+check read its entries from it.  The field, the triple and its gradients are
+written once, on the five components, in the NumPy-free ``domain``; this
+module checks states by the rule of ``domain.finite_state`` and applies the
+formulas to arrays.
 """
 
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import DomainError, conserved_components, field_components
+from .domain import (DomainError, conserved_components, field_components, finite_state,
+                     gradient_components)
 
 
 class ConservedTriple(NamedTuple):
@@ -29,21 +31,33 @@ class ConservedTriple(NamedTuple):
 
 
 def _components(p) -> np.ndarray:
-    """Finite float64 states (..., 5), component axis first, from real numbers;
-    DomainError otherwise: strings, complex, object (None, an int past int64)
-    and ragged input are refused before they are converted to float64."""
+    """Finite float64 states (..., 5), component axis first, by the rule of
+    ``finite_state`` for each state; DomainError otherwise.  A real ndarray is
+    read by its dtype; any other input (lists, object arrays, a NumPy bool)
+    a state at a time by ``finite_state``, as NumPy's inferred dtype would
+    refuse a Python int past int64 and take a NumPy bool for a number."""
     try:
         arr = np.asarray(p)
     except ValueError:  # ragged
         raise DomainError("states must be a regular array of real numbers") from None
-    if arr.dtype.kind not in "biuf":
-        raise DomainError(f"states must be real numbers, got dtype {arr.dtype}")
     if arr.ndim == 0 or arr.shape[-1] != 5:
         raise DomainError(f"state must have 5 components, got shape {arr.shape}")
-    arr = arr.astype(float, copy=False)
-    if not np.isfinite(arr).all():
-        raise DomainError(f"state has non-finite components: {arr}")
+    if isinstance(p, np.ndarray) and arr.dtype.kind in "iuf":
+        arr = arr.astype(float, copy=False)
+        if not np.isfinite(arr).all():
+            raise DomainError(f"state has non-finite components: {arr}")
+    else:
+        arr = np.array([finite_state(q) for q in _states(p, arr.ndim - 1)]).reshape(arr.shape)
     return arr.transpose(-1, *range(arr.ndim - 1))
+
+
+def _states(p, depth):
+    """The states of a regular stack p of the given depth, in row-major order."""
+    if depth == 0:
+        yield p
+    else:
+        for q in p:
+            yield from _states(q, depth - 1)
 
 
 def vector_field(p) -> np.ndarray:
@@ -72,28 +86,28 @@ def conserved(p) -> ConservedTriple:
     return ConservedTriple(*conserved_components(*_components(p)))
 
 
+def _gradient(p, which) -> np.ndarray:
+    """Row ``which`` of ``gradient_components`` at p, shape (5,) or (..., 5)."""
+    comps = _components(p)
+    grad = np.empty_like(comps)
+    for k, entry in enumerate(gradient_components(*comps)[which]):
+        grad[k] = entry
+    return grad.transpose(*range(1, comps.ndim), 0)
+
+
 def grad_H(p) -> np.ndarray:
     """Gradient of H at p, shape (5,) or (..., 5)."""
-    _, y1, _, y2, z = comps = _components(p)
-    grad = np.zeros_like(comps)
-    grad[1], grad[3], grad[4] = y1, y2, z
-    return grad.transpose(*range(1, comps.ndim), 0)
+    return _gradient(p, 0)
 
 
 def grad_I(p) -> np.ndarray:
     """Gradient of I at p, shape (5,) or (..., 5)."""
-    x1, y1, x2, y2, _ = comps = _components(p)
-    grad = np.zeros_like(comps)
-    grad[0], grad[1], grad[2], grad[3] = -y2, x2, y1, -x1
-    return grad.transpose(*range(1, comps.ndim), 0)
+    return _gradient(p, 1)
 
 
 def grad_C(p) -> np.ndarray:
     """Gradient of C at p, shape (5,) or (..., 5)."""
-    x1, _, x2, _, _ = comps = _components(p)
-    grad = np.zeros_like(comps)
-    grad[0], grad[2], grad[4] = x1, x2, 1.0
-    return grad.transpose(*range(1, comps.ndim), 0)
+    return _gradient(p, 2)
 
 
 GradientField = Callable[[np.ndarray], np.ndarray]

@@ -1,14 +1,15 @@
 """The domain error of every operation, the one check of a single state
-(``finite_state``) and its twin for a number (``real_float``), and the two
-formulas of the flow (the vector field and the conserved triple, unchecked,
-on the five components).  A bad number or state is a ``DomainError``, never
+(``finite_state``) and its twin for a number (``real_float``), and the
+formulas of the flow (the vector field, the conserved triple and its three
+gradients, unchecked, on the five components).  A bad number or state is a ``DomainError``, never
 an ``OverflowError`` or a ``TypeError``; ``core`` checks arrays of states by
 the rule of ``finite_state``.
 
 NumPy-free, so that the commands that need nothing else start without it:
 ``classify``, ``--help`` and an argparse usage error, and ``simulate``,
-which integrates, checks and writes a short run on plain floats.  The two
-formulas broadcast over floats and arrays alike.
+which integrates, checks and writes a short run on plain floats, and
+``rank``, which takes the singular values of the gradients on plain floats.
+The formulas broadcast over floats and arrays alike.
 """
 
 import math
@@ -60,6 +61,14 @@ def conserved_components(x1, y1, x2, y2, z):
     return (0.5 * (y1 * y1 + y2 * y2 + z * z),
             x2 * y1 - x1 * y2,
             0.5 * (x1 * x1 + x2 * x2) + z)
+
+
+def gradient_components(x1, y1, x2, y2, z):
+    """The gradients of H, I and C, three rows of five entries, unchecked;
+    floats or arrays alike, with literal 0 and 1 where an entry is constant."""
+    return ((0, y1, 0, y2, z),
+            (-y2, x2, y1, -x1, 0),
+            (x1, 0, x2, 0, 1))
 
 
 def leaf_energy(c: float) -> float:

@@ -9,41 +9,108 @@ contains a flow-invariant set, which here splits into two graph pieces:
 Neither piece is invariant alone; orbits started on M1 puncture M2 whenever
 x2 crosses zero.  On M1 the dynamics reduces to three equations with the
 conserved pair f1 = x1^2 + x2^2, f2 = y1/x2.
+
+The module imports neither NumPy nor ``core``: ``rank_F`` reads the
+gradients off ``domain.gradient_components`` and reduces one state on plain
+floats, so the ``rank`` command starts without either.  The functions that
+build or take arrays import them when they are called.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+from .domain import DomainError, finite_state, gradient_components, real_float
 
-from .core import _components, grad_C, grad_H, grad_I
-from .domain import DomainError, finite_state, real_float
+# one-sided Jacobi sweeps over the three row pairs; eight leave every state
+# tried within 1e-15 of LAPACK's singular values
+_SWEEPS = 8
 
 
-def jacobian_F(p) -> np.ndarray:
+def jacobian_F(p):
     """Jacobian (3, 5) or (..., 3, 5) of F = (H, I, C); rows are the gradients."""
+    import numpy as np
+    from .core import grad_C, grad_H, grad_I
     return np.stack([grad_H(p), grad_I(p), grad_C(p)], axis=-2)
 
 
 @dataclass
 class RankReport:
-    singular_values: np.ndarray  # (3,) or (..., 3), descending
-    rank: np.ndarray  # () or (...)
-    tol_used: np.ndarray
+    singular_values: object  # (3,) or (..., 3) array, descending; 3 floats without NumPy
+    rank: object  # () or (...) integer array; an int without NumPy
+    tol_used: object  # () or (...) array; a float without NumPy
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3] + u[4] * v[4]
+
+
+def _singular_values(rows, sqrt, maximum, minimum):
+    """Descending singular values of the three rows of five entries, each
+    row scaled to unit length first, by one-sided Jacobi (Hestenes 1958):
+    ``_SWEEPS`` sweeps of rotations that make each pair of rows orthogonal,
+    after which the row lengths are the singular values.  Each row is divided
+    by its largest entry before its length is taken, which cannot then
+    overflow.  One text for floats (``math.sqrt, max, min``) and for arrays
+    of states (``np.sqrt, np.maximum, np.minimum``): it has no branch, so
+    each state of a stack takes the float path's operations, bit for bit."""
+    scaled = []
+    for row in rows:
+        big = abs(row[0])
+        for entry in row[1:]:
+            big = maximum(big, abs(entry))
+        row = [entry / (big + (big == 0)) for entry in row]  # a zero row stays zero
+        norm = sqrt(_dot(row, row))
+        scaled.append([entry / (norm + (norm == 0)) for entry in row])
+    for _ in range(_SWEEPS):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            u, v = scaled[i], scaled[j]
+            d, g = _dot(v, v) - _dot(u, u), _dot(u, v)
+            den = abs(d) + sqrt(d * d + 4.0 * g * g)
+            # tan of the rotation angle, the root of t^2 + (d/g) t = 1 at most 1 in size
+            t = 2.0 * g * ((d >= 0) * 2.0 - 1.0) / (den + (den == 0))
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = c * t
+            scaled[i] = [c * a - s * b for a, b in zip(u, v)]
+            scaled[j] = [s * a + c * b for a, b in zip(u, v)]
+    s1, s2, s3 = (sqrt(_dot(row, row)) for row in scaled)
+    s1, s2 = maximum(s1, s2), minimum(s1, s2)
+    s2, s3 = maximum(s2, s3), minimum(s2, s3)
+    s1, s2 = maximum(s1, s2), minimum(s1, s2)
+    return s1, s2, s3
+
+
+def _one_state(p) -> bool:
+    """Whether p is read as a single state: it is unless some item of a list
+    or tuple p is itself a sequence (a stack's rows, or a ragged component)."""
+    return not (isinstance(p, (list, tuple))
+                and any(hasattr(v, "__len__") and not isinstance(v, str) for v in p))
 
 
 def rank_F(p) -> RankReport:
-    """Numerical rank of the Jacobian of F at p, (5,) or (..., 5), via one
-    stacked SVD of its rows scaled to unit length, so that the rank does not
-    depend on the scale of any one gradient (at (1e200, 1, 1, 1, 1) grad I and
-    grad C are about 1e200 long and grad H about 1).  Each row is divided by
-    its largest entry before its norm is taken, which cannot then overflow."""
-    jac = jacobian_F(p)
-    big = np.abs(jac).max(axis=-1, keepdims=True)
-    jac = jac / np.where(big > 0, big, 1.0)  # zero rows stay zero
-    norm = np.linalg.norm(jac, axis=-1, keepdims=True)
-    sv = np.linalg.svd(jac / np.where(norm > 0, norm, 1.0), compute_uv=False)
-    tol = sv[..., 0] * 1e-10  # sv[0] >= 1: grad C is never zero
+    """Numerical rank of the Jacobian of F at p, (5,) or (..., 5), from the
+    singular values of its rows scaled to unit length, so that the rank does
+    not depend on the scale of any one gradient (at (1e200, 1, 1, 1, 1)
+    grad I and grad C are about 1e200 long and grad H about 1).
+
+    Where NumPy is not loaded (the ``rank`` command) a single state is
+    checked by ``finite_state`` and reduced on plain floats, and the report
+    holds floats and an int; otherwise the states are checked by
+    ``core._components`` and a stack is reduced as arrays, with the same
+    bits, and the report holds arrays."""
+    if "numpy" not in sys.modules and _one_state(p):
+        sv = _singular_values(gradient_components(*finite_state(p)), math.sqrt, max, min)
+        tol = sv[0] * 1e-10  # sv[0] >= 1: grad C is never zero
+        return RankReport(sv, sum(s > tol for s in sv), tol)
+    import numpy as np
+    from .core import _components
+    comps = _components(p)
+    if comps.ndim == 1:  # one state: the same text on floats, not on NumPy scalars
+        sv = np.array(_singular_values(gradient_components(*comps.tolist()), math.sqrt, max, min))
+    else:
+        sv = np.stack(_singular_values(gradient_components(*comps), np.sqrt, np.maximum,
+                                       np.minimum), axis=-1)
+    tol = sv[..., 0] * 1e-10
     return RankReport(sv, np.sum(sv > tol[..., None], axis=-1), tol)
 
 
@@ -81,19 +148,22 @@ def _graph_z(y, x):
         return -math.inf
 
 
-def m1_embed(q: M1Point) -> np.ndarray:
-    """The M1 point over q; DomainError where it is not finite."""
+def m1_embed(q: M1Point):
+    """The M1 point over q, an array (5,); DomainError where it is not finite."""
+    import numpy as np
     return np.array(finite_state([q.x1, q.y1, q.x2, -q.x1 * q.y1 / q.x2, _graph_z(q.y1, q.x2)]))
 
 
-def m2_embed(q: M2Point) -> np.ndarray:
-    """The M2 point over q; DomainError where it is not finite."""
+def m2_embed(q: M2Point):
+    """The M2 point over q, an array (5,); DomainError where it is not finite."""
+    import numpy as np
     return np.array(finite_state([q.x1, 0.0, 0.0, q.y2, _graph_z(q.y2, q.x1)]))
 
 
 def _norms(p):
     """Scales 1 + |p|^2 and 1 + |p|^3 at states p (..., 5); DomainError where |p|^3
     overflows.  |p| = sqrt(p.p) by a one-state norm's dot; the cube rounds as n ** 3."""
+    import numpy as np
     p = np.asarray(p, dtype=float)
     with np.errstate(over="ignore"):
         n = np.sqrt((p[..., None, :] @ p[..., :, None])[..., 0, 0])
@@ -106,6 +176,8 @@ def _norms(p):
 
 def m1_defect(p):
     """Largest cleared-denominator residual of the M1 graph at states (5,) or (..., 5)."""
+    import numpy as np
+    from .core import _components
     x1, y1, x2, y2, z = _components(p)
     s2, s3 = _norms(p)
     return np.maximum(abs(y2 * x2 + x1 * y1) / s2, abs(z * x2 * x2 + y1 * y1) / s3)
@@ -113,6 +185,8 @@ def m1_defect(p):
 
 def m2_defect(p):
     """The same for the M2 graph."""
+    import numpy as np
+    from .core import _components
     x1, y1, x2, y2, z = _components(p)
     _, s3 = _norms(p)
     return np.maximum(np.maximum(abs(y1), abs(x2)), abs(z * x1 * x1 + y2 * y2) / s3)
@@ -151,7 +225,8 @@ def invariance_probe(q0: M1Point, t_end: float) -> ProbeReport:
     from the union M1 u M2 (constraint-residual defect), counting the sign
     changes of x2 (punctures of the M2 piece) and predicting them from the
     periodic family through q0, which is checked before the first step."""
-    # imported here, not with this module, so that ``rank`` loads neither
+    # imported here, not with this module, so that ``rank`` loads none of them
+    import numpy as np
     from .integrate import IntegratorConfig, integrate
     from .solutions import PeriodicParams, puncture_times
     family = PeriodicParams(q0.x1, q0.y1, q0.x2) if q0.y1 != 0 else None

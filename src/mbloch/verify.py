@@ -460,6 +460,18 @@ def rank2_on_pieces(m1_points, m2_points) -> bool:
     return bool((invariant_sets.rank_F(np.reshape(points, (-1, 5))).rank == 2).all())
 
 
+def singular_values_match_svd(points) -> bool:
+    """``rank_F``'s singular values at states (..., 5) are LAPACK's of the
+    Jacobian with its rows scaled to unit length, within 1e-14 of the largest."""
+    jac = invariant_sets.jacobian_F(points)
+    big = np.abs(jac).max(axis=-1, keepdims=True)
+    jac = jac / np.where(big > 0, big, 1.0)
+    norm = np.linalg.norm(jac, axis=-1, keepdims=True)
+    want = np.linalg.svd(jac / np.where(norm > 0, norm, 1.0), compute_uv=False)
+    got = invariant_sets.rank_F(points).singular_values
+    return bool((np.abs(got - want) <= 1e-14 * want[..., :1]).all())
+
+
 def m1_conserved_pair(params, n_grid) -> bool:
     """f1 = x1^2 + x2^2 and f2 = y1/x2 (where |x2| > 0.1) stay constant along
     the closed-form M1 orbits."""
@@ -525,7 +537,12 @@ def invariant_suite(rng, level):
     m1_points = [invariant_sets.M1Point(p.x1_0, p.y1_0, p.x2_0) for p in params]
     probe = invariant_sets.invariance_probe(invariant_sets.M1Point(0.0, 1.0, 1.0),
                                             10.0 if level == QUICK else 20.0)
+    # drawn last, so that the samples of the other checks do not depend on them
+    generic = [[rng.uniform(-2, 2) for _ in range(5)] for _ in range(n)]
+    embedded = [invariant_sets.m1_embed(a) for a, _ in pieces]
+    embedded += [invariant_sets.m2_embed(b) for _, b in pieces]
     return checks + [
+        ("singular_values_match_svd", singular_values_match_svd(np.vstack([generic, embedded]))),
         ("m1_conserved_pair", m1_conserved_pair(params, 150)),
         ("invariant_I_factorizes", invariant_I_factorizes(m1_points)),
         ("m1_reduced_flow_tangent", m1_reduced_flow_tangent(m1_points)),

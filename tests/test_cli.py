@@ -936,7 +936,7 @@ def test_long_simulate_loads_the_batched_writer(tmp_path):
 
 @pytest.mark.parametrize("argv, loaded", [
     (SIMULATE + ["--t-end", "0.1"], ["cli", "domain", "integrate"]),
-    (["rank", "--point", "1,2,3,4,5"], ["cli", "core", "domain", "invariant_sets"]),
+    (["rank", "--point", "1,2,3,4,5"], ["cli", "domain", "invariant_sets"]),
     (["homoclinic", "--c", "1", "--dt", "0.1"],
      ["cli", "core", "domain", "integrate", "shortest", "solutions"]),
     (["periodic", "--x1", "1", "--y1", "1", "--x2", "0.5", "--dt", "0.1"],
@@ -956,9 +956,21 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, loaded):
     code, modules = main_in_process(argv)
     assert code == 0
     assert [m.split(".", 1)[1] for m in modules if m.startswith("mbloch.")] == loaded
+    # a command that needs no array (a short simulate, rank) starts without NumPy
+    assert ("numpy" in modules) == ("core" in loaded)
     # verify draws from random.Random, so numpy.random (about 6 MB of
     # resident memory) is loaded only where `import numpy` itself loads it
     assert "numpy.random" not in modules or numpy_import_loads_random()
+
+
+def test_rank_of_a_stack_without_numpy_loaded():
+    # a single state is reduced on plain floats where NumPy is not loaded; a
+    # stack still is reduced as an array
+    proc = run_process(["-c", "from mbloch.invariant_sets import rank_F; "
+                              "print(rank_F([[1, 1, 1, -1, -1], [1, 2, 3, 4, 5]]).rank.tolist())"],
+                       timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[2, 3]"
 
 
 def test_verify_levels_have_one_spelling():

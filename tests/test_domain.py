@@ -2,6 +2,8 @@
 takes a state or a number refuses a bad one with exactly ``DomainError``."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +42,49 @@ def test_bad_state_is_a_domain_error_everywhere(entry, state):
     with pytest.raises(DomainError) as info:
         ENTRY_POINTS[entry](BAD_STATES[state])
     assert type(info.value) is DomainError
+
+
+# real-looking states on which the dtype NumPy infers and finite_state's
+# reading of each component disagree
+EDGE_STATES = {
+    "int-past-int64": [2 ** 70, 0, 0, 0, 0],  # an object array; a finite float
+    "fraction": [Fraction(1, 3), 0, 0, 0, 0],  # the same
+    "numpy-bool": [np.bool_(True), 0, 0, 0, 0],  # an int array; not a real number
+    "numpy-bool-array": np.array([True, False, True, False, True]),
+    "python-bools": [True, False, True, False, False],  # a bool array; real numbers
+}
+STATES = {**BAD_STATES, **EDGE_STATES}
+
+
+def accepts(fn, p):
+    """Whether fn takes p; False where it raises exactly DomainError."""
+    try:
+        fn(p)
+    except DomainError as err:
+        assert type(err) is DomainError
+        return False
+    return True
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_one_rule_for_a_state_in_every_path(monkeypatch, state):
+    # core reads arrays of states, and rank_F reads one state on plain floats
+    # where NumPy is not loaded: each takes exactly what finite_state takes
+    p = STATES[state]
+    taken = [accepts(fn, p) for fn in (finite_state, core.vector_field, invariant_sets.rank_F)]
+    if not state.startswith("ragged"):  # a nested input reads as a stack: the array path
+        monkeypatch.delitem(sys.modules, "numpy")
+        taken.append(accepts(invariant_sets.rank_F, p))
+    assert taken in ([True] * len(taken), [False] * len(taken))
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_a_stack_is_checked_a_state_at_a_time(state):
+    stack = [[0.5, 0.0, -1.0, 2.0, 0.0], STATES[state]]
+    taken = accepts(finite_state, STATES[state])
+    for fn in (core.vector_field, core.conserved, invariant_sets.rank_F):
+        assert accepts(fn, stack) is taken
+    assert accepts(core.conserved, [stack, stack]) is taken
 
 
 @pytest.mark.parametrize("make", [

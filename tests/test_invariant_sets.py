@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +237,26 @@ class TestArrayInputs:
             assert np.array_equal(getattr(inv.rank_F(rows[-6:].reshape(2, 3, 5)), field),
                                   per_row[-6:].reshape(2, 3, *per_row.shape[1:]))
 
+    def test_plain_singular_values_are_the_array_ones(self, monkeypatch):
+        # rank_F reduces a single state on plain floats where NumPy is not
+        # loaded: the bits of the array path, state by state, at zero-rich
+        # states with signed zeros and at states scaled by 2^500 and 2^-500
+        rng = np.random.default_rng(24)
+        zero_rich = rng.uniform(-3, 3, size=(200, 5))
+        pick = rng.integers(0, 3, size=zero_rich.shape)
+        zero_rich[pick == 0], zero_rich[pick == 1] = 0.0, -0.0
+        states = np.vstack([_rows(), zero_rich, _rows(large=False) * 2.0 ** 500,
+                            _rows() * 2.0 ** -500])
+        bits = lambda sv, rank, tol: ([float(s).hex() for s in sv], int(rank), float(tol).hex())
+        stacked = inv.rank_F(states)
+        arrays = list(map(bits, stacked.singular_values, stacked.rank, stacked.tol_used))
+        assert set(stacked.rank) == {1, 2, 3}
+        states = states.tolist()
+        monkeypatch.delitem(sys.modules, "numpy")
+        plain = [inv.rank_F(p) for p in states]
+        assert all(type(rep.rank) is int and type(rep.tol_used) is float for rep in plain)
+        assert [bits(rep.singular_values, rep.rank, rep.tol_used) for rep in plain] == arrays
+
     def test_norms_round_as_one_state_norm(self):
         rows = _rows(large=False)
         want = [(1.0 + n * n, 1.0 + n ** 3) for n in (float(np.linalg.norm(r)) for r in rows)]
@@ -302,8 +323,15 @@ def _rank3_one_at_a_time(rng, n):
 
 
 def _no_grad_I(monkeypatch):
-    # grad I = 0: every draw is skipped, 20 n draws are spent
-    monkeypatch.setattr(inv, "grad_I", lambda p: np.zeros(np.shape(p)))
+    # grad I = 0 in the rows rank_F reduces: every draw is skipped, 20 n
+    # draws are spent
+    gradients = inv.gradient_components
+
+    def broken(*comps):
+        grad_h, _, grad_c = gradients(*comps)
+        return grad_h, (0.0 * comps[0],) * 5, grad_c
+
+    monkeypatch.setattr(inv, "gradient_components", broken)
 
 
 def _keep_x1_above_1_9(monkeypatch):

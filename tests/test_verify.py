@@ -133,9 +133,30 @@ def scale_classified_alpha(monkeypatch):
 
 
 def flip_grad_I_entry(monkeypatch):
-    grad = invariant_sets.grad_I
-    monkeypatch.setattr(invariant_sets, "grad_I",
-                        lambda p: grad(p) * [1.0, 1.0, 1.0, -1.0, 1.0])
+    # the x1 entry of grad I, -x1, loses its sign in the rows rank_F reduces
+    gradients = invariant_sets.gradient_components
+
+    def broken(*comps):
+        grad_h, (a, b, c, d, e), grad_c = gradients(*comps)
+        return grad_h, (a, b, c, -d, e), grad_c
+
+    monkeypatch.setattr(invariant_sets, "gradient_components", broken)
+
+
+def _no_grad_I(monkeypatch):
+    # grad I = 0 in the rows rank_F reduces
+    gradients = invariant_sets.gradient_components
+
+    def broken(*comps):
+        grad_h, _, grad_c = gradients(*comps)
+        return grad_h, (0.0 * comps[0],) * 5, grad_c
+
+    monkeypatch.setattr(invariant_sets, "gradient_components", broken)
+
+
+def one_jacobi_sweep(monkeypatch):
+    # rank_F stops its Jacobi rotations after one sweep of the three pairs
+    monkeypatch.setattr(invariant_sets, "_SWEEPS", 1)
 
 
 def halve_sublevel_bound(monkeypatch):
@@ -300,6 +321,7 @@ def grow_rk45_step_on_error(monkeypatch):
     ("integrate", damp_dz_in_dp_builtin, {"time_reversal"}),
     ("integrate", flip_x2_in_dp_builtin_stage_2, {"dp_local_order"}),
     ("integrate", grow_rk45_step_on_error, {"rk45_step_count"}),
+    ("invariant_sets", one_jacobi_sweep, {"singular_values_match_svd"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
@@ -315,5 +337,5 @@ def test_rank3_generic_fails_when_no_point_survives_the_skips(monkeypatch):
     # grad I = 0 drops the Jacobian's rank everywhere, so every draw is
     # skipped as near a rank-degenerate locus
     assert verify.rank3_generic(random.Random(0), 50)
-    monkeypatch.setattr(invariant_sets, "grad_I", lambda p: np.zeros(np.shape(p)))
+    _no_grad_I(monkeypatch)
     assert verify.rank3_generic(random.Random(0), 50) is False
