@@ -35,7 +35,7 @@ import warnings
 # so that a process loads (and, with no bytecode cache, compiles) only those:
 # classify, --help, an argparse usage error and a short simulate start
 # without NumPy
-from .domain import DomainError
+from .domain import DomainError, integer_at_least
 
 CSV_HEADER = "t,x1,y1,x2,y2,z,H,I,C"
 # rows per block of the CSV writer: a long export never holds all its rows
@@ -320,9 +320,7 @@ def cmd_invariant_probe(args):
 
 def cmd_verify(args):
     from . import verify
-    if args.seed < 0:
-        raise DomainError("--seed must be non-negative")
-    report = verify.run_all(args.seed, args.level)
+    report = verify.run_all(integer_at_least(args.seed, 0, "--seed"), args.level)
     _emit(report)
     return 0 if report["all_passed"] else 1
 

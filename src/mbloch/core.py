@@ -12,15 +12,15 @@ C = (x1^2 + x2^2)/2 + z (the Casimir of J) and I = x2*y1 - x1*y2.
 ``poisson_tensor`` is the one definition of J: the bracket and the Jacobi
 check read its entries from it.  The field, the triple and its gradients are
 written once, on the five components, in the NumPy-free ``domain``; this
-module checks states by the rule of ``domain.finite_state`` and applies the
-formulas to arrays.
+module reads states by the rule of ``domain.finite_reals`` (``_reals``, which
+also reads the closed forms' times) and applies the formulas to arrays.
 """
 
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import (DomainError, conserved_components, field_components, finite_state,
+from .domain import (DomainError, conserved_components, field_components, finite_reals,
                      gradient_components)
 
 
@@ -30,34 +30,27 @@ class ConservedTriple(NamedTuple):
     C: float
 
 
+def _reals(p) -> np.ndarray:
+    """p as finite float64 of its shape, by the rule of ``finite_reals``;
+    DomainError otherwise.  A real ndarray (dtype kind i, u or f) is read by
+    its dtype, any other input (lists, object arrays, a NumPy bool array) by
+    ``finite_reals``."""
+    if not (isinstance(p, np.ndarray) and p.dtype.kind in "iuf"):
+        shape, floats = finite_reals(p)
+        return np.array(floats).reshape(shape)
+    arr = p.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"expected finite real numbers, got {arr}")
+    return arr
+
+
 def _components(p) -> np.ndarray:
-    """Finite float64 states (..., 5), component axis first, by the rule of
-    ``finite_state`` for each state; DomainError otherwise.  A real ndarray is
-    read by its dtype; any other input (lists, object arrays, a NumPy bool)
-    a state at a time by ``finite_state``, as NumPy's inferred dtype would
-    refuse a Python int past int64 and take a NumPy bool for a number."""
-    try:
-        arr = np.asarray(p)
-    except ValueError:  # ragged
-        raise DomainError("states must be a regular array of real numbers") from None
-    if arr.ndim == 0 or arr.shape[-1] != 5:
+    """Finite float64 states (..., 5) read by ``_reals``, component axis
+    first; DomainError unless the last axis has 5 entries."""
+    arr = _reals(p)
+    if arr.shape[-1:] != (5,):
         raise DomainError(f"state must have 5 components, got shape {arr.shape}")
-    if isinstance(p, np.ndarray) and arr.dtype.kind in "iuf":
-        arr = arr.astype(float, copy=False)
-        if not np.isfinite(arr).all():
-            raise DomainError(f"state has non-finite components: {arr}")
-    else:
-        arr = np.array([finite_state(q) for q in _states(p, arr.ndim - 1)]).reshape(arr.shape)
     return arr.transpose(-1, *range(arr.ndim - 1))
-
-
-def _states(p, depth):
-    """The states of a regular stack p of the given depth, in row-major order."""
-    if depth == 0:
-        yield p
-    else:
-        for q in p:
-            yield from _states(q, depth - 1)
 
 
 def vector_field(p) -> np.ndarray:

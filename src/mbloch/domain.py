@@ -1,9 +1,15 @@
-"""The domain error of every operation, the one check of a single state
-(``finite_state``) and its twin for a number (``real_float``), and the
-formulas of the flow (the vector field, the conserved triple and its three
-gradients, unchecked, on the five components).  A bad number or state is a ``DomainError``, never
-an ``OverflowError`` or a ``TypeError``; ``core`` checks arrays of states by
-the rule of ``finite_state``.
+"""The domain error of every operation, the one reader of real input
+(``finite_reals``) and its check of a single state (``finite_state``), its
+twins for one number (``real_float``, ``finite_float``) and for a count
+(``integer_at_least``), and the formulas of the flow (the vector field, the
+conserved triple and its three gradients, unchecked, on the five components).
+
+The rule: a real number is what ``real_float`` converts and is finite; a
+state, a stack of states or a grid of times is a regular nest of such
+numbers in sized, ordered sequences.  A string, bytes, a mapping or a set is
+not such a sequence, so a dict or a set is not a state.  A bad number or
+state is a ``DomainError``, never an ``OverflowError`` or a ``TypeError``;
+``core`` reads a real NumPy array by its dtype and any other input here.
 
 NumPy-free, so that the commands that need nothing else start without it:
 ``classify``, ``--help`` and an argparse usage error, and ``simulate``,
@@ -14,6 +20,8 @@ The formulas broadcast over floats and arrays alike.
 
 import math
 import numbers
+import operator
+from collections.abc import Mapping, Set
 
 
 class DomainError(ValueError):
@@ -32,20 +40,66 @@ def real_float(x) -> float:
         raise DomainError(f"{type(x).__name__} past the float range") from None
 
 
-def finite_state(p) -> list[float]:
-    """The one check of a single state: p, a sequence of five real numbers
-    (``numbers.Real``, Python or NumPy, so not a string, a complex number or
-    a NumPy bool), as a list of five finite floats; DomainError otherwise."""
+def finite_float(x, name: str) -> float:
+    """x as a finite float, where x is a real number; DomainError otherwise,
+    naming ``name``."""
+    value = real_float(x)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def integer_at_least(x, least: int, name: str) -> int:
+    """x as an int of at least ``least``, where x is an integer of any type
+    with ``__index__`` (NumPy's too); a bool or a float is refused, as 1.5
+    would be no count.  DomainError otherwise, naming ``name``."""
     try:
-        n = len(p)
-    except TypeError:  # p has no length: a bare number, None
-        n = None
-    if n != 5:
-        raise DomainError(f"state must be 5 real numbers, got {type(p).__name__}"
-                          + ("" if n is None else f" of length {n}"))
-    point = [real_float(v) for v in p]
-    if not all(map(math.isfinite, point)):
-        raise DomainError(f"state has non-finite components: {point}")
+        n = operator.index(x)
+    except TypeError:
+        n = least - 1
+    if isinstance(x, bool) or n < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {x!r}")
+    return n
+
+
+def finite_reals(p) -> tuple[tuple[int, ...], list[float]]:
+    """The one reader of real input: p, a real number or a regular nest of
+    them in sized, ordered sequences, as its shape and its finite floats in
+    row-major order; DomainError otherwise.  A real number is what
+    ``real_float`` converts (so not a NumPy bool, a complex number, None or a
+    0-d array); a string, bytes, a mapping or a set is not a sequence here."""
+    floats = []
+    try:
+        shape = _read(p, floats)
+    except (TypeError, RecursionError) as exc:  # no items, no length, or nested too deep
+        raise DomainError(f"expected real numbers in nested sequences: {exc}") from None
+    if not all(map(math.isfinite, floats)):  # the first one that is not, by its key False
+        raise DomainError(f"expected finite real numbers, got {min(floats, key=math.isfinite)!r}")
+    return shape, floats
+
+
+def _read(p, floats) -> tuple[int, ...]:
+    """Append the numbers of the nest p to floats in row-major order; the
+    shape of p.  TypeError where p has no items or no length (None, a
+    complex number, a 0-d array, a generator)."""
+    if type(p) is float or isinstance(p, numbers.Real):
+        floats.append(p if type(p) is float else real_float(p))  # a float skips a check by ABC
+        return ()
+    if isinstance(p, (str, bytes, bytearray, Mapping, Set)):
+        raise DomainError(f"expected real numbers, got {type(p).__name__}")
+    shapes = [_read(q, floats) for q in p]
+    shape = shapes[0] if shapes else ()
+    if shapes.count(shape) != len(shapes):
+        raise DomainError("expected a regular nest of real numbers, got a ragged one")
+    return (len(p), *shape)
+
+
+def finite_state(p) -> list[float]:
+    """The one check of a single state: p, read by ``finite_reals`` with
+    shape (5,), as a list of five finite floats; DomainError otherwise."""
+    shape, point = finite_reals(p)
+    if shape != (5,):
+        raise DomainError(f"state must be 5 real numbers, got shape {shape}")
     return point
 
 

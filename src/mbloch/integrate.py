@@ -32,7 +32,6 @@ recorded sample carries the values of the three constants of motion, and
 import contextlib
 import linecache
 import math
-import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from functools import cached_property
 
 from . import domain
 from .domain import (DomainError, conserved_components, field_components, finite_state,
-                     real_float)
+                     integer_at_least, real_float)
 
 
 class StateOverflowError(RuntimeError):
@@ -101,15 +100,7 @@ class IntegratorConfig:
             raise DomainError("dt, abs_tol and rel_tol must be positive")
         if not self.dt_max >= DT_INITIAL:
             raise DomainError(f"dt_max must be at least the first step {DT_INITIAL}")
-        # an integer of any type with __index__ (NumPy's too), taken as an
-        # int; a bool or a float is refused, as 1.5 would record every 3rd step
-        try:
-            stride = operator.index(self.sample_stride)
-        except TypeError:
-            stride = 0
-        if isinstance(self.sample_stride, bool) or stride < 1:
-            raise DomainError("sample_stride must be a positive integer")
-        self.sample_stride = stride
+        self.sample_stride = integer_at_least(self.sample_stride, 1, "sample_stride")
         step, name = (self.dt, "dt") if self.method == "rk4" else (self.dt_max, "dt_max")
         if not self.t_end / step <= MAX_STEPS:
             raise DomainError(f"t_end {self.t_end!r} takes more than {MAX_STEPS} "

@@ -10,9 +10,11 @@ Neither piece is invariant alone; orbits started on M1 puncture M2 whenever
 x2 crosses zero.  On M1 the dynamics reduces to three equations with the
 conserved pair f1 = x1^2 + x2^2, f2 = y1/x2.
 
-The module imports neither NumPy nor ``core``: ``rank_F`` reads the
-gradients off ``domain.gradient_components`` and reduces one state on plain
-floats, so the ``rank`` command starts without either.  The functions that
+The module imports neither NumPy nor ``core``: ``rank_F`` reads its input
+by ``domain.finite_reals``, takes the gradients off
+``domain.gradient_components`` and reduces one state on plain floats, so the
+``rank`` command starts without either.  An ``M1Point`` or ``M2Point`` keeps
+its embedded state, checked once by ``finite_state``.  The functions that
 build or take arrays import them when they are called.
 """
 
@@ -20,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .domain import DomainError, finite_state, gradient_components, real_float
+from .domain import DomainError, finite_reals, finite_state, gradient_components, real_float
 
 # one-sided Jacobi sweeps over the three row pairs; eight leave every state
 # tried within 1e-15 of LAPACK's singular values
@@ -80,31 +82,26 @@ def _singular_values(rows, sqrt, maximum, minimum):
     return s1, s2, s3
 
 
-def _one_state(p) -> bool:
-    """Whether p is read as a single state: it is unless some item of a list
-    or tuple p is itself a sequence (a stack's rows, or a ragged component)."""
-    return not (isinstance(p, (list, tuple))
-                and any(hasattr(v, "__len__") and not isinstance(v, str) for v in p))
-
-
 def rank_F(p) -> RankReport:
     """Numerical rank of the Jacobian of F at p, (5,) or (..., 5), from the
     singular values of its rows scaled to unit length, so that the rank does
     not depend on the scale of any one gradient (at (1e200, 1, 1, 1, 1)
     grad I and grad C are about 1e200 long and grad H about 1).
 
-    Where NumPy is not loaded (the ``rank`` command) a single state is
-    checked by ``finite_state`` and reduced on plain floats, and the report
-    holds floats and an int; otherwise the states are checked by
-    ``core._components`` and a stack is reduced as arrays, with the same
+    Where NumPy is not loaded (the ``rank`` command) p is read by
+    ``finite_reals``, and a single state, shape (5,), is reduced on plain
+    floats and reported as floats and an int; otherwise the states are read
+    by ``core._components`` and a stack is reduced as arrays, with the same
     bits, and the report holds arrays."""
-    if "numpy" not in sys.modules and _one_state(p):
-        sv = _singular_values(gradient_components(*finite_state(p)), math.sqrt, max, min)
-        tol = sv[0] * 1e-10  # sv[0] >= 1: grad C is never zero
-        return RankReport(sv, sum(s > tol for s in sv), tol)
-    import numpy as np
+    if "numpy" not in sys.modules:
+        shape, floats = finite_reals(p)
+        if shape == (5,):
+            sv = _singular_values(gradient_components(*floats), math.sqrt, max, min)
+            tol = sv[0] * 1e-10  # sv[0] >= 1: grad C is never zero
+            return RankReport(sv, sum(s > tol for s in sv), tol)
     from .core import _components
-    comps = _components(p)
+    comps = _components(p)  # a stack given without NumPy loaded is read a second time
+    import numpy as np
     if comps.ndim == 1:  # one state: the same text on floats, not on NumPy scalars
         sv = np.array(_singular_values(gradient_components(*comps.tolist()), math.sqrt, max, min))
     else:
@@ -124,7 +121,10 @@ class M1Point:
         self.x1, self.y1, self.x2 = map(real_float, (self.x1, self.y1, self.x2))
         if self.x2 == 0:
             raise DomainError("M1 requires x2 != 0")
-        m1_embed(self)  # DomainError where the embedded state overflows
+        # the embedded M1 point (x1, y1, x2, -x1 y1/x2, -(y1/x2)^2), five
+        # finite floats, kept out of the fields: m1_embed returns it as an array
+        self.state = finite_state([self.x1, self.y1, self.x2, -self.x1 * self.y1 / self.x2,
+                                   _graph_z(self.y1, self.x2)])
 
 
 @dataclass
@@ -136,7 +136,8 @@ class M2Point:
         self.x1, self.y2 = real_float(self.x1), real_float(self.y2)
         if self.x1 == 0:
             raise DomainError("M2 requires x1 != 0")
-        m2_embed(self)  # DomainError where the embedded state overflows
+        # the embedded M2 point (x1, 0, 0, y2, -(y2/x1)^2), five finite floats
+        self.state = finite_state([self.x1, 0.0, 0.0, self.y2, _graph_z(self.y2, self.x1)])
 
 
 def _graph_z(y, x):
@@ -149,22 +150,22 @@ def _graph_z(y, x):
 
 
 def m1_embed(q: M1Point):
-    """The M1 point over q, an array (5,); DomainError where it is not finite."""
+    """The M1 point over q, an array (5,)."""
     import numpy as np
-    return np.array(finite_state([q.x1, q.y1, q.x2, -q.x1 * q.y1 / q.x2, _graph_z(q.y1, q.x2)]))
+    return np.array(q.state)
 
 
 def m2_embed(q: M2Point):
-    """The M2 point over q, an array (5,); DomainError where it is not finite."""
+    """The M2 point over q, an array (5,)."""
     import numpy as np
-    return np.array(finite_state([q.x1, 0.0, 0.0, q.y2, _graph_z(q.y2, q.x1)]))
+    return np.array(q.state)
 
 
 def _norms(p):
-    """Scales 1 + |p|^2 and 1 + |p|^3 at states p (..., 5); DomainError where |p|^3
-    overflows.  |p| = sqrt(p.p) by a one-state norm's dot; the cube rounds as n ** 3."""
+    """Scales 1 + |p|^2 and 1 + |p|^3 at float64 states p (..., 5), already
+    read; DomainError where |p|^3 overflows.  |p| = sqrt(p.p) by a one-state
+    norm's dot; the cube rounds as n ** 3."""
     import numpy as np
-    p = np.asarray(p, dtype=float)
     with np.errstate(over="ignore"):
         n = np.sqrt((p[..., None, :] @ p[..., :, None])[..., 0, 0])
         cube = np.float_power(n, 3)
@@ -178,8 +179,8 @@ def m1_defect(p):
     """Largest cleared-denominator residual of the M1 graph at states (5,) or (..., 5)."""
     import numpy as np
     from .core import _components
-    x1, y1, x2, y2, z = _components(p)
-    s2, s3 = _norms(p)
+    x1, y1, x2, y2, z = comps = _components(p)
+    s2, s3 = _norms(np.moveaxis(comps, 0, -1))
     return np.maximum(abs(y2 * x2 + x1 * y1) / s2, abs(z * x2 * x2 + y1 * y1) / s3)
 
 
@@ -187,8 +188,8 @@ def m2_defect(p):
     """The same for the M2 graph."""
     import numpy as np
     from .core import _components
-    x1, y1, x2, y2, z = _components(p)
-    _, s3 = _norms(p)
+    x1, y1, x2, y2, z = comps = _components(p)
+    _, s3 = _norms(np.moveaxis(comps, 0, -1))
     return np.maximum(np.maximum(abs(y1), abs(x2)), abs(z * x1 * x1 + y2 * y2) / s3)
 
 

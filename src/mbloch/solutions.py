@@ -8,6 +8,10 @@ sech/tanh profile: at their level P = s^2 (4c - s), so s is the pulse
 4c sech^2(sqrt(c) t), and I = 0 freezes the angle atan2(x2, x1).
 Independently, the rank-2 invariant set supports a family of exactly
 periodic solutions with constant z and angular frequency y1_0/x2_0.
+
+A time t is a real number or a regular nest of them, read as a state's
+component is (``core._reals``); the puncture schedule takes an integer
+index k >= 0 and a finite end time.
 """
 
 import functools
@@ -16,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import conserved, vector_field
-from .domain import DomainError, leaf_energy, real_float
+# times t, a real number or a regular nest of them, as finite float64 of t's
+# shape: a time is read as a state's component is
+from .core import _reals as _times, conserved, vector_field
+from .domain import DomainError, finite_float, integer_at_least, leaf_energy, real_float
 
 
 def radial_cubic(s, H, I, C):
@@ -43,31 +49,12 @@ class HomoclinicParams:
     sign: int = 1
 
     def __post_init__(self):
-        self.c, self.theta0 = real_float(self.c), real_float(self.theta0)
+        self.c, self.theta0 = real_float(self.c), finite_float(self.theta0, "theta0")
         if self.c <= 0:
             raise DomainError("homoclinics exist only on leaves with c > 0")
         leaf_energy(self.c)
-        if not math.isfinite(self.theta0):
-            raise DomainError("theta0 must be finite")
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
-
-
-def _times(t):
-    """Times t, a real number or an array of them, as float64; DomainError
-    unless NumPy reads t as integers or floats (dtype kind i, u or f) and every
-    time is finite, the rule ``finite_state`` applies to a state's components.
-    A string, None, a complex number or an int past int64 is refused."""
-    try:
-        arr = np.asarray(t)
-    except ValueError:  # ragged
-        raise DomainError("times must be a regular array of real numbers") from None
-    if arr.dtype.kind not in "iuf":
-        raise DomainError(f"times must be real numbers, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
-    if not np.isfinite(arr).all():
-        raise DomainError("times must be finite")
-    return arr
 
 
 def _sech_tanh(rc, t):
@@ -170,8 +157,7 @@ def periodic_solution(params: PeriodicParams, t):
     x2 = -params.x1_0 * s + params.x2_0 * co
     y1 = -w * (params.x1_0 * s - params.x2_0 * co)
     y2 = -w * (params.x2_0 * s + params.x1_0 * co)
-    z = np.broadcast_to(-w * w, t.shape) if t.shape else -w * w
-    return np.stack([x1, y1, x2, y2, np.asarray(z, dtype=float)], axis=-1)
+    return np.stack([x1, y1, x2, y2, np.full(t.shape, -w * w)], axis=-1)
 
 
 def periodic_derivative(params: PeriodicParams, t):
@@ -183,8 +169,7 @@ def periodic_derivative(params: PeriodicParams, t):
     dx2 = -w * (params.x1_0 * co + params.x2_0 * s)
     dy1 = -w * w * (params.x1_0 * co + params.x2_0 * s)
     dy2 = -w * w * (params.x2_0 * co - params.x1_0 * s)
-    dz = np.zeros(t.shape) if t.shape else 0.0
-    return np.stack([dx1, dy1, dx2, dy2, np.asarray(dz, dtype=float)], axis=-1)
+    return np.stack([dx1, dy1, dx2, dy2, np.zeros(t.shape)], axis=-1)
 
 
 def periodic_orbit(par: PeriodicParams):
@@ -224,11 +209,16 @@ class PunctureSchedule:
         return math.pi * abs(self.ratio)
 
     def t_k(self, k: int) -> float:
-        spacing = self.spacing
-        return (self.ratio * self.vartheta) % spacing + k * spacing
+        """The k-th puncture time, k an integer >= 0 (a bool or a float is
+        refused, as t_k(1.5) is no puncture); DomainError otherwise and
+        where the time overflows."""
+        spacing, n = self.spacing, real_float(integer_at_least(k, 0, "k"))
+        return finite_float((self.ratio * self.vartheta) % spacing + n * spacing, "t_k")
 
     def count_in(self, t_end: float) -> int:
-        """Number of punctures with 0 < t_k <= t_end."""
+        """Number of punctures with 0 < t_k <= t_end, t_end a finite real
+        number; DomainError otherwise."""
+        t_end = finite_float(t_end, "t_end")
         first = self.t_k(0)
         if t_end < first:
             return 0

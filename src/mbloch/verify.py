@@ -456,7 +456,7 @@ def rank3_generic(rng, n) -> bool:
 
 def rank2_on_pieces(m1_points, m2_points) -> bool:
     """Rank 2 at each embedded point of M1 and of M2."""
-    points = [*map(invariant_sets.m1_embed, m1_points), *map(invariant_sets.m2_embed, m2_points)]
+    points = [q.state for q in (*m1_points, *m2_points)]
     return bool((invariant_sets.rank_F(np.reshape(points, (-1, 5))).rank == 2).all())
 
 
@@ -532,15 +532,15 @@ def invariant_suite(rng, level):
     pieces = [(invariant_sets.M1Point(rng.uniform(-2, 2), _signed(rng), _signed(rng)),
                invariant_sets.M2Point(_signed(rng), rng.uniform(-2, 2)))
               for _ in range(n // 2)]
-    checks.append(("rank2_on_pieces", rank2_on_pieces(*zip(*pieces))))
+    m1_pieces, m2_pieces = zip(*pieces)
+    checks.append(("rank2_on_pieces", rank2_on_pieces(m1_pieces, m2_pieces)))
     params = random_periodic_params(rng, 10)
     m1_points = [invariant_sets.M1Point(p.x1_0, p.y1_0, p.x2_0) for p in params]
     probe = invariant_sets.invariance_probe(invariant_sets.M1Point(0.0, 1.0, 1.0),
                                             10.0 if level == QUICK else 20.0)
     # drawn last, so that the samples of the other checks do not depend on them
     generic = [[rng.uniform(-2, 2) for _ in range(5)] for _ in range(n)]
-    embedded = [invariant_sets.m1_embed(a) for a, _ in pieces]
-    embedded += [invariant_sets.m2_embed(b) for _, b in pieces]
+    embedded = [q.state for q in (*m1_pieces, *m2_pieces)]
     return checks + [
         ("singular_values_match_svd", singular_values_match_svd(np.vstack([generic, embedded]))),
         ("m1_conserved_pair", m1_conserved_pair(params, 150)),

@@ -1,6 +1,8 @@
-"""The one check of a single state and of a scalar: every entry point that
-takes a state or a number refuses a bad one with exactly ``DomainError``."""
+"""The one reader of real input: every entry point that takes a state, a
+stack, a time or a number reads it by one rule and refuses a bad one with
+exactly ``DomainError``."""
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -24,6 +26,14 @@ BAD_STATES = {
     "bare-float": 1.0,
     "nan": [math.nan, 0.0, 0.0, 0.0, 0.0],
     "inf": [0.0, 0.0, 0.0, 0.0, math.inf],
+    # a mapping or a set is not a state: not its keys, nor a set in hash order
+    "dict": {0: 9, 1: 9, 2: 9, 3: 9, 4: 9},
+    "set": {1.0, 0.5, 0.25, 2.0, 0.2},
+    # a 0-d array is not a real number, whatever its dtype
+    "0d-bool-array": [np.array(True), 0, 0, 0, 0],
+    "0d-str-array": [np.array("x"), 0, 0, 0, 0],
+    "0d-none-array": [np.array(None), 0, 0, 0, 0],
+    "nested-too-deep": functools.reduce(lambda p, _: [p], range(10 ** 4), 0.0),
 }
 
 ENTRY_POINTS = {
@@ -66,16 +76,49 @@ def accepts(fn, p):
     return True
 
 
+def classify_at_leaf_0(p):
+    """cartan_classify past its reading of p: a state off the axis or off
+    the leaf C = 0 is read, then refused for that."""
+    try:
+        equilibria.cartan_classify(p, 0.0)
+    except DomainError as err:
+        if "axis" not in str(err) and "leaf" not in str(err):
+            raise
+
+
 @pytest.mark.parametrize("state", STATES)
 def test_one_rule_for_a_state_in_every_path(monkeypatch, state):
-    # core reads arrays of states, and rank_F reads one state on plain floats
-    # where NumPy is not loaded: each takes exactly what finite_state takes
+    # core reads arrays of states, the integrators and cartan_classify one
+    # state, and rank_F one state on plain floats where NumPy is not loaded:
+    # each takes exactly what finite_state takes
     p = STATES[state]
-    taken = [accepts(fn, p) for fn in (finite_state, core.vector_field, invariant_sets.rank_F)]
-    if not state.startswith("ragged"):  # a nested input reads as a stack: the array path
-        monkeypatch.delitem(sys.modules, "numpy")
-        taken.append(accepts(invariant_sets.rank_F, p))
+    taken = [accepts(fn, p) for fn in (finite_state, ENTRY_POINTS["integrate"],
+                                       ENTRY_POINTS["rk4_step"], classify_at_leaf_0,
+                                       core.vector_field, core.conserved,
+                                       invariant_sets.rank_F)]
+    monkeypatch.delitem(sys.modules, "numpy")
+    taken.append(accepts(invariant_sets.rank_F, p))
     assert taken in ([True] * len(taken), [False] * len(taken))
+
+
+def _component_values():
+    """Each component value of STATES once (a row of a stack is a grid of
+    times, not a time), plus reals that NumPy's dtype inference misreads."""
+    values = {}
+    for p in [*STATES.values(), [2 ** 70, Fraction(1, 2), True]]:
+        for v in p if isinstance(p, (list, np.ndarray)) else [p]:
+            if not isinstance(v, list):
+                values.setdefault((type(v), repr(v)), v)
+    return list(values.values())
+
+
+@pytest.mark.parametrize("t", _component_values(), ids=lambda v: f"{type(v).__name__}-{v!r:.20}")
+@pytest.mark.parametrize("closed_form", [
+    lambda t: solutions.homoclinic(solutions.HomoclinicParams(c=1.5), t),
+    lambda t: solutions.periodic_solution(solutions.PeriodicParams(0.3, 1.2, -0.7), t),
+], ids=["homoclinic", "periodic_solution"])
+def test_a_time_is_read_as_a_state_component_is(closed_form, t):
+    assert accepts(closed_form, t) is accepts(finite_state, [t, 0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("state", STATES)

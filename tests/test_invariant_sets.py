@@ -62,6 +62,14 @@ class TestEmbeddings:
         assert np.array_equal(inv.m1_embed(q), [1, 1, 1, -1, -1])
         assert inv.rank_F(inv.m1_embed(q)).rank == 2
 
+    def test_a_point_keeps_its_embedded_state(self):
+        # read once, at construction; the embeddings return it as an array
+        q1, q2 = inv.M1Point(2, 1.0, -0.5), inv.M2Point(np.float64(2.0), 1)
+        assert q1.state == [2.0, 1.0, -0.5, 4.0, -4.0] and q2.state == [2.0, 0.0, 0.0, 1.0, -0.25]
+        assert all(type(v) is float for v in q1.state + q2.state)
+        assert inv.m1_embed(q1).tolist() == q1.state and inv.m2_embed(q2).tolist() == q2.state
+        assert repr(q1) == "M1Point(x1=2.0, y1=1.0, x2=-0.5)" and q1 == inv.M1Point(2.0, 1.0, -0.5)
+
     def test_m2_embed_ring_equilibrium(self):
         p = inv.m2_embed(inv.M2Point(1.0, 0.0))
         assert np.array_equal(p, [1, 0, 0, 0, 0])

@@ -191,6 +191,25 @@ class TestPunctures:
         with pytest.raises(ValueError):
             PeriodicParams(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda s: s.count_in(math.inf), lambda s: s.count_in(math.nan), lambda s: s.count_in("3"),
+        lambda s: s.count_in(10 ** 400), lambda s: s.t_k(10 ** 400), lambda s: s.t_k(10 ** 308),
+        lambda s: s.t_k(1.5), lambda s: s.t_k(2.0), lambda s: s.t_k(True), lambda s: s.t_k(-1),
+        lambda s: s.t_k("1"), lambda s: s.t_k(None),
+    ], ids=["count-inf", "count-nan", "count-string", "count-huge", "t_k-huge", "t_k-overflow",
+            "t_k-1.5", "t_k-float", "t_k-bool", "t_k-negative", "t_k-string", "t_k-none"])
+    def test_bad_index_or_time_is_a_domain_error(self, call):
+        # k is an integer >= 0 (t_k(1.5) is no puncture) and t_end a finite real
+        with pytest.raises(DomainError) as info:
+            call(puncture_times(PeriodicParams(0.3, 1.2, -0.7)))
+        assert type(info.value) is DomainError
+
+    def test_numpy_integers_and_reals_are_read(self):
+        sched = puncture_times(PeriodicParams(0.3, 1.2, -0.7))
+        assert sched.t_k(np.int64(3)) == sched.t_k(3)
+        assert sched.count_in(np.float32(20)) == sched.count_in(20) == sched.count_in(20.0)
+        assert sched.count_in(-1e308) == 0
+
     def test_puncture_point_lies_in_m2(self):
         par = PeriodicParams(0.6, 1.1, -0.8)
         sched = puncture_times(par)
