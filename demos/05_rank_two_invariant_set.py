@@ -18,10 +18,10 @@ print("rank of the conserved-quantity Jacobian")
 p = rng.uniform(-2, 2, size=5)
 print(f"  generic point: rank {inv.rank_F(p).rank}")
 q = inv.M1Point(0.7, -1.2, 0.9)
-print(f"  embedded surface point: rank {inv.rank_F(inv.m1_embed(q)).rank}")
+print(f"  embedded surface point: rank {inv.rank_F(q.state).rank}")
 print(f"  axis equilibrium: rank {inv.rank_F([0, 0, 0, 0, 1.0]).rank}")
 # one call takes a stack (..., 5): rank 3 off the pieces, 2 on them
-pieces = [inv.m1_embed(inv.M1Point(*rng.uniform(0.2, 2, size=3))) for _ in range(300)]
+pieces = [inv.M1Point(*rng.uniform(0.2, 2, size=3)).state for _ in range(300)]
 for label, stack in (("300 random points", rng.uniform(-2, 2, size=(300, 5))),
                      ("300 points of the first piece", np.array(pieces))):
     ranks = inv.rank_F(stack).rank

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import domain
-from .domain import (DomainError, conserved_components, field_components, finite_state,
-                     integer_at_least, real_float)
+from .domain import (DomainError, conserved_components, field_components, finite_float,
+                     finite_state, integer_at_least, real_float)
 
 
 class StateOverflowError(RuntimeError):
@@ -294,10 +294,10 @@ exec(compile(_KERNEL_SOURCE, _KERNEL_FILE, "exec"), globals())
 
 
 def rk4_step(p, h: float):
-    """One classical Runge-Kutta step of size h (local error O(h^5)), as a
-    (5,) array."""
+    """One classical Runge-Kutta step of size h, a finite nonzero real number
+    (local error O(h^5)), as a (5,) array."""
     import numpy as np
-    h = real_float(h)
+    h = finite_float(h, "h")
     if h == 0:
         raise DomainError("step size must be nonzero")
     new = np.array(_rk4_builtin(*finite_state(p), h, 1)[1])

@@ -13,9 +13,10 @@ conserved pair f1 = x1^2 + x2^2, f2 = y1/x2.
 The module imports neither NumPy nor ``core``: ``rank_F`` reads its input
 by ``domain.finite_reals``, takes the gradients off
 ``domain.gradient_components`` and reduces one state on plain floats, so the
-``rank`` command starts without either.  An ``M1Point`` or ``M2Point`` keeps
-its embedded state, checked once by ``finite_state``.  The functions that
-build or take arrays import them when they are called.
+``rank`` command starts without either.  An ``M1Point`` or ``M2Point`` is
+frozen and keeps its embedded state, a tuple of five floats checked once by
+``finite_state``: ``q.state`` is the one embedding every caller reads.  The
+functions that build or take arrays import them when they are called.
 """
 
 import math
@@ -111,33 +112,36 @@ def rank_F(p) -> RankReport:
     return RankReport(sv, np.sum(sv > tol[..., None], axis=-1), tol)
 
 
-@dataclass
+@dataclass(frozen=True)
 class M1Point:
     x1: float
     y1: float
     x2: float
 
     def __post_init__(self):
-        self.x1, self.y1, self.x2 = map(real_float, (self.x1, self.y1, self.x2))
-        if self.x2 == 0:
+        x1, y1, x2 = map(real_float, (self.x1, self.y1, self.x2))
+        if x2 == 0:
             raise DomainError("M1 requires x2 != 0")
         # the embedded M1 point (x1, y1, x2, -x1 y1/x2, -(y1/x2)^2), five
-        # finite floats, kept out of the fields: m1_embed returns it as an array
-        self.state = finite_state([self.x1, self.y1, self.x2, -self.x1 * self.y1 / self.x2,
-                                   _graph_z(self.y1, self.x2)])
+        # finite floats, kept out of the fields; frozen, all are set once here
+        state = tuple(finite_state([x1, y1, x2, -x1 * y1 / x2, _graph_z(y1, x2)]))
+        for name, value in (("x1", x1), ("y1", y1), ("x2", x2), ("state", state)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class M2Point:
     x1: float
     y2: float
 
     def __post_init__(self):
-        self.x1, self.y2 = real_float(self.x1), real_float(self.y2)
-        if self.x1 == 0:
+        x1, y2 = real_float(self.x1), real_float(self.y2)
+        if x1 == 0:
             raise DomainError("M2 requires x1 != 0")
         # the embedded M2 point (x1, 0, 0, y2, -(y2/x1)^2), five finite floats
-        self.state = finite_state([self.x1, 0.0, 0.0, self.y2, _graph_z(self.y2, self.x1)])
+        state = tuple(finite_state([x1, 0.0, 0.0, y2, _graph_z(y2, x1)]))
+        for name, value in (("x1", x1), ("y2", y2), ("state", state)):
+            object.__setattr__(self, name, value)
 
 
 def _graph_z(y, x):
@@ -147,18 +151,6 @@ def _graph_z(y, x):
         return -(y / x) ** 2
     except OverflowError:
         return -math.inf
-
-
-def m1_embed(q: M1Point):
-    """The M1 point over q, an array (5,)."""
-    import numpy as np
-    return np.array(q.state)
-
-
-def m2_embed(q: M2Point):
-    """The M2 point over q, an array (5,)."""
-    import numpy as np
-    return np.array(q.state)
 
 
 def _norms(p):
@@ -193,25 +185,15 @@ def m2_defect(p):
     return np.maximum(np.maximum(abs(y1), abs(x2)), abs(z * x1 * x1 + y2 * y2) / s3)
 
 
-def _finite(values, what):
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"{what} is not finite: {values}")
-    return values
-
-
 def m1_reduced_field(q: M1Point):
     """Restricted dynamics on M1: (y1, -x1 w^2, -x1 w), w = y1/x2; finite or DomainError."""
-    if q.x2 == 0:
-        raise DomainError("reduced field singular at x2 = 0")
     w = q.y1 / q.x2
-    return _finite((q.y1, -q.x1 * w * w, -q.x1 * w), "the reduced M1 field")
+    return tuple(finite_reals((q.y1, -q.x1 * w * w, -q.x1 * w))[1])
 
 
 def m1_conserved(q: M1Point):
     """(f1, f2) = (x1^2 + x2^2, y1/x2), constant on M1 orbits; finite or DomainError."""
-    if q.x2 == 0:
-        raise DomainError("f2 singular at x2 = 0")
-    return _finite((q.x1 * q.x1 + q.x2 * q.x2, q.y1 / q.x2), "(f1, f2)")
+    return tuple(finite_reals((q.x1 * q.x1 + q.x2 * q.x2, q.y1 / q.x2))[1])
 
 
 @dataclass
@@ -231,7 +213,7 @@ def invariance_probe(q0: M1Point, t_end: float) -> ProbeReport:
     from .integrate import IntegratorConfig, integrate
     from .solutions import PeriodicParams, puncture_times
     family = PeriodicParams(q0.x1, q0.y1, q0.x2) if q0.y1 != 0 else None
-    traj = integrate(m1_embed(q0), IntegratorConfig(
+    traj = integrate(q0.state, IntegratorConfig(
         method="rk45", t_end=t_end, abs_tol=1e-10, rel_tol=1e-10, dt_max=0.05))
     worst = np.minimum(m1_defect(traj.states), m2_defect(traj.states)).max()
     signs = np.sign(traj.states[:, 2])

@@ -42,7 +42,8 @@ def radial_cubic(s, H, I, C):
 
 @dataclass
 class HomoclinicParams:
-    """Selects one homoclinic at the leaf equilibrium (0,0,0,0,c), c > 0."""
+    """Selects one homoclinic at the leaf equilibrium (0,0,0,0,c), c > 0;
+    sign is the integer +1 or -1 (a bool or a float is refused)."""
 
     c: float
     theta0: float = 0.0
@@ -53,6 +54,7 @@ class HomoclinicParams:
         if self.c <= 0:
             raise DomainError("homoclinics exist only on leaves with c > 0")
         leaf_energy(self.c)
+        self.sign = integer_at_least(self.sign, -1, "sign")
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
 
@@ -197,11 +199,18 @@ class PunctureSchedule:
 
     Along the orbit x2 = r sin(vartheta - omega t), so the crossings are the
     times t = ratio * vartheta (mod pi |ratio|), whatever the signs of x2_0
-    and y1_0.
+    and y1_0.  Both are finite real numbers and ratio is nonzero;
+    DomainError otherwise.
     """
 
     vartheta: float  # in [0, 2 pi): the phase with sin = x2_0/r, cos = x1_0/r
     ratio: float  # x2_0 / y1_0
+
+    def __post_init__(self):
+        self.vartheta = finite_float(self.vartheta, "vartheta")
+        self.ratio = finite_float(self.ratio, "ratio")
+        if self.ratio == 0:
+            raise DomainError("ratio must be nonzero")
 
     @property
     def spacing(self) -> float:

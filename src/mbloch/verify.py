@@ -489,9 +489,9 @@ def m1_conserved_pair(params, n_grid) -> bool:
 
 
 def m1_reduced_flow_tangent(m1_points) -> bool:
-    """The reduced M1 field, pushed through the Jacobian of ``m1_embed``, is
-    the full field at the embedded point (chain rule), to rounding of the
-    product's terms."""
+    """The reduced M1 field, pushed through the Jacobian of the M1 embedding,
+    is the full field at the embedded point ``q.state`` (chain rule), to
+    rounding of the product's terms."""
     ok = True
     for q in m1_points:
         x1, y1, x2 = q.x1, q.y1, q.x2
@@ -500,7 +500,7 @@ def m1_reduced_flow_tangent(m1_points) -> bool:
                         [0, -2 * y1 / x2 ** 2, 2 * y1 ** 2 / x2 ** 3]])
         reduced = np.array(invariant_sets.m1_reduced_field(q))
         terms = np.abs(jac) @ np.abs(reduced)
-        full = core.vector_field(invariant_sets.m1_embed(q))
+        full = core.vector_field(q.state)
         ok &= np.abs(jac @ reduced - full).max() < 1e-13 * (1 + terms.max())
     return bool(ok)
 
@@ -509,7 +509,7 @@ def invariant_I_factorizes(m1_points) -> bool:
     """I = f1 * f2 at each embedded M1 point."""
     ok = True
     for q in m1_points:
-        i_val = core.conserved(invariant_sets.m1_embed(q)).I
+        i_val = core.conserved(q.state).I
         fa, fb = invariant_sets.m1_conserved(q)
         ok &= abs(i_val - fa * fb) < 1e-13 * (1 + abs(fa * fb))
     return bool(ok)

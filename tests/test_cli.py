@@ -536,7 +536,7 @@ def test_fast_probe_stalls_at_the_sample_cap(monkeypatch):
 
 def test_fast_simulate_writes_partial_csv(tmp_path, monkeypatch):
     monkeypatch.setattr(integrate, "MAX_SAMPLES", 1000)
-    p0 = invariant_sets.m1_embed(invariant_sets.M1Point(*FAST_M1)).tolist()
+    p0 = invariant_sets.M1Point(*FAST_M1).state
     out_path = tmp_path / "fast.csv"
     code, out, err = run_captured(
         ["simulate"] + [f"--{n}={v!r}" for n, v in zip(("x1", "y1", "x2", "y2", "z"), p0)]

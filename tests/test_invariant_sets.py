@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -53,30 +54,29 @@ class TestJacobian:
 
     def test_rank_two_at_a_large_coordinate(self):
         # the three gradients are about 1e100 long there and still dependent
-        assert inv.rank_F(inv.m1_embed(inv.M1Point(1e100, 1.0, 1.0))).rank == 2
+        assert inv.rank_F(inv.M1Point(1e100, 1.0, 1.0).state).rank == 2
 
 
 class TestEmbeddings:
     def test_m1_embed_example(self):
         q = inv.M1Point(1.0, 1.0, 1.0)
-        assert np.array_equal(inv.m1_embed(q), [1, 1, 1, -1, -1])
-        assert inv.rank_F(inv.m1_embed(q)).rank == 2
+        assert np.array_equal(q.state, [1, 1, 1, -1, -1])
+        assert inv.rank_F(q.state).rank == 2
 
     def test_a_point_keeps_its_embedded_state(self):
-        # read once, at construction; the embeddings return it as an array
+        # read once, at construction, as a tuple of five floats
         q1, q2 = inv.M1Point(2, 1.0, -0.5), inv.M2Point(np.float64(2.0), 1)
-        assert q1.state == [2.0, 1.0, -0.5, 4.0, -4.0] and q2.state == [2.0, 0.0, 0.0, 1.0, -0.25]
+        assert q1.state == (2.0, 1.0, -0.5, 4.0, -4.0) and q2.state == (2.0, 0.0, 0.0, 1.0, -0.25)
         assert all(type(v) is float for v in q1.state + q2.state)
-        assert inv.m1_embed(q1).tolist() == q1.state and inv.m2_embed(q2).tolist() == q2.state
         assert repr(q1) == "M1Point(x1=2.0, y1=1.0, x2=-0.5)" and q1 == inv.M1Point(2.0, 1.0, -0.5)
 
     def test_m2_embed_ring_equilibrium(self):
-        p = inv.m2_embed(inv.M2Point(1.0, 0.0))
+        p = inv.M2Point(1.0, 0.0).state
         assert np.array_equal(p, [1, 0, 0, 0, 0])
         assert np.array_equal(vector_field(p), np.zeros(5))
 
     def test_m2_embed_rank_two(self):
-        p = inv.m2_embed(inv.M2Point(2.0, 1.0))
+        p = inv.M2Point(2.0, 1.0).state
         assert np.array_equal(p, [2, 0, 0, 1, -0.25])
         assert inv.rank_F(p).rank == 2
 
@@ -97,10 +97,10 @@ class TestMembership:
         for _ in range(50):
             q1 = inv.M1Point(rng.uniform(-2, 2), rng.uniform(-2, 2),
                              rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-            assert inv.m1_defect(inv.m1_embed(q1)) < 1e-9
+            assert inv.m1_defect(q1.state) < 1e-9
             q2 = inv.M2Point(rng.choice([-1, 1]) * rng.uniform(0.1, 2),
                              rng.uniform(-2, 2))
-            assert inv.m2_defect(inv.m2_embed(q2)) < 1e-9
+            assert inv.m2_defect(q2.state) < 1e-9
 
     def test_generic_point_excluded(self):
         p = [1, 2, 3, 4, 5]
@@ -168,13 +168,20 @@ class TestReducedDynamics:
         q = inv.M2Point(np.float64(2.0), np.float64(1.0))
         assert type(q.x1) is float and type(q.y2) is float
 
-    def test_singularity_errors(self):
-        q = inv.M1Point(1.0, 1.0, 1.0)
-        q.x2 = 0.0  # bypass the constructor check
+    @pytest.mark.parametrize("point,args,chart,state", [
+        (inv.M1Point, (1, 2.0, np.float64(3.0)), "x2", [1, 2, 3, -2 / 3, -4 / 9]),
+        (inv.M2Point, (2, -1), "x1", [2, 0, 0, -1, -0.25])], ids=["M1Point", "M2Point"])
+    def test_points_are_frozen(self, point, args, chart, state):
+        # no field changes under the kept state, so the chart coordinate stays
+        # nonzero and the reduced field and pair need no check of it
+        q = point(*args)
+        for name in (*(f.name for f in dataclasses.fields(q)), "state"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(q, name, 5.0)
         with pytest.raises(DomainError):
-            inv.m1_reduced_field(q)
-        with pytest.raises(DomainError):
-            inv.m1_conserved(q)
+            dataclasses.replace(q, **{chart: 0.0})
+        assert type(q.state) is tuple and q.state == tuple(map(float, state))
+        assert all(type(v) is float for v in q.state)
 
     def test_invariant_i_factorizes(self):
         rng = np.random.default_rng(20)
@@ -216,8 +223,8 @@ def _rows(large=True):
     """Seeded random states, embedded M1 and M2 points and, with ``large``,
     the state (1e200, 1, 1, 1, 1)."""
     rng = np.random.default_rng(23)
-    m1 = [inv.m1_embed(inv.M1Point(*rng.uniform(0.1, 2, size=3))) for _ in range(20)]
-    m2 = [inv.m2_embed(inv.M2Point(*rng.uniform(0.1, 2, size=2))) for _ in range(20)]
+    m1 = [inv.M1Point(*rng.uniform(0.1, 2, size=3)).state for _ in range(20)]
+    m2 = [inv.M2Point(*rng.uniform(0.1, 2, size=2)).state for _ in range(20)]
     tail = [[1e200, 1.0, 1.0, 1.0, 1.0]] if large else []
     return np.vstack([rng.uniform(-3, 3, size=(60, 5)), m1, m2, *tail])
 
@@ -271,7 +278,7 @@ class TestArrayInputs:
         assert np.array_equal(np.column_stack(inv._norms(rows)), want)
 
     def test_norms_refuse_an_overflowing_row(self):
-        bad = inv.m1_embed(inv.M1Point(1e150, 1.0, 1.0))  # |p| = 1.4e150
+        bad = np.array(inv.M1Point(1e150, 1.0, 1.0).state)  # |p| = 1.4e150
         with pytest.raises(DomainError) as one:
             inv._norms(bad)
         with pytest.raises(DomainError) as many:

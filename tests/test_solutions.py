@@ -17,6 +17,9 @@ class TestHomoclinic:
             HomoclinicParams(c=-1.0)
         with pytest.raises(ValueError):
             HomoclinicParams(c=1.0, sign=2)
+        # read as the package's counts are: any integer type, stored as an int
+        sign = HomoclinicParams(c=1.0, sign=np.int64(-1)).sign
+        assert type(sign) is int and sign == -1
 
     def test_anchor_point(self):
         par = HomoclinicParams(c=1.0, theta0=0.0, sign=1)
