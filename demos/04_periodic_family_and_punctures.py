@@ -4,7 +4,7 @@ Each orbit is a rigid rotation in the (x1, x2) plane with angular rate
 omega = y1(0)/x2(0); the momenta follow linearly and z sits at -omega^2.
 The orbit lives on a rank-two invariant surface except at isolated times
 when x2 vanishes, and those puncture instants follow an arithmetic
-progression that the schedule below predicts exactly.
+progression that the family predicts exactly.
 """
 
 import numpy as np
@@ -33,10 +33,9 @@ end = integrate(p0, IntegratorConfig(method="rk45", t_end=par.period,
 print(f"numerical loop closure: {np.linalg.norm(end - p0):.2e}")
 
 print()
-sched = solutions.puncture_times(par)
 print("first punctures (x2 crosses zero):")
 for k in range(4):
-    t_k = sched.t_k(k)
+    t_k = par.puncture_time(k)
     x2 = solutions.periodic_solution(par, t_k)[2]
     print(f"  t_{k} = {t_k:.6f}   x2(t_{k}) = {x2:+.1e}")
-print(f"punctures in [0, 20]: {sched.count_in(20.0)}")
+print(f"punctures in [0, 20]: {par.punctures_in(20.0)}")

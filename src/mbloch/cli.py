@@ -186,13 +186,13 @@ def _parse_tuple(text, n, label):
 def _sample_times(t_min, t_max, dt):
     """The CSV time grid: max(1, round((t_max - t_min) / dt)) equal steps from
     t_min to t_max; a DomainError unless dt > 0, t_max > t_min and it has at
-    most ``integrate.MAX_SAMPLES`` rows, refused before it is allocated."""
+    most ``domain.MAX_SAMPLES`` rows, refused before it is allocated."""
     import numpy as np
-    from . import integrate
+    from . import domain
     if not (dt > 0 and t_max > t_min):
         raise DomainError(f"need --dt > 0 and --t-max above {t_min!r}")
     steps = (t_max - t_min) / dt
-    cap = integrate.MAX_SAMPLES
+    cap = domain.MAX_SAMPLES
     if not steps <= cap - 1:  # also refuses an infinite span
         raise DomainError(f"--dt {dt!r} over [{t_min!r}, {t_max!r}] asks for more "
                           f"than {cap} CSV rows")

@@ -1,8 +1,9 @@
-"""The domain error of every operation, the one reader of real input
-(``finite_reals``) and its check of a single state (``finite_state``), its
-twins for one number (``real_float``, ``finite_float``) and for a count
-(``integer_at_least``), and the formulas of the flow (the vector field, the
-conserved triple and its three gradients, unchecked, on the five components).
+"""The domain error of every operation, the cap on recorded samples
+(``MAX_SAMPLES``), the one reader of real input (``finite_reals``) and its
+check of a single state (``finite_state``), its twins for one number
+(``real_float``, ``finite_float``) and for a count (``integer_at_least``),
+and the formulas of the flow (the vector field, the conserved triple and its
+three gradients, unchecked, on the five components).
 
 The rule: a real number is what ``real_float`` converts and is finite; a
 state, a stack of states or a grid of times is a regular nest of such
@@ -26,6 +27,12 @@ from collections.abc import Mapping, Set
 
 class DomainError(ValueError):
     """Input outside the domain of an operation (non-finite, off-chart...)."""
+
+
+# cap on the samples a run records and on the rows of an export: an rk4 run
+# or an export over it is refused, an rk45 run that reaches it stalls.  Read
+# as ``domain.MAX_SAMPLES`` when a run or an export starts
+MAX_SAMPLES = 10 ** 6
 
 
 def real_float(x) -> float:
@@ -70,7 +77,7 @@ def finite_reals(p) -> tuple[tuple[int, ...], list[float]]:
     0-d array); a string, bytes, a mapping or a set is not a sequence here."""
     floats = []
     try:
-        shape = _read(p, floats)
+        shape = _read((p,), floats)[1:]  # p as the one item of a sequence
     except (TypeError, RecursionError) as exc:  # no items, no length, or nested too deep
         raise DomainError(f"expected real numbers in nested sequences: {exc}") from None
     if not all(map(math.isfinite, floats)):  # the first one that is not, by its key False
@@ -79,15 +86,21 @@ def finite_reals(p) -> tuple[tuple[int, ...], list[float]]:
 
 
 def _read(p, floats) -> tuple[int, ...]:
-    """Append the numbers of the nest p to floats in row-major order; the
-    shape of p.  TypeError where p has no items or no length (None, a
-    complex number, a 0-d array, a generator)."""
-    if type(p) is float or isinstance(p, numbers.Real):
-        floats.append(p if type(p) is float else real_float(p))  # a float skips a check by ABC
-        return ()
-    if isinstance(p, (str, bytes, bytearray, Mapping, Set)):
+    """Append the numbers of the sequence p, a nest, to floats in row-major
+    order, each number in this loop and each sequence by a call; the shape
+    of p.  TypeError where p or a sequence in it has no items or no length
+    (None, a complex number, a 0-d array, a generator)."""
+    # a float, a list and a tuple skip the checks by ABC
+    if type(p) is not list and type(p) is not tuple and isinstance(
+            p, (str, bytes, bytearray, Mapping, Set)):
         raise DomainError(f"expected real numbers, got {type(p).__name__}")
-    shapes = [_read(q, floats) for q in p]
+    shapes = []
+    for q in p:
+        if type(q) is float or isinstance(q, numbers.Real):
+            floats.append(q if type(q) is float else real_float(q))
+            shapes.append(())
+        else:
+            shapes.append(_read(q, floats))
     shape = shapes[0] if shapes else ()
     if shapes.count(shape) != len(shapes):
         raise DomainError("expected a regular nest of real numbers, got a ragged one")

@@ -54,8 +54,9 @@ class StateOverflowError(RuntimeError):
 
 
 class IntegrationStalledError(RuntimeError):
-    """A step at the DT_MIN floor was rejected, or a run hit MAX_SAMPLES or
-    MAX_STEPS; ``integrate`` attaches the partial trajectory."""
+    """A step at the DT_MIN floor was rejected, or a run hit
+    ``domain.MAX_SAMPLES`` or MAX_STEPS; ``integrate`` attaches the partial
+    trajectory."""
 
     def __init__(self, time: float, reason: str = "step size underflow"):
         super().__init__(f"{reason} at t={time}")
@@ -71,9 +72,6 @@ DT_MIN = 1e-12
 # for rk45); a longer run is refused, not started.  An rk45 run that attempts
 # more steps than this stalls
 MAX_STEPS = 10 ** 8
-# cap on the samples a run records and on the rows of an export: an rk4 run
-# over it is refused, an rk45 run that reaches it stalls
-MAX_SAMPLES = 10 ** 6
 
 
 @dataclass
@@ -107,9 +105,9 @@ class IntegratorConfig:
                               f"steps of {name} = {step!r}")
         if self.method == "rk4":
             # samples at t = 0, at every stride-th step and at the last step
-            stride = self.sample_stride
-            if 1 + (_rk4_steps(self) + stride - 1) // stride > MAX_SAMPLES:
-                raise DomainError(f"t_end {self.t_end!r} records more than {MAX_SAMPLES} "
+            stride, cap = self.sample_stride, domain.MAX_SAMPLES
+            if 1 + (_rk4_steps(self) + stride - 1) // stride > cap:
+                raise DomainError(f"t_end {self.t_end!r} records more than {cap} "
                                   f"samples at dt = {self.dt!r}, stride {stride}")
 
 
@@ -378,7 +376,8 @@ def _integrate_rk4(times, states, cfg, f):
 def _integrate_rk45(times, states, cfg, f):
     t_end, stride, dt_max = cfg.t_end, cfg.sample_stride, cfg.dt_max
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    max_steps, max_samples, isfinite, sqrt = MAX_STEPS, MAX_SAMPLES, math.isfinite, math.sqrt
+    max_steps, max_samples = MAX_STEPS, domain.MAX_SAMPLES
+    isfinite, sqrt = math.isfinite, math.sqrt
     safe, dt_min, record_t, record_y = TRIPLE_SAFE_SQUARES, DT_MIN, times.append, states.extend
     step = _kernel(f, _dp_builtin, _dp_raw)
     x1, y1, x2, y2, z = states

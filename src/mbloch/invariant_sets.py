@@ -200,7 +200,7 @@ def m1_conserved(q: M1Point):
 class ProbeReport:
     max_distance_to_union: float
     puncture_count: int
-    predicted_punctures: int | None  # by the periodic family's schedule; None at y1 = 0
+    predicted_punctures: int | None  # by the periodic family's punctures_in; None at y1 = 0
 
 
 def invariance_probe(q0: M1Point, t_end: float) -> ProbeReport:
@@ -211,12 +211,12 @@ def invariance_probe(q0: M1Point, t_end: float) -> ProbeReport:
     # imported here, not with this module, so that ``rank`` loads none of them
     import numpy as np
     from .integrate import IntegratorConfig, integrate
-    from .solutions import PeriodicParams, puncture_times
+    from .solutions import PeriodicParams
     family = PeriodicParams(q0.x1, q0.y1, q0.x2) if q0.y1 != 0 else None
     traj = integrate(q0.state, IntegratorConfig(
         method="rk45", t_end=t_end, abs_tol=1e-10, rel_tol=1e-10, dt_max=0.05))
     worst = np.minimum(m1_defect(traj.states), m2_defect(traj.states)).max()
     signs = np.sign(traj.states[:, 2])
     punctures = int(np.sum(signs[1:] * signs[:-1] < 0))
-    predicted = None if family is None else puncture_times(family).count_in(t_end)
+    predicted = None if family is None else family.punctures_in(t_end)
     return ProbeReport(float(worst), punctures, predicted)

@@ -10,8 +10,8 @@ Independently, the rank-2 invariant set supports a family of exactly
 periodic solutions with constant z and angular frequency y1_0/x2_0.
 
 A time t is a real number or a regular nest of them, read as a state's
-component is (``core._reals``); the puncture schedule takes an integer
-index k >= 0 and a finite end time.
+component is (``core._reals``); a family's punctures take an integer
+index k >= 0 or a finite end time.
 """
 
 import functools
@@ -111,22 +111,25 @@ def homoclinic_orbit(par: HomoclinicParams):
             1e-12 * (1 + par.c ** 1.5), 1e-12 * (1 + par.c * par.c))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodicParams:
-    """Initial data (x1_0, y1_0, x2_0) on the rank-2 set, x2_0, y1_0 != 0."""
+    """Initial data (x1_0, y1_0, x2_0) on the rank-2 set, x2_0, y1_0 != 0,
+    checked once: frozen, so no field changes under its omega or punctures."""
 
     x1_0: float
     y1_0: float
     x2_0: float
 
     def __post_init__(self):
-        self.x1_0, self.y1_0, self.x2_0 = map(real_float, (self.x1_0, self.y1_0, self.x2_0))
-        if self.x2_0 == 0 or self.y1_0 == 0:
+        x1, y1, x2 = map(real_float, (self.x1_0, self.y1_0, self.x2_0))
+        for name, value in (("x1_0", x1), ("y1_0", y1), ("x2_0", x2)):
+            object.__setattr__(self, name, value)
+        if x2 == 0 or y1 == 0:
             raise DomainError("periodic family requires x2_0 != 0 and y1_0 != 0")
-        w, x1, x2 = self.omega, self.x1_0, self.x2_0
+        w = self.omega
         if w == 0:
             raise DomainError(f"omega = y1_0 / x2_0 underflows to 0 at "
-                              f"y1_0 = {self.y1_0!r}, x2_0 = {x2!r}")
+                              f"y1_0 = {y1!r}, x2_0 = {x2!r}")
         if not math.isfinite(self.period):
             raise DomainError(f"the period 2 pi / |omega| overflows at omega = {w!r}")
         if not math.isfinite((1 + w * w) * (1 + x1 * x1 + x2 * x2)):
@@ -144,6 +147,30 @@ class PeriodicParams:
     @property
     def period(self) -> float:
         return math.tau / abs(self.omega)
+
+    @property
+    def puncture_spacing(self) -> float:
+        return math.pi * abs(self.x2_0 / self.y1_0)
+
+    def puncture_time(self, k) -> float:
+        """The k-th time t_0 < t_1 < ... after t = 0 where the orbit crosses
+        x2 = y1 = 0, k an integer >= 0 (not a bool or a float); DomainError
+        otherwise and where the time overflows.  As x2 = r sin(vartheta -
+        omega t), vartheta in [0, 2 pi) the phase of (x1_0, x2_0), these are
+        the times (x2_0 / y1_0) vartheta mod the spacing pi |x2_0 / y1_0|."""
+        ratio, spacing = self.x2_0 / self.y1_0, self.puncture_spacing
+        vartheta = math.atan2(self.x2_0, self.x1_0) % math.tau
+        n = real_float(integer_at_least(k, 0, "k"))
+        return finite_float((ratio * vartheta) % spacing + n * spacing, "the puncture time")
+
+    def punctures_in(self, t_end) -> int:
+        """Number of punctures with 0 < t_k <= t_end, t_end a finite real
+        number; DomainError otherwise."""
+        t_end = finite_float(t_end, "t_end")
+        first = self.puncture_time(0)
+        if t_end < first:
+            return 0
+        return int((t_end - first) // self.puncture_spacing) + 1
 
 
 def periodic_solution(params: PeriodicParams, t):
@@ -190,50 +217,3 @@ def orbit_errors(orbit, derivative, level, t):
     resid = np.abs(derivative(t) - vector_field(states)).max()
     dev = np.abs(np.column_stack(conserved(states)) - level).max()
     return float(resid), float(dev)
-
-
-@dataclass
-class PunctureSchedule:
-    """Times t_0 < t_1 < ... after t = 0 where the orbit crosses x2 = y1 = 0
-    (leaves the x2 != 0 piece).
-
-    Along the orbit x2 = r sin(vartheta - omega t), so the crossings are the
-    times t = ratio * vartheta (mod pi |ratio|), whatever the signs of x2_0
-    and y1_0.  Both are finite real numbers and ratio is nonzero;
-    DomainError otherwise.
-    """
-
-    vartheta: float  # in [0, 2 pi): the phase with sin = x2_0/r, cos = x1_0/r
-    ratio: float  # x2_0 / y1_0
-
-    def __post_init__(self):
-        self.vartheta = finite_float(self.vartheta, "vartheta")
-        self.ratio = finite_float(self.ratio, "ratio")
-        if self.ratio == 0:
-            raise DomainError("ratio must be nonzero")
-
-    @property
-    def spacing(self) -> float:
-        """pi |ratio|, the time between consecutive punctures."""
-        return math.pi * abs(self.ratio)
-
-    def t_k(self, k: int) -> float:
-        """The k-th puncture time, k an integer >= 0 (a bool or a float is
-        refused, as t_k(1.5) is no puncture); DomainError otherwise and
-        where the time overflows."""
-        spacing, n = self.spacing, real_float(integer_at_least(k, 0, "k"))
-        return finite_float((self.ratio * self.vartheta) % spacing + n * spacing, "t_k")
-
-    def count_in(self, t_end: float) -> int:
-        """Number of punctures with 0 < t_k <= t_end, t_end a finite real
-        number; DomainError otherwise."""
-        t_end = finite_float(t_end, "t_end")
-        first = self.t_k(0)
-        if t_end < first:
-            return 0
-        return int((t_end - first) // self.spacing) + 1
-
-
-def puncture_times(params: PeriodicParams) -> PunctureSchedule:
-    vartheta = math.atan2(params.x2_0, params.x1_0) % math.tau
-    return PunctureSchedule(vartheta=vartheta, ratio=params.x2_0 / params.y1_0)

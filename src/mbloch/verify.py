@@ -411,9 +411,8 @@ def punctures_leave_chart(params) -> bool:
     ok = True
     for par in params:
         w, f1 = par.omega, par.x1_0 ** 2 + par.x2_0 ** 2
-        sched = solutions.puncture_times(par)
         for k in (0, 1, 5):
-            pt = solutions.periodic_solution(par, sched.t_k(k))
+            pt = solutions.periodic_solution(par, par.puncture_time(k))
             ok &= abs(pt[2]) < 1e-9 * (1 + f1) and abs(pt[1]) < 1e-9 * (1 + abs(w) * f1)
             ok &= abs(pt[0]) > 1e-6
     return bool(ok)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mbloch
-from mbloch import cli, core, integrate, invariant_sets, solutions, verify
+from mbloch import cli, core, domain, integrate, invariant_sets, solutions, verify
 from mbloch.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mbloch.__file__)))
@@ -490,7 +490,7 @@ def test_bad_value_usage_error(capsys, tmp_path, argv):
 
 
 def test_csv_row_cap_is_inclusive(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(integrate, "MAX_SAMPLES", 11)
+    monkeypatch.setattr(domain, "MAX_SAMPLES", 11)
     argv = ["homoclinic", "--c", "1", "--t-min", "0", "--t-max", "10",
             "--out", str(tmp_path / "h.csv")]
     assert run(capsys, argv + ["--dt", "1"])[0] == 0
@@ -510,7 +510,7 @@ def test_grid_coarser_than_its_span_ends_at_t_max(capsys, tmp_path, argv, t_max)
 
 
 def test_rk4_sample_cap_is_inclusive(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(integrate, "MAX_SAMPLES", 12)
+    monkeypatch.setattr(domain, "MAX_SAMPLES", 12)
     argv = SIMULATE + ["--method", "rk4", "--dt", "1", "--out", str(tmp_path / "s.csv")]
     assert run(capsys, argv + ["--t-end", "11"])[0] == 0  # 12 samples
     assert len((tmp_path / "s.csv").read_text().strip().split("\n")) == 1 + 12
@@ -524,7 +524,7 @@ FAST_T_END = 1.3300956106059725
 
 
 def test_fast_probe_stalls_at_the_sample_cap(monkeypatch):
-    monkeypatch.setattr(integrate, "MAX_SAMPLES", 1000)
+    monkeypatch.setattr(domain, "MAX_SAMPLES", 1000)
     code, out, err = run_captured(["invariant-probe", "--m1=" + ",".join(map(repr, FAST_M1)),
                                    f"--t-end={FAST_T_END!r}"])
     assert code == 1 and err == ""
@@ -535,7 +535,7 @@ def test_fast_probe_stalls_at_the_sample_cap(monkeypatch):
 
 
 def test_fast_simulate_writes_partial_csv(tmp_path, monkeypatch):
-    monkeypatch.setattr(integrate, "MAX_SAMPLES", 1000)
+    monkeypatch.setattr(domain, "MAX_SAMPLES", 1000)
     p0 = invariant_sets.M1Point(*FAST_M1).state
     out_path = tmp_path / "fast.csv"
     code, out, err = run_captured(
@@ -670,7 +670,7 @@ def test_rank_any_finite_point(point):
 def test_invariant_probe_any_finite_start(m1, t_end):
     # a small sample cap keeps every example short
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrate, "MAX_SAMPLES", 200)
+        mp.setattr(domain, "MAX_SAMPLES", 200)
         check_report(["invariant-probe", "--m1=" + ",".join(map(repr, m1)),
                       f"--t-end={t_end!r}"])
 
@@ -690,7 +690,7 @@ def test_simulate_any_finite_start(tmp_path_factory, p0, method, t_end, n, tol, 
     argv += [f"--t-end={t_end!r}", f"--method={method}", f"--dt={t_end / n!r}",
              f"--tol={tol!r}", f"--stride={stride}", f"--out={path}"]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrate, "MAX_SAMPLES", 200)
+        mp.setattr(domain, "MAX_SAMPLES", 200)
         mp.setattr(integrate, "MAX_STEPS", 2000)
         code, rep = check_report(argv)
         if rep is None:
@@ -938,9 +938,9 @@ def test_long_simulate_loads_the_batched_writer(tmp_path):
     (SIMULATE + ["--t-end", "0.1"], ["cli", "domain", "integrate"]),
     (["rank", "--point", "1,2,3,4,5"], ["cli", "domain", "invariant_sets"]),
     (["homoclinic", "--c", "1", "--dt", "0.1"],
-     ["cli", "core", "domain", "integrate", "shortest", "solutions"]),
+     ["cli", "core", "domain", "shortest", "solutions"]),
     (["periodic", "--x1", "1", "--y1", "1", "--x2", "0.5", "--dt", "0.1"],
-     ["cli", "core", "domain", "integrate", "shortest", "solutions"]),
+     ["cli", "core", "domain", "shortest", "solutions"]),
     (["invariant-probe", "--m1", "0,1,1", "--t-end", "1"],
      ["cli", "core", "domain", "integrate", "invariant_sets", "solutions"]),
     (["verify", "--level", "quick"],

@@ -146,14 +146,10 @@ def test_a_stack_is_checked_a_state_at_a_time(state):
     lambda: integrate.rk4_step([1.0, 0.0, 0.0, 0.0, 0.0], math.nan),
     lambda: solutions.HomoclinicParams(c=1.0, sign=True),
     lambda: solutions.HomoclinicParams(c=1.0, sign=1.0),
-    lambda: solutions.PunctureSchedule(1.0, 0.0).t_k(0),
-    lambda: solutions.PunctureSchedule("a", 1.0).count_in(5.0),
-    lambda: solutions.PunctureSchedule(None, 1.0).t_k(0),
 ], ids=["t_end", "rk4-t_end", "M1Point", "M2Point", "homoclinic-c", "homoclinic-theta0",
         "periodic-x1", "periodic-y1", "rk4_step-huge-h", "rk4_step-string-h",
         "rk4_step-inf-h", "rk4_step-minus-inf-h", "rk4_step-nan-h", "homoclinic-bool-sign",
-        "homoclinic-float-sign", "puncture-zero-ratio", "puncture-string-vartheta",
-        "puncture-none-vartheta"])
+        "homoclinic-float-sign"])
 def test_bad_scalar_is_a_domain_error(make):
     with pytest.raises(DomainError) as info:
         make()

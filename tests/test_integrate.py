@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from mbloch import integrate as integration
-from mbloch import solutions, verify
+from mbloch import domain, solutions, verify
 from mbloch.core import DomainError, conserved, field_components, vector_field
-from mbloch.integrate import (DT_INITIAL, MAX_SAMPLES, MAX_STEPS, DriftReport,
+from mbloch.integrate import (DT_INITIAL, MAX_STEPS, DriftReport,
                               IntegrationStalledError, IntegratorConfig,
                               StateOverflowError, Trajectory, _dp_builtin, _dp_raw,
                               _rk4_builtin, _rk4_raw, drift_report, integrate,
@@ -97,7 +97,7 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="samples"):
             IntegratorConfig(method="rk4", t_end=1.0, dt=1e-6)
         IntegratorConfig(method="rk4", t_end=1.0, dt=1e-6, sample_stride=2)
-        IntegratorConfig(method="rk4", t_end=MAX_SAMPLES - 1.0, dt=1.0)
+        IntegratorConfig(method="rk4", t_end=domain.MAX_SAMPLES - 1.0, dt=1.0)
 
 
 class TestRk4Step:
@@ -421,7 +421,7 @@ class TestIntegrate:
     TRIPLE_T = 1e-3 * (1 + 5 + 25 + 125 + 625) + 1.0
 
     def test_triple_overflow_before_the_sample_cap_reports_the_triple(self, monkeypatch):
-        monkeypatch.setattr(integration, "MAX_SAMPLES", 10)
+        monkeypatch.setattr(domain, "MAX_SAMPLES", 10)
         field = lambda p: np.array([0.0, 0.0, 0.0, 0.0, 1e154])
         with pytest.raises(StateOverflowError) as info:
             integrate(np.zeros(5), IntegratorConfig(method="rk45", t_end=20.0), field=field)
@@ -432,7 +432,7 @@ class TestIntegrate:
     def test_sample_cap_before_the_triple_overflow_stalls(self, monkeypatch):
         # the cap refuses the seventh sample, the first with an overflowing
         # triple, before its triple is taken
-        monkeypatch.setattr(integration, "MAX_SAMPLES", 6)
+        monkeypatch.setattr(domain, "MAX_SAMPLES", 6)
         field = lambda p: np.array([0.0, 0.0, 0.0, 0.0, 1e154])
         with pytest.raises(IntegrationStalledError, match="MAX_SAMPLES = 6") as info:
             integrate(np.zeros(5), IntegratorConfig(method="rk45", t_end=20.0), field=field)
@@ -484,7 +484,7 @@ class TestIntegrate:
     def test_rk45_sample_cap_stalls_with_partial_trajectory(self, monkeypatch):
         p0, cfg = [1, 1, 0.5, -0.5, 0.2], IntegratorConfig(method="rk45", t_end=10.0)
         full = integrate(p0, cfg)
-        monkeypatch.setattr(integration, "MAX_SAMPLES", 50)
+        monkeypatch.setattr(domain, "MAX_SAMPLES", 50)
         with pytest.raises(IntegrationStalledError, match="MAX_SAMPLES = 50") as info:
             integrate(p0, cfg)
         partial = info.value.trajectory
@@ -568,9 +568,9 @@ def _reference_rk45(times, states, cfg, f):
             y = y5
             k += 1
             if (k % cfg.sample_stride == 0 or t >= cfg.t_end) and t != times[-1]:
-                if len(times) == integration.MAX_SAMPLES:
+                if len(times) == domain.MAX_SAMPLES:
                     raise IntegrationStalledError(
-                        t, f"MAX_SAMPLES = {integration.MAX_SAMPLES} samples recorded")
+                        t, f"MAX_SAMPLES = {domain.MAX_SAMPLES} samples recorded")
                 times.append(t)
                 states.extend(y)
         elif h <= integration.DT_MIN:
@@ -667,10 +667,10 @@ class TestRk45Driver:
         assert calls // 7 > len(times) // 8 - 1  # every third attempt is rejected
 
     def test_caps_match_reference(self, monkeypatch):
-        monkeypatch.setattr(integration, "MAX_SAMPLES", 50)
+        monkeypatch.setattr(domain, "MAX_SAMPLES", 50)
         (_, _, stop), _ = self._same(P0, _rk45(), lambda: None)
         assert "MAX_SAMPLES = 50" in stop[2]
-        monkeypatch.setattr(integration, "MAX_SAMPLES", 10 ** 6)
+        monkeypatch.setattr(domain, "MAX_SAMPLES", 10 ** 6)
         monkeypatch.setattr(integration, "MAX_STEPS", 30)
         (_, _, stop), _ = self._same(P0, _rk45(tol=1e-13), lambda: None)
         assert "MAX_STEPS = 30" in stop[2]
@@ -814,7 +814,7 @@ class TestBuiltinDispatch:
         assert out == _outcome(p0, cfg, vector_field)
 
     def test_sample_cap_stall_is_the_same(self, monkeypatch):
-        monkeypatch.setattr(integration, "MAX_SAMPLES", 50)
+        monkeypatch.setattr(domain, "MAX_SAMPLES", 50)
         out = _outcome(P0, _rk45())
         assert out[2][0] is IntegrationStalledError and len(out[0]) == 8 * 50
         assert out == _outcome(P0, _rk45(), vector_field)

@@ -195,9 +195,9 @@ def scale_homoclinic_energy(monkeypatch):
 
 
 def predict_one_more_puncture(monkeypatch):
-    count_in = solutions.PunctureSchedule.count_in
-    monkeypatch.setattr(solutions.PunctureSchedule, "count_in",
-                        lambda sched, t_end: count_in(sched, t_end) + 1)
+    punctures_in = solutions.PeriodicParams.punctures_in
+    monkeypatch.setattr(solutions.PeriodicParams, "punctures_in",
+                        lambda par, t_end: punctures_in(par, t_end) + 1)
 
 
 def halve_pulse_rate(monkeypatch):
@@ -207,10 +207,10 @@ def halve_pulse_rate(monkeypatch):
 
 
 def shift_punctures_quarter_spacing(monkeypatch):
-    # t_k a quarter of the spacing pi |ratio| late, where |x2| = r / sqrt(2)
-    t_k = solutions.PunctureSchedule.t_k
-    monkeypatch.setattr(solutions.PunctureSchedule, "t_k",
-                        lambda sched, k: t_k(sched, k) + 0.25 * sched.spacing)
+    # each puncture time a quarter of the spacing late, where |x2| = r / sqrt(2)
+    puncture_time = solutions.PeriodicParams.puncture_time
+    monkeypatch.setattr(solutions.PeriodicParams, "puncture_time",
+                        lambda par, k: puncture_time(par, k) + 0.25 * par.puncture_spacing)
 
 
 def scale_periodic_z(monkeypatch):
