@@ -14,9 +14,10 @@ checked and formatted block by block, so they hold their time grid
 (8 bytes a row) and one block: a 10^6-row export peaks at about 40 MB RSS.
 Reports go to stdout as single JSON objects with stable key order.
 
-Exit codes: 0 success, 1 numerical/verification failure or a CSV that
-cannot be written, 2 usage error (an argparse error, or a DomainError
-raised by a subcommand).
+Exit codes: 0 success, 1 numerical/verification failure, a CSV that
+cannot be written or a report that stdout cannot take (one line on stderr
+then, as the JSON channel is gone), 2 usage error (an argparse error, or a
+DomainError raised by a subcommand).
 """
 
 import argparse
@@ -161,8 +162,28 @@ def write_orbit_csv(path, times, orbit):
     _write_csv(path, len(times), table)
 
 
+class _ReportLost(Exception):
+    """stdout is closed or cannot take the report.  Not an OSError, so that
+    ``main`` tells it from a CSV that cannot be written."""
+
+
 def _emit(obj):
-    print(json.dumps(obj))
+    """Write the JSON report ``obj`` to stdout and flush it; _ReportLost
+    where stdout is closed (``sys.stdout`` is None) or the write fails."""
+    if sys.stdout is None:
+        raise _ReportLost("stdout is closed")
+    try:
+        sys.stdout.write(json.dumps(obj) + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # point fd 1 at devnull, so that the interpreter's flush at exit, which
+        # would write the same bytes, cannot fail again (the note on SIGPIPE in
+        # the documentation of Python's signal module)
+        with contextlib.suppress(OSError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise _ReportLost(str(exc)) from None
 
 
 def _finite(text):
@@ -308,7 +329,13 @@ def cmd_rank(args):
 def cmd_invariant_probe(args):
     from . import invariant_sets
     from .integrate import IntegrationStalledError, StateOverflowError
-    point = invariant_sets.M1Point(*args.m1)
+    x1, y1, x2 = args.m1
+    if x2 == 0:
+        raise DomainError("--m1 needs x2 != 0")
+    w = y1 / x2  # the chart parameter of the M1 point
+    if w == 0 and y1 != 0:
+        raise DomainError(f"w = y1 / x2 underflows to 0 at y1 = {y1!r}, x2 = {x2!r}")
+    point = invariant_sets.RankTwoPoint(x1, x2, w)
     try:
         rep = invariant_sets.invariance_probe(point, args.t_end)
     except (IntegrationStalledError, StateOverflowError) as exc:
@@ -401,6 +428,9 @@ def main(argv=None) -> int:
             return 1
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except _ReportLost as exc:  # no JSON channel is left
+        sys.stderr.write(f"mbloch: cannot write the report to stdout: {exc}\n")
+        return 1
 
 
 def entry():

@@ -1,29 +1,31 @@
 """The rank-2 invariant set of the conserved-quantity map F = (H, I, C).
 
-Where the Jacobian of F drops from full rank 3 to rank 2 the phase space
-contains a flow-invariant set, which here splits into two graph pieces:
+rank dF < 3 where a dH + b dI + c dC = 0, (a, b, c) != 0, with the rows
+dH = (0, y1, 0, y2, z), dI = (-y2, x2, y1, -x1, 0), dC = (x1, 0, x2, 0, 1).
+If a = 0, the fifth entry forces c = 0 and then dI = 0: the z-axis x = y = 0.
+If a = 1, the entries read y1 = w x2, y2 = -w x1 (w = -b), z = -c and
+(c - w^2) x = 0.  So off the z-axis the set is one chart of relative
+equilibria, dH - w dI + w^2 dC = 0:
 
-    M1 = {(x1, y1, x2, -x1 y1/x2, -y1^2/x2^2) : x2 != 0}
-    M2 = {(x1, 0, 0, y2, -y2^2/x1^2) : x1 != 0}
+    R(x1, x2, w) = (x1, w x2, x2, -w x1, -w^2),   (x1, x2) != 0,
 
-Neither piece is invariant alone; orbits started on M1 puncture M2 whenever
-x2 crosses zero.  On M1 the dynamics reduces to three equations with the
-conserved pair f1 = x1^2 + x2^2, f2 = y1/x2.
+whose part x2 != 0 is the paper's graph M1 (w = y1/x2) and x2 = 0 its M2.
+On R, with s = x1^2 + x2^2, I = w s, 2H = w^2 s + w^4 and 2C = s - 2 w^2, so
+a state reads its chart parameter as w = I/s, and the field is
+w (x2, y2, -x1, -y1, 0), the rotation that I generates: R is invariant, with
+s and w constant, and is the periodic family where w != 0.  M1 alone is not,
+as the rotation reaches x2 = 0: a puncture is a change of graph.
 
-The module imports neither NumPy nor ``core``: ``rank_F`` reads its input
-by ``domain.finite_reals``, takes the gradients off
-``domain.gradient_components`` and reduces one state on plain floats, so the
-``rank`` command starts without either.  An ``M1Point`` or ``M2Point`` is
-frozen and keeps its embedded state, a tuple of five floats checked once by
-``finite_state``: ``q.state`` is the one embedding every caller reads.  The
-functions that build or take arrays import them when they are called.
+The module loads neither NumPy nor ``core``; ``jacobian_F`` and ``rank_F`` import
+them where they take arrays, so ``rank`` and ``invariant-probe`` run on plain floats.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 
-from .domain import DomainError, finite_reals, finite_state, gradient_components, real_float
+from .domain import (DomainError, finite_float, finite_reals, finite_state,
+                     gradient_components, integer_at_least, real_float)
 
 # one-sided Jacobi sweeps over the three row pairs; eight leave every state
 # tried within 1e-15 of LAPACK's singular values
@@ -113,110 +115,120 @@ def rank_F(p) -> RankReport:
 
 
 @dataclass(frozen=True)
-class M1Point:
+class RankTwoPoint:
+    """The chart point R(x1, x2, w) = (x1, w x2, x2, -w x1, -w^2), with
+    (x1, x2) != 0; frozen, it keeps its state, a tuple of five floats
+    checked once by ``finite_state``.  DomainError otherwise."""
+
     x1: float
-    y1: float
     x2: float
+    w: float
 
     def __post_init__(self):
-        x1, y1, x2 = map(real_float, (self.x1, self.y1, self.x2))
-        if x2 == 0:
-            raise DomainError("M1 requires x2 != 0")
-        # the embedded M1 point (x1, y1, x2, -x1 y1/x2, -(y1/x2)^2), five
-        # finite floats, kept out of the fields; frozen, all are set once here
-        state = tuple(finite_state([x1, y1, x2, -x1 * y1 / x2, _graph_z(y1, x2)]))
-        for name, value in (("x1", x1), ("y1", y1), ("x2", x2), ("state", state)):
+        x1, x2, w = map(real_float, (self.x1, self.x2, self.w))
+        if x1 == 0 and x2 == 0:
+            raise DomainError("the chart needs (x1, x2) != 0: the z-axis is not in it")
+        state = tuple(finite_state([x1, w * x2, x2, -w * x1, -w * w]))
+        for name, value in (("x1", x1), ("x2", x2), ("w", w), ("state", state)):
             object.__setattr__(self, name, value)
+
+
+def rank_two_defect(p) -> float:
+    """Distance of the state p from R at its own chart parameter w = I/s:
+    max(|z + w^2|, |y1 - w x2|, |y2 + w x1|) over 1 + |p|^2, which bounds the
+    rounding of each term; inf where s = 0 (the z-axis) or w^2 overflows, the
+    first term, which max keeps over a NaN; DomainError where |p|^2 overflows."""
+    x1, y1, x2, y2, z = finite_state(p)
+    s = x1 * x1 + x2 * x2
+    scale = 1.0 + s + y1 * y1 + y2 * y2 + z * z
+    if scale == math.inf:
+        raise DomainError(f"the defect's scale 1 + |p|^2 overflows at {(x1, y1, x2, y2, z)}")
+    if s == 0:
+        return math.inf
+    w = (x2 * y1 - x1 * y2) / s
+    return max(abs(z + w * w), abs(y1 - w * x2), abs(y2 + w * x1)) / scale
 
 
 @dataclass(frozen=True)
-class M2Point:
-    x1: float
-    y2: float
+class PeriodicParams:
+    """Initial data (x1_0, y1_0, x2_0) on the rank-2 set, x2_0, y1_0 != 0,
+    checked once: frozen, so no field changes under its omega or punctures."""
+
+    x1_0: float
+    y1_0: float
+    x2_0: float
 
     def __post_init__(self):
-        x1, y2 = real_float(self.x1), real_float(self.y2)
-        if x1 == 0:
-            raise DomainError("M2 requires x1 != 0")
-        # the embedded M2 point (x1, 0, 0, y2, -(y2/x1)^2), five finite floats
-        state = tuple(finite_state([x1, 0.0, 0.0, y2, _graph_z(y2, x1)]))
-        for name, value in (("x1", x1), ("y2", y2), ("state", state)):
+        x1, y1, x2 = map(real_float, (self.x1_0, self.y1_0, self.x2_0))
+        for name, value in (("x1_0", x1), ("y1_0", y1), ("x2_0", x2)):
             object.__setattr__(self, name, value)
+        if x2 == 0 or y1 == 0:
+            raise DomainError("periodic family requires x2_0 != 0 and y1_0 != 0")
+        w = self.omega
+        if w == 0:
+            raise DomainError(f"omega = y1_0 / x2_0 underflows to 0 at "
+                              f"y1_0 = {y1!r}, x2_0 = {x2!r}")
+        if not math.isfinite(self.period):
+            raise DomainError(f"the period 2 pi / |omega| overflows at omega = {w!r}")
+        if not math.isfinite((1 + w * w) * (1 + x1 * x1 + x2 * x2)):
+            raise DomainError("the orbit's residual scale (1 + omega^2)"
+                              "(1 + x1_0^2 + x2_0^2) overflows")
+        # z = -omega^2, so H grows as omega^4, past the residual scale
+        if not math.isfinite(w * w * (x1 * x1 + x2 * x2 + w * w)):
+            raise DomainError("the orbit's energy 2 H = omega^2 (x1_0^2 + x2_0^2"
+                              " + omega^2) overflows")
 
+    @property
+    def omega(self) -> float:
+        return self.y1_0 / self.x2_0
 
-def _graph_z(y, x):
-    """z = -(y/x)^2 of both graphs; -inf where it overflows, which
-    ``finite_state`` then refuses."""
-    try:
-        return -(y / x) ** 2
-    except OverflowError:
-        return -math.inf
+    @property
+    def period(self) -> float:
+        return math.tau / abs(self.omega)
 
+    @property
+    def puncture_spacing(self) -> float:
+        return math.pi * abs(self.x2_0 / self.y1_0)
 
-def _norms(p):
-    """Scales 1 + |p|^2 and 1 + |p|^3 at float64 states p (..., 5), already
-    read; DomainError where |p|^3 overflows.  |p| = sqrt(p.p) by a one-state
-    norm's dot; the cube rounds as n ** 3."""
-    import numpy as np
-    with np.errstate(over="ignore"):
-        n = np.sqrt((p[..., None, :] @ p[..., :, None])[..., 0, 0])
-        cube = np.float_power(n, 3)
-    if np.isinf(cube).any():
-        raise DomainError("the residual scale |p|^3 overflows at "
-                          f"|p| = {float(n[np.isinf(cube)][0])!r}")
-    return 1.0 + n * n, 1.0 + cube
+    def puncture_time(self, k) -> float:
+        """The k-th time t_0 < t_1 < ... after t = 0 where the orbit crosses
+        x2 = y1 = 0, k an integer >= 0 (not a bool or a float); DomainError
+        otherwise and where the time overflows.  As x2 = r sin(vartheta -
+        omega t), vartheta in [0, 2 pi) the phase of (x1_0, x2_0), these are
+        the times (x2_0 / y1_0) vartheta mod the spacing pi |x2_0 / y1_0|."""
+        ratio, spacing = self.x2_0 / self.y1_0, self.puncture_spacing
+        vartheta = math.atan2(self.x2_0, self.x1_0) % math.tau
+        n = real_float(integer_at_least(k, 0, "k"))
+        return finite_float((ratio * vartheta) % spacing + n * spacing, "the puncture time")
 
-
-def m1_defect(p):
-    """Largest cleared-denominator residual of the M1 graph at states (5,) or (..., 5)."""
-    import numpy as np
-    from .core import _components
-    x1, y1, x2, y2, z = comps = _components(p)
-    s2, s3 = _norms(np.moveaxis(comps, 0, -1))
-    return np.maximum(abs(y2 * x2 + x1 * y1) / s2, abs(z * x2 * x2 + y1 * y1) / s3)
-
-
-def m2_defect(p):
-    """The same for the M2 graph."""
-    import numpy as np
-    from .core import _components
-    x1, y1, x2, y2, z = comps = _components(p)
-    _, s3 = _norms(np.moveaxis(comps, 0, -1))
-    return np.maximum(np.maximum(abs(y1), abs(x2)), abs(z * x1 * x1 + y2 * y2) / s3)
-
-
-def m1_reduced_field(q: M1Point):
-    """Restricted dynamics on M1: (y1, -x1 w^2, -x1 w), w = y1/x2; finite or DomainError."""
-    w = q.y1 / q.x2
-    return tuple(finite_reals((q.y1, -q.x1 * w * w, -q.x1 * w))[1])
-
-
-def m1_conserved(q: M1Point):
-    """(f1, f2) = (x1^2 + x2^2, y1/x2), constant on M1 orbits; finite or DomainError."""
-    return tuple(finite_reals((q.x1 * q.x1 + q.x2 * q.x2, q.y1 / q.x2))[1])
+    def punctures_in(self, t_end) -> int:
+        """Number of punctures with 0 < t_k <= t_end, t_end a finite real
+        number; DomainError otherwise."""
+        t_end = finite_float(t_end, "t_end")
+        first = self.puncture_time(0)
+        if t_end < first:
+            return 0
+        return int((t_end - first) // self.puncture_spacing) + 1
 
 
 @dataclass
 class ProbeReport:
     max_distance_to_union: float
     puncture_count: int
-    predicted_punctures: int | None  # by the periodic family's punctures_in; None at y1 = 0
+    predicted_punctures: int | None  # the periodic family's; None at w = 0 or x2 = 0
 
 
-def invariance_probe(q0: M1Point, t_end: float) -> ProbeReport:
-    """Integrate the full system from M1 and measure how far samples stray
-    from the union M1 u M2 (constraint-residual defect), counting the sign
-    changes of x2 (punctures of the M2 piece) and predicting them from the
-    periodic family through q0, which is checked before the first step."""
-    # imported here, not with this module, so that ``rank`` loads none of them
-    import numpy as np
+def invariance_probe(q0: RankTwoPoint, t_end: float) -> ProbeReport:
+    """Integrate the full system from the chart point q0 and measure how far
+    the samples stray from R (``rank_two_defect``), counting the sign changes
+    of x2 (the punctures of M1) and predicting them from the periodic family
+    through q0 where w != 0 and x2 != 0, which is checked before the first step."""
+    # imported here, not with this module, so that ``rank`` does not load it
     from .integrate import IntegratorConfig, integrate
-    from .solutions import PeriodicParams
-    family = PeriodicParams(q0.x1, q0.y1, q0.x2) if q0.y1 != 0 else None
+    family = PeriodicParams(*q0.state[:3]) if q0.w != 0 and q0.x2 != 0 else None
     traj = integrate(q0.state, IntegratorConfig(
         method="rk45", t_end=t_end, abs_tol=1e-10, rel_tol=1e-10, dt_max=0.05))
-    worst = np.minimum(m1_defect(traj.states), m2_defect(traj.states)).max()
-    signs = np.sign(traj.states[:, 2])
-    punctures = int(np.sum(signs[1:] * signs[:-1] < 0))
+    _, *comps, _, _, _ = traj.columns()  # t, the five components, H, I, C
+    punctures = sum(a < 0 < b or b < 0 < a for a, b in zip(comps[2], comps[2][1:]))  # of x2
     predicted = None if family is None else family.punctures_in(t_end)
-    return ProbeReport(float(worst), punctures, predicted)
+    return ProbeReport(max(map(rank_two_defect, zip(*comps))), punctures, predicted)

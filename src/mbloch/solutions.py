@@ -7,11 +7,11 @@ orbit's level.  On a leaf with c > 0 the unstable axis equilibrium
 sech/tanh profile: at their level P = s^2 (4c - s), so s is the pulse
 4c sech^2(sqrt(c) t), and I = 0 freezes the angle atan2(x2, x1).
 Independently, the rank-2 invariant set supports a family of exactly
-periodic solutions with constant z and angular frequency y1_0/x2_0.
+periodic solutions with constant z and angular frequency y1_0/x2_0, whose
+parameters and punctures are ``invariant_sets.PeriodicParams``.
 
 A time t is a real number or a regular nest of them, read as a state's
-component is (``core._reals``); a family's punctures take an integer
-index k >= 0 or a finite end time.
+component is (``core._reals``).
 """
 
 import functools
@@ -24,6 +24,7 @@ import numpy as np
 # shape: a time is read as a state's component is
 from .core import _reals as _times, conserved, vector_field
 from .domain import DomainError, finite_float, integer_at_least, leaf_energy, real_float
+from .invariant_sets import PeriodicParams  # the family R with w != 0
 
 
 def radial_cubic(s, H, I, C):
@@ -109,68 +110,6 @@ def homoclinic_orbit(par: HomoclinicParams):
     return (functools.partial(homoclinic, par), functools.partial(homoclinic_derivative, par),
             (leaf_energy(par.c), 0.0, par.c),
             1e-12 * (1 + par.c ** 1.5), 1e-12 * (1 + par.c * par.c))
-
-
-@dataclass(frozen=True)
-class PeriodicParams:
-    """Initial data (x1_0, y1_0, x2_0) on the rank-2 set, x2_0, y1_0 != 0,
-    checked once: frozen, so no field changes under its omega or punctures."""
-
-    x1_0: float
-    y1_0: float
-    x2_0: float
-
-    def __post_init__(self):
-        x1, y1, x2 = map(real_float, (self.x1_0, self.y1_0, self.x2_0))
-        for name, value in (("x1_0", x1), ("y1_0", y1), ("x2_0", x2)):
-            object.__setattr__(self, name, value)
-        if x2 == 0 or y1 == 0:
-            raise DomainError("periodic family requires x2_0 != 0 and y1_0 != 0")
-        w = self.omega
-        if w == 0:
-            raise DomainError(f"omega = y1_0 / x2_0 underflows to 0 at "
-                              f"y1_0 = {y1!r}, x2_0 = {x2!r}")
-        if not math.isfinite(self.period):
-            raise DomainError(f"the period 2 pi / |omega| overflows at omega = {w!r}")
-        if not math.isfinite((1 + w * w) * (1 + x1 * x1 + x2 * x2)):
-            raise DomainError("the orbit's residual scale (1 + omega^2)"
-                              "(1 + x1_0^2 + x2_0^2) overflows")
-        # z = -omega^2, so H grows as omega^4, past the residual scale
-        if not math.isfinite(w * w * (x1 * x1 + x2 * x2 + w * w)):
-            raise DomainError("the orbit's energy 2 H = omega^2 (x1_0^2 + x2_0^2"
-                              " + omega^2) overflows")
-
-    @property
-    def omega(self) -> float:
-        return self.y1_0 / self.x2_0
-
-    @property
-    def period(self) -> float:
-        return math.tau / abs(self.omega)
-
-    @property
-    def puncture_spacing(self) -> float:
-        return math.pi * abs(self.x2_0 / self.y1_0)
-
-    def puncture_time(self, k) -> float:
-        """The k-th time t_0 < t_1 < ... after t = 0 where the orbit crosses
-        x2 = y1 = 0, k an integer >= 0 (not a bool or a float); DomainError
-        otherwise and where the time overflows.  As x2 = r sin(vartheta -
-        omega t), vartheta in [0, 2 pi) the phase of (x1_0, x2_0), these are
-        the times (x2_0 / y1_0) vartheta mod the spacing pi |x2_0 / y1_0|."""
-        ratio, spacing = self.x2_0 / self.y1_0, self.puncture_spacing
-        vartheta = math.atan2(self.x2_0, self.x1_0) % math.tau
-        n = real_float(integer_at_least(k, 0, "k"))
-        return finite_float((ratio * vartheta) % spacing + n * spacing, "the puncture time")
-
-    def punctures_in(self, t_end) -> int:
-        """Number of punctures with 0 < t_k <= t_end, t_end a finite real
-        number; DomainError otherwise."""
-        t_end = finite_float(t_end, "t_end")
-        first = self.puncture_time(0)
-        if t_end < first:
-            return 0
-        return int((t_end - first) // self.puncture_spacing) + 1
 
 
 def periodic_solution(params: PeriodicParams, t):

@@ -439,24 +439,24 @@ def solutions_suite(rng, level):
 
 
 def rank3_generic(rng, n) -> bool:
-    """Rank 3 at n random points away from M1, M2 and rank-degenerate loci; False when
-    20 n draws leave fewer.  Batches of at most the number missing draw as one at a time."""
+    """Rank 3 at n random points away from the rank-2 set (``rank_two_defect``
+    at least 1e-3) and from rank-degenerate loci; False when 20 n draws leave
+    fewer.  Batches of at most the number missing draw as one at a time."""
     kept, drawn, ok = 0, 0, True
     while kept < n and drawn < 20 * n:
-        p = np.array([[rng.uniform(-2, 2) for _ in range(5)]
-                      for _ in range(min(n - kept, 20 * n - drawn))])
+        p = [[rng.uniform(-2, 2) for _ in range(5)] for _ in range(min(n - kept, 20 * n - drawn))]
         drawn += len(p)
-        p = p[(invariant_sets.m1_defect(p) >= 1e-3) & (invariant_sets.m2_defect(p) >= 1e-3)]
+        p = np.reshape([q for q in p if invariant_sets.rank_two_defect(q) >= 1e-3], (-1, 5))
         rep = invariant_sets.rank_F(p)
         ranks = rep.rank[rep.singular_values[:, -1] >= 1e-3]  # off rank-degenerate loci
         kept, ok = kept + len(ranks), ok and bool((ranks == 3).all())
     return kept == n and ok
 
 
-def rank2_on_pieces(m1_points, m2_points) -> bool:
-    """Rank 2 at each embedded point of M1 and of M2."""
-    points = [q.state for q in (*m1_points, *m2_points)]
-    return bool((invariant_sets.rank_F(np.reshape(points, (-1, 5))).rank == 2).all())
+def rank2_on_pieces(points) -> bool:
+    """Rank 2 at the state of each chart point."""
+    return bool((invariant_sets.rank_F(np.reshape([q.state for q in points], (-1, 5))).rank
+                 == 2).all())
 
 
 def singular_values_match_svd(points) -> bool:
@@ -471,52 +471,40 @@ def singular_values_match_svd(points) -> bool:
     return bool((np.abs(got - want) <= 1e-14 * want[..., :1]).all())
 
 
-def m1_conserved_pair(params, n_grid) -> bool:
-    """f1 = x1^2 + x2^2 and f2 = y1/x2 (where |x2| > 0.1) stay constant along
-    the closed-form M1 orbits."""
-    ok = True
-    for par in params:
-        pts = solutions.periodic_solution(par, np.linspace(0.0, par.period, n_grid))  # x1, y1, x2
-        keep = np.abs(pts[:, 2]) > 0.1
-        f1_0 = par.x1_0 ** 2 + par.x2_0 ** 2
-        f2_0 = par.omega
-        f1 = pts[:, 0] ** 2 + pts[:, 2] ** 2
-        f2 = pts[keep, 1] / pts[keep, 2]
-        ok &= float(np.abs(f1 - f1_0).max()) < 1e-12 * (1 + f1_0)
-        ok &= float(np.abs(f2 - f2_0).max()) < 1e-11 * (1 + abs(f2_0))
-    return bool(ok)
+def chart_grid():
+    """The chart points R(x1, x2, w) of {-3, ..., 3}^3 off x1 = x2 = 0, where
+    the identities below are exact.  Of degree <= 4 in w and <= 2 in x1, x2, a
+    residual that vanishes there does so for each x1 != 0 on it, so everywhere."""
+    return [invariant_sets.RankTwoPoint(x1, x2, w)
+            for x1, x2, w in itertools.product(range(-3, 4), repeat=3) if x1 or x2]
 
 
-def m1_reduced_flow_tangent(m1_points) -> bool:
-    """The reduced M1 field, pushed through the Jacobian of the M1 embedding,
-    is the full field at the embedded point ``q.state`` (chain rule), to
-    rounding of the product's terms."""
-    ok = True
-    for q in m1_points:
-        x1, y1, x2 = q.x1, q.y1, q.x2
-        jac = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
-                        [-y1 / x2, -x1 / x2, x1 * y1 / x2 ** 2],
-                        [0, -2 * y1 / x2 ** 2, 2 * y1 ** 2 / x2 ** 3]])
-        reduced = np.array(invariant_sets.m1_reduced_field(q))
-        terms = np.abs(jac) @ np.abs(reduced)
-        full = core.vector_field(q.state)
-        ok &= np.abs(jac @ reduced - full).max() < 1e-13 * (1 + terms.max())
-    return bool(ok)
+def rank2_multiplier_identity(points) -> bool:
+    """dH - w dI + w^2 dC = 0 at each chart point: R is where F drops rank."""
+    return not any(h - q.w * i + q.w * q.w * c for q in points
+                   for h, i, c in zip(*domain.gradient_components(*q.state)))
 
 
-def invariant_I_factorizes(m1_points) -> bool:
-    """I = f1 * f2 at each embedded M1 point."""
-    ok = True
-    for q in m1_points:
-        i_val = core.conserved(q.state).I
-        fa, fb = invariant_sets.m1_conserved(q)
-        ok &= abs(i_val - fa * fb) < 1e-13 * (1 + abs(fa * fb))
-    return bool(ok)
+def rank2_field_is_rotation(points) -> bool:
+    """The field at each chart point is w K p, K p = (x2, y2, -x1, -y1, 0) the
+    rotation that I generates: it turns (x1, x2) at rate w with s and w
+    constant, so R is invariant and conserves the paper's pair (s, y1/x2 = w)."""
+    return all(domain.field_components(x1, y1, x2, y2, z)
+               == tuple(w * v for v in (x2, y2, -x1, -y1, 0.0))
+               for w, (x1, y1, x2, y2, z) in ((q.w, q.state) for q in points))
+
+
+def invariant_I_factorizes(points) -> bool:
+    """I = w s, 2H = w^2 s + w^4 and 2C = s - 2 w^2 at each chart point."""
+    return all((I, 2 * H, 2 * C) == (w * s, w * w * s + w ** 4, s - 2 * w * w)
+               for (H, I, C), s, w in ((domain.conserved_components(*q.state),
+                                        q.x1 ** 2 + q.x2 ** 2, q.w) for q in points))
 
 
 def union_is_invariant(probe) -> bool:
-    """An ``invariance_probe`` orbit stays within 1e-6 of M1 u M2."""
-    return probe.max_distance_to_union < 1e-6
+    """An ``invariance_probe`` orbit stays within 1e-12 of R: Runge-Kutta stages add field
+    values, tangent to R, so samples stray by rounding (2e-15 from 200 chart starts to t = 20)."""
+    return probe.max_distance_to_union < 1e-12
 
 
 def pieces_not_invariant(probe) -> bool:
@@ -528,23 +516,22 @@ def pieces_not_invariant(probe) -> bool:
 def invariant_suite(rng, level):
     n = 100 if level == QUICK else 1000
     checks = [("rank3_generic", rank3_generic(rng, n))]
-    pieces = [(invariant_sets.M1Point(rng.uniform(-2, 2), _signed(rng), _signed(rng)),
-               invariant_sets.M2Point(_signed(rng), rng.uniform(-2, 2)))
-              for _ in range(n // 2)]
-    m1_pieces, m2_pieces = zip(*pieces)
-    checks.append(("rank2_on_pieces", rank2_on_pieces(m1_pieces, m2_pieces)))
-    params = random_periodic_params(rng, 10)
-    m1_points = [invariant_sets.M1Point(p.x1_0, p.y1_0, p.x2_0) for p in params]
-    probe = invariant_sets.invariance_probe(invariant_sets.M1Point(0.0, 1.0, 1.0),
+    # chart points with x2 != 0 (M1), x2 = 0 (M2) and w = 0 (the ring)
+    pieces = [invariant_sets.RankTwoPoint(*xw) for _ in range(n // 2) for xw in (
+        (rng.uniform(-2, 2), _signed(rng), rng.uniform(-2, 2)),
+        (_signed(rng), 0.0, rng.uniform(-2, 2)), (_signed(rng), rng.uniform(-2, 2), 0.0))]
+    checks.append(("rank2_on_pieces", rank2_on_pieces(pieces)))
+    probe = invariant_sets.invariance_probe(invariant_sets.RankTwoPoint(0.0, 1.0, 1.0),
                                             10.0 if level == QUICK else 20.0)
     # drawn last, so that the samples of the other checks do not depend on them
     generic = [[rng.uniform(-2, 2) for _ in range(5)] for _ in range(n)]
-    embedded = [q.state for q in (*m1_pieces, *m2_pieces)]
+    grid = chart_grid()
     return checks + [
-        ("singular_values_match_svd", singular_values_match_svd(np.vstack([generic, embedded]))),
-        ("m1_conserved_pair", m1_conserved_pair(params, 150)),
-        ("invariant_I_factorizes", invariant_I_factorizes(m1_points)),
-        ("m1_reduced_flow_tangent", m1_reduced_flow_tangent(m1_points)),
+        ("singular_values_match_svd",
+         singular_values_match_svd(np.vstack([generic, [q.state for q in pieces]]))),
+        ("rank2_multiplier_identity", rank2_multiplier_identity(grid)),
+        ("rank2_field_is_rotation", rank2_field_is_rotation(grid)),
+        ("invariant_I_factorizes", invariant_I_factorizes(grid)),
         ("union_is_invariant", union_is_invariant(probe)),
         ("pieces_not_invariant", pieces_not_invariant(probe)),
     ]

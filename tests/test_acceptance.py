@@ -137,22 +137,24 @@ def test_criterion_9_invariant_set_suite():
     with Criterion(9, "rank dichotomy and invariance of the rank-2 set", 30.0):
         rng = random.Random(31)
         assert verify.rank3_generic(rng, 1000)
-        m1_points, m2_points = [], []
-        for _ in range(200):
-            m1_points.append(invariant_sets.M1Point(
-                rng.uniform(-2, 2), rng.uniform(-2, 2),
-                rng.choice([-1, 1]) * rng.uniform(0.05, 2)))
-            m2_points.append(invariant_sets.M2Point(
-                rng.choice([-1, 1]) * rng.uniform(0.05, 2), rng.uniform(-2, 2)))
-        assert verify.rank2_on_pieces(m1_points, m2_points)
+        # chart points of both graph pieces, M1 (x2 != 0) and M2 (x2 = 0)
+        points = [invariant_sets.RankTwoPoint(
+            rng.choice([-1, 1]) * rng.uniform(0.05, 2), x2, rng.uniform(-3, 3))
+            for x2 in [rng.uniform(-2, 2) for _ in range(200)] + [0.0] * 200]
+        assert verify.rank2_on_pieces(points)
 
-        q0 = invariant_sets.M1Point(0.0, 1.0, 1.0)
+        q0 = invariant_sets.RankTwoPoint(0.0, 1.0, 1.0)
         probe = invariant_sets.invariance_probe(q0, 20.0)
         assert verify.union_is_invariant(probe)
         assert verify.pieces_not_invariant(probe)
         assert probe.puncture_count == 6
 
-        assert verify.m1_conserved_pair(verify.random_periodic_params(rng, 10), 500)
+        # exact on the chart: the rank drop, the field as the rotation at
+        # rate w (s and w conserved) and the levels I = w s, 2H, 2C
+        grid = verify.chart_grid()
+        assert verify.rank2_multiplier_identity(grid)
+        assert verify.rank2_field_is_rotation(grid)
+        assert verify.invariant_I_factorizes(grid)
 
 
 def test_criterion_10_structure_suite():

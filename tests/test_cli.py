@@ -457,7 +457,7 @@ def test_export_nan_residual_in_a_later_block_fails(capsys, tmp_path, monkeypatc
     SIMULATE + ["--t-end", "1", "--method", "rk4", "--dt", "1e-6"],
     ["classify", "--c", "1e300"],  # c^2/2 overflows
     ["homoclinic", "--c", "1e200"],  # c^2/2 overflows
-    ["invariant-probe", "--m1=1e150,1,1", "--t-end", "5"],  # |p|^3 overflows
+    ["invariant-probe", "--m1=1,1,-0.0", "--t-end", "5"],  # no chart parameter w = y1 / x2
     ["homoclinic", "--c", "1", "--dt", "0"],
     ["periodic", "--x1", "1", "--y1", "1", "--x2", "1", "--t-max", "-1"],
     # about 1e300 rk45 steps of dt_max
@@ -536,7 +536,8 @@ def test_fast_probe_stalls_at_the_sample_cap(monkeypatch):
 
 def test_fast_simulate_writes_partial_csv(tmp_path, monkeypatch):
     monkeypatch.setattr(domain, "MAX_SAMPLES", 1000)
-    p0 = invariant_sets.M1Point(*FAST_M1).state
+    x1, y1, x2 = FAST_M1
+    p0 = invariant_sets.RankTwoPoint(x1, x2, y1 / x2).state
     out_path = tmp_path / "fast.csv"
     code, out, err = run_captured(
         ["simulate"] + [f"--{n}={v!r}" for n, v in zip(("x1", "y1", "x2", "y2", "z"), p0)]
@@ -938,11 +939,11 @@ def test_long_simulate_loads_the_batched_writer(tmp_path):
     (SIMULATE + ["--t-end", "0.1"], ["cli", "domain", "integrate"]),
     (["rank", "--point", "1,2,3,4,5"], ["cli", "domain", "invariant_sets"]),
     (["homoclinic", "--c", "1", "--dt", "0.1"],
-     ["cli", "core", "domain", "shortest", "solutions"]),
+     ["cli", "core", "domain", "invariant_sets", "shortest", "solutions"]),
     (["periodic", "--x1", "1", "--y1", "1", "--x2", "0.5", "--dt", "0.1"],
-     ["cli", "core", "domain", "shortest", "solutions"]),
+     ["cli", "core", "domain", "invariant_sets", "shortest", "solutions"]),
     (["invariant-probe", "--m1", "0,1,1", "--t-end", "1"],
-     ["cli", "core", "domain", "integrate", "invariant_sets", "solutions"]),
+     ["cli", "domain", "integrate", "invariant_sets"]),
     (["verify", "--level", "quick"],
      ["cli", "core", "domain", "equilibria", "integrate", "invariant_sets", "solutions",
       "verify"]),
@@ -956,7 +957,8 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, loaded):
     code, modules = main_in_process(argv)
     assert code == 0
     assert [m.split(".", 1)[1] for m in modules if m.startswith("mbloch.")] == loaded
-    # a command that needs no array (a short simulate, rank) starts without NumPy
+    # a command that needs no array (a short simulate, rank, invariant-probe)
+    # starts without NumPy
     assert ("numpy" in modules) == ("core" in loaded)
     # verify draws from random.Random, so numpy.random (about 6 MB of
     # resident memory) is loaded only where `import numpy` itself loads it
@@ -989,3 +991,48 @@ def test_package_import_loads_no_module():
                        timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# every subcommand, each quick to run
+EVERY_COMMAND = [
+    SIMULATE + ["--t-end", "1"],
+    ["classify", "--c", "1"],
+    ["homoclinic", "--c", "1", "--dt", "0.1"],
+    ["periodic", "--x1", "1", "--y1", "1", "--x2", "0.5", "--dt", "0.1"],
+    ["rank", "--point", "1,2,3,4,5"],
+    ["invariant-probe", "--m1", "0,1,1", "--t-end", "1"],
+    ["verify", "--level", "quick"],
+]
+
+
+@pytest.mark.parametrize("stdout", ["dev-full", "closed-pipe", "closed-fd"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_a_failing_stdout_is_exit_1_without_a_traceback(tmp_path, argv, stdout):
+    # the report is lost, so the command exits 1 with one line on stderr,
+    # and an --out command keeps the CSV it wrote before the report
+    path = tmp_path / "out.csv"
+    if argv[0] in WRITES_CSV:
+        argv = argv + [f"--out={path}"]
+    run = functools.partial(subprocess.run, [sys.executable, "-m", "mbloch.cli", *argv],
+                            stderr=subprocess.PIPE, text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=SRC))
+    if stdout == "dev-full":  # every write fails with ENOSPC
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = run(stdout=full)
+    elif stdout == "closed-pipe":  # the reader is gone before the first write: EPIPE
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run(stdout=write)
+        finally:
+            os.close(write)
+    else:  # fd 1 closed, so sys.stdout is None
+        proc = run(stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("mbloch: cannot write the report to stdout: ")
+    if argv[0] in WRITES_CSV:
+        csv = path.read_bytes()
+        assert run_captured(argv)[0] == 0 and path.read_bytes() == csv

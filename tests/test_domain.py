@@ -133,8 +133,9 @@ def test_a_stack_is_checked_a_state_at_a_time(state):
 @pytest.mark.parametrize("make", [
     lambda: integrate.IntegratorConfig(t_end=10 ** 400),
     lambda: integrate.IntegratorConfig(method="rk4", t_end=10 ** 400),
-    lambda: invariant_sets.M1Point(10 ** 400, 1, 1),
-    lambda: invariant_sets.M2Point(1, 10 ** 400),
+    lambda: invariant_sets.RankTwoPoint(10 ** 400, 1, 1),
+    lambda: invariant_sets.RankTwoPoint(1, 10 ** 400, 1),
+    lambda: invariant_sets.RankTwoPoint(1, 1, 10 ** 400),
     lambda: solutions.HomoclinicParams(c=10 ** 400),
     lambda: solutions.HomoclinicParams(c=1.0, theta0=math.inf),
     lambda: solutions.PeriodicParams(10 ** 400, 1, 1),
@@ -146,7 +147,8 @@ def test_a_stack_is_checked_a_state_at_a_time(state):
     lambda: integrate.rk4_step([1.0, 0.0, 0.0, 0.0, 0.0], math.nan),
     lambda: solutions.HomoclinicParams(c=1.0, sign=True),
     lambda: solutions.HomoclinicParams(c=1.0, sign=1.0),
-], ids=["t_end", "rk4-t_end", "M1Point", "M2Point", "homoclinic-c", "homoclinic-theta0",
+], ids=["t_end", "rk4-t_end", "RankTwoPoint-x1", "RankTwoPoint-x2", "RankTwoPoint-w",
+        "homoclinic-c", "homoclinic-theta0",
         "periodic-x1", "periodic-y1", "rk4_step-huge-h", "rk4_step-string-h",
         "rk4_step-inf-h", "rk4_step-minus-inf-h", "rk4_step-nan-h", "homoclinic-bool-sign",
         "homoclinic-float-sign"])

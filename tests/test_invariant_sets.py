@@ -9,8 +9,20 @@ from mbloch import core
 from mbloch import invariant_sets as inv
 from mbloch.core import DomainError, conserved, vector_field
 from mbloch.integrate import integrate
-from mbloch.verify import (invariant_I_factorizes, m1_reduced_flow_tangent,
-                           pieces_not_invariant, rank2_on_pieces, rank3_generic)
+from mbloch.verify import (invariant_I_factorizes, pieces_not_invariant, rank2_field_is_rotation,
+                           rank2_on_pieces, rank3_generic, union_is_invariant)
+
+
+def _lattice_points(seed, n):
+    """n chart points with x1, x2, w on the 1/8 lattice of [-2, 2], (x1, x2)
+    != 0, where the chart identities compute exactly."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        x1, x2, w = rng.integers(-16, 17, size=3) / 8
+        if x1 or x2:
+            points.append(inv.RankTwoPoint(x1, x2, w))
+    return points
 
 
 class TestJacobian:
@@ -54,141 +66,149 @@ class TestJacobian:
 
     def test_rank_two_at_a_large_coordinate(self):
         # the three gradients are about 1e100 long there and still dependent
-        assert inv.rank_F(inv.M1Point(1e100, 1.0, 1.0).state).rank == 2
+        assert inv.rank_F(inv.RankTwoPoint(1e100, 1.0, 1.0).state).rank == 2
 
 
 class TestEmbeddings:
     def test_m1_embed_example(self):
-        q = inv.M1Point(1.0, 1.0, 1.0)
+        q = inv.RankTwoPoint(1.0, 1.0, 1.0)
         assert np.array_equal(q.state, [1, 1, 1, -1, -1])
         assert inv.rank_F(q.state).rank == 2
 
     def test_a_point_keeps_its_embedded_state(self):
         # read once, at construction, as a tuple of five floats
-        q1, q2 = inv.M1Point(2, 1.0, -0.5), inv.M2Point(np.float64(2.0), 1)
+        q1, q2 = inv.RankTwoPoint(2, -0.5, -2), inv.RankTwoPoint(np.float64(2.0), 0, -0.5)
         assert q1.state == (2.0, 1.0, -0.5, 4.0, -4.0) and q2.state == (2.0, 0.0, 0.0, 1.0, -0.25)
         assert all(type(v) is float for v in q1.state + q2.state)
-        assert repr(q1) == "M1Point(x1=2.0, y1=1.0, x2=-0.5)" and q1 == inv.M1Point(2.0, 1.0, -0.5)
+        assert repr(q1) == "RankTwoPoint(x1=2.0, x2=-0.5, w=-2.0)"
+        assert q1 == inv.RankTwoPoint(2.0, -0.5, -2.0)
 
     def test_m2_embed_ring_equilibrium(self):
-        p = inv.M2Point(1.0, 0.0).state
+        p = inv.RankTwoPoint(1.0, 0.0, 0.0).state
         assert np.array_equal(p, [1, 0, 0, 0, 0])
         assert np.array_equal(vector_field(p), np.zeros(5))
 
     def test_m2_embed_rank_two(self):
-        p = inv.M2Point(2.0, 1.0).state
+        p = inv.RankTwoPoint(2.0, 0.0, -0.5).state
         assert np.array_equal(p, [2, 0, 0, 1, -0.25])
         assert inv.rank_F(p).rank == 2
 
     def test_constraints_rejected(self):
-        with pytest.raises(ValueError):
-            inv.M1Point(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            inv.M1Point(1.0, 1e100, 1e-100)  # z = -(y1/x2)^2 overflows
-        with pytest.raises(ValueError):
-            inv.M2Point(0.0, 1.0)
         with pytest.raises(DomainError):
-            inv.M2Point(1e-200, 1.0)  # z = -(y2/x1)^2 overflows
+            inv.RankTwoPoint(0.0, -0.0, 1.0)  # the z-axis is not in the chart
+        with pytest.raises(DomainError):
+            inv.RankTwoPoint(1.0, 1e-100, 1e200)  # z = -w^2 overflows
+        with pytest.raises(DomainError):
+            inv.RankTwoPoint(1e-200, 0.0, 1e200)  # the same with x2 = 0
+        with pytest.raises(DomainError):
+            inv.RankTwoPoint(1.0, 1.0, float("nan"))
 
 
 class TestMembership:
     def test_embedded_points_belong(self):
+        # the defect reads a chart point's own w = I/s back to rounding
         rng = np.random.default_rng(18)
         for _ in range(50):
-            q1 = inv.M1Point(rng.uniform(-2, 2), rng.uniform(-2, 2),
-                             rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-            assert inv.m1_defect(q1.state) < 1e-9
-            q2 = inv.M2Point(rng.choice([-1, 1]) * rng.uniform(0.1, 2),
-                             rng.uniform(-2, 2))
-            assert inv.m2_defect(q2.state) < 1e-9
+            w = rng.uniform(-5, 5)
+            q1 = inv.RankTwoPoint(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.1, 2), w)
+            q2 = inv.RankTwoPoint(rng.choice([-1, 1]) * rng.uniform(0.1, 2), 0.0, w)
+            assert inv.rank_two_defect(q1.state) < 1e-15
+            assert inv.rank_two_defect(q2.state) < 1e-15
 
     def test_generic_point_excluded(self):
-        p = [1, 2, 3, 4, 5]
-        assert inv.m1_defect(p) > 1e-9  # y2 x2 + x1 y1 = 14
-        assert inv.m2_defect(p) > 1e-9
+        # s = 10, I = 2, w = 0.2: |z + w^2| = 5.04 over 1 + |p|^2 = 56
+        assert inv.rank_two_defect([1, 2, 3, 4, 5]) == 5.04 / 56
+
+    def test_defect_is_infinite_without_a_chart_parameter(self):
+        # s = 0 (the z-axis, not in R, or s underflows), and w = I/s past the
+        # float range, where w x2 = inf * 0 is NaN
+        for p in ([0, 0, 0, 0, 1.0], [0.0, 1.0, -0.0, 2.0, -3.0], [1e-170, 0, 0, 0, 0],
+                  [3e-162, 0.0, 0.0, 1e150, 0.0]):
+            assert inv.rank_two_defect(p) == float("inf")
+
+    def test_defect_refuses_an_overflowing_scale(self):
+        # |p|^2, and with it s, overflows at a finite state: not a silent 0
+        for p in ([1e200, 0, 0, 0, 0], [1.0, 1e155, 1.0, 1.0, 1.0],
+                  np.array([1.0, 0, 0, 0, 1e160])):
+            with pytest.raises(DomainError, match="overflows"):
+                inv.rank_two_defect(p)
 
 
 class TestReducedDynamics:
+    """On the chart the field is the rotation w K p, K p = (x2, y2, -x1, -y1, 0):
+    the paper's reduced dynamics on M1 and its conserved pair (f1, f2) = (s, w)."""
+
     def test_zero_velocity_on_ring(self):
-        assert inv.m1_reduced_field(inv.M1Point(1.0, 0.0, 1.0)) == (0, 0, 0)
+        assert inv.RankTwoPoint(1.0, 1.0, 0.0).state == (1.0, 0.0, 1.0, -0.0, -0.0)
+        assert not vector_field(inv.RankTwoPoint(1.0, 1.0, 0.0).state).any()
 
     def test_example_value(self):
-        assert inv.m1_reduced_field(inv.M1Point(1.0, 1.0, 1.0)) == (1, -1, -1)
+        assert tuple(vector_field(inv.RankTwoPoint(1.0, 1.0, 1.0).state)) == (1, -1, -1, -1, 0)
 
     def test_tangency_through_embedding(self):
-        # chain rule: 5D field at the embedded point equals the embedding
-        # Jacobian applied to the reduced 3D field
-        rng = np.random.default_rng(19)
-        points = []
-        for _ in range(30):
-            x1, y1 = rng.uniform(-2, 2, size=2)
-            x2 = rng.choice([-1, 1]) * rng.uniform(0.2, 2)
-            points.append(inv.M1Point(x1, y1, x2))
-        assert m1_reduced_flow_tangent(points)
+        # exactly w K p at chart points of the 1/8 lattice
+        assert rank2_field_is_rotation(_lattice_points(19, 30))
 
     def test_conserved_pair(self):
-        assert inv.m1_conserved(inv.M1Point(1.0, 1.0, 1.0)) == (2.0, 1.0)
+        q = inv.RankTwoPoint(1.0, 1.0, 1.0)
+        assert conserved(q.state).I == q.w * (q.x1 ** 2 + q.x2 ** 2) == 2.0
 
     def test_f1_directional_derivative(self):
-        q = inv.M1Point(1.0, 1.0, 1.0)
-        dx1, _, dx2 = inv.m1_reduced_field(q)
+        q = inv.RankTwoPoint(1.0, 1.0, 1.0)
+        dx1, _, dx2, _, _ = vector_field(q.state)
         assert 2 * q.x1 * dx1 + 2 * q.x2 * dx2 == 0.0
 
     def test_f2_directional_derivative(self):
-        q = inv.M1Point(2.0, 1.0, 1.0)
-        dx1, dy1, dx2 = inv.m1_reduced_field(q)
-        # quotient rule for y1/x2 along the flow
-        val = dy1 / q.x2 - q.y1 * dx2 / q.x2 ** 2
-        assert abs(val) < 1e-15
+        # quotient rule for w = y1/x2 along the flow
+        q = inv.RankTwoPoint(2.0, 1.0, 1.0)
+        _, y1, x2, _, _ = q.state
+        _, dy1, dx2, _, _ = vector_field(q.state)
+        assert dy1 / x2 - y1 * dx2 / x2 ** 2 == 0.0
 
     def test_tiny_x2_reduced_field_is_finite(self):
-        # x2^2 underflows to 0 here; w = y1/x2 = 1e100 does not
-        field = inv.m1_reduced_field(inv.M1Point(1.0, 1e-100, 1e-200))
-        assert field == pytest.approx((1e-100, -1e200, -1e100), rel=1e-15)
+        # x2^2 underflows to 0 here; w = 1e100 and w^2 do not
+        field = vector_field(inv.RankTwoPoint(1.0, 1e-200, 1e100).state)
+        assert tuple(field) == pytest.approx((1e-100, -1e200, -1e100, -1.0, 0.0), rel=1e-15)
 
     def test_overflowing_reduced_field_is_a_domain_error(self):
-        # the embedded point (1e200, 1e100, 1, -1e300, -1e200) is finite
+        # y2 = -w x1 = -1e400: the chart refuses the state
         with pytest.raises(DomainError):
-            inv.m1_reduced_field(inv.M1Point(1e200, 1e100, 1.0))
+            inv.RankTwoPoint(1e200, 1.0, 1e200)
 
     def test_overflowing_f1_is_a_domain_error(self):
+        # s = x1^2 + x2^2 overflows at this finite chart state
         with pytest.raises(DomainError):
-            inv.m1_conserved(inv.M1Point(1e200, 1e-300, 1.0))
+            inv.rank_two_defect(inv.RankTwoPoint(1e200, 1.0, 1e-300).state)
 
     def test_numpy_float_fields_overflow_as_python_floats(self):
-        # verify builds points from NumPy floats; NumPy's scalar overflow
-        # warning is an error under this suite, and would pre-empt the DomainError
+        # NumPy's scalar overflow warning is an error under this suite, and
+        # would pre-empt the DomainError
         big = np.float64(1e200)
-        for fn, args in ((inv.m1_reduced_field, (big, 1e100, 1.0)),
-                         (inv.m1_conserved, (big, 1.0, 1.0))):
-            q = inv.M1Point(*args)
-            with pytest.raises(DomainError, match="inf"):
-                fn(q)
-            assert all(type(v) is float for v in (q.x1, q.y1, q.x2))
-        q = inv.M2Point(np.float64(2.0), np.float64(1.0))
-        assert type(q.x1) is float and type(q.y2) is float
+        with pytest.raises(DomainError, match="inf"):
+            inv.RankTwoPoint(big, 1.0, big)
+        with pytest.raises(DomainError):
+            inv.rank_two_defect(np.array([big, 0.0, 0.0, 0.0, 0.0]))
+        q = inv.RankTwoPoint(np.float64(2.0), np.float64(1.0), np.float64(0.5))
+        assert all(type(v) is float for v in (q.x1, q.x2, q.w))
 
-    @pytest.mark.parametrize("point,args,chart,state", [
-        (inv.M1Point, (1, 2.0, np.float64(3.0)), "x2", [1, 2, 3, -2 / 3, -4 / 9]),
-        (inv.M2Point, (2, -1), "x1", [2, 0, 0, -1, -0.25])], ids=["M1Point", "M2Point"])
-    def test_points_are_frozen(self, point, args, chart, state):
-        # no field changes under the kept state, so the chart coordinate stays
-        # nonzero and the reduced field and pair need no check of it
-        q = point(*args)
+    # a chart point of each graph piece: M1 (x2 != 0) and M2 (x2 = 0)
+    @pytest.mark.parametrize("args,state", [
+        ((1, np.float64(3.0), 2), [1, 6, 3, -2, -4]),
+        ((2, 0, 0.5), [2, 0, 0, -1, -0.25])], ids=["M1Point", "M2Point"])
+    def test_points_are_frozen(self, args, state):
+        # no field changes under the kept state, so it stays on the chart
+        q = inv.RankTwoPoint(*args)
         for name in (*(f.name for f in dataclasses.fields(q)), "state"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(q, name, 5.0)
         with pytest.raises(DomainError):
-            dataclasses.replace(q, **{chart: 0.0})
+            dataclasses.replace(q, x1=0.0, x2=0.0)
         assert type(q.state) is tuple and q.state == tuple(map(float, state))
         assert all(type(v) is float for v in q.state)
 
     def test_invariant_i_factorizes(self):
-        rng = np.random.default_rng(20)
-        points = [inv.M1Point(rng.uniform(-2, 2), rng.uniform(-2, 2),
-                              rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-                  for _ in range(50)]
-        assert invariant_I_factorizes(points)
+        # I = w s, 2H = w^2 s + w^4 and 2C = s - 2 w^2, exactly on the lattice
+        assert invariant_I_factorizes(_lattice_points(20, 50))
 
 
 class TestRankDichotomy:
@@ -197,34 +217,41 @@ class TestRankDichotomy:
 
     def test_embedded_sample_rank_two(self):
         rng = np.random.default_rng(22)
-        m1_points = [inv.M1Point(rng.uniform(-2, 2), rng.uniform(-2, 2),
-                                 rng.choice([-1, 1]) * rng.uniform(0.05, 2))
-                     for _ in range(100)]
-        assert rank2_on_pieces(m1_points, [])
+        # about a third of them on M2, x2 = 0
+        x2 = rng.choice([-1, 1, 0], size=100) * rng.uniform(0.05, 2, size=100)
+        points = [inv.RankTwoPoint(rng.uniform(-2, 2), v, rng.uniform(-3, 3)) for v in x2]
+        assert rank2_on_pieces(points)
 
 
 class TestInvarianceProbe:
     def test_equilibrium_member_constant(self):
-        rep = inv.invariance_probe(inv.M1Point(1.0, 0.0, 1.0), 5.0)
+        rep = inv.invariance_probe(inv.RankTwoPoint(1.0, 1.0, 0.0), 5.0)
         assert rep.max_distance_to_union == 0.0
-        assert rep.puncture_count == 0
+        assert rep.puncture_count == 0 and rep.predicted_punctures is None
 
     def test_single_piece_not_invariant(self):
         # x2 crosses zero once by t = 2: the orbit leaves M1
-        q0 = inv.M1Point(0.0, 1.0, 1.0)
+        q0 = inv.RankTwoPoint(0.0, 1.0, 1.0)
         assert pieces_not_invariant(inv.invariance_probe(q0, 2.0))
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
-            inv.invariance_probe(inv.M1Point(1.0, 1.0, 1.0), 0.0)
+            inv.invariance_probe(inv.RankTwoPoint(1.0, 1.0, 1.0), 0.0)
+
+    def test_start_on_m2_predicts_no_punctures(self):
+        # x2 = 0 at the start: the family's puncture times are read off x2_0
+        # != 0, so there is no prediction, and the rotation still crosses x2 = 0
+        rep = inv.invariance_probe(inv.RankTwoPoint(1.0, 0.0, 1.0), 5.0)
+        assert rep.predicted_punctures is None and rep.puncture_count == 1
+        assert union_is_invariant(rep)
 
 
 def _rows(large=True):
-    """Seeded random states, embedded M1 and M2 points and, with ``large``,
-    the state (1e200, 1, 1, 1, 1)."""
+    """Seeded random states, chart points with x2 != 0 and with x2 = 0 and,
+    with ``large``, the state (1e200, 1, 1, 1, 1)."""
     rng = np.random.default_rng(23)
-    m1 = [inv.M1Point(*rng.uniform(0.1, 2, size=3)).state for _ in range(20)]
-    m2 = [inv.M2Point(*rng.uniform(0.1, 2, size=2)).state for _ in range(20)]
+    m1 = [inv.RankTwoPoint(*rng.uniform(0.1, 2, size=3)).state for _ in range(20)]
+    m2 = [inv.RankTwoPoint(x1, 0.0, w).state for x1, w in rng.uniform(0.1, 2, size=(20, 2))]
     tail = [[1e200, 1.0, 1.0, 1.0, 1.0]] if large else []
     return np.vstack([rng.uniform(-3, 3, size=(60, 5)), m1, m2, *tail])
 
@@ -232,11 +259,9 @@ def _rows(large=True):
 class TestArrayInputs:
     """Each formula takes (5,) or (..., 5) and gives the bits of per-row calls."""
 
-    @pytest.mark.parametrize("fn", [core.grad_H, core.grad_I, core.grad_C, inv.jacobian_F,
-                                    inv.m1_defect, inv.m2_defect])
+    @pytest.mark.parametrize("fn", [core.grad_H, core.grad_I, core.grad_C, inv.jacobian_F])
     def test_matches_per_row_calls(self, fn):
-        # |p|^3 overflows at the large state, which the defects refuse
-        rows = _rows(large=fn not in (inv.m1_defect, inv.m2_defect))
+        rows = _rows()
         per_row = np.array([fn(r) for r in rows])
         assert np.array_equal(fn(rows), per_row)
         pick = [0, 1, 60, 80, -2, -1]
@@ -272,20 +297,6 @@ class TestArrayInputs:
         assert all(type(rep.rank) is int and type(rep.tol_used) is float for rep in plain)
         assert [bits(rep.singular_values, rep.rank, rep.tol_used) for rep in plain] == arrays
 
-    def test_norms_round_as_one_state_norm(self):
-        rows = _rows(large=False)
-        want = [(1.0 + n * n, 1.0 + n ** 3) for n in (float(np.linalg.norm(r)) for r in rows)]
-        assert np.array_equal(np.column_stack(inv._norms(rows)), want)
-
-    def test_norms_refuse_an_overflowing_row(self):
-        bad = np.array(inv.M1Point(1e150, 1.0, 1.0).state)  # |p| = 1.4e150
-        with pytest.raises(DomainError) as one:
-            inv._norms(bad)
-        with pytest.raises(DomainError) as many:
-            inv._norms(np.vstack([_rows(), bad])[[0, -1, -2]])  # bad, then (1e200, ...)
-        assert str(many.value) == str(one.value)
-        assert "1.414213562373095e+150" in str(one.value)
-
 
 # (x1, y1, x2, t_end) of the verify probe and of the scripted CLI session's
 # probes (its seeds 0-9 and 7919)
@@ -316,9 +327,11 @@ def test_probe_distance_is_the_per_sample_maximum(monkeypatch, x1, y1, x2, t_end
 
     # invariance_probe imports the integrator when it is called
     monkeypatch.setattr("mbloch.integrate.integrate", recording)
-    rep = inv.invariance_probe(inv.M1Point(x1, y1, x2), t_end)
-    want = max(min(inv.m1_defect(s), inv.m2_defect(s)) for s in runs[0].states)
+    # the chart point that ``invariant-probe --m1 x1,y1,x2`` starts from
+    rep = inv.invariance_probe(inv.RankTwoPoint(x1, x2, y1 / x2), t_end)
+    want = max(inv.rank_two_defect(s) for s in runs[0].states)
     assert repr(rep.max_distance_to_union) == repr(float(want))
+    assert union_is_invariant(rep) and pieces_not_invariant(rep)
 
 
 def _rank3_one_at_a_time(rng, n):
@@ -326,7 +339,7 @@ def _rank3_one_at_a_time(rng, n):
     ranks = []
     for _ in range(20 * n):
         p = np.array([rng.uniform(-2, 2) for _ in range(5)])
-        if inv.m1_defect(p) < 1e-3 or inv.m2_defect(p) < 1e-3:
+        if inv.rank_two_defect(p) < 1e-3:
             continue
         rep = inv.rank_F(p)
         if rep.singular_values[-1] < 1e-3:
@@ -351,14 +364,14 @@ def _no_grad_I(monkeypatch):
 
 def _keep_x1_above_1_9(monkeypatch):
     # about 2.5% of the draws are kept: 20 n draws end with fewer than n
-    monkeypatch.setattr(inv, "m1_defect",
-                        lambda p: np.where(np.asarray(p)[..., 0] > 1.9, 1.0, 0.0))
+    monkeypatch.setattr(inv, "rank_two_defect", lambda p: 1.0 if p[0] > 1.9 else 0.0)
 
 
-# seeds 65 and 30 skip the draws 15 and 161 of their first batch, 17 and 27 none
+# seeds 293 and 979 skip the draws 15 and 171 of their first batch, near the
+# rank-2 set; 17, 27, 65 and 30 none
 @pytest.mark.parametrize("seed,n,skips,want", [
     (0, 1, None, True), (17, 100, None, True), (27, 200, None, True),
-    (65, 100, None, True), (30, 200, None, True),
+    (65, 100, None, True), (30, 200, None, True), (293, 100, None, True), (979, 200, None, True),
     (0, 50, _no_grad_I, False), (0, 50, _keep_x1_above_1_9, False)])
 def test_rank3_generic_draws_as_one_at_a_time(monkeypatch, seed, n, skips, want):
     if skips:

@@ -6,11 +6,12 @@ import dataclasses
 import inspect
 import math
 import random
+import textwrap
 
 import numpy as np
 import pytest
 
-from mbloch import core, equilibria, integrate, invariant_sets, solutions, verify
+from mbloch import core, domain, equilibria, integrate, invariant_sets, solutions, verify
 
 FIELD = core.field_components
 
@@ -177,10 +178,21 @@ def flip_c_in_matrix_H(monkeypatch):
     monkeypatch.setattr(equilibria, "leaf_linearization", broken)
 
 
-def scale_m1_reduced_field(monkeypatch):
-    field = invariant_sets.m1_reduced_field
-    monkeypatch.setattr(invariant_sets, "m1_reduced_field",
-                        lambda q: tuple(1.01 * v for v in field(q)))
+def _recompiled(function, right, wrong):
+    """``function`` compiled from its source with the one text ``right``
+    replaced by ``wrong``, in the namespace of its module."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(right) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(right, wrong), namespace)
+    return namespace[function.__name__]
+
+
+def chart_z_minus_w(monkeypatch):
+    # the chart point's state takes z = -w in place of -w^2
+    point = invariant_sets.RankTwoPoint
+    monkeypatch.setattr(point, "__post_init__", _recompiled(
+        point.__post_init__, "-w * x1, -w * w]", "-w * x1, -w]"))
 
 
 def shift_ring_embedding(monkeypatch):
@@ -195,8 +207,8 @@ def scale_homoclinic_energy(monkeypatch):
 
 
 def predict_one_more_puncture(monkeypatch):
-    punctures_in = solutions.PeriodicParams.punctures_in
-    monkeypatch.setattr(solutions.PeriodicParams, "punctures_in",
+    punctures_in = invariant_sets.PeriodicParams.punctures_in
+    monkeypatch.setattr(invariant_sets.PeriodicParams, "punctures_in",
                         lambda par, t_end: punctures_in(par, t_end) + 1)
 
 
@@ -208,8 +220,8 @@ def halve_pulse_rate(monkeypatch):
 
 def shift_punctures_quarter_spacing(monkeypatch):
     # each puncture time a quarter of the spacing late, where |x2| = r / sqrt(2)
-    puncture_time = solutions.PeriodicParams.puncture_time
-    monkeypatch.setattr(solutions.PeriodicParams, "puncture_time",
+    puncture_time = invariant_sets.PeriodicParams.puncture_time
+    monkeypatch.setattr(invariant_sets.PeriodicParams, "puncture_time",
                         lambda par, k: puncture_time(par, k) + 0.25 * par.puncture_spacing)
 
 
@@ -243,15 +255,15 @@ def turn_homoclinic(monkeypatch):
         dataclasses.replace(par, theta0=par.theta0 + 1e-3), t))
 
 
-def scale_m1_f2(monkeypatch):
-    # f2 = 1.01 y1 / x2
-    pair = invariant_sets.m1_conserved
+def reverse_field(monkeypatch):
+    # the field -f, which on the chart is the rotation at rate -w
+    monkeypatch.setattr(domain, "field_components", lambda *p: tuple(-v for v in FIELD(*p)))
 
-    def broken(q):
-        f1, f2 = pair(q)
-        return f1, 1.01 * f2
 
-    monkeypatch.setattr(invariant_sets, "m1_conserved", broken)
+def defect_reads_half_w(monkeypatch):
+    # the defect reads the chart parameter as w = I/(2s)
+    monkeypatch.setattr(invariant_sets, "rank_two_defect", _recompiled(
+        invariant_sets.rank_two_defect, "/ s\n", "/ (2 * s)\n"))
 
 
 def add_h5_to_dp_fifth_order(monkeypatch):
@@ -282,11 +294,8 @@ def grow_rk45_step_on_error(monkeypatch):
     # err ** -0.2: the driver compiled from its source with that one sign
     # flipped, so a large error grows the next step and a small one shrinks it
     right = "factor = grow if err == 0.0 else safety * err ** -0.2"
-    source = inspect.getsource(integrate._integrate_rk45)
-    assert source.count(right) == 1
-    namespace = dict(vars(integrate))
-    exec(source.replace(right, right.replace("** -0.2", "** 0.2")), namespace)
-    monkeypatch.setattr(integrate, "_integrate_rk45", namespace["_integrate_rk45"])
+    monkeypatch.setattr(integrate, "_integrate_rk45", _recompiled(
+        integrate._integrate_rk45, right, right.replace("** -0.2", "** 0.2")))
 
 
 @pytest.mark.parametrize("suite,break_formula,names", [
@@ -300,7 +309,8 @@ def grow_rk45_step_on_error(monkeypatch):
     ("equilibria", scale_classified_alpha, {"classified_spectrum_matches_pencil"}),
     ("equilibria", halve_sublevel_bound, {"origin_sublevel_bound"}),
     ("equilibria", flip_c_in_matrix_H, {"leaf_linearization_is_jacobian"}),
-    ("invariant_sets", scale_m1_reduced_field, {"m1_reduced_flow_tangent"}),
+    ("invariant_sets", chart_z_minus_w, {"rank2_multiplier_identity", "rank2_field_is_rotation",
+                                         "invariant_I_factorizes", "rank2_on_pieces"}),
     ("equilibria", shift_ring_embedding, {"equilibrium_families_fixed"}),
     ("integrate", add_h5_to_dp_fifth_order, {"dp_local_order"}),
     ("integrate", damp_dz, {"time_reversal"}),
@@ -316,12 +326,13 @@ def grow_rk45_step_on_error(monkeypatch):
     ("solutions", scale_dy1, {"radial_cubic_identity", "homoclinic_solves_system"}),
     ("solutions", three_c_squared_in_radial_cubic, {"radial_cubic_identity"}),
     ("solutions", turn_homoclinic, {"homoclinic_theta_frozen"}),
-    ("invariant_sets", scale_m1_f2, {"invariant_I_factorizes"}),
+    ("invariant_sets", reverse_field, {"rank2_field_is_rotation"}),
     ("integrate", damp_dz_in_rk4_builtin, {"rk4_conserved_drift"}),
     ("integrate", damp_dz_in_dp_builtin, {"time_reversal"}),
     ("integrate", flip_x2_in_dp_builtin_stage_2, {"dp_local_order"}),
     ("integrate", grow_rk45_step_on_error, {"rk45_step_count"}),
     ("invariant_sets", one_jacobi_sweep, {"singular_values_match_svd"}),
+    ("invariant_sets", defect_reads_half_w, {"union_is_invariant"}),
 ])
 def test_broken_formula_fails_named_checks(monkeypatch, suite, break_formula, names):
     def run():
