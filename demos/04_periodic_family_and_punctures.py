@@ -1,11 +1,11 @@
 """The explicit periodic orbits with constant z and their puncture times.
 
-Each orbit is a rigid rotation in the (x1, x2) plane with angular rate
-omega = y1(0)/x2(0); the momenta follow linearly and z sits at -omega^2.
-The orbit is the flow through a point R(x1, x2, w) of the rank-two chart
-with w = omega != 0, and stays on R. It leaves the paper's graph piece
-x2 != 0 at isolated times when x2 vanishes, and those puncture instants
-follow an arithmetic progression that the family predicts exactly.
+Each orbit is the flow through a point R(x1, x2, w) of the rank-two chart
+with w != 0, and stays on R: a rigid rotation in the (x1, x2) plane with
+angular rate w = y1(0)/x2(0); the momenta follow linearly and z sits at
+-w^2. It leaves the paper's graph piece x2 != 0 at isolated times when x2
+vanishes, and those puncture instants follow an arithmetic progression that
+the chart point predicts exactly.
 """
 
 import numpy as np
@@ -13,11 +13,10 @@ import numpy as np
 from mbloch import solutions
 from mbloch.core import vector_field
 from mbloch.integrate import IntegratorConfig, integrate
-from mbloch.invariant_sets import PeriodicParams, RankTwoPoint
+from mbloch.invariant_sets import RankTwoPoint
 
-q = RankTwoPoint(x1=1.0, x2=0.5, w=2.0)
-par = PeriodicParams(*q.state[:3])  # x1_0 = 1, y1_0 = w x2 = 1, x2_0 = 0.5
-print(f"omega = {par.omega}, period = {par.period:.6f}")
+par = RankTwoPoint(x1=1.0, x2=0.5, w=2.0)  # y1 = w x2 = 1
+print(f"w = {par.w}, period = {par.period:.6f}")
 
 ts = np.linspace(0.0, par.period, 1000)
 orbit = solutions.periodic_solution(par, ts)

@@ -167,13 +167,14 @@ class _ReportLost(Exception):
     ``main`` tells it from a CSV that cannot be written."""
 
 
-def _emit(obj):
-    """Write the JSON report ``obj`` to stdout and flush it; _ReportLost
-    where stdout is closed (``sys.stdout`` is None) or the write fails."""
+def _emit(report):
+    """Write ``report``, a JSON object or the help text, to stdout and flush
+    it; _ReportLost where stdout is closed (``sys.stdout`` is None) or the
+    write fails."""
     if sys.stdout is None:
         raise _ReportLost("stdout is closed")
     try:
-        sys.stdout.write(json.dumps(obj) + "\n")
+        sys.stdout.write(report if isinstance(report, str) else json.dumps(report) + "\n")
         sys.stdout.flush()
     except OSError as exc:
         # point fd 1 at devnull, so that the interpreter's flush at exit, which
@@ -306,15 +307,27 @@ def cmd_homoclinic(args):
     return _closed_form_run(args, times, solutions.homoclinic_orbit(par))
 
 
+def _chart_point(x1, y1, x2):
+    """The chart point R(x1, x2, y1 / x2) of the M1 point (x1, y1, x2); a
+    DomainError where x2 = 0 or w = y1 / x2 underflows to 0."""
+    from .invariant_sets import RankTwoPoint
+    if x2 == 0:
+        raise DomainError("the chart parameter w = y1 / x2 needs x2 != 0")
+    w = y1 / x2
+    if w == 0 and y1 != 0:
+        raise DomainError(f"w = y1 / x2 underflows to 0 at y1 = {y1!r}, x2 = {x2!r}")
+    return RankTwoPoint(x1, x2, w)
+
+
 def cmd_periodic(args):
     from . import solutions
-    par = solutions.PeriodicParams(x1_0=args.x1, y1_0=args.y1, x2_0=args.x2)
-    t_max = par.period if args.t_max is None else args.t_max
+    point = _chart_point(args.x1, args.y1, args.x2)
+    period = point.period  # refuses y1 = 0 (w = 0) and an orbit whose scales overflow
+    t_max = period if args.t_max is None else args.t_max
     times = _sample_times(0.0, t_max, args.dt)
-    if not math.isfinite(par.omega * t_max):
-        raise DomainError(f"the phase omega t overflows on [0, {t_max!r}] at "
-                          f"omega = {par.omega!r}")
-    return _closed_form_run(args, times, solutions.periodic_orbit(par))
+    if not math.isfinite(point.w * t_max):
+        raise DomainError(f"the phase w t overflows on [0, {t_max!r}] at w = {point.w!r}")
+    return _closed_form_run(args, times, solutions.periodic_orbit(point))
 
 
 def cmd_rank(args):
@@ -329,15 +342,8 @@ def cmd_rank(args):
 def cmd_invariant_probe(args):
     from . import invariant_sets
     from .integrate import IntegrationStalledError, StateOverflowError
-    x1, y1, x2 = args.m1
-    if x2 == 0:
-        raise DomainError("--m1 needs x2 != 0")
-    w = y1 / x2  # the chart parameter of the M1 point
-    if w == 0 and y1 != 0:
-        raise DomainError(f"w = y1 / x2 underflows to 0 at y1 = {y1!r}, x2 = {x2!r}")
-    point = invariant_sets.RankTwoPoint(x1, x2, w)
     try:
-        rep = invariant_sets.invariance_probe(point, args.t_end)
+        rep = invariant_sets.invariance_probe(_chart_point(*args.m1), args.t_end)
     except (IntegrationStalledError, StateOverflowError) as exc:
         return _stopped(exc)
     # the report's fields in order, without a prediction where there is none
@@ -352,8 +358,16 @@ def cmd_verify(args):
     return 0 if report["all_passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes its help as a report is written: argparse ignores a failed write
+    and prints to stderr where stdout is closed, so ``--help`` exited 0."""
+
+    def print_help(self, file=None):  # argparse passes no file
+        _emit(self.format_help())
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mbloch",
         description="5-component Maxwell-Bloch system: simulation, "
                     "stability classification, explicit orbits")

@@ -13,8 +13,10 @@ whose part x2 != 0 is the paper's graph M1 (w = y1/x2) and x2 = 0 its M2.
 On R, with s = x1^2 + x2^2, I = w s, 2H = w^2 s + w^4 and 2C = s - 2 w^2, so
 a state reads its chart parameter as w = I/s, and the field is
 w (x2, y2, -x1, -y1, 0), the rotation that I generates: R is invariant, with
-s and w constant, and is the periodic family where w != 0.  M1 alone is not,
-as the rotation reaches x2 = 0: a puncture is a change of graph.
+s and w constant.  Where w != 0 it is the paper's family of periodic
+solutions, and a ``RankTwoPoint`` is that family's one parametrisation: it
+answers for its period 2 pi/|w| and, off M2, for its punctures.  M1 alone is
+not invariant, as the rotation reaches x2 = 0: a puncture is a change of graph.
 
 The module loads neither NumPy nor ``core``; ``jacobian_F`` and ``rank_F`` import
 them where they take arrays, so ``rank`` and ``invariant-probe`` run on plain floats.
@@ -118,7 +120,9 @@ def rank_F(p) -> RankReport:
 class RankTwoPoint:
     """The chart point R(x1, x2, w) = (x1, w x2, x2, -w x1, -w^2), with
     (x1, x2) != 0; frozen, it keeps its state, a tuple of five floats
-    checked once by ``finite_state``.  DomainError otherwise."""
+    checked once by ``finite_state``.  DomainError otherwise.  Where w != 0
+    it is a member of the periodic family: it has a ``period`` and, where
+    x2 != 0 too, puncture times."""
 
     x1: float
     x2: float
@@ -131,6 +135,52 @@ class RankTwoPoint:
         state = tuple(finite_state([x1, w * x2, x2, -w * x1, -w * w]))
         for name, value in (("x1", x1), ("x2", x2), ("w", w), ("state", state)):
             object.__setattr__(self, name, value)
+
+    @property
+    def period(self) -> float:
+        """2 pi / |w|, the period of the orbit through the point.  DomainError
+        at w = 0, an equilibrium, and where the period, the orbit's residual
+        scale (1 + w^2)(1 + x1^2 + x2^2) or its energy
+        2 H = w^2 (x1^2 + x2^2 + w^2) overflows."""
+        x1, x2, w = self.x1, self.x2, self.w
+        period = math.tau / abs(w) if w != 0 else math.inf
+        if not math.isfinite(period):
+            raise DomainError(f"the period 2 pi / |w| is infinite at w = {w!r}")
+        if not math.isfinite((1 + w * w) * (1 + x1 * x1 + x2 * x2)):
+            raise DomainError("the orbit's residual scale (1 + w^2)(1 + x1^2 + x2^2) overflows")
+        # z = -w^2, so H grows as w^4, past the residual scale
+        if not math.isfinite(w * w * (x1 * x1 + x2 * x2 + w * w)):
+            raise DomainError("the orbit's energy 2 H = w^2 (x1^2 + x2^2 + w^2) overflows")
+        return period
+
+    @property
+    def puncture_spacing(self) -> float:
+        """pi |x2 / y1|, read off the state (y1 = w x2) as the puncture times
+        are; DomainError where x2 = 0 or y1 = 0, and where ``period`` is."""
+        x2, y1 = self.x2, self.state[1]
+        if x2 == 0 or y1 == 0:
+            raise DomainError(f"the punctures need x2 != 0 and y1 = w x2 != 0, "
+                              f"got x2 = {x2!r}, y1 = {y1!r}")
+        self.period  # the checks of the orbit
+        return math.pi * abs(x2 / y1)
+
+    def puncture_time(self, k) -> float:
+        """The k-th time t_0 < t_1 < ... after t = 0 where the orbit crosses
+        x2 = y1 = 0, k an integer >= 0 (not a bool or a float); DomainError
+        otherwise and where the time overflows.  As x2 = r sin(vartheta - w t),
+        vartheta in [0, 2 pi) the phase of (x1, x2), these are the times
+        (x2 / y1) vartheta mod the spacing pi |x2 / y1|."""
+        spacing, ratio = self.puncture_spacing, self.x2 / self.state[1]
+        vartheta = math.atan2(self.x2, self.x1) % math.tau
+        n = real_float(integer_at_least(k, 0, "k"))
+        return finite_float((ratio * vartheta) % spacing + n * spacing, "the puncture time")
+
+    def punctures_in(self, t_end) -> int:
+        """Number of punctures with 0 < t_k <= t_end, t_end a finite real
+        number; DomainError otherwise."""
+        t_end = finite_float(t_end, "t_end")
+        first = self.puncture_time(0)
+        return 0 if t_end < first else int((t_end - first) // self.puncture_spacing) + 1
 
 
 def rank_two_defect(p) -> float:
@@ -149,68 +199,6 @@ def rank_two_defect(p) -> float:
     return max(abs(z + w * w), abs(y1 - w * x2), abs(y2 + w * x1)) / scale
 
 
-@dataclass(frozen=True)
-class PeriodicParams:
-    """Initial data (x1_0, y1_0, x2_0) on the rank-2 set, x2_0, y1_0 != 0,
-    checked once: frozen, so no field changes under its omega or punctures."""
-
-    x1_0: float
-    y1_0: float
-    x2_0: float
-
-    def __post_init__(self):
-        x1, y1, x2 = map(real_float, (self.x1_0, self.y1_0, self.x2_0))
-        for name, value in (("x1_0", x1), ("y1_0", y1), ("x2_0", x2)):
-            object.__setattr__(self, name, value)
-        if x2 == 0 or y1 == 0:
-            raise DomainError("periodic family requires x2_0 != 0 and y1_0 != 0")
-        w = self.omega
-        if w == 0:
-            raise DomainError(f"omega = y1_0 / x2_0 underflows to 0 at "
-                              f"y1_0 = {y1!r}, x2_0 = {x2!r}")
-        if not math.isfinite(self.period):
-            raise DomainError(f"the period 2 pi / |omega| overflows at omega = {w!r}")
-        if not math.isfinite((1 + w * w) * (1 + x1 * x1 + x2 * x2)):
-            raise DomainError("the orbit's residual scale (1 + omega^2)"
-                              "(1 + x1_0^2 + x2_0^2) overflows")
-        # z = -omega^2, so H grows as omega^4, past the residual scale
-        if not math.isfinite(w * w * (x1 * x1 + x2 * x2 + w * w)):
-            raise DomainError("the orbit's energy 2 H = omega^2 (x1_0^2 + x2_0^2"
-                              " + omega^2) overflows")
-
-    @property
-    def omega(self) -> float:
-        return self.y1_0 / self.x2_0
-
-    @property
-    def period(self) -> float:
-        return math.tau / abs(self.omega)
-
-    @property
-    def puncture_spacing(self) -> float:
-        return math.pi * abs(self.x2_0 / self.y1_0)
-
-    def puncture_time(self, k) -> float:
-        """The k-th time t_0 < t_1 < ... after t = 0 where the orbit crosses
-        x2 = y1 = 0, k an integer >= 0 (not a bool or a float); DomainError
-        otherwise and where the time overflows.  As x2 = r sin(vartheta -
-        omega t), vartheta in [0, 2 pi) the phase of (x1_0, x2_0), these are
-        the times (x2_0 / y1_0) vartheta mod the spacing pi |x2_0 / y1_0|."""
-        ratio, spacing = self.x2_0 / self.y1_0, self.puncture_spacing
-        vartheta = math.atan2(self.x2_0, self.x1_0) % math.tau
-        n = real_float(integer_at_least(k, 0, "k"))
-        return finite_float((ratio * vartheta) % spacing + n * spacing, "the puncture time")
-
-    def punctures_in(self, t_end) -> int:
-        """Number of punctures with 0 < t_k <= t_end, t_end a finite real
-        number; DomainError otherwise."""
-        t_end = finite_float(t_end, "t_end")
-        first = self.puncture_time(0)
-        if t_end < first:
-            return 0
-        return int((t_end - first) // self.puncture_spacing) + 1
-
-
 @dataclass
 class ProbeReport:
     max_distance_to_union: float
@@ -221,14 +209,13 @@ class ProbeReport:
 def invariance_probe(q0: RankTwoPoint, t_end: float) -> ProbeReport:
     """Integrate the full system from the chart point q0 and measure how far
     the samples stray from R (``rank_two_defect``), counting the sign changes
-    of x2 (the punctures of M1) and predicting them from the periodic family
-    through q0 where w != 0 and x2 != 0, which is checked before the first step."""
+    of x2 (the punctures of M1) and predicting them by q0's own
+    ``punctures_in`` where w != 0 and x2 != 0, before the first step."""
     # imported here, not with this module, so that ``rank`` does not load it
     from .integrate import IntegratorConfig, integrate
-    family = PeriodicParams(*q0.state[:3]) if q0.w != 0 and q0.x2 != 0 else None
+    predicted = q0.punctures_in(t_end) if q0.w != 0 and q0.x2 != 0 else None
     traj = integrate(q0.state, IntegratorConfig(
         method="rk45", t_end=t_end, abs_tol=1e-10, rel_tol=1e-10, dt_max=0.05))
     _, *comps, _, _, _ = traj.columns()  # t, the five components, H, I, C
     punctures = sum(a < 0 < b or b < 0 < a for a, b in zip(comps[2], comps[2][1:]))  # of x2
-    predicted = None if family is None else family.punctures_in(t_end)
     return ProbeReport(max(map(rank_two_defect, zip(*comps))), punctures, predicted)

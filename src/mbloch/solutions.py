@@ -7,8 +7,8 @@ orbit's level.  On a leaf with c > 0 the unstable axis equilibrium
 sech/tanh profile: at their level P = s^2 (4c - s), so s is the pulse
 4c sech^2(sqrt(c) t), and I = 0 freezes the angle atan2(x2, x1).
 Independently, the rank-2 invariant set supports a family of exactly
-periodic solutions with constant z and angular frequency y1_0/x2_0, whose
-parameters and punctures are ``invariant_sets.PeriodicParams``.
+periodic solutions with constant z: the rotations at frequency w through its
+chart points ``invariant_sets.RankTwoPoint(x1, x2, w)`` with w != 0.
 
 A time t is a real number or a regular nest of them, read as a state's
 component is (``core._reals``).
@@ -24,7 +24,7 @@ import numpy as np
 # shape: a time is read as a state's component is
 from .core import _reals as _times, conserved, vector_field
 from .domain import DomainError, finite_float, integer_at_least, leaf_energy, real_float
-from .invariant_sets import PeriodicParams  # the family R with w != 0
+from .invariant_sets import RankTwoPoint  # the periodic family is R with w != 0
 
 
 def radial_cubic(s, H, I, C):
@@ -112,40 +112,37 @@ def homoclinic_orbit(par: HomoclinicParams):
             1e-12 * (1 + par.c ** 1.5), 1e-12 * (1 + par.c * par.c))
 
 
-def periodic_solution(params: PeriodicParams, t):
-    """Explicit periodic orbit of the full system; shape (..., 5).
+def periodic_solution(q: RankTwoPoint, t):
+    """Explicit periodic orbit of the full system through the chart point q; shape (..., 5).
 
-    z is frozen at -omega^2 and the (x1, x2) pair rotates with frequency
-    omega = y1_0 / x2_0; y1 = omega x2 and y2 = -omega x1 along the orbit.
+    z is frozen at -w^2 and the (x1, x2) pair rotates with frequency w;
+    y1 = w x2 and y2 = -w x1 along the orbit.
     """
-    w = params.omega
+    x1, x2, w = q.x1, q.x2, q.w
     t = _times(t)
     s, co = np.sin(w * t), np.cos(w * t)
-    x1 = params.x2_0 * s + params.x1_0 * co
-    x2 = -params.x1_0 * s + params.x2_0 * co
-    y1 = -w * (params.x1_0 * s - params.x2_0 * co)
-    y2 = -w * (params.x2_0 * s + params.x1_0 * co)
-    return np.stack([x1, y1, x2, y2, np.full(t.shape, -w * w)], axis=-1)
+    return np.stack([x2 * s + x1 * co, -w * (x1 * s - x2 * co), -x1 * s + x2 * co,
+                     -w * (x2 * s + x1 * co), np.full(t.shape, -w * w)], axis=-1)
 
 
-def periodic_derivative(params: PeriodicParams, t):
+def periodic_derivative(q: RankTwoPoint, t):
     """Analytic d/dt of periodic_solution."""
-    w = params.omega
+    x1, x2, w = q.x1, q.x2, q.w
     t = _times(t)
     s, co = np.sin(w * t), np.cos(w * t)
-    dx1 = w * (params.x2_0 * co - params.x1_0 * s)
-    dx2 = -w * (params.x1_0 * co + params.x2_0 * s)
-    dy1 = -w * w * (params.x1_0 * co + params.x2_0 * s)
-    dy2 = -w * w * (params.x2_0 * co - params.x1_0 * s)
-    return np.stack([dx1, dy1, dx2, dy2, np.zeros(t.shape)], axis=-1)
+    return np.stack([w * (x2 * co - x1 * s), -w * w * (x1 * co + x2 * s),
+                     -w * (x1 * co + x2 * s), -w * w * (x2 * co - x1 * s),
+                     np.zeros(t.shape)], axis=-1)
 
 
-def periodic_orbit(par: PeriodicParams):
+def periodic_orbit(q: RankTwoPoint):
     """(orbit(t), derivative(t), level at t = 0, residual bound, level bound)
-    for ``orbit_errors``; one bound serves both."""
-    orbit = functools.partial(periodic_solution, par)
-    tol = 1e-12 * (1 + par.omega ** 2) * (1 + par.x1_0 ** 2 + par.x2_0 ** 2)
-    return orbit, functools.partial(periodic_derivative, par), conserved(orbit(0.0)), tol, tol
+    for ``orbit_errors``; one bound serves both.  DomainError where
+    ``q.period`` is: w = 0, or a scale of the orbit overflows."""
+    q.period  # the bounds and the level are finite past its checks
+    orbit = functools.partial(periodic_solution, q)
+    tol = 1e-12 * (1 + q.w ** 2) * (1 + q.x1 ** 2 + q.x2 ** 2)
+    return orbit, functools.partial(periodic_derivative, q), conserved(orbit(0.0)), tol, tol
 
 
 def orbit_errors(orbit, derivative, level, t):

@@ -48,9 +48,9 @@ def _signed(rng):
 
 
 def random_periodic_params(rng, n):
-    """n members of the periodic family with y1, x2 away from zero."""
-    return [solutions.PeriodicParams(x1_0=rng.uniform(-2, 2), y1_0=_signed(rng),
-                                     x2_0=_signed(rng)) for _ in range(n)]
+    """n members R(x1, x2, y1 / x2) of the periodic family with y1, x2 away from zero."""
+    draws = [(rng.uniform(-2, 2), _signed(rng), _signed(rng)) for _ in range(n)]
+    return [invariant_sets.RankTwoPoint(x1, x2, y1 / x2) for x1, y1, x2 in draws]
 
 
 def _random_separated_roots(rng, min_sep=0.1):
@@ -398,7 +398,7 @@ def periodic_linear_relations(params, n_grid) -> bool:
     """y1 = w x2, y2 = -w x1 and z = -w^2 along each sampled orbit."""
     ok = True
     for par in params:
-        w, tol = par.omega, solutions.periodic_orbit(par)[3]
+        w, tol = par.w, solutions.periodic_orbit(par)[3]
         orbit = solutions.periodic_solution(par, np.linspace(0.0, par.period, n_grid))
         ok &= float(np.abs(orbit[:, 1] - w * orbit[:, 2]).max()) < tol
         ok &= float(np.abs(orbit[:, 3] + w * orbit[:, 0]).max()) < tol
@@ -410,7 +410,7 @@ def punctures_leave_chart(params) -> bool:
     """At the predicted puncture times x2 = y1 = 0 while x1 stays nonzero."""
     ok = True
     for par in params:
-        w, f1 = par.omega, par.x1_0 ** 2 + par.x2_0 ** 2
+        w, f1 = par.w, par.x1 ** 2 + par.x2 ** 2
         for k in (0, 1, 5):
             pt = solutions.periodic_solution(par, par.puncture_time(k))
             ok &= abs(pt[2]) < 1e-9 * (1 + f1) and abs(pt[1]) < 1e-9 * (1 + abs(w) * f1)

@@ -345,7 +345,7 @@ def homoclinic_export(c, theta0, sign, rows, widths=5.0):
 
 def periodic_export(x1, y1, x2, rows):
     """A grid of unit steps, so of exactly ``rows`` rows."""
-    par = solutions.PeriodicParams(x1_0=x1, y1_0=y1, x2_0=x2)
+    par = invariant_sets.RankTwoPoint(x1, x2, y1 / x2)
     argv = ["periodic", f"--x1={x1!r}", f"--y1={y1!r}", f"--x2={x2!r}",
             f"--t-max={rows - 1}", "--dt=1"]
     return (argv, cli._sample_times(0.0, float(rows - 1), 1.0),
@@ -463,17 +463,17 @@ def test_export_nan_residual_in_a_later_block_fails(capsys, tmp_path, monkeypatc
     # about 1e300 rk45 steps of dt_max
     ["simulate", "--x1=0", "--y1=0", "--x2=0", "--y2=0", "--z=-1", "--t-end=1e300"],
     ["invariant-probe", "--m1=1,0,1", "--t-end=1e300"],
-    # the residual scale of the orbit, x1_0^2, overflows
+    # the residual scale of the orbit, x1^2, overflows
     ["periodic", "--x1", "1e200", "--y1", "1", "--x2", "1", "--dt", "1", "--t-max", "10"],
     ["invariant-probe", "--m1", "1,1e100,1e-100", "--t-end", "1"],  # z overflows
     ["invariant-probe", "--m1", "1,1e-320,1", "--t-end", "1"],  # the period overflows
     ["homoclinic", "--c", "1e20"],  # a grid step of 1e8 pulse widths
-    # omega = y1 / x2 underflows to 0, so the period is infinite
+    # w = y1 / x2 underflows to 0, so the period is infinite
     ["periodic", "--x1=0", "--y1=2.2250738585e-313", "--x2=90071992548.0"],
     ["invariant-probe", "--m1=0,2.2250738585e-313,90071992548.0", "--t-end=1"],
-    # z = -omega^2 = -1e212, so H = z^2 / 2 overflows
+    # z = -w^2 = -1e212, so H = z^2 / 2 overflows
     ["periodic", "--x1=0", "--y1=1", "--x2=9.732720838833749e-107", "--t-max=1"],
-    # the phase omega t = 2 t_max overflows
+    # the phase w t = 2 t_max overflows
     ["periodic", "--x1=0", "--y1=2", "--x2=1", "--t-max=8.98846567431158e+307",
      "--dt=1.797693134862316e+306"],
     # --dt is 0.99 pulse widths, but round(1.48 / 0.99) = 1 step is 1.48
@@ -517,7 +517,7 @@ def test_rk4_sample_cap_is_inclusive(capsys, tmp_path, monkeypatch):
     assert run(capsys, argv + ["--t-end", "12"])[0] == 2  # 13 samples
 
 
-# omega = y1 / x2 = 1.3e8: rk45 takes steps of about 1e-9, and t_end / dt_max
+# w = y1 / x2 = 1.3e8: rk45 takes steps of about 1e-9, and t_end / dt_max
 # is small, so only the sample cap stops the run
 FAST_M1 = (0.05, 1.3300956106059725, 1e-08)
 FAST_T_END = 1.3300956106059725
@@ -1006,10 +1006,11 @@ EVERY_COMMAND = [
 
 
 @pytest.mark.parametrize("stdout", ["dev-full", "closed-pipe", "closed-fd"])
-@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", EVERY_COMMAND + [["--help"], ["classify", "--help"]],
+                         ids=lambda argv: " ".join(argv) if "--help" in argv else argv[0])
 def test_a_failing_stdout_is_exit_1_without_a_traceback(tmp_path, argv, stdout):
-    # the report is lost, so the command exits 1 with one line on stderr,
-    # and an --out command keeps the CSV it wrote before the report
+    # the report (or the help text) is lost, so the command exits 1 with one
+    # line on stderr, and an --out command keeps the CSV it wrote before the report
     path = tmp_path / "out.csv"
     if argv[0] in WRITES_CSV:
         argv = argv + [f"--out={path}"]

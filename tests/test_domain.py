@@ -115,7 +115,8 @@ def _component_values():
 @pytest.mark.parametrize("t", _component_values(), ids=lambda v: f"{type(v).__name__}-{v!r:.20}")
 @pytest.mark.parametrize("closed_form", [
     lambda t: solutions.homoclinic(solutions.HomoclinicParams(c=1.5), t),
-    lambda t: solutions.periodic_solution(solutions.PeriodicParams(0.3, 1.2, -0.7), t),
+    lambda t: solutions.periodic_solution(invariant_sets.RankTwoPoint(0.3, -0.7, -1.2 / 0.7),
+                                          t),
 ], ids=["homoclinic", "periodic_solution"])
 def test_a_time_is_read_as_a_state_component_is(closed_form, t):
     assert accepts(closed_form, t) is accepts(finite_state, [t, 0, 0, 0, 0])
@@ -138,8 +139,8 @@ def test_a_stack_is_checked_a_state_at_a_time(state):
     lambda: invariant_sets.RankTwoPoint(1, 1, 10 ** 400),
     lambda: solutions.HomoclinicParams(c=10 ** 400),
     lambda: solutions.HomoclinicParams(c=1.0, theta0=math.inf),
-    lambda: solutions.PeriodicParams(10 ** 400, 1, 1),
-    lambda: solutions.PeriodicParams(1, 10 ** 400, 1),
+    lambda: solutions.periodic_orbit(invariant_sets.RankTwoPoint(10 ** 400, 1, 1)),
+    lambda: solutions.periodic_orbit(invariant_sets.RankTwoPoint(1, 1, 10 ** 400)),
     lambda: integrate.rk4_step([1.0, 0.0, 0.0, 0.0, 0.0], 10 ** 400),
     lambda: integrate.rk4_step([1.0, 0.0, 0.0, 0.0, 0.0], "0.1"),
     lambda: integrate.rk4_step([1.0, 0.0, 0.0, 0.0, 0.0], math.inf),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mbloch import integrate as integration
-from mbloch import domain, solutions, verify
+from mbloch import domain, invariant_sets, solutions, verify
 from mbloch.core import DomainError, conserved, field_components, vector_field
 from mbloch.integrate import (DT_INITIAL, MAX_STEPS, DriftReport,
                               IntegrationStalledError, IntegratorConfig,
@@ -310,8 +310,7 @@ class TestIntegrate:
             assert np.array_equal(traj.states, np.tile(p0, (len(traj), 1)))
 
     def test_periodic_orbit_closes(self):
-        par = solutions.PeriodicParams(1.0, 1.0, 1.0)
-        p0 = solutions.periodic_solution(par, 0.0)
+        p0 = solutions.periodic_solution(invariant_sets.RankTwoPoint(1.0, 1.0, 1.0), 0.0)
         cfg = IntegratorConfig(method="rk45", t_end=2 * math.pi,
                                abs_tol=1e-10, rel_tol=1e-10, sample_stride=10 ** 9)
         end = integrate(p0, cfg).states[-1]

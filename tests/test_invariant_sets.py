@@ -239,8 +239,8 @@ class TestInvarianceProbe:
             inv.invariance_probe(inv.RankTwoPoint(1.0, 1.0, 1.0), 0.0)
 
     def test_start_on_m2_predicts_no_punctures(self):
-        # x2 = 0 at the start: the family's puncture times are read off x2_0
-        # != 0, so there is no prediction, and the rotation still crosses x2 = 0
+        # x2 = 0 at the start: the puncture times are read off x2 / y1, so
+        # there is no prediction, and the rotation still crosses x2 = 0
         rep = inv.invariance_probe(inv.RankTwoPoint(1.0, 0.0, 1.0), 5.0)
         assert rep.predicted_punctures is None and rep.puncture_count == 1
         assert union_is_invariant(rep)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,9 +8,15 @@ import pytest
 from mbloch import solutions
 from mbloch.verify import homoclinic_solves_system
 from mbloch.core import DomainError, conserved, vector_field
-from mbloch.solutions import (HomoclinicParams, PeriodicParams, homoclinic,
-                              homoclinic_derivative, periodic_derivative,
+from mbloch.invariant_sets import RankTwoPoint
+from mbloch.solutions import (HomoclinicParams, homoclinic, homoclinic_derivative,
+                              orbit_errors, periodic_derivative, periodic_orbit,
                               periodic_solution, radial_cubic)
+
+
+def member(x1, y1, x2):
+    """The member of the periodic family through the M1 point (x1, y1, x2)."""
+    return RankTwoPoint(x1, x2, y1 / x2)
 
 
 class TestHomoclinic:
@@ -100,48 +107,61 @@ class TestSecondOrderProfile:
 
 class TestPeriodic:
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            PeriodicParams(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            PeriodicParams(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            PeriodicParams(1e200, 1.0, 1.0)  # x1_0^2 overflows
-        with pytest.raises(ValueError):
-            PeriodicParams(1.0, 1e-320, 1.0)  # the period overflows
+        for q in (RankTwoPoint(1.0, 1.0, 0.0),  # w = 0: an equilibrium
+                  RankTwoPoint(1e200, 1.0, 1.0),  # x1^2 overflows
+                  RankTwoPoint(1.0, 1.0, 1e-320)):  # the period overflows
+            for call in (lambda: q.period, lambda: periodic_orbit(q),
+                         lambda: q.puncture_time(0), lambda: q.punctures_in(1.0)):
+                with pytest.raises(DomainError):
+                    call()
+
+    def test_m2_start_has_an_orbit_but_no_punctures(self):
+        # x2 = 0: the rotation through an M2 point is a member of the family,
+        # but its puncture times, read off x2 / y1, are not defined
+        q = RankTwoPoint(1.0, 0.0, 0.5)
+        orbit, derivative, level, tol, level_tol = periodic_orbit(q)
+        resid, dev = orbit_errors(orbit, derivative, level, np.linspace(0.0, q.period, 500))
+        assert resid < tol and dev < level_tol
+        assert np.array_equal(orbit(0.0), q.state)
+        for call in (lambda: q.puncture_time(0), lambda: q.punctures_in(20.0),
+                     lambda: q.puncture_spacing):
+            with pytest.raises(DomainError):
+                call()
 
     def test_energy_guard_adds_both_squares(self):
-        # omega = 1.14e77: the period and the residual scale (6.5e307) are
-        # finite, and only x2_0^2 takes omega^2 (x1_0^2 + x2_0^2 + omega^2) past
-        # the largest double, to 2.3e308 (1.69e308 with x1_0^2 - x2_0^2)
-        par = dict(x1_0=5e76, y1_0=5.7e153, x2_0=5e76)
-        w = par["y1_0"] / par["x2_0"]
-        assert math.isfinite((1 + w * w) * (1 + 2 * par["x1_0"] ** 2))
-        with pytest.raises(DomainError, match="energy"):
-            PeriodicParams(**par)
+        # w = 1.14e77: the period and the residual scale (6.5e307) are
+        # finite, and only x2^2 takes w^2 (x1^2 + x2^2 + w^2) past the largest
+        # double, to 2.3e308 (1.69e308 with x1^2 - x2^2)
+        x1 = x2 = 5e76
+        w = 5.7e153 / x2
+        assert math.isfinite((1 + w * w) * (1 + 2 * x1 ** 2))
+        for call in (lambda q: q.period, periodic_orbit):
+            with pytest.raises(DomainError, match="energy"):
+                call(RankTwoPoint(x1, x2, w))
 
     def test_initial_point(self):
-        par = PeriodicParams(x1_0=0.5, y1_0=1.5, x2_0=-0.75)
-        w = par.omega
+        par = member(0.5, 1.5, -0.75)
+        w = par.w
         assert np.allclose(periodic_solution(par, 0.0),
                            [0.5, 1.5, -0.75, -w * 0.5, -w * w],
                            rtol=0, atol=1e-15)
 
     def test_period_return(self):
-        par = PeriodicParams(1.0, 1.0, 1.0)
+        par = member(1.0, 1.0, 1.0)
         gap = np.abs(periodic_solution(par, par.period)
                      - periodic_solution(par, 0.0)).max()
         assert gap < 1e-13
 
     def test_residual_against_field(self):
-        par = PeriodicParams(1.0, 1.0, 1.0)
+        par = member(1.0, 1.0, 1.0)
         ts = np.linspace(0, 2 * math.pi, 500)
         deriv = periodic_derivative(par, ts)
         field = np.array([vector_field(s) for s in periodic_solution(par, ts)])
         assert np.abs(deriv - field).max() < 1e-13
 
     def test_linear_relations_and_constant_z(self):
-        par = PeriodicParams(-0.8, 0.6, 1.7)
-        w = par.omega
+        par = member(-0.8, 0.6, 1.7)
+        w = par.w
         ts = np.linspace(0, par.period, 300)
         orbit = periodic_solution(par, ts)
         assert np.abs(orbit[:, 1] - w * orbit[:, 2]).max() < 1e-13
@@ -149,9 +169,9 @@ class TestPeriodic:
         assert np.abs(orbit[:, 4] + w * w).max() == 0.0
 
     def test_m1_conserved_quantities_constant(self):
-        par = PeriodicParams(1.0, -1.3, 0.7)
-        f1_0 = par.x1_0 ** 2 + par.x2_0 ** 2
-        f2_0 = par.y1_0 / par.x2_0
+        par = member(1.0, -1.3, 0.7)
+        f1_0 = par.x1 ** 2 + par.x2 ** 2
+        f2_0 = par.w
         ts = np.linspace(0, par.period, 400)
         pts = periodic_solution(par, ts)[..., [0, 1, 2]]  # (x1, y1, x2) on M1
         f1 = pts[:, 0] ** 2 + pts[:, 2] ** 2
@@ -231,9 +251,80 @@ PUNCTURE_PINS = {
 }
 
 
+# the SHA-256 of the bytes of periodic_solution and then periodic_derivative
+# on TIME_GRID: the families of PUNCTURE_PINS and the periodic families of the
+# cli_session benchmark at seeds 0-9, each (x1, y1, x2) read as the chart
+# point R(x1, x2, y1 / x2)
+TIME_GRID = np.linspace(-7.5, 20.0, 1001)
+CLOSED_FORM_DIGESTS = {
+    (0.0, 1.0, 1.0):
+        "9794d97f24de5f61a1c5e66ccecbca48192cce878c7a65bb64a7c7108e93e261",
+    (1.3, 0.9, -0.4):
+        "4184cf790b08a72ff63e21ccc84c52ac9bf07b25d8ce301614218c6e6b3577ce",
+    (0.3, 1.2, -0.7):
+        "48979848f61da7f824e06b3e637f1bc776cb03793bfa7e704bc8c0c703113101",
+    (0.6, 1.1, -0.8):
+        "2c4cbb089d17c61da1c20a42d80048f84d9c4ad6da348a938c44a7a7fb8d1a6e",
+    (0.3, 1.2, 0.7):
+        "e72e2304ed02096fd0aedb24c63f875d4f5a7c487d61f98f1194d15a18c0b4cc",
+    (-0.9, 1.2, 0.7):
+        "1475c283411f310da941bca303cc2885b222c77d8a60e6baed9f418b780c397c",
+    (0.3, -1.2, 0.7):
+        "c19a6e9ef7cef11b1b10aafec2aae6ad87879a822151055e411a71d0b66078dc",
+    (-0.9, -1.2, 0.7):
+        "cfee63e17915183fcf9f78b8cb57dcba1b9e9662e5b052d24c4da0348d22b8f9",
+    (-0.9, 1.2, -0.7):
+        "ccb2bbec58140c9ada4fe41ef98f05a0ecdd92228202d639e6d52bb2ab494e6a",
+    (0.3, -1.2, -0.7):
+        "85e98051bc5bed907e21429e91b5179bbddc64ce7c641372d22640a2ad6eabb9",
+    (-0.9, -1.2, -0.7):
+        "0043411b57ba8af8e370d8fceb7a304ad10e11625e531d8867aca5653dc10efc",
+    (0.7350132223266828, 0.9217324690302564, 1.4455269879665096):
+        "5fdabd302e7db36973d7238d2dc9aad810d262e3ad1490a361218b8067188aac",
+    (-0.6904548694991911, 0.5904917323230515, 1.0803150624469557):
+        "5133d3c524c5a296224179e8a8ad8ca52676432688bda7479f3ae6f0fd5d1934",
+    (1.439874757834775, 0.673647060174884, 0.6663575177000088):
+        "eea071fbe73def4bdb32b72369c6eaeab1e2b69dc2ef9a5bb2659231677dd613",
+    (-0.6014922013869107, 1.0626433737719143, 1.4648616584517025):
+        "9d81bc87a75cd039dee9a310f33626392914496cbb0c6df86d4ebf6271b96789",
+    (0.25176980259868653, 0.9784998809208645, 0.8725652694284134):
+        "78864109e8540e2ea2564c8bdb7f22b224534ebd9c0bd3c3188790f29406d186",
+    (1.4394868858145196, 0.9585057456516982, 1.3591031694759692):
+        "ae659115b4e0519d622a8b2b8d4c38c869a6129ed299f5fa427a959a69deb6db",
+    (1.1813009024680228, 0.8686905077736771, 1.0309401361746566):
+        "fa2ad500c8f1f2ea8636a737eb0007e01de97ccb05d3a5ffd33f1e77464ecad2",
+    (1.4739967594837453, 0.815888285927046, 1.029521537480921):
+        "ad6623ad3d1ea58cefd155c1487c294fc68fc469c1addeceae671b129ef3fcb3",
+    (1.4664149245236238, 1.057127903413915, 1.1124036621085585):
+        "6ec03af693522f97825c9ff053a58e7206f0c6a444169ae434093c5ee8f17fc2",
+    (-1.0478903613589725, 1.453459635244089, 0.8072517178102723):
+        "e94cb3adde2f060dd71224e7fb50edcdb328ac525bc96804a5027033433877c9",
+    (0.6778017532880192, -1.323733607542597, -0.9176467931327809):
+        "5b6965abfbdf657590e97e0ceda934052f740b48ca23f63023b07f7fd898fd5a",
+    (-1.3666292566378102, 1.38126768751407, -1.0383889641920934):
+        "56af353c4c568b30a4b8cb6c01953f824bc82193c41f27a77aee00b5d444263c",
+    (-0.2177473083947219, 1.202600603821315, 0.6074742648135749):
+        "a7f555740d70a3ee82b6d1c0ec7374d6366f72b1345078b0eee8bbb232be49b9",
+    (0.6084649903956887, -1.100351634713374, 0.8183613256556694):
+        "0cf5a1b1100d0e252b6531aeb11d212bb1bbe617e40c31507b4fa346d06e5773",
+    (0.2033483654849193, -1.3148970768708748, 1.180438545817037):
+        "3cc2132316fecdb2718321f68a99b85569b3f1dea75068e237a73b890bd13c22",
+    (0.3249906636732156, 0.9532716765561947, 0.746724364840694):
+        "93c49b1d324c5d7bfd2b154760337aa4674c20d7db9754a9f0e7d75cfc337e37",
+    (0.5615256970636233, 0.5880566721664492, 0.796258643914288):
+        "22cd7061269b1f4485eba3a6698375c633129ca1bbcae9149919457a45503e4d",
+    (1.1992823144456999, -1.0145011560604273, -0.7508514408215013):
+        "b36440a3fe75221a70ce973358a23c62d404af59fcb6b66eb93e8f8e75174e72",
+    (-0.4835650157844933, 1.1672956315500151, -1.4047774276933274):
+        "55c6d3dfb437e83411af823c9bd55fe20c026405f206094b88ac87582a9afa45",
+    (0.5819732749764954, 1.2944423289857825, 0.9230952113082679):
+        "56b174081cb172353a713124d3268fbc9dc5a8dbd5923007e782fdab36957716",
+}
+
+
 class TestPunctures:
     def test_quarter_phase_schedule(self):
-        par = PeriodicParams(0.0, 1.0, 1.0)
+        par = member(0.0, 1.0, 1.0)
         for k in range(4):
             assert par.puncture_time(k) == pytest.approx(math.pi / 2 + k * math.pi)
             # x2(t) = cos t indeed vanishes there
@@ -242,8 +333,8 @@ class TestPunctures:
     def test_phase_identities(self):
         # the first puncture lies within one spacing of t = 0, where (x1, x2)
         # has turned to (+-r, 0)
-        par = PeriodicParams(1.3, 0.9, -0.4)
-        r, t0 = math.hypot(par.x1_0, par.x2_0), par.puncture_time(0)
+        par = member(1.3, 0.9, -0.4)
+        r, t0 = math.hypot(par.x1, par.x2), par.puncture_time(0)
         assert 0.0 <= t0 < par.puncture_spacing == pytest.approx(math.pi * 0.4 / 0.9)
         assert abs(periodic_solution(par, t0)[0]) == pytest.approx(r, abs=1e-14)
         assert par.puncture_time(1) - t0 == pytest.approx(par.puncture_spacing)
@@ -251,7 +342,7 @@ class TestPunctures:
     @pytest.mark.parametrize("x2_sign,y1_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_count_matches_sign_changes_in_every_quadrant(self, x2_sign, y1_sign):
         for x1 in (0.3, -0.9):
-            par = PeriodicParams(x1, y1_sign * 1.2, x2_sign * 0.7)
+            par = member(x1, y1_sign * 1.2, x2_sign * 0.7)
             grid = np.linspace(0.0, 20.0, 200001)
             x2 = periodic_solution(par, grid)[:, 2]
             changes = int(np.sum(np.sign(x2[1:]) * np.sign(x2[:-1]) < 0))
@@ -261,22 +352,29 @@ class TestPunctures:
 
     @pytest.mark.parametrize("family", list(PUNCTURE_PINS))
     def test_punctures_keep_their_bits(self, family):
-        par = PeriodicParams(*family)
+        par = member(*family)
         times = " ".join(par.puncture_time(k).hex() for k in range(6))
         assert (times, par.punctures_in(20.0)) == PUNCTURE_PINS[family]
 
+    @pytest.mark.parametrize("family", list(CLOSED_FORM_DIGESTS))
+    def test_closed_form_keeps_its_bits(self, family):
+        par = member(*family)
+        digest = hashlib.sha256(periodic_solution(par, TIME_GRID).tobytes())
+        digest.update(periodic_derivative(par, TIME_GRID).tobytes())
+        assert digest.hexdigest() == CLOSED_FORM_DIGESTS[family]
+
     def test_x2_zero_excluded(self):
         with pytest.raises(ValueError):
-            PeriodicParams(1.0, 1.0, 0.0)
+            RankTwoPoint(1.0, 0.0, 1.0).puncture_time(0)
 
     def test_family_is_frozen(self):
-        # no field can change under omega, the period or the puncture times
-        par = PeriodicParams(0.3, 1.2, -0.7)
+        # no field can change under w, the period or the puncture times
+        par = member(0.3, 1.2, -0.7)
         for field in dataclasses.fields(par):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(par, field.name, 1.0)
         with pytest.raises(DomainError):
-            dataclasses.replace(par, x2_0=0.0)
+            dataclasses.replace(par, x1=0.0, x2=0.0)
 
     @pytest.mark.parametrize("call", [
         lambda s: s.punctures_in(math.inf), lambda s: s.punctures_in(math.nan),
@@ -290,18 +388,18 @@ class TestPunctures:
     def test_bad_index_or_time_is_a_domain_error(self, call):
         # k is an integer >= 0 (k = 1.5 is no puncture) and t_end a finite real
         with pytest.raises(DomainError) as info:
-            call(PeriodicParams(0.3, 1.2, -0.7))
+            call(member(0.3, 1.2, -0.7))
         assert type(info.value) is DomainError
 
     def test_numpy_integers_and_reals_are_read(self):
-        par = PeriodicParams(0.3, 1.2, -0.7)
+        par = member(0.3, 1.2, -0.7)
         assert par.puncture_time(np.int64(3)) == par.puncture_time(3)
         assert par.punctures_in(np.float32(20)) == par.punctures_in(20) == par.punctures_in(20.0)
         assert par.punctures_in(-1e308) == 0
 
     def test_puncture_point_lies_in_m2(self):
-        par = PeriodicParams(0.6, 1.1, -0.8)
-        w = par.omega
+        par = member(0.6, 1.1, -0.8)
+        w = par.w
         for k in (0, 1, 2):
             p = periodic_solution(par, par.puncture_time(k))
             assert abs(p[1]) < 1e-12  # y1 = 0
@@ -313,8 +411,8 @@ class TestPunctures:
 CLOSED_FORMS = {
     "homoclinic": (homoclinic, HomoclinicParams(c=1.5, theta0=0.4, sign=-1)),
     "homoclinic_derivative": (homoclinic_derivative, HomoclinicParams(c=1.5, theta0=0.4)),
-    "periodic_solution": (periodic_solution, PeriodicParams(0.3, 1.2, -0.7)),
-    "periodic_derivative": (periodic_derivative, PeriodicParams(0.3, 1.2, -0.7)),
+    "periodic_solution": (periodic_solution, member(0.3, 1.2, -0.7)),
+    "periodic_derivative": (periodic_derivative, member(0.3, 1.2, -0.7)),
 }
 
 

@@ -207,8 +207,8 @@ def scale_homoclinic_energy(monkeypatch):
 
 
 def predict_one_more_puncture(monkeypatch):
-    punctures_in = invariant_sets.PeriodicParams.punctures_in
-    monkeypatch.setattr(invariant_sets.PeriodicParams, "punctures_in",
+    punctures_in = invariant_sets.RankTwoPoint.punctures_in
+    monkeypatch.setattr(invariant_sets.RankTwoPoint, "punctures_in",
                         lambda par, t_end: punctures_in(par, t_end) + 1)
 
 
@@ -220,13 +220,13 @@ def halve_pulse_rate(monkeypatch):
 
 def shift_punctures_quarter_spacing(monkeypatch):
     # each puncture time a quarter of the spacing late, where |x2| = r / sqrt(2)
-    puncture_time = invariant_sets.PeriodicParams.puncture_time
-    monkeypatch.setattr(invariant_sets.PeriodicParams, "puncture_time",
+    puncture_time = invariant_sets.RankTwoPoint.puncture_time
+    monkeypatch.setattr(invariant_sets.RankTwoPoint, "puncture_time",
                         lambda par, k: puncture_time(par, k) + 0.25 * par.puncture_spacing)
 
 
 def scale_periodic_z(monkeypatch):
-    # z = -1.01 omega^2 along the periodic orbit
+    # z = -1.01 w^2 along the periodic orbit
     orbit = solutions.periodic_solution
     monkeypatch.setattr(solutions, "periodic_solution",
                         lambda par, t: orbit(par, t) * [1.0, 1.0, 1.0, 1.0, 1.01])
