@@ -307,21 +307,10 @@ def cmd_homoclinic(args):
     return _closed_form_run(args, times, solutions.homoclinic_orbit(par))
 
 
-def _chart_point(x1, y1, x2):
-    """The chart point R(x1, x2, y1 / x2) of the M1 point (x1, y1, x2); a
-    DomainError where x2 = 0 or w = y1 / x2 underflows to 0."""
-    from .invariant_sets import RankTwoPoint
-    if x2 == 0:
-        raise DomainError("the chart parameter w = y1 / x2 needs x2 != 0")
-    w = y1 / x2
-    if w == 0 and y1 != 0:
-        raise DomainError(f"w = y1 / x2 underflows to 0 at y1 = {y1!r}, x2 = {x2!r}")
-    return RankTwoPoint(x1, x2, w)
-
-
 def cmd_periodic(args):
     from . import solutions
-    point = _chart_point(args.x1, args.y1, args.x2)
+    from .invariant_sets import RankTwoPoint
+    point = RankTwoPoint.from_m1(args.x1, args.y1, args.x2)
     period = point.period  # refuses y1 = 0 (w = 0) and an orbit whose scales overflow
     t_max = period if args.t_max is None else args.t_max
     times = _sample_times(0.0, t_max, args.dt)
@@ -342,8 +331,9 @@ def cmd_rank(args):
 def cmd_invariant_probe(args):
     from . import invariant_sets
     from .integrate import IntegrationStalledError, StateOverflowError
+    point = invariant_sets.RankTwoPoint.from_m1(*args.m1)
     try:
-        rep = invariant_sets.invariance_probe(_chart_point(*args.m1), args.t_end)
+        rep = invariant_sets.invariance_probe(point, args.t_end)
     except (IntegrationStalledError, StateOverflowError) as exc:
         return _stopped(exc)
     # the report's fields in order, without a prediction where there is none

@@ -38,7 +38,6 @@ NOT_DETERMINED = "not-determined"
 class LeafLinearization:
     """Linearized leaf flows of H and I at (0,0,0,0,c), chart (x1,y1,x2,y2)."""
 
-    c: float
     matrix_H: "numpy.ndarray"  # 4x4
     matrix_I: "numpy.ndarray"  # 4x4
 
@@ -59,7 +58,7 @@ def leaf_linearization(c: float) -> LeafLinearization:
         [-1.0, 0.0, 0.0, 0.0],
         [0.0, -1.0, 0.0, 0.0],
     ])
-    return LeafLinearization(c=c, matrix_H=m_h, matrix_I=m_i)
+    return LeafLinearization(matrix_H=m_h, matrix_I=m_i)
 
 
 @dataclass

@@ -44,13 +44,13 @@ from .domain import (DomainError, conserved_components, field_components, finite
 
 class StateOverflowError(RuntimeError):
     """A step produced a non-finite state, or a recorded state a non-finite
-    conserved triple; carries the partial trajectory before it (None when a
-    single ``rk4_step`` overflows)."""
+    conserved triple; ``integrate`` attaches the partial trajectory before
+    it (None when a single ``rk4_step`` overflows)."""
 
-    def __init__(self, time: float, trajectory: "Trajectory | None" = None):
+    def __init__(self, time: float):
         super().__init__(f"non-finite state encountered at t={time}")
         self.time = time
-        self.trajectory = trajectory
+        self.trajectory = None
 
 
 class IntegrationStalledError(RuntimeError):

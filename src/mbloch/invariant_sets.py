@@ -120,9 +120,9 @@ def rank_F(p) -> RankReport:
 class RankTwoPoint:
     """The chart point R(x1, x2, w) = (x1, w x2, x2, -w x1, -w^2), with
     (x1, x2) != 0; frozen, it keeps its state, a tuple of five floats
-    checked once by ``finite_state``.  DomainError otherwise.  Where w != 0
-    it is a member of the periodic family: it has a ``period`` and, where
-    x2 != 0 too, puncture times."""
+    checked once to be finite.  DomainError otherwise.  Where w != 0 it is a
+    member of the periodic family: it has a ``period`` and, where x2 != 0
+    too, puncture times."""
 
     x1: float
     x2: float
@@ -132,9 +132,23 @@ class RankTwoPoint:
         x1, x2, w = map(real_float, (self.x1, self.x2, self.w))
         if x1 == 0 and x2 == 0:
             raise DomainError("the chart needs (x1, x2) != 0: the z-axis is not in it")
-        state = tuple(finite_state([x1, w * x2, x2, -w * x1, -w * w]))
+        state = (x1, w * x2, x2, -w * x1, -w * w)
+        if not all(map(math.isfinite, state)):
+            raise DomainError(f"the chart state R(x1, x2, w) = {state} is not finite")
         for name, value in (("x1", x1), ("x2", x2), ("w", w), ("state", state)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_m1(cls, x1, y1, x2) -> "RankTwoPoint":
+        """The chart point R(x1, x2, y1 / x2) of the paper's M1 start (x1, y1, x2);
+        DomainError where x2 = 0 (-0.0 too) or w = y1 / x2 underflows to 0."""
+        y1, x2 = real_float(y1), real_float(x2)
+        if x2 == 0:
+            raise DomainError("the chart parameter w = y1 / x2 needs x2 != 0")
+        w = y1 / x2
+        if w == 0 and y1 != 0:
+            raise DomainError(f"w = y1 / x2 underflows to 0 at y1 = {y1!r}, x2 = {x2!r}")
+        return cls(x1, x2, w)
 
     @property
     def period(self) -> float:

@@ -143,7 +143,7 @@ def _strip_zeros(d, e):
 # A value's record: 56 bytes, 14 uint32 words, with its digit groups word
 # aligned.  A layout code gives the bytes that are not digits (sign, point,
 # "e" and the exponent's sign, separator) and the mask of the bytes kept.
-_SIGN_AT, _INT, _POINT_AT, _FRAC, _E_AT, _EXP, _SEP_AT = 3, 4, 20, 24, 44, 48, 52
+_SIGN_AT, _POINT_AT, _FRAC, _E_AT, _EXP, _SEP_AT = 3, 20, 24, 44, 48, 52
 _WIDTH = 56
 _FIXED_LAYOUTS = 16 * 20  # integer part 1..16 digits, fraction 1..20
 

@@ -8,7 +8,8 @@ sech/tanh profile: at their level P = s^2 (4c - s), so s is the pulse
 4c sech^2(sqrt(c) t), and I = 0 freezes the angle atan2(x2, x1).
 Independently, the rank-2 invariant set supports a family of exactly
 periodic solutions with constant z: the rotations at frequency w through its
-chart points ``invariant_sets.RankTwoPoint(x1, x2, w)`` with w != 0.
+chart points ``invariant_sets.RankTwoPoint(x1, x2, w)`` with w != 0, read by
+their x1, x2 and w alone: the module does not import ``invariant_sets``.
 
 A time t is a real number or a regular nest of them, read as a state's
 component is (``core._reals``).
@@ -24,7 +25,6 @@ import numpy as np
 # shape: a time is read as a state's component is
 from .core import _reals as _times, conserved, vector_field
 from .domain import DomainError, finite_float, integer_at_least, leaf_energy, real_float
-from .invariant_sets import RankTwoPoint  # the periodic family is R with w != 0
 
 
 def radial_cubic(s, H, I, C):
@@ -112,7 +112,7 @@ def homoclinic_orbit(par: HomoclinicParams):
             1e-12 * (1 + par.c ** 1.5), 1e-12 * (1 + par.c * par.c))
 
 
-def periodic_solution(q: RankTwoPoint, t):
+def periodic_solution(q: "RankTwoPoint", t):
     """Explicit periodic orbit of the full system through the chart point q; shape (..., 5).
 
     z is frozen at -w^2 and the (x1, x2) pair rotates with frequency w;
@@ -125,7 +125,7 @@ def periodic_solution(q: RankTwoPoint, t):
                      -w * (x2 * s + x1 * co), np.full(t.shape, -w * w)], axis=-1)
 
 
-def periodic_derivative(q: RankTwoPoint, t):
+def periodic_derivative(q: "RankTwoPoint", t):
     """Analytic d/dt of periodic_solution."""
     x1, x2, w = q.x1, q.x2, q.w
     t = _times(t)
@@ -135,7 +135,7 @@ def periodic_derivative(q: RankTwoPoint, t):
                      np.zeros(t.shape)], axis=-1)
 
 
-def periodic_orbit(q: RankTwoPoint):
+def periodic_orbit(q: "RankTwoPoint"):
     """(orbit(t), derivative(t), level at t = 0, residual bound, level bound)
     for ``orbit_errors``; one bound serves both.  DomainError where
     ``q.period`` is: w = 0, or a scale of the orbit overflows."""

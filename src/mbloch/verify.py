@@ -49,8 +49,8 @@ def _signed(rng):
 
 def random_periodic_params(rng, n):
     """n members R(x1, x2, y1 / x2) of the periodic family with y1, x2 away from zero."""
-    draws = [(rng.uniform(-2, 2), _signed(rng), _signed(rng)) for _ in range(n)]
-    return [invariant_sets.RankTwoPoint(x1, x2, y1 / x2) for x1, y1, x2 in draws]
+    return [invariant_sets.RankTwoPoint.from_m1(rng.uniform(-2, 2), _signed(rng), _signed(rng))
+            for _ in range(n)]
 
 
 def _random_separated_roots(rng, min_sep=0.1):
@@ -184,9 +184,10 @@ def discriminant_and_type_signs(c_grid) -> bool:
 
 
 def leaf_linearization_is_jacobian(c_grid) -> bool:
-    """matrix_H and matrix_I are the Jacobians at the chart origin, by central
-    differences, of the leaf flows J grad H and J grad I in the chart
-    z = c - (x1^2 + x2^2)/2."""
+    """matrix_H and matrix_I are, to the bit, the Jacobians at the chart origin
+    of the leaf flows J grad H and J grad I in the chart z = c - (x1^2 + x2^2)/2:
+    cubic flows, whose derivative the five-point stencil (8 (f(e) - f(-e)) -
+    (f(2e) - f(-2e))) / 12 at step 1 gives exactly, in dyadic floats on the grid."""
     def flow(grad, u, c):
         p = np.append(u, c - 0.5 * (u[0] ** 2 + u[2] ** 2))
         return (core.poisson_tensor(p) @ grad(p))[:4]
@@ -195,28 +196,23 @@ def leaf_linearization_is_jacobian(c_grid) -> bool:
     for c in c_grid:
         lin = equilibria.leaf_linearization(c)
         for mat, grad in ((lin.matrix_H, core.grad_H), (lin.matrix_I, core.grad_I)):
-            fd = np.column_stack([flow(grad, du, c) - flow(grad, -du, c)
-                                  for du in 1e-6 * np.eye(4)]) / 2e-6
-            ok &= np.abs(mat - fd).max() < 1e-8
+            d1, d2 = (np.column_stack([flow(grad, h * e, c) - flow(grad, -h * e, c)
+                                       for e in np.eye(4)]) for h in (1.0, 2.0))
+            ok &= np.array_equal(mat, (8 * d1 - d2) / 12)
     return bool(ok)
-
-
-def ring_equilibrium(m, n):
-    """The ring-family point (M, 0, N, 0, 0)."""
-    return np.array([m, 0.0, n, 0.0, 0.0])
 
 
 def equilibrium_families_fixed(axis_values, ring_pairs) -> bool:
     """The field vanishes at the origin, on the axis points (0,0,0,0,M) and
-    on the ring points (M,0,N,0,0).  grad I vanishes on the axis (K0); on
-    the ring the leaf-tangent vector v = (-N, N, M, -M, 0) witnesses
+    on the ring points (M,0,N,0,0) = R(M, N, 0).  grad I vanishes on the axis
+    (K0); on the ring the leaf-tangent vector v = (-N, N, M, -M, 0) witnesses
     grad I . v = M^2 + N^2 != 0 (K1), with == on dyadic M and N."""
     axis = [np.array([0.0, 0.0, 0.0, 0.0, m]) for m in (0.0, *axis_values)]
     ok = not core.vector_field(axis).any() and not core.grad_I(axis).any()
     for m, n in ring_pairs:
-        p, v, want = ring_equilibrium(m, n), np.array([-n, n, m, -m, 0.0]), m * m + n * n
+        p, v = invariant_sets.RankTwoPoint(m, n, 0.0).state, np.array([-n, n, m, -m, 0.0])
         ok &= not core.vector_field(p).any() and core.grad_C(p) @ v == 0.0
-        ok &= core.grad_I(p) @ v == want
+        ok &= core.grad_I(p) @ v == m * m + n * n
     return bool(ok)
 
 

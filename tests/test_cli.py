@@ -345,7 +345,7 @@ def homoclinic_export(c, theta0, sign, rows, widths=5.0):
 
 def periodic_export(x1, y1, x2, rows):
     """A grid of unit steps, so of exactly ``rows`` rows."""
-    par = invariant_sets.RankTwoPoint(x1, x2, y1 / x2)
+    par = invariant_sets.RankTwoPoint.from_m1(x1, y1, x2)
     argv = ["periodic", f"--x1={x1!r}", f"--y1={y1!r}", f"--x2={x2!r}",
             f"--t-max={rows - 1}", "--dt=1"]
     return (argv, cli._sample_times(0.0, float(rows - 1), 1.0),
@@ -489,6 +489,22 @@ def test_bad_value_usage_error(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["periodic", "--x1", "1e200", "--y1", "1e200", "--x2", "1"],
+    ["invariant-probe", "--m1=1e200,1e200,1", "--t-end", "5"],
+], ids=["periodic", "invariant-probe"])
+def test_an_overflowing_chart_state_is_named(tmp_path, argv):
+    # w = 1e200, so y2 = -w x1 and z = -w^2 overflow: the refusal shows the state
+    out_path = tmp_path / "x.csv"
+    if argv[0] in WRITES_CSV:
+        argv = argv + ["--out", str(out_path)]
+    code, out, err = run_captured(argv)
+    assert (code, out) == (2, "")
+    assert ("the chart state R(x1, x2, w) = (1e+200, 1e+200, 1.0, -inf, -inf) is not finite"
+            in err)
+    assert not out_path.exists()
+
+
 def test_csv_row_cap_is_inclusive(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(domain, "MAX_SAMPLES", 11)
     argv = ["homoclinic", "--c", "1", "--t-min", "0", "--t-max", "10",
@@ -537,7 +553,7 @@ def test_fast_probe_stalls_at_the_sample_cap(monkeypatch):
 def test_fast_simulate_writes_partial_csv(tmp_path, monkeypatch):
     monkeypatch.setattr(domain, "MAX_SAMPLES", 1000)
     x1, y1, x2 = FAST_M1
-    p0 = invariant_sets.RankTwoPoint(x1, x2, y1 / x2).state
+    p0 = invariant_sets.RankTwoPoint.from_m1(x1, y1, x2).state
     out_path = tmp_path / "fast.csv"
     code, out, err = run_captured(
         ["simulate"] + [f"--{n}={v!r}" for n, v in zip(("x1", "y1", "x2", "y2", "z"), p0)]
@@ -939,7 +955,7 @@ def test_long_simulate_loads_the_batched_writer(tmp_path):
     (SIMULATE + ["--t-end", "0.1"], ["cli", "domain", "integrate"]),
     (["rank", "--point", "1,2,3,4,5"], ["cli", "domain", "invariant_sets"]),
     (["homoclinic", "--c", "1", "--dt", "0.1"],
-     ["cli", "core", "domain", "invariant_sets", "shortest", "solutions"]),
+     ["cli", "core", "domain", "shortest", "solutions"]),
     (["periodic", "--x1", "1", "--y1", "1", "--x2", "0.5", "--dt", "0.1"],
      ["cli", "core", "domain", "invariant_sets", "shortest", "solutions"]),
     (["invariant-probe", "--m1", "0,1,1", "--t-end", "1"],

@@ -61,7 +61,7 @@ class TestLeafLinearization:
         assert np.allclose(eig, [-2, -2, 2, 2], atol=1e-10)
 
     def test_against_finite_difference_jacobian(self):
-        # oracle: central differences of J grad H and J grad I in the leaf chart
+        # oracle: the five-point stencil of J grad H and J grad I in the leaf chart
         assert leaf_linearization_is_jacobian(C_GRID)
 
     def test_commutator_vanishes(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import sys
 
@@ -9,8 +10,9 @@ from mbloch import core
 from mbloch import invariant_sets as inv
 from mbloch.core import DomainError, conserved, vector_field
 from mbloch.integrate import integrate
-from mbloch.verify import (invariant_I_factorizes, pieces_not_invariant, rank2_field_is_rotation,
-                           rank2_on_pieces, rank3_generic, union_is_invariant)
+from mbloch.verify import (chart_grid, invariant_I_factorizes, pieces_not_invariant,
+                           rank2_field_is_rotation, rank2_on_pieces, rank3_generic,
+                           union_is_invariant)
 
 
 def _lattice_points(seed, n):
@@ -96,12 +98,48 @@ class TestEmbeddings:
     def test_constraints_rejected(self):
         with pytest.raises(DomainError):
             inv.RankTwoPoint(0.0, -0.0, 1.0)  # the z-axis is not in the chart
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"the chart state R\(x1, x2, w\) = "
+                                              r"\(1.0, 1e\+100, 1e-100, -1e\+200, -inf\) is not"):
             inv.RankTwoPoint(1.0, 1e-100, 1e200)  # z = -w^2 overflows
         with pytest.raises(DomainError):
             inv.RankTwoPoint(1e-200, 0.0, 1e200)  # the same with x2 = 0
         with pytest.raises(DomainError):
             inv.RankTwoPoint(1.0, 1.0, float("nan"))
+
+    def test_from_m1_is_the_chart_point_at_w_y1_over_x2(self):
+        q = inv.RankTwoPoint.from_m1(1, np.float64(3.0), 2)
+        assert q == inv.RankTwoPoint(1.0, 2.0, 1.5)
+        assert q.state == (1.0, 3.0, 2.0, -1.5, -2.25)
+
+    @pytest.mark.parametrize("m1, match", [
+        ((1.0, 1.0, 0.0), "needs x2 != 0"),
+        ((1.0, 1.0, -0.0), "needs x2 != 0"),
+        ((0.0, 2.2250738585e-313, 90071992548.0), "underflows to 0"),  # y1 / x2 rounds to 0
+        ((1.0, float("nan"), 1.0), "not finite"),
+    ], ids=["x2-zero", "x2-minus-zero", "w-underflows", "nan"])
+    def test_from_m1_refusals(self, m1, match):
+        with pytest.raises(DomainError, match=match):
+            inv.RankTwoPoint.from_m1(*m1)
+
+
+def _scaled(rng):
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-100, 100)
+
+
+def test_chart_states_keep_their_bits():
+    # the SHA-256 of float.hex of every state component, signed zeros
+    # included, on the chart grid and 10^4 seeded points, a third of whose
+    # coordinates are 0.0 or -0.0, pinned from (x1, w x2, x2, -w x1, -w^2)
+    rng = random.Random(2040)
+    points = chart_grid()
+    total = len(points) + 10 ** 4
+    while len(points) < total:
+        x1, x2, w = (rng.choice((_scaled(rng), 0.0, -0.0)) for _ in range(3))
+        if x1 or x2:
+            points.append(inv.RankTwoPoint(x1, x2, w))
+    text = "\n".join(" ".join(v.hex() for v in q.state) for q in points)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "82ac4a5c4d3c8a71094c51d9f9507129d0351835fa7611e9ffae9137e144309b")
 
 
 class TestMembership:
@@ -328,7 +366,7 @@ def test_probe_distance_is_the_per_sample_maximum(monkeypatch, x1, y1, x2, t_end
     # invariance_probe imports the integrator when it is called
     monkeypatch.setattr("mbloch.integrate.integrate", recording)
     # the chart point that ``invariant-probe --m1 x1,y1,x2`` starts from
-    rep = inv.invariance_probe(inv.RankTwoPoint(x1, x2, y1 / x2), t_end)
+    rep = inv.invariance_probe(inv.RankTwoPoint.from_m1(x1, y1, x2), t_end)
     want = max(inv.rank_two_defect(s) for s in runs[0].states)
     assert repr(rep.max_distance_to_union) == repr(float(want))
     assert union_is_invariant(rep) and pieces_not_invariant(rep)

@@ -16,7 +16,7 @@ from mbloch.solutions import (HomoclinicParams, homoclinic, homoclinic_derivativ
 
 def member(x1, y1, x2):
     """The member of the periodic family through the M1 point (x1, y1, x2)."""
-    return RankTwoPoint(x1, x2, y1 / x2)
+    return RankTwoPoint.from_m1(x1, y1, x2)
 
 
 class TestHomoclinic:

@@ -192,12 +192,14 @@ def chart_z_minus_w(monkeypatch):
     # the chart point's state takes z = -w in place of -w^2
     point = invariant_sets.RankTwoPoint
     monkeypatch.setattr(point, "__post_init__", _recompiled(
-        point.__post_init__, "-w * x1, -w * w]", "-w * x1, -w]"))
+        point.__post_init__, "-w * x1, -w * w)", "-w * x1, -w)"))
 
 
 def shift_ring_embedding(monkeypatch):
-    ring = verify.ring_equilibrium
-    monkeypatch.setattr(verify, "ring_equilibrium", lambda m, n: ring(m, n) + [0, 0, 0, 0, 0.5])
+    # the ring points are taken at z = 0.5 in place of R(M, N, 0)'s z = 0
+    right = "RankTwoPoint(m, n, 0.0).state"
+    monkeypatch.setattr(verify, "equilibrium_families_fixed", _recompiled(
+        verify.equilibrium_families_fixed, right, right + "[:4] + (0.5,)"))
 
 
 def scale_homoclinic_energy(monkeypatch):
