@@ -314,8 +314,6 @@ def cmd_periodic(args):
     period = point.period  # refuses y1 = 0 (w = 0) and an orbit whose scales overflow
     t_max = period if args.t_max is None else args.t_max
     times = _sample_times(0.0, t_max, args.dt)
-    if not math.isfinite(point.w * t_max):
-        raise DomainError(f"the phase w t overflows on [0, {t_max!r}] at w = {point.w!r}")
     return _closed_form_run(args, times, solutions.periodic_orbit(point))
 
 

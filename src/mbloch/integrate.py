@@ -7,16 +7,17 @@ import: ``_rk4_raw`` and ``_dp_raw`` call a field at each stage, and
 ``domain.field_components`` written into their stages as it is written
 there, so their sums are the generic ones term for term and their bits the
 same, signed zeros included.  Their text is ``_KERNEL_SOURCE``, which
-tracebacks and ``inspect`` quote.  ``_kernel`` picks the built-in kernel
-exactly when the field of a run is ``domain.field_components`` itself, so
-a patch of ``integrate.field_components`` breaks a run through the generic
-kernel, and a patch of a kernel here breaks the runs that step it.  An RK4
-kernel steps up to a sample stride per call, so the rk4 driver calls it
-once a sample.  Both drivers keep the state as Python floats between steps
-(step control, error norm and finiteness test included): no array is built
-per step.  They append each sample to two flat float64 buffers (times, and
-five components a sample) and stop only by raising; ``integrate`` wraps
-the buffers, without a copy, into the ``Trajectory``.
+tracebacks and ``inspect`` quote.  ``_kernels`` is the one door from a
+run's field to its kernels, which ``integrate`` hands its driver: the
+built-in ones exactly when the field is ``domain.field_components``
+itself, so a patch of ``integrate.field_components`` breaks a run through
+the generic kernel, and a patch of a kernel here breaks the runs that step
+it.  An RK4 kernel steps up to a sample stride per call, so the rk4 driver
+calls it once a sample.  Both drivers keep the state as Python floats
+between steps (step control, error norm and finiteness test included): no
+array is built per step.  They append each sample to two flat float64
+buffers (times, and five components a sample) and stop only by raising;
+``integrate`` wraps the buffers, without a copy, into the ``Trajectory``.
 
 The module imports no NumPy: with the built-in field a run is started,
 stepped, checked and recorded on plain floats, so a short ``simulate``
@@ -162,27 +163,6 @@ class DriftReport:
     max_abs_dC: float
 
 
-def _component_form(field):
-    """The field as the kernels call it, five components in and five out,
-    with the context a run steps it in.
-
-    None selects the built-in field, on plain floats, with nothing to
-    silence.  A custom field p -> 5-vector is adapted, and stepped with
-    NumPy's floating-point warnings silenced, as overflow is reported by
-    exception only.  A stage state with a non-finite component gets a NaN
-    field without a call, as a field that checks its state
-    (``core.vector_field``) would raise there: the step then fails the
-    drivers' finiteness test, as it does with the built-in field.
-    """
-    if field is None:
-        return field_components, contextlib.nullcontext()
-    import numpy as np
-    nan = np.full(5, math.nan)
-    return (lambda *s: (np.asarray(field(np.array(s)), dtype=float)
-                        if all(map(math.isfinite, s)) else nan),
-            np.errstate(over="ignore", invalid="ignore"))
-
-
 # The step kernels are generated at import from these coefficients, each
 # written once.  The Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput.
 # Appl. Math. 6, 1980), each entry the float p / q: the rows of A for stages
@@ -291,6 +271,29 @@ linecache.cache[_KERNEL_FILE] = (len(_KERNEL_SOURCE), None, _KERNEL_SOURCE.split
 exec(compile(_KERNEL_SOURCE, _KERNEL_FILE, "exec"), globals())
 
 
+def _kernels(field):
+    """A run's RK4 kernel, Dormand-Prince kernel and the context they step
+    in, read off the module, so that a patch of a kernel or of
+    ``field_components`` reaches the runs after it.  None selects the fused
+    kernels if ``field_components`` is ``domain.field_components`` itself,
+    and otherwise the generic ones calling it.  A custom field p -> 5-vector
+    is adapted for the generic kernels, with NumPy's warnings silenced
+    (overflow is reported by exception only), and a stage state with a
+    non-finite component gets a NaN field without a call, as a field that
+    checks its state (``core.vector_field``) would raise there: the step then
+    fails the drivers' finiteness test, as it does with the built-in field."""
+    f, quiet = field_components, contextlib.nullcontext()
+    if field is None and f is domain.field_components:
+        return _rk4_builtin, _dp_builtin, quiet
+    if field is not None:
+        import numpy as np
+        nan = np.full(5, math.nan)
+        f = lambda *s: (np.asarray(field(np.array(s)), dtype=float)
+                        if all(map(math.isfinite, s)) else nan)
+        quiet = np.errstate(over="ignore", invalid="ignore")
+    return (lambda *a: _rk4_raw(*a, f)), (lambda *a: _dp_raw(*a, f)), quiet
+
+
 def rk4_step(p, h: float):
     """One classical Runge-Kutta step of size h, a finite nonzero real number
     (local error O(h^5)), as a (5,) array."""
@@ -320,11 +323,11 @@ def integrate(p0, cfg: IntegratorConfig, field=None) -> Trajectory:
     if not all(map(math.isfinite, conserved_components(*y0))):
         raise DomainError(f"conserved quantities overflow at the start state {y0}")
     times, states = array("d", [0.0]), array("d", y0)
-    driver = _integrate_rk4 if cfg.method == "rk4" else _integrate_rk45
-    f, quiet = _component_form(field)
+    rk4, dp, quiet = _kernels(field)
+    driver, step = (_integrate_rk4, rk4) if cfg.method == "rk4" else (_integrate_rk45, dp)
     with quiet:
         try:
-            driver(times, states, cfg, f)
+            driver(times, states, cfg, step)
         except (IntegrationStalledError, StateOverflowError) as exc:
             exc.trajectory = Trajectory(times, states)
             raise
@@ -344,22 +347,11 @@ def _rk4_steps(cfg):
     return max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-12)))
 
 
-def _kernel(f, builtin, generic):
-    """The step kernel of a run with field f: the built-in kernel for
-    ``domain.field_components`` itself, and otherwise the generic one
-    calling f.  The drivers pass the module's kernels of the moment, so a
-    patch of either applies to the runs it reaches."""
-    if f is domain.field_components:
-        return builtin
-    return lambda *a: generic(*a, f)
-
-
-def _integrate_rk4(times, states, cfg, f):
+def _integrate_rk4(times, states, cfg, step):
     # one kernel call a sample: it steps to the next multiple of the
     # stride, or to the last step, and stops early at a non-finite state
     n_steps, stride = _rk4_steps(cfg), cfg.sample_stride
     h = cfg.t_end / n_steps
-    step = _kernel(f, _rk4_builtin, _rk4_raw)
     x1, y1, x2, y2, z = states
     i = 0
     while i < n_steps:
@@ -373,13 +365,12 @@ def _integrate_rk4(times, states, cfg, f):
         states.extend((x1, y1, x2, y2, z))
 
 
-def _integrate_rk45(times, states, cfg, f):
+def _integrate_rk45(times, states, cfg, step):
     t_end, stride, dt_max = cfg.t_end, cfg.sample_stride, cfg.dt_max
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     max_steps, max_samples = MAX_STEPS, domain.MAX_SAMPLES
     isfinite, sqrt = math.isfinite, math.sqrt
     safe, dt_min, record_t, record_y = TRIPLE_SAFE_SQUARES, DT_MIN, times.append, states.extend
-    step = _kernel(f, _dp_builtin, _dp_raw)
     x1, y1, x2, y2, z = states
     # |x1|, ..., |z| of the current state, kept from the step that accepted it
     a1, a2, a3, a4, a5 = abs(x1), abs(y1), abs(x2), abs(y2), abs(z)
@@ -434,22 +425,16 @@ def _integrate_rk45(times, states, cfg, f):
 
 
 def drift_report(traj: Trajectory) -> DriftReport:
-    """Worst excursion of H, I, C from their t=0 values over the samples.
-
-    Where NumPy is loaded (an in-process sweep, a long ``simulate`` after
-    its CSV) the excursion is reduced on the ``conserved`` array, and
-    otherwise (a short ``simulate``) on plain floats as
-    max(max q - q0, q0 - min q), with the same bits: rounding is monotone,
-    so q - q0 is largest at the largest q and q0 - q at the smallest.
-    """
+    """Worst excursion of H, I, C from their t=0 values, max(0.0, max q - q0,
+    q0 - min q) a column q, on the ``conserved`` array where NumPy is loaded
+    and on plain floats otherwise: rounding is monotone, so this is the
+    largest |q - q0|, bit for bit, and the 0.0 keeps out a -0.0 that the
+    array reductions may return among equal zeros."""
     if len(traj) == 0:
         raise DomainError("empty trajectory")
-    if "numpy" not in sys.modules:
-        return DriftReport(*(max(max(q) - q[0], q[0] - min(q)) for q in traj.columns()[6:]))
-    import numpy as np
-    dev = np.abs(traj.conserved - traj.conserved[0])
-    return DriftReport(
-        max_abs_dH=float(dev[:, 0].max()),
-        max_abs_dI=float(dev[:, 1].max()),
-        max_abs_dC=float(dev[:, 2].max()),
-    )
+    # np.max and np.min are these ufunc reductions, with a wrapper that
+    # would double the cost of a short record
+    np = sys.modules.get("numpy")
+    top, bottom, cols = ((np.maximum.reduce, np.minimum.reduce, traj.conserved.T) if np else
+                         (max, min, traj.columns()[6:]))
+    return DriftReport(*(float(max(0.0, top(q) - q[0], q[0] - bottom(q))) for q in cols))

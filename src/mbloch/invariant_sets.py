@@ -141,11 +141,13 @@ class RankTwoPoint:
     @classmethod
     def from_m1(cls, x1, y1, x2) -> "RankTwoPoint":
         """The chart point R(x1, x2, y1 / x2) of the paper's M1 start (x1, y1, x2);
-        DomainError where x2 = 0 (-0.0 too) or w = y1 / x2 underflows to 0."""
+        DomainError where x2 = 0 (-0.0 too), or w = y1 / x2 is not finite or underflows."""
         y1, x2 = real_float(y1), real_float(x2)
         if x2 == 0:
             raise DomainError("the chart parameter w = y1 / x2 needs x2 != 0")
         w = y1 / x2
+        if not math.isfinite(w):
+            raise DomainError(f"w = y1 / x2 = {w!r} is not finite at y1 = {y1!r}, x2 = {x2!r}")
         if w == 0 and y1 != 0:
             raise DomainError(f"w = y1 / x2 underflows to 0 at y1 = {y1!r}, x2 = {x2!r}")
         return cls(x1, x2, w)

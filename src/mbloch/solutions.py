@@ -112,24 +112,35 @@ def homoclinic_orbit(par: HomoclinicParams):
             1e-12 * (1 + par.c ** 1.5), 1e-12 * (1 + par.c * par.c))
 
 
+def _phase(w, t):
+    """The times t, read by ``_times``, and the sine and cosine of the phase
+    w t at each; DomainError, without a warning, where w t overflows."""
+    t = _times(t)
+    with np.errstate(over="ignore"):
+        wt = w * t
+    if not np.isfinite(wt).all():
+        raise DomainError(f"the phase w t overflows at w = {w!r}, "
+                          f"|t| = {float(np.abs(t).max())!r}")
+    return t, np.sin(wt), np.cos(wt)
+
+
 def periodic_solution(q: "RankTwoPoint", t):
     """Explicit periodic orbit of the full system through the chart point q; shape (..., 5).
 
     z is frozen at -w^2 and the (x1, x2) pair rotates with frequency w;
-    y1 = w x2 and y2 = -w x1 along the orbit.
+    y1 = w x2 and y2 = -w x1 along the orbit.  DomainError where the phase
+    w t overflows.
     """
     x1, x2, w = q.x1, q.x2, q.w
-    t = _times(t)
-    s, co = np.sin(w * t), np.cos(w * t)
+    t, s, co = _phase(w, t)
     return np.stack([x2 * s + x1 * co, -w * (x1 * s - x2 * co), -x1 * s + x2 * co,
                      -w * (x2 * s + x1 * co), np.full(t.shape, -w * w)], axis=-1)
 
 
 def periodic_derivative(q: "RankTwoPoint", t):
-    """Analytic d/dt of periodic_solution."""
+    """Analytic d/dt of periodic_solution; DomainError where it is."""
     x1, x2, w = q.x1, q.x2, q.w
-    t = _times(t)
-    s, co = np.sin(w * t), np.cos(w * t)
+    t, s, co = _phase(w, t)
     return np.stack([w * (x2 * co - x1 * s), -w * w * (x1 * co + x2 * s),
                      -w * (x1 * co + x2 * s), -w * w * (x2 * co - x1 * s),
                      np.zeros(t.shape)], axis=-1)

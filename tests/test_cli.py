@@ -505,6 +505,24 @@ def test_an_overflowing_chart_state_is_named(tmp_path, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["invariant-probe", "--m1=-0.0,1.283575537728834e+202,-1.9400371845242413e-284",
+      "--t-end=1"], "w = y1 / x2 = -inf is not finite"),
+    (["periodic", "--x1", "1", "--y1", "2", "--x2", "1", "--t-max", "1e308", "--dt", "1e303"],
+     "the phase w t overflows at w = 2.0"),
+], ids=["w-overflows", "phase-overflows"])
+def test_an_overflowing_parameter_is_named(tmp_path, argv, refusal):
+    # the M1 ratio w = y1 / x2 and the closed form's phase w t are refused
+    # where they overflow, before a chart state or a CSV is built
+    out_path = tmp_path / "x.csv"
+    if argv[0] in WRITES_CSV:
+        argv = argv + ["--out", str(out_path)]
+    code, out, err = run_captured(argv)
+    assert (code, out) == (2, "")
+    assert refusal in err and "nan" not in err
+    assert not out_path.exists()
+
+
 def test_csv_row_cap_is_inclusive(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(domain, "MAX_SAMPLES", 11)
     argv = ["homoclinic", "--c", "1", "--t-min", "0", "--t-max", "10",

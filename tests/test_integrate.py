@@ -538,11 +538,11 @@ class TestIntegrate:
         assert verify.rk4_order_factor()
 
 
-def _reference_rk45(times, states, cfg, f):
+def _reference_rk45(times, states, cfg, step):
     # the loop form of the rk45 driver, kept as the oracle of the unrolled
     # one: the caps are read from the module, so that a patch applies to
-    # both, and the kernel is the one imported above, so that a patch of
-    # ``integration._dp_raw`` does not reach it
+    # both, and it steps the Dormand-Prince kernel it is handed, as the
+    # driver does
     t, y, k = 0.0, tuple(states), 0
     dt = min(integration.DT_INITIAL, cfg.t_end)
     safety, shrink, grow = 0.9, 0.2, 5.0
@@ -554,7 +554,7 @@ def _reference_rk45(times, states, cfg, f):
             raise IntegrationStalledError(
                 t, f"MAX_STEPS = {integration.MAX_STEPS} steps attempted")
         h = min(dt, cfg.t_end - t)
-        y5, y4 = _dp_raw(*y, h, f)
+        y5, y4 = step(*y, h)
         if not math.isfinite(y5[0] + y5[1] + y5[2] + y5[3] + y5[4]):
             raise StateOverflowError(t + h)
         total = 0.0
@@ -579,20 +579,22 @@ def _reference_rk45(times, states, cfg, f):
 
 
 def _drive(driver, p0, cfg, field=None):
-    """One run of a driver on fresh buffers: the buffers' bytes, the stop
+    """One run of a driver on fresh buffers, stepping the Dormand-Prince
+    kernel that ``integrate._kernels`` gives a counting field (the field, or
+    ``vector_field`` for None), in its context: the buffers' bytes, the stop
     (exception type, time, reason) or None, and the field calls made."""
-    calls = [0]
-    base, _ = integration._component_form(field)
+    calls, base = [0], vector_field if field is None else field
 
-    def counting(*s):
+    def counting(p):
         calls[0] += 1
-        return base(*s)
+        return base(p)
 
+    _, step, quiet = integration._kernels(counting)
     times, states = array("d", [0.0]), array("d", p0)
     stop = None
-    with np.errstate(over="ignore", invalid="ignore"):
+    with quiet:
         try:
-            driver(times, states, cfg, counting)
+            driver(times, states, cfg, step)
         except (IntegrationStalledError, StateOverflowError) as exc:
             stop = (type(exc), exc.time, getattr(exc, "reason", None))
     return (times.tobytes(), states.tobytes(), stop), calls[0]
@@ -699,7 +701,9 @@ class TestRk45Driver:
             count[0] += 1
             return kernel(*args)
 
+        # the references step the module's kernel before it is patched
         (ref, _, _), calls = _drive(_reference_rk45, P0, _rk45(tol=1e-6))
+        (_, ref_states, _), _ = _drive(_reference_rk45, P0, _rk45())
         monkeypatch.setattr(integration, "_dp_raw", counted)
         (times, _, _), _ = _drive(integration._integrate_rk45, P0, _rk45(tol=1e-6))
         assert times == ref
@@ -712,7 +716,6 @@ class TestRk45Driver:
 
         monkeypatch.setattr(integration, "_dp_raw", nudged)
         (_, states, _), _ = _drive(integration._integrate_rk45, P0, _rk45())
-        (_, ref_states, _), _ = _drive(_reference_rk45, P0, _rk45())
         assert states != ref_states
 
     def test_default_run_steps_the_module_builtin_kernel(self, monkeypatch):
@@ -831,6 +834,48 @@ class TestBuiltinDispatch:
         assert _outcome(P0, cfg) == want
 
 
+class TestKernelsDoor:
+    """``integrate._kernels`` is the one door from a field to a run's
+    kernels: ``integrate`` and ``verify.dp_local_order`` both pass it."""
+
+    def test_builtin_field_takes_the_fused_kernels(self):
+        rk4, dp, _ = integration._kernels(None)
+        assert rk4 is _rk4_builtin and dp is _dp_builtin
+
+    @pytest.mark.parametrize("how", ["field_components", "field", "_dp_builtin"])
+    def test_reaches_integrate_and_dp_local_order(self, monkeypatch, how):
+        # a patched ``integrate.field_components``, a custom field= and a
+        # patched ``_dp_builtin`` are each stepped by an rk45 run, with the
+        # samples of the unpatched run; dp_local_order asks the door for the
+        # kernels of the built-in field, so it steps both patches and leaves
+        # the custom field, which no run of it is given, alone
+        cfg = _rk45(1.0)
+        want = _outcome(P0, cfg)
+        door, doors, calls = integration._kernels, [], [0]
+
+        def spy(field):
+            doors.append(field)
+            return door(field)
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+            return wrapper
+
+        field = counted(vector_field) if how == "field" else None
+        if field is None:
+            monkeypatch.setattr(integration, how, counted(getattr(integration, how)))
+        monkeypatch.setattr(integration, "_kernels", spy)
+        assert _outcome(P0, cfg, field) == want
+        assert doors == [field] and calls[0] > 0
+        doors.clear()
+        calls[0] = 0
+        assert verify.dp_local_order()
+        assert doors == [None]
+        assert (calls[0] > 0) is (how != "field")
+
+
 class TestPinnedRuns:
     """The sample count and the SHA-256 of both buffers of fixed runs, so
     that any change to the step arithmetic, the RK4 sample blocks or the
@@ -897,6 +942,32 @@ class TestDriftReport:
         monkeypatch.delitem(sys.modules, "numpy")
         assert [bits(drift_report(traj)) for traj in runs] == arrays
         assert arrays[3] == [0.0.hex()] * 3
+
+    def test_both_branches_give_the_largest_absolute_deviation(self, monkeypatch):
+        # both branches give the bits of max |q - q0| a column, as the array
+        # reduction np.abs(conserved - conserved[0]).max(axis=0) does, on
+        # 1200 seeded runs; starts with x2 = y2 = +-0.0 have an I column of
+        # +0.0 and -0.0, where np.max and np.min may return -0.0, so that
+        # the formula's leading 0.0 decides the sign of some of them
+        rng = np.random.default_rng(41)
+        runs = []
+        for k in range(1200):
+            p0 = rng.uniform(-2.0, 2.0, 5)
+            if k % 3 == 1:
+                p0[[2, 3]] = rng.choice([0.0, -0.0], 2)
+            elif k % 3 == 2:
+                p0[rng.choice(5, 2, replace=False)] = rng.choice([0.0, -0.0], 2)
+            method = ("rk4", "rk45")[k % 2]
+            runs.append(integrate(p0, IntegratorConfig(
+                method=method, t_end=rng.uniform(0.05, 1.0), dt=0.05, abs_tol=1e-6,
+                rel_tol=1e-6, sample_stride=int(rng.integers(1, 4)))))
+        bits = lambda values: [x.hex() for x in values]
+        want = [bits(np.abs(t.conserved - t.conserved[0]).max(axis=0).tolist()) for t in runs]
+        assert [bits(dataclasses.astuple(drift_report(t))) for t in runs] == want
+        assert any(math.copysign(1.0, max(np.max(q) - q[0], q[0] - np.min(q))) < 0
+                   for t in runs for q in t.conserved.T)
+        monkeypatch.delitem(sys.modules, "numpy")
+        assert [bits(dataclasses.astuple(drift_report(t))) for t in runs] == want
 
     def test_long_run_drift_small(self):
         assert verify.rk4_conserved_drift(verify.rk4_runs([[1, 1, 0.5, -0.5, 0.2]], 100.0))

@@ -116,7 +116,12 @@ class TestEmbeddings:
         ((1.0, 1.0, -0.0), "needs x2 != 0"),
         ((0.0, 2.2250738585e-313, 90071992548.0), "underflows to 0"),  # y1 / x2 rounds to 0
         ((1.0, float("nan"), 1.0), "not finite"),
-    ], ids=["x2-zero", "x2-minus-zero", "w-underflows", "nan"])
+        # w overflows, and the refusal names it before the chart state,
+        # whose y2 = -w x1 would be a NaN at x1 = -0.0
+        ((-0.0, 1.283575537728834e+202, -1.9400371845242413e-284),
+         r"^w = y1 / x2 = -inf is not finite at y1 = 1.283575537728834e\+202, "
+         r"x2 = -1.9400371845242413e-284$"),
+    ], ids=["x2-zero", "x2-minus-zero", "w-underflows", "nan", "w-overflows"])
     def test_from_m1_refusals(self, m1, match):
         with pytest.raises(DomainError, match=match):
             inv.RankTwoPoint.from_m1(*m1)

@@ -115,6 +115,15 @@ class TestPeriodic:
                 with pytest.raises(DomainError):
                     call()
 
+    @pytest.mark.parametrize("t", [1e308, [0.0, 1.0, -1e308]])
+    @pytest.mark.parametrize("fn", [periodic_solution, periodic_derivative])
+    def test_overflowing_phase_is_a_domain_error(self, fn, t):
+        # w t = 2e308 overflows: refused without a warning, as Tier-1 turns
+        # warnings into errors
+        with pytest.raises(DomainError,
+                           match=r"the phase w t overflows at w = 2.0, \|t\| = 1e\+308"):
+            fn(RankTwoPoint(1.0, 1.0, 2.0), t)
+
     def test_m2_start_has_an_orbit_but_no_punctures(self):
         # x2 = 0: the rotation through an M2 point is a member of the family,
         # but its puncture times, read off x2 / y1, are not defined
