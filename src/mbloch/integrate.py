@@ -2,8 +2,9 @@
 
 Each method is written once, as its coefficients, from which the module
 generates four step kernels on the five components as plain floats at
-import: ``_rk4_raw`` and ``_dp_raw`` call a field at each stage, and
-``_rk4_builtin`` and ``_dp_builtin`` are the same kernels with
+import, all by one stage rule: each stage binds its state and evaluates
+the field there.  ``_rk4_raw`` and ``_dp_raw`` call a field at the bound
+state, and ``_rk4_builtin`` and ``_dp_builtin`` are the same kernels with
 ``domain.field_components`` written into their stages as it is written
 there, so their sums are the generic ones term for term and their bits the
 same, signed zeros included.  Their text is ``_KERNEL_SOURCE``, which
@@ -75,10 +76,10 @@ DT_MIN = 1e-12
 MAX_STEPS = 10 ** 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
     """One run; every field is checked here, so a bad run is a DomainError
-    before any step is taken."""
+    before any step is taken, and frozen, so the run is the one checked."""
 
     method: str = "rk45"  # "rk4" (fixed step) or "rk45" (adaptive)
     t_end: float = 1.0
@@ -92,14 +93,15 @@ class IntegratorConfig:
         if self.method not in ("rk4", "rk45"):
             raise DomainError(f"unknown method {self.method!r}")
         for name in ("t_end", "dt", "abs_tol", "rel_tol", "dt_max"):
-            setattr(self, name, real_float(getattr(self, name)))
+            object.__setattr__(self, name, real_float(getattr(self, name)))
         if not 0 < self.t_end < math.inf:
             raise DomainError("t_end must be finite and positive")
         if not (self.dt > 0 and self.abs_tol > 0 and self.rel_tol > 0):
             raise DomainError("dt, abs_tol and rel_tol must be positive")
         if not self.dt_max >= DT_INITIAL:
             raise DomainError(f"dt_max must be at least the first step {DT_INITIAL}")
-        self.sample_stride = integer_at_least(self.sample_stride, 1, "sample_stride")
+        object.__setattr__(self, "sample_stride",
+                           integer_at_least(self.sample_stride, 1, "sample_stride"))
         step, name = (self.dt, "dt") if self.method == "rk4" else (self.dt_max, "dt_max")
         if not self.t_end / step <= MAX_STEPS:
             raise DomainError(f"t_end {self.t_end!r} takes more than {MAX_STEPS} "
@@ -207,37 +209,32 @@ def _line(head, values):
     return text if len(text) <= 99 else f"{head}(" + ",".join(pad + v for v in values) + ")"
 
 
-def _field(k):
-    # field_components, as it writes them, at the state of stage k in a fused
-    # kernel: (p, a{k}, q, c{k}, r), or the step's state for k = 1
-    x1, y1, x2, y2, z = _Y if k == 1 else ("p", f"a{k}", "q", f"c{k}", "r")
-    return y1, f"{x1} * {z}", y2, f"{x2} * {z}", f"-({x1} * {y1} + {x2} * {y2})"
-
-
-def _stages(rows, pad, fused, keep=None):
-    """The lines of a kernel's stages, stage k at the state of row k - 2, and
-    the names of their derivatives.  A generic kernel calls f at each stage,
-    binding keep to the last stage's state; a fused one stores the field as
+def _stages(rows, pad, fused):
+    """The lines of a kernel's stages, stage k at the state of row k - 2, the
+    names of their derivatives and the last stage's state.  Every stage k >= 2
+    binds its state, to p, a{k}, q, c{k}, r in a fused kernel and to p, u, q,
+    v, r in a generic one, and evaluates the field there: a generic kernel
+    calls f, and a fused one stores field_components, as it writes them, as
     b{k}, d{k} and e{k}, reads a{k} and c{k} (y1 and y2 at stage 1) in place,
     and writes the last stage's out where it is used."""
     last = len(rows) + 1
-    if fused:
-        name = lambda j, k: (_field(k)[j] if j in (0, 2) else
-                             f"({_field(k)[j]})" if k == last else f"{'abcde'[j]}{k}")
-        field = lambda k: f"{pad}b{k}, d{k}, e{k} = " + ", ".join(_field(k)[j] for j in (1, 3, 4))
-    else:
-        name = lambda j, k: f"{'abcde'[j]}{k}"
-    lines = [field(1) if fused else f"{pad}a1, b1, c1, d1, e1 = f(x1, y1, x2, y2, z)"]
-    for k, row in enumerate(rows, 2):
-        state, stage = _state(row, name), f"{pad}a{k}, b{k}, c{k}, d{k}, e{k} = f"
-        if fused:
-            lines += [_line(f"{pad}p, a{k}, q = ", state[:3]),
-                      _line(f"{pad}c{k}, r = ", state[3:]), *[field(k)] * (k < last)]
-        elif k == last and keep:
-            lines += [_line(f"{pad}{keep} = ", state), f"{stage}(*{keep})"]
-        else:
-            lines.append(_line(stage, state))
-    return lines, name
+    at = lambda k: _Y if k == 1 else ("p", f"a{k}", "q", f"c{k}", "r") if fused else "puqvr"
+    field = lambda x1, y1, x2, y2, z: (y1, f"{x1} * {z}", y2, f"{x2} * {z}",
+                                       f"-({x1} * {y1} + {x2} * {y2})")
+    name = lambda j, k: (f"{'abcde'[j]}{k}" if not fused or j in (1, 3, 4) and k < last else
+                         field(*at(k))[j] if j in (0, 2) else f"({field(*at(k))[j]})")
+    lines = []
+    for k in range(1, last + 1):
+        y = at(k)
+        if k > 1:
+            state = _state(rows[k - 2], name)
+            lines += [_line(f"{pad}{y[0]}, {y[1]}, {y[2]} = ", state[:3]),
+                      _line(f"{pad}{y[3]}, {y[4]} = ", state[3:])]
+        if not fused:
+            lines.append(f"{pad}a{k}, b{k}, c{k}, d{k}, e{k} = f({', '.join(y)})")
+        elif k < last:
+            lines.append(f"{pad}b{k}, d{k}, e{k} = " + ", ".join(field(*y)[j] for j in (1, 3, 4)))
+    return lines, name, f"({', '.join(at(last))})"
 
 
 def _kernel_source():
@@ -248,7 +245,7 @@ def _kernel_source():
     dp = [("h", tuple((c, k) for k, c in enumerate(row, 1) if c)) for row in _DP]
     text = []
     for fused, kind, f in ((False, "raw", ", f"), (True, "builtin", "")):
-        lines, name = _stages(rk4, " " * 8, fused)
+        lines, name, _ = _stages(rk4, " " * 8, fused)
         step = _state(("s", _RK4_UPDATE), name)
         # x1 and x2 first: in a fused kernel they add the y1 and y2 of the start
         text.append("\n".join([
@@ -258,8 +255,7 @@ def _kernel_source():
             *(f"        {_Y[j]} = {step[j]}" for j in (0, 2, 1, 3, 4)),
             "        if not isfinite(x1 + y1 + x2 + y2 + z):",
             "            return i, (x1, y1, x2, y2, z)", "    return n, (x1, y1, x2, y2, z)"]))
-        lines, name = _stages(dp[:-1], "    ", fused, "y5")
-        y5 = f"(p, a{len(dp)}, q, c{len(dp)}, r)" if fused else "y5"
+        lines, name, y5 = _stages(dp[:-1], "    ", fused)
         text.append("\n".join([f"def _dp_{kind}(x1, y1, x2, y2, z, h{f}):", *lines,
                                _line(f"    return {y5}, ", _state(dp[-1], name))]))
     return "\n\n\n".join(text) + "\n"

@@ -172,9 +172,9 @@ class RankTwoPoint:
     @property
     def puncture_spacing(self) -> float:
         """pi |x2 / y1|, read off the state (y1 = w x2) as the puncture times
-        are; DomainError where x2 = 0 or y1 = 0, and where ``period`` is."""
+        are; DomainError where y1 = 0, x2 = 0 and w = 0 included, and where ``period`` is."""
         x2, y1 = self.x2, self.state[1]
-        if x2 == 0 or y1 == 0:
+        if y1 == 0:
             raise DomainError(f"the punctures need x2 != 0 and y1 = w x2 != 0, "
                               f"got x2 = {x2!r}, y1 = {y1!r}")
         self.period  # the checks of the orbit
@@ -219,17 +219,17 @@ def rank_two_defect(p) -> float:
 class ProbeReport:
     max_distance_to_union: float
     puncture_count: int
-    predicted_punctures: int | None  # the periodic family's; None at w = 0 or x2 = 0
+    predicted_punctures: int | None  # the periodic family's; None where y1 = w x2 = 0
 
 
 def invariance_probe(q0: RankTwoPoint, t_end: float) -> ProbeReport:
     """Integrate the full system from the chart point q0 and measure how far
     the samples stray from R (``rank_two_defect``), counting the sign changes
     of x2 (the punctures of M1) and predicting them by q0's own
-    ``punctures_in`` where w != 0 and x2 != 0, before the first step."""
+    ``punctures_in`` where its y1 = w x2 is not 0, before the first step."""
     # imported here, not with this module, so that ``rank`` does not load it
     from .integrate import IntegratorConfig, integrate
-    predicted = q0.punctures_in(t_end) if q0.w != 0 and q0.x2 != 0 else None
+    predicted = q0.punctures_in(t_end) if q0.state[1] != 0 else None
     traj = integrate(q0.state, IntegratorConfig(
         method="rk45", t_end=t_end, abs_tol=1e-10, rel_tol=1e-10, dt_max=0.05))
     _, *comps, _, _, _ = traj.columns()  # t, the five components, H, I, C

@@ -41,7 +41,7 @@ def radial_cubic(s, H, I, C):
     return -s * s * s + 4 * C * s * s + (8 * H - 4 * C * C) * s - 4 * I * I
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomoclinicParams:
     """Selects one homoclinic at the leaf equilibrium (0,0,0,0,c), c > 0;
     sign is the integer +1 or -1 (a bool or a float is refused)."""
@@ -51,11 +51,12 @@ class HomoclinicParams:
     sign: int = 1
 
     def __post_init__(self):
-        self.c, self.theta0 = real_float(self.c), finite_float(self.theta0, "theta0")
+        object.__setattr__(self, "c", real_float(self.c))
+        object.__setattr__(self, "theta0", finite_float(self.theta0, "theta0"))
         if self.c <= 0:
             raise DomainError("homoclinics exist only on leaves with c > 0")
         leaf_energy(self.c)
-        self.sign = integer_at_least(self.sign, -1, "sign")
+        object.__setattr__(self, "sign", integer_at_least(self.sign, -1, "sign"))
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
 

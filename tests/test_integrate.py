@@ -92,6 +92,18 @@ class TestConfigValidation:
             IntegratorConfig(method="rk45", t_end=1e300)
 
 
+    @pytest.mark.parametrize("cfg,name,value", [
+        (IntegratorConfig(method="rk4", t_end=1.0, dt=0.1), "sample_stride", 0),
+        (IntegratorConfig(method="rk4", t_end=1.0, dt=0.1), "dt", 0.0),
+        (IntegratorConfig(), "method", "euler")])
+    def test_a_checked_config_is_frozen(self, cfg, name, value):
+        # a reassigned stride 0 once made an rk4 run step 0 steps forever,
+        # dt 0 raised ZeroDivisionError and method "euler" ran rk45
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        with pytest.raises(DomainError):
+            dataclasses.replace(cfg, **{name: value})
+
     def test_rk4_sample_cap(self):
         # 10^6 steps record 10^6 + 1 samples at stride 1, one over the cap
         with pytest.raises(DomainError, match="samples"):
@@ -211,7 +223,15 @@ class TestGeneratedKernels:
         # a change to a coefficient or to the generator shows here; the bit
         # comparisons above and in TestBuiltinKernels show what it changed
         digest = hashlib.sha256(integration._KERNEL_SOURCE.encode()).hexdigest()
-        assert digest == "0460cef25af13c063a8251a1750963c7a800420ecb983d6e1b82b9ccb9a495d4"
+        assert digest == "5431ab18202df5ae3944d27173b4c833108925caf3051f49c5e1b4dc3cb18316"
+
+    def test_fused_source_is_pinned(self):
+        # the fused kernels alone, the hot path of every built-in run: a
+        # change to the generic kernels' text leaves this digest as it is
+        source = integration._KERNEL_SOURCE
+        fused = source[source.index("def _rk4_builtin"):]
+        digest = hashlib.sha256(fused.encode()).hexdigest()
+        assert digest == "891435c1788911e19547da4b7ff3581829a919aa2244468cec2df5d1a099b77e"
 
     def test_traceback_quotes_the_generated_line(self):
         def refuse(p):

@@ -288,6 +288,18 @@ class TestInvarianceProbe:
         assert rep.predicted_punctures is None and rep.puncture_count == 1
         assert union_is_invariant(rep)
 
+    def test_underflowing_y1_predicts_no_punctures(self):
+        # w = x2 = 1e-200 are not 0 but y1 = w x2 underflows to 0: the
+        # puncture times are read off x2 / y1, which puncture_spacing
+        # refuses, so the probe predicts none (it raised a DomainError)
+        q0 = inv.RankTwoPoint(1.0, 1e-200, 1e-200)
+        assert q0.state[1] == 0.0
+        with pytest.raises(DomainError, match="the punctures need x2 != 0 and y1 = w x2 != 0"):
+            q0.puncture_spacing
+        rep = inv.invariance_probe(q0, 1.0)
+        assert rep.predicted_punctures is None and rep.puncture_count == 0
+        assert union_is_invariant(rep)
+
 
 def _rows(large=True):
     """Seeded random states, chart points with x2 != 0 and with x2 = 0 and,

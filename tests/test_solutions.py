@@ -29,6 +29,17 @@ class TestHomoclinic:
         sign = HomoclinicParams(c=1.0, sign=np.int64(-1)).sign
         assert type(sign) is int and sign == -1
 
+    @pytest.mark.parametrize("name,value", [("c", -1.0), ("sign", 3), ("theta0", math.inf)])
+    def test_params_are_frozen(self, name, value):
+        # c = -1.0 once reached math.sqrt as a ValueError, and sign = 3 gave
+        # three times the pulse, [6, -0, 0, -0, -1] at t = 0
+        par = HomoclinicParams(c=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(par, name, value)
+        with pytest.raises(DomainError):
+            dataclasses.replace(par, **{name: value})
+        assert np.array_equal(homoclinic(par, 0.0), [2, 0, 0, 0, -1])
+
     def test_anchor_point(self):
         par = HomoclinicParams(c=1.0, theta0=0.0, sign=1)
         assert np.array_equal(homoclinic(par, 0.0), [2, 0, 0, 0, -1])
